@@ -21,6 +21,8 @@ import numpy as np
 from .dynamics import (
     OperatingPoint,
     TransducerParams,
+    _holds,
+    _require,
     chi_01,
     chi_02,
     chi_m,
@@ -52,22 +54,30 @@ class CooperativitySet:
     f_m: complex
 
 
+def _require_divisors(**divisors) -> None:
+    """Reject a linewidth that is zero where a closed form divides by it."""
+    for name, value in divisors.items():
+        _require(value != 0, name, value, "must be > 0 where it divides")
+
+
 def cooperativities(op: OperatingPoint, omega: float | None = None) -> CooperativitySet:
     """On-resonance cooperativity parameters, or their complex functions at ``omega``.
 
+    On resonance the parameter fields and the pump level broadcast together.
     Raises :class:`ModelViolationError` when the real extraction efficiency
     f_m exceeds 1 (a supplied gamma_ex inconsistent with gamma_m).
     """
     p = op.params
     r = derived_rates(p)
     if omega is None:
+        _require_divisors(kappa_1=p.kappa_1, kappa_2=r.kappa_2, gamma_m=r.gamma_m)
         c_om = 4 * p.g_om**2 * op.intra_ring_photons / (p.kappa_1 * r.gamma_m)
         c_12 = 4 * p.J**2 / (p.kappa_1 * r.kappa_2)
         f_2 = p.kappa_ex2 / r.kappa_2
         f_m = r.gamma_ex / r.gamma_m
-        if f_m > 1 + _F_M_TOL:
+        if not _holds(f_m <= 1 + _F_M_TOL):
             raise ModelViolationError(
-                f"extraction efficiency f_m = gamma_ex/gamma_m = {f_m:.6g} exceeds 1; "
+                f"extraction efficiency f_m = gamma_ex/gamma_m = {np.max(f_m):.6g} exceeds 1; "
                 "the externally supplied gamma_ex is inconsistent with gamma_m"
             )
         return CooperativitySet(c_om, c_12, f_2, f_m)
@@ -85,45 +95,38 @@ def cooperativities(op: OperatingPoint, omega: float | None = None) -> Cooperati
 def efficiency_via_cooperativities(op: OperatingPoint, omega) -> float:
     """Transduction efficiency assembled from the cooperativity functions.
 
-    |(kappa_ex2 chi_02 gamma_ex chi_m / 4) * 4 C_om C_12 / (1 + C_om + C_12)^2|
-    with complex susceptibilities; algebraically identical to
+    |F_2 F_m * 4 C_om C_12 / (1 + C_om + C_12)^2| with the complex functions
+    of :func:`cooperativities`; algebraically identical to
     ``dynamics.efficiency`` and used as its cross-check.
     """
-    p = op.params
-    r = derived_rates(p)
-    c01 = chi_01(p)(omega)
-    c02 = chi_02(p)(omega)
-    cm = chi_m(p)(omega)
-    c_om = p.g_om**2 * op.intra_ring_photons * c01 * cm
-    c_12 = p.J**2 * c01 * c02
-    value = np.abs(
-        (p.kappa_ex2 * c02 * r.gamma_ex * cm / 4)
-        * 4 * c_om * c_12 / (1 + c_om + c_12) ** 2
-    )
-    if np.ndim(omega) == 0:
-        return float(value)
-    return value
+    c = cooperativities(op, omega)
+    value = np.abs(c.f_2 * c.f_m * 4 * c.c_om * c.c_12 / (1 + c.c_om + c.c_12) ** 2)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def critical_photon_number(p: TransducerParams) -> float:
     """Intra-ring pump photon number at which on-resonance C_om = C_12 + 1.
 
     (gamma_m / (4 g_om^2)) (4 J^2 / kappa_2 + kappa_1); this is the pump level
-    maximizing the on-resonance efficiency.
+    maximizing the on-resonance efficiency.  Array parameter fields broadcast.
     """
-    if p.g_om <= 0:
+    if not _holds(p.g_om > 0):
         raise UndefinedOptimumError("g_om must be > 0 for a finite optimal pump level")
     r = derived_rates(p)
+    _require_divisors(kappa_2=r.kappa_2)
     return r.gamma_m / (4 * p.g_om**2) * (4 * p.J**2 / r.kappa_2 + p.kappa_1)
 
 
 def max_efficiency(p: TransducerParams) -> float:
-    """On-resonance efficiency at the critical photon number: F2 Fm C12/(C12+1)."""
+    """On-resonance efficiency at the critical photon number: F2 Fm C12/(C12+1).
+
+    Array parameter fields broadcast; scalar fields give a float.
+    """
     op = OperatingPoint(p, critical_photon_number(p))
     c = cooperativities(op)
-    eta = c.f_2.real * c.f_m.real * c.c_12.real / (c.c_12.real + 1)
-    if eta > 1 + 1e-9:
-        raise ModelViolationError(f"maximum efficiency {eta:.12g} exceeds 1")
+    eta = c.f_2 * c.f_m * c.c_12 / (c.c_12 + 1)
+    if not _holds(eta <= 1 + 1e-9):
+        raise ModelViolationError(f"maximum efficiency {np.max(eta):.12g} exceeds 1")
     return eta
 
 
@@ -138,6 +141,7 @@ class ThresholdResult:
 def kappa_ex2_threshold(p: TransducerParams) -> ThresholdResult:
     """Bus-coupling growth condition: d(eta)/d(kappa_ex2) > 0 while F2 < (1+C12)/(2+C12)."""
     r = derived_rates(p)
+    _require_divisors(kappa_1=p.kappa_1, kappa_2=r.kappa_2)
     c_12 = 4 * p.J**2 / (p.kappa_1 * r.kappa_2)
     f_2 = p.kappa_ex2 / r.kappa_2
     threshold = (1 + c_12) / (2 + c_12)
@@ -282,7 +286,7 @@ def apply_preset(p: TransducerParams, name: str) -> TransducerParams:
 def max_efficiency_contour(p: TransducerParams, g_em_grid, kappa_ex2_grid) -> SweepResult:
     """Maximum achievable efficiency over a (g_em, kappa_ex2) grid.
 
-    Every cell rebuilds the derived rates: gamma_m and gamma_ex respond to
+    Every cell has its own derived rates: gamma_m and gamma_ex respond to
     g_em, kappa_2 responds to kappa_ex2.  Since g_em varies, gamma_ex follows
     the derived relation everywhere (a supplied value on the base record is
     ignored; it cannot scale consistently).  Cells are emitted row-major over
@@ -293,40 +297,30 @@ def max_efficiency_contour(p: TransducerParams, g_em_grid, kappa_ex2_grid) -> Sw
     if np.any(g_grid <= 0) or np.any(k_grid <= 0):
         raise ParameterError("contour grids must be strictly positive")
     base = with_derived_gamma_ex(replace(p, gamma_m_supplied=None))
-
-    log_g, log_k, eta = [], [], []
-    for g in g_grid:
-        for k in k_grid:
-            cell = replace(base, g_em=float(g), kappa_ex2=float(k))
-            log_g.append(math.log10(g / (2 * math.pi)))
-            log_k.append(math.log10(k / (2 * math.pi)))
-            eta.append(max_efficiency(cell))
+    eta = max_efficiency(replace(base, g_em=g_grid[:, None], kappa_ex2=k_grid[None, :]))
     return SweepResult(
         columns={
-            "log10_gEM_hz": np.asarray(log_g),
-            "log10_kex2_hz": np.asarray(log_k),
-            "max_efficiency": np.asarray(eta),
+            "log10_gEM_hz": np.repeat(np.log10(g_grid / (2 * math.pi)), len(k_grid)),
+            "log10_kex2_hz": np.tile(np.log10(k_grid / (2 * math.pi)), len(g_grid)),
+            "max_efficiency": eta.ravel(),
         },
         metadata={"n_g_em": len(g_grid), "n_kappa_ex2": len(k_grid)},
     )
 
 
-def power_curve(p: TransducerParams, power_grid) -> SweepResult:
+def power_curve(p: TransducerParams, power_grid, pump_offset: float | None = None) -> SweepResult:
     """On-resonance efficiency versus pump power in the bus waveguide.
 
     The pump is mapped to intra-ring photons via the ring-pair enhancement
-    factor at the lower enhancement resonance; the signal stays at omega_m.
+    factor at ``pump_offset`` (rad/s, rotating frame), by default the lower
+    enhancement resonance; the signal stays at omega_m.
     """
     powers = np.asarray(power_grid, dtype=float)
-    if np.any(powers < 0):
-        raise ParameterError("powers must be >= 0")
-    photons = np.array([pump_power_to_photons(p, float(pw)) for pw in powers])
-    eta = np.array([
-        efficiency(OperatingPoint(p, float(n)), p.omega_m) if n > 0 else 0.0
-        for n in photons
-    ])
+    if pump_offset is None:
+        pump_offset = enhancement_resonances(p).lower
+    photons = pump_power_to_photons(p, powers, pump_offset)
+    eta = efficiency(OperatingPoint(p, photons), p.omega_m)
     i_best = int(np.argmax(eta))
-    resonances = enhancement_resonances(p)
     return SweepResult(
         columns={
             "power_w": powers,
@@ -336,6 +330,6 @@ def power_curve(p: TransducerParams, power_grid) -> SweepResult:
         metadata={
             "peak_power_w": float(powers[i_best]),
             "peak_efficiency": float(eta[i_best]),
-            "pump_offset_hz": resonances.lower / (2 * math.pi),
+            "pump_offset_hz": pump_offset / (2 * math.pi),
         },
     )

@@ -51,6 +51,10 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pomtrans-", suffix=".tmp")
     try:
+        # mkstemp creates the file 0600; publish it with the mode open() would give
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -205,18 +209,8 @@ def _cmd_efficiency_curve(args) -> int:
     p = _load_params(args)
     start, stop, points = _grid(args, 1e-6, 100.0, 601, "power grid")
     powers = np.logspace(math.log10(start), math.log10(stop), points)
-    if args.pump_offset_hz is not None:
-        offset = TWO_PI * args.pump_offset_hz
-        photons = np.array([dynamics.pump_power_to_photons(p, float(pw), offset) for pw in powers])
-        eta = np.array([
-            dynamics.efficiency(analysis.OperatingPoint(p, float(n)), p.omega_m)
-            for n in photons
-        ])
-        result = SweepResult(columns={
-            "power_w": powers, "intra_ring_photons": photons, "efficiency": eta,
-        })
-    else:
-        result = analysis.power_curve(p, powers)
+    offset = None if args.pump_offset_hz is None else TWO_PI * args.pump_offset_hz
+    result = analysis.power_curve(p, powers, pump_offset=offset)
     base = _out_base(args, "efficiency-curve")
     _atomic_write(base + ".csv", result.to_csv())
     sidecar = {

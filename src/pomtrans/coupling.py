@@ -32,6 +32,9 @@ _VOIGT_OF_PAIR = {
     (1, 2): 6, (2, 1): 6,
 }
 _PAIR_OF_VOIGT = {1: (1, 1), 2: (2, 2), 3: (3, 3), 4: (2, 3), 5: (1, 3), 6: (1, 2)}
+#: 0-based Voigt column of each 0-based symmetric index pair
+_VOIGT_OF_INDICES = np.array(
+    [[_VOIGT_OF_PAIR[(i, j)] - 1 for j in (1, 2, 3)] for i in (1, 2, 3)])
 
 
 def voigt_index(i: int, j: int) -> int:
@@ -55,12 +58,7 @@ def rank3_from_voigt(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 6):
         raise ParameterError(f"expected a 3x6 Voigt matrix, got shape {m.shape}")
-    out = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                out[i, j, k] = m[i, voigt_index(j + 1, k + 1) - 1]
-    return out
+    return m[:, _VOIGT_OF_INDICES]
 
 
 def rank4_from_voigt(m: np.ndarray) -> np.ndarray:
@@ -68,14 +66,7 @@ def rank4_from_voigt(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (6, 6):
         raise ParameterError(f"expected a 6x6 Voigt matrix, got shape {m.shape}")
-    out = np.zeros((3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    out[i, j, k, l] = m[voigt_index(i + 1, j + 1) - 1,
-                                        voigt_index(k + 1, l + 1) - 1]
-    return out
+    return m[_VOIGT_OF_INDICES][:, :, _VOIGT_OF_INDICES]
 
 
 # --- grid and fields ---------------------------------------------------------
@@ -380,7 +371,8 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet,
 
     Reduces to :func:`piezo_coupling` (up to the sign of h_ijk) when a single
     tensor element is nonzero.  Unknown (NaN) elements raise only when the
-    corresponding overlap would contribute.
+    corresponding overlap would contribute; the known elements contract with
+    the fields into one integrand, integrated once.
     """
     _require_matching(e, w)
     if e.frequency <= 0 or w.frequency <= 0:
@@ -393,22 +385,16 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet,
         v_eff_mech = mech_mode_volume(w)
     v_mn = math.sqrt(v_eff_em * v_eff_mech)
     grads = strain_field(w)
-    total = 0j
-    for i in range(1, 4):
-        for j in range(1, 4):
-            for k in range(1, 4):
-                h = float(mat.h[i - 1, voigt_index(j, k) - 1])
-                if h == 0.0:
-                    continue
-                integral = overlap_integral(e, grads, j, k, component=i)
-                if math.isnan(h):
-                    if integral != 0:
-                        raise MaterialDataError(
-                            f"piezoelectric element h_{i}{j}{k} is unknown but its "
-                            "overlap integral is nonzero"
-                        )
-                    continue
-                total += h * integral
+    h = rank3_from_voigt(mat.h)
+    for i, j, k in np.argwhere(np.isnan(h)) + 1:
+        if overlap_integral(e, grads, j, k, component=i) != 0:
+            raise MaterialDataError(
+                f"piezoelectric element h_{i}{j}{k} is unknown but its "
+                "overlap integral is nonzero"
+            )
+    known = np.where(np.isnan(h), 0.0, h)
+    integrand = np.einsum("ijk,i...,jk...->...", known, e.components, grads)
+    total = complex(trapezoid_3d(integrand, e.grid))
     prefactor = (
         1j * math.sqrt(e.frequency / w.frequency) / (4 * v_mn)
         / math.sqrt(mat.eta_eff * mat.rho)
@@ -426,6 +412,7 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
     photoelastic overlap sum p_ijkl integral of E_i E_j* dw_k/dr_l.  The
     optical field enters as E E*, so the result is independent of its global
     phase; the magnitude of the (generally complex) overlap sum is returned.
+    The sum over tensor elements is taken inside one integrand, integrated once.
     """
     _require_matching(e, w)
     if mat.p is None:
@@ -439,21 +426,15 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
     if v_eff_mech is None:
         v_eff_mech = mech_mode_volume(w)
     grads = strain_field(w)
-    total = 0j
-    for i in range(3):
-        for j in range(3):
-            ee = e.components[i] * np.conj(e.components[j])
-            for k in range(3):
-                for l in range(3):
-                    p_el = float(mat.p[voigt_index(i + 1, j + 1) - 1,
-                                       voigt_index(k + 1, l + 1) - 1])
-                    if math.isnan(p_el):
-                        raise MaterialDataError(
-                            f"photoelastic element p_{i+1}{j+1}{k+1}{l+1} is unknown"
-                        )
-                    if p_el == 0.0:
-                        continue
-                    total += p_el * complex(trapezoid_3d(ee * grads[k, l], e.grid))
+    p = rank4_from_voigt(mat.p)
+    unknown = np.argwhere(np.isnan(p))
+    if len(unknown):
+        i, j, k, l = unknown[0] + 1
+        raise MaterialDataError(f"photoelastic element p_{i}{j}{k}{l} is unknown")
+    # no optimize=: a pairwise contraction would build a (3, 3, grid) intermediate
+    integrand = np.einsum("ijkl,i...,j...,kl...->...", p, e.components,
+                          np.conj(e.components), grads)
+    total = complex(trapezoid_3d(integrand, e.grid))
     prefactor = math.sqrt(
         HBAR / (32 * mat.rho * v_eff_mech * EPSILON_0**2
                 * mat.eta_eff**2 * v_eff_em**2 * omega_mech)

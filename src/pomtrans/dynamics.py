@@ -12,7 +12,6 @@ and cross-checked in the test suite.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, replace
@@ -57,43 +56,64 @@ class TransducerParams:
     lambda_l: float | None = None
 
     def __post_init__(self):
-        nonneg = (
-            ("gamma_0", self.gamma_0), ("Gamma_0", self.Gamma_0), ("Gamma", self.Gamma),
-            ("g_em", self.g_em), ("J", self.J), ("kappa_1", self.kappa_1),
-            ("kappa_02", self.kappa_02), ("kappa_ex2", self.kappa_ex2),
-            ("g_om", self.g_om),
-        )
-        for name, value in nonneg:
-            if value < 0:
-                raise ParameterError(f"{name} must be >= 0, got {value}")
-        if self.omega_m <= 0:
-            raise ParameterError(f"omega_m must be > 0, got {self.omega_m}")
-        if self.Gamma < self.Gamma_0:
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if value is not None:
+                # abs(x) < inf is false exactly for NaN and +-inf
+                _require(abs(value) < math.inf, name, value, "must be finite")
+        for name in ("gamma_0", "Gamma_0", "Gamma", "g_em", "J", "kappa_1",
+                     "kappa_02", "kappa_ex2", "g_om", "gamma_ex"):
+            value = getattr(self, name)
+            if value is not None:
+                _require(value >= 0, name, value, "must be >= 0")
+        _require(self.omega_m > 0, "omega_m", self.omega_m, "must be > 0")
+        if self.lambda_l is not None:
+            _require(self.lambda_l > 0, "lambda_l", self.lambda_l, "must be > 0")
+        if not _holds(self.Gamma >= self.Gamma_0):
             raise ParameterError("total microwave linewidth Gamma must be >= Gamma_0")
-        if self.gamma_ex is not None and self.gamma_ex < 0:
-            raise ParameterError("gamma_ex must be >= 0")
-        if self.lambda_l is not None and self.lambda_l <= 0:
-            raise ParameterError("lambda_l must be > 0")
 
         gamma_m = self.gamma_0 + self._piezo_broadening()
-        if self.gamma_ex is not None and self.gamma_ex > gamma_m * (1 + 1e-12):
-            raise ParameterError(
-                f"supplied gamma_ex ({self.gamma_ex:.6g}) exceeds the total mechanical "
-                f"linewidth gamma_m ({gamma_m:.6g})"
-            )
-        if self.gamma_m_supplied is not None:
-            if gamma_m == 0 or abs(self.gamma_m_supplied - gamma_m) > _GAMMA_M_CHECK_RTOL * gamma_m:
+        if self.gamma_ex is not None:
+            ok = self.gamma_ex <= gamma_m * (1 + 1e-12)
+            if not _holds(ok):
+                bad = np.logical_not(ok)
                 raise ParameterError(
-                    f"supplied gamma_m ({self.gamma_m_supplied:.6g}) disagrees with the "
-                    f"derived value gamma_0 + 4 g_em^2 / Gamma ({gamma_m:.6g}) by more than 2%"
+                    f"supplied gamma_ex ({_first(bad, self.gamma_ex):.6g}) exceeds the total "
+                    f"mechanical linewidth gamma_m ({_first(bad, gamma_m):.6g})"
+                )
+        if self.gamma_m_supplied is not None:
+            ok = (gamma_m != 0) & (
+                abs(self.gamma_m_supplied - gamma_m) <= _GAMMA_M_CHECK_RTOL * gamma_m)
+            if not _holds(ok):
+                bad = np.logical_not(ok)
+                raise ParameterError(
+                    f"supplied gamma_m ({_first(bad, self.gamma_m_supplied):.6g}) disagrees "
+                    f"with the derived value gamma_0 + 4 g_em^2 / Gamma "
+                    f"({_first(bad, gamma_m):.6g}) by more than 2%"
                 )
 
-    def _piezo_broadening(self) -> float:
-        if self.Gamma == 0:
-            if self.g_em:
+    def _piezo_broadening(self):
+        if not _holds(self.Gamma != 0):
+            if not _holds(self.g_em == 0):
                 raise ParameterError("Gamma must be > 0 when g_em is nonzero")
             return 0.0
         return 4 * self.g_em**2 / self.Gamma
+
+
+def _holds(ok) -> bool:
+    """Whether ``ok`` is true everywhere; a plain bool (scalar fields) skips numpy."""
+    return ok if isinstance(ok, bool) else bool(np.all(ok))
+
+
+def _first(mask, value) -> float:
+    """``value`` at the first element where the broadcast ``mask`` holds."""
+    return float(np.broadcast_to(value, np.shape(mask))[mask][0])
+
+
+def _require(ok, name: str, value, condition: str) -> None:
+    """Raise :class:`ParameterError` naming ``name`` unless ``ok`` holds everywhere."""
+    if not _holds(ok):
+        raise ParameterError(f"{name} {condition}, got {_first(np.logical_not(ok), value)}")
 
 
 @dataclass(frozen=True)
@@ -123,14 +143,15 @@ def derived_rates(p: TransducerParams) -> DerivedRates:
 
     gamma_m = gamma_0 + 4 g_em^2 / Gamma, kappa_2 = kappa_02 + kappa_ex2 and
     gamma_ex = 4 g_em^2 (Gamma - Gamma_0) / Gamma^2 unless a supplied value
-    overrides it (the derived value is still reported alongside).
+    overrides it (the derived value is still reported alongside).  Array
+    parameter fields broadcast.
     """
     gamma_m = p.gamma_0 + p._piezo_broadening()
     kappa_2 = p.kappa_02 + p.kappa_ex2
-    if p.Gamma > 0:
-        gamma_ex_derived = 4 * p.g_em**2 * (p.Gamma - p.Gamma_0) / p.Gamma**2
+    if not _holds(p.Gamma != 0):
+        gamma_ex_derived = 0.0  # validation allows this only with g_em = 0 throughout
     else:
-        gamma_ex_derived = 0.0
+        gamma_ex_derived = 4 * p.g_em**2 * (p.Gamma - p.Gamma_0) / p.Gamma**2
     gamma_ex = p.gamma_ex if p.gamma_ex is not None else gamma_ex_derived
     return DerivedRates(gamma_m=gamma_m, kappa_2=kappa_2,
                         gamma_ex=gamma_ex, gamma_ex_derived=gamma_ex_derived)
@@ -149,8 +170,7 @@ class Susceptibility:
     halfwidth: float
 
     def __post_init__(self):
-        if self.halfwidth <= 0:
-            raise ParameterError(f"susceptibility halfwidth must be > 0, got {self.halfwidth}")
+        _require(self.halfwidth > 0, "susceptibility halfwidth", self.halfwidth, "must be > 0")
 
     def __call__(self, omega):
         return 1.0 / (-1j * (np.asarray(omega) - self.center) + self.halfwidth)
@@ -189,7 +209,8 @@ class OperatingPoint:
     """Parameter set plus the linearization point of the pump field.
 
     ``intra_ring_photons`` is |a1|^2, the mean photon number of the pump in
-    the first ring; ``pump_phase`` is the phase of the mean field a1.
+    the first ring; ``pump_phase`` is the phase of the mean field a1.  Either
+    may be an array broadcasting against the parameter fields.
     """
 
     params: TransducerParams
@@ -197,12 +218,13 @@ class OperatingPoint:
     pump_phase: float = 0.0
 
     def __post_init__(self):
-        if self.intra_ring_photons < 0:
-            raise ParameterError("intra_ring_photons must be >= 0")
+        _require(self.intra_ring_photons >= 0, "intra_ring_photons", self.intra_ring_photons,
+                 "must be >= 0")
 
     @property
     def a1(self) -> complex:
-        return math.sqrt(self.intra_ring_photons) * cmath.exp(1j * self.pump_phase)
+        a1 = np.sqrt(self.intra_ring_photons) * np.exp(1j * self.pump_phase)
+        return complex(a1) if np.ndim(a1) == 0 else a1
 
 
 def _denominator(op: OperatingPoint, omega):
@@ -231,19 +253,17 @@ def transduction_amplitude(op: OperatingPoint, omega):
     Closed form from the equations of motion: the single conversion path
     carries sqrt(kappa_ex2) sqrt(gamma_ex) chi_01 chi_02 chi_m (i g_om a1)(i J)
     over the graph determinant 1 + g_om^2 |a1|^2 chi_01 chi_m + J^2 chi_01 chi_02.
-    Accepts scalar or array ``omega``.
+    ``omega``, the parameter fields and the pump level broadcast together.
     """
     p = op.params
     delta, loop_om, loop_12, c_m, c01, c02, r = _denominator(op, omega)
     _check_denominator(delta, loop_om, loop_12, omega)
     num = (
-        math.sqrt(p.kappa_ex2) * math.sqrt(r.gamma_ex)
+        np.sqrt(p.kappa_ex2) * np.sqrt(r.gamma_ex)
         * c01 * c02 * c_m * (1j * p.g_om * op.a1) * (1j * p.J)
     )
     out = num / delta
-    if np.ndim(omega) == 0:
-        return complex(out)
-    return out
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def transducer_graph(op: OperatingPoint) -> sfg.SignalFlowGraph:
@@ -303,9 +323,7 @@ def efficiency(op: OperatingPoint, omega):
         raise ModelViolationError(
             f"efficiency exceeded unity (max {float(np.max(eta)):.12g}); parameter set is unphysical"
         )
-    if np.ndim(omega) == 0:
-        return float(eta)
-    return eta
+    return float(eta) if np.ndim(eta) == 0 else eta
 
 
 def intra_ring_gain(p: TransducerParams, omega):
@@ -322,10 +340,8 @@ def intra_ring_gain(p: TransducerParams, omega):
     scale = 1.0 + np.abs(loop)
     if np.any(np.abs(delta) < _SINGULARITY_RTOL * scale):
         raise SingularityError(omega, "ring-pair denominator vanished")
-    out = 1j * p.J * c01 * c02 * math.sqrt(p.kappa_ex2) / delta
-    if np.ndim(omega) == 0:
-        return complex(out)
-    return out
+    out = 1j * p.J * c01 * c02 * np.sqrt(p.kappa_ex2) / delta
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def enhancement_peak_value(p: TransducerParams) -> float:
@@ -369,21 +385,21 @@ def enhancement_resonances(p: TransducerParams) -> EnhancementResonances:
     return EnhancementResonances(p.delta_1 - off, p.delta_1 + off)
 
 
-def photon_flux(p: TransducerParams, power: float) -> float:
+def photon_flux(p: TransducerParams, power):
     """Input photon flux |a_in|^2 = P lambda_L / (2 pi hbar c) in photons/s."""
     if p.lambda_l is None:
         raise ParameterError("lambda_l (pump wavelength) is required for power mapping")
-    if power < 0:
-        raise ParameterError("power must be >= 0")
+    _require(power >= 0, "power", power, "must be >= 0")
     return power * p.lambda_l / (2 * math.pi * HBAR * SPEED_OF_LIGHT)
 
 
-def pump_power_to_photons(p: TransducerParams, power: float,
-                          pump_offset: float | None = None) -> float:
+def pump_power_to_photons(p: TransducerParams, power,
+                          pump_offset: float | None = None):
     """Intra-ring pump photon number |a1|^2 produced by ``power`` watts.
 
     The pump is placed at ``pump_offset`` (rad/s, rotating frame); by default
-    it sits on the lower enhancement resonance of the ring pair.
+    it sits on the lower enhancement resonance of the ring pair.  ``power``
+    and ``pump_offset`` broadcast together.
     """
     if pump_offset is None:
         pump_offset = enhancement_resonances(p).lower
@@ -432,6 +448,8 @@ def params_from_dict(data: Mapping) -> TransducerParams:
     for key, raw in data.items():
         field_name, kind = _PARAM_KEYS[key]
         try:
+            if isinstance(raw, bool):  # float(True) would read as 1 Hz
+                raise TypeError(raw)
             value = float(raw)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"parameter {key} is not a number: {raw!r}") from exc

@@ -375,3 +375,77 @@ def test_power_curve_unimodal_and_vanishing(nominal_params):
     peak = float(np.max(eta))
     op_high = dynamics.OperatingPoint(p, 1e3 * n_crit)
     assert dynamics.efficiency(op_high, p.omega_m) < 0.1 * peak
+
+
+# --- broadcast closed forms against their scalar forms ------------------------------------
+
+
+@pytest.mark.parametrize("preset", sorted(analysis.PRESETS))
+def test_contour_matches_per_cell_scalar_forms(nominal_params, preset):
+    p = analysis.apply_preset(nominal_params, preset)
+    g_axis = TWO_PI * np.logspace(7, 10, 7)
+    k_axis = TWO_PI * np.logspace(7, 10, 5)
+    result = analysis.max_efficiency_contour(p, g_axis, k_axis)
+    base = dynamics.with_derived_gamma_ex(replace(p, gamma_m_supplied=None))
+    cells = [replace(base, g_em=float(g), kappa_ex2=float(k)) for g in g_axis for k in k_axis]
+    # the broadcast closed form is the scalar one cell by cell, to the bit
+    assert result.columns["max_efficiency"].tolist() == [analysis.max_efficiency(c) for c in cells]
+    # and agrees with the full transfer function at the critical pump level
+    full = [
+        dynamics.efficiency(
+            dynamics.OperatingPoint(c, analysis.critical_photon_number(c)), c.omega_m)
+        for c in cells
+    ]
+    np.testing.assert_allclose(result.columns["max_efficiency"], full, rtol=1e-12, atol=0)
+    assert result.columns["log10_gEM_hz"].tolist() == [
+        math.log10(c.g_em / TWO_PI) for c in cells]
+    assert result.columns["log10_kex2_hz"].tolist() == [
+        math.log10(c.kappa_ex2 / TWO_PI) for c in cells]
+
+
+@pytest.mark.parametrize("offset_hz", [None, 1.7e9, 3.2e9])
+def test_power_curve_matches_per_point_scalar_forms(nominal_params, offset_hz):
+    p = nominal_params
+    offset = None if offset_hz is None else TWO_PI * offset_hz
+    powers = np.concatenate([[0.0], np.logspace(-6, 2, 81)])
+    curve = analysis.power_curve(p, powers, pump_offset=offset)
+    rows = zip(powers, curve.columns["intra_ring_photons"], curve.columns["efficiency"])
+    for power, photons, eta in rows:
+        n = dynamics.pump_power_to_photons(p, float(power), offset)
+        assert photons == pytest.approx(n, rel=1e-12, abs=0)
+        expected = dynamics.efficiency(dynamics.OperatingPoint(p, n), p.omega_m)
+        assert eta == pytest.approx(expected, rel=1e-12, abs=0)
+    resonance = dynamics.enhancement_resonances(p).lower
+    assert curve.metadata["pump_offset_hz"] == pytest.approx(
+        (offset if offset is not None else resonance) / TWO_PI, rel=1e-15)
+
+
+def test_scalar_inputs_return_python_scalars(nominal_params):
+    p = nominal_params
+    n = analysis.critical_photon_number(p)
+    op = dynamics.OperatingPoint(p, n)
+    r = dynamics.derived_rates(p)
+    c = analysis.cooperativities(op)
+    floats = [
+        n, analysis.max_efficiency(p), r.gamma_m, r.kappa_2, r.gamma_ex,
+        c.c_om, c.c_12, c.f_2, c.f_m, dynamics.efficiency(op, p.omega_m),
+        dynamics.photon_flux(p, 1e-3), dynamics.pump_power_to_photons(p, 1e-3),
+        analysis.efficiency_via_cooperativities(op, p.omega_m),
+    ]
+    assert all(type(x) is float for x in floats)
+    complexes = [op.a1, dynamics.transduction_amplitude(op, p.omega_m),
+                 dynamics.intra_ring_gain(p, p.delta_1)]
+    assert all(type(x) is complex for x in complexes)
+
+
+@pytest.mark.parametrize("changes, name", [
+    ({"kappa_1": 0.0}, "kappa_1"),
+    ({"kappa_02": 0.0, "kappa_ex2": 0.0}, "kappa_2"),
+    ({"gamma_0": 0.0, "g_em": 0.0}, "gamma_m"),
+])
+def test_zero_divisor_linewidth_rejected_by_name(nominal_params, changes, name):
+    p = replace(nominal_params, gamma_ex=None, gamma_m_supplied=None, **changes)
+    with pytest.raises(ParameterError, match=rf"^{name} must be > 0"):
+        analysis.max_efficiency(p)
+    with pytest.raises(ParameterError, match=rf"^{name} must be > 0"):
+        analysis.cooperativities(dynamics.OperatingPoint(p, 1e11))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -190,3 +191,43 @@ def test_preset_flag_resolves_parameters(outdir):
     assert payload["resolved_params"]["effective_gamma_ex_hz"] == pytest.approx(
         payload["resolved_params"]["derived_gamma_ex_hz"])
     assert payload["max_efficiency"] == pytest.approx(0.9258, abs=2e-3)
+
+
+def _nominal_payload():
+    return json.loads(resources.files("pomtrans.data").joinpath("nominal_params.json").read_text())
+
+
+def test_zero_linewidth_divisor_exits_2(outdir, tmp_path, capsys):
+    params = _nominal_payload()
+    params["kappa_1_hz"] = 0.0
+    path = tmp_path / "zero_kappa_1.json"
+    path.write_text(json.dumps(params))
+    assert run(["optimize", "--params", str(path), "--out", "opt"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: validation: kappa_1 must be > 0 where it divides, got 0.0"]
+    assert not (outdir / "opt.json").exists()
+
+
+@pytest.mark.parametrize("key", ["g_om_hz", "J_hz"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, True])
+def test_non_finite_and_boolean_parameters_exit_2(outdir, tmp_path, capsys, key, value):
+    params = _nominal_payload()
+    params[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(params))  # NaN and inf as the JSON literals NaN / Infinity
+    assert run(["optimize", "--params", str(path), "--out", "opt"]) == 2
+    if value is True:
+        expected = f"error: validation: parameter {key} is not a number: True"
+    else:
+        expected = f"error: validation: {key.removesuffix('_hz')} must be finite, got {value}"
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert not (outdir / "opt.json").exists()
+
+
+def test_artifacts_honour_umask(outdir):
+    old = os.umask(0o022)
+    try:
+        assert run(["optimize", "--out", "opt"]) == 0
+    finally:
+        os.umask(old)
+    assert (outdir / "opt.json").stat().st_mode & 0o777 == 0o644

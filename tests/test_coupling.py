@@ -543,3 +543,84 @@ def test_mode_field_csv_round_trip(tmp_path):
     assert again.kind == f.kind
     assert again.frequency == f.frequency
     np.testing.assert_array_equal(again.components, f.components)
+
+
+# --- tensor contractions against the per-element sums ------------------------------------
+
+
+def _random_pair(rng, shape=(7, 6, 5)):
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1.1e-7, 0.9e-7, 1.3e-7), shape)
+
+    def field(kind, frequency, scale):
+        comps = scale * (rng.normal(size=(3, *shape)) + 1j * rng.normal(size=(3, *shape)))
+        return coupling.ModeField(grid, comps, kind, frequency)
+
+    return field(coupling.EM, TWO_PI * 2e14, 1.0), field(coupling.MECH, TWO_PI * 3e9, 1e-4)
+
+
+def _per_element_piezo_sum(e, grads, h):
+    total = 0j
+    for i in range(1, 4):
+        for j in range(1, 4):
+            for k in range(1, 4):
+                h_el = float(h[i - 1, coupling.voigt_index(j, k) - 1])
+                if h_el == 0.0:
+                    continue
+                integral = coupling.overlap_integral(e, grads, j, k, component=i)
+                if math.isnan(h_el):
+                    assert integral == 0
+                    continue
+                total += h_el * integral
+    return total
+
+
+def _per_element_photoelastic_sum(e, grads, p):
+    total = 0j
+    for i in range(3):
+        for j in range(3):
+            ee = e.components[i] * np.conj(e.components[j])
+            for k in range(3):
+                for l in range(3):
+                    p_el = float(p[coupling.voigt_index(i + 1, j + 1) - 1,
+                                   coupling.voigt_index(k + 1, l + 1) - 1])
+                    total += p_el * complex(coupling.trapezoid_3d(ee * grads[k, l], e.grid))
+    return total
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coupling_contractions_match_per_element_sums(seed):
+    rng = np.random.default_rng(seed)
+    e, w = _random_pair(rng)
+    # no E_x anywhere: every overlap of the unknown h_15 (h_113, h_131) is zero
+    comps = e.components.copy()
+    comps[0] = 0.0
+    e = coupling.ModeField(e.grid, comps, e.kind, e.frequency)
+    h = rng.normal(size=(3, 6))
+    h[0, 4] = math.nan
+    h[1, 1] = 0.0
+    p = rng.normal(size=(6, 6))
+    mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, h=h, p=p)
+    grads = coupling.strain_field(w)
+
+    piezo = coupling.piezo_coupling_total(e, w, mat, v_eff_em=1.0, v_eff_mech=1.0)
+    piezo_prefactor = 1j * math.sqrt(e.frequency / w.frequency) / 4 / math.sqrt(
+        mat.eta_eff * mat.rho)
+    expected = piezo_prefactor * _per_element_piezo_sum(e, grads, h)
+    assert abs(piezo - expected) <= 1e-12 * abs(expected)
+
+    om = coupling.optomech_coupling(e, w, mat, v_eff_em=1.0, v_eff_mech=1.0)
+    om_prefactor = math.sqrt(
+        HBAR / (32 * mat.rho * EPSILON_0**2 * mat.eta_eff**2 * w.frequency))
+    assert om == pytest.approx(
+        om_prefactor * abs(_per_element_photoelastic_sum(e, grads, p)), rel=1e-12)
+
+
+def test_optomech_unknown_element_named_in_index_order():
+    rng = np.random.default_rng(9)
+    e, w = _random_pair(rng)
+    p = rng.normal(size=(6, 6))
+    p[3, 0] = math.nan  # p_41: p_2311 and its images
+    p[5, 5] = math.nan  # p_66: first met as p_1212
+    mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, p=p)
+    with pytest.raises(MaterialDataError, match="p_1212 is unknown"):
+        coupling.optomech_coupling(e, w, mat)

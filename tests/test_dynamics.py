@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -258,3 +259,16 @@ def test_pump_power_requires_wavelength(nominal_params):
     p = replace(nominal_params, lambda_l=None)
     with pytest.raises(ParameterError, match="lambda_l"):
         dynamics.pump_power_to_photons(p, 1e-3)
+
+
+def test_array_fields_validated_elementwise(nominal_params):
+    g = nominal_params.g_em * np.array([[1.0, 2.0], [-3.0, math.nan]])
+    with pytest.raises(ParameterError, match=r"^g_em must be finite, got nan$"):
+        replace(nominal_params, g_em=g, gamma_ex=None, gamma_m_supplied=None)
+    g[1, 1] = -4.0
+    expected = f"g_em must be >= 0, got {float(g[1, 0])!r}"  # the first negative, row-major
+    with pytest.raises(ParameterError, match=re.escape(expected)):
+        replace(nominal_params, g_em=g, gamma_ex=None, gamma_m_supplied=None)
+    gamma_ex = nominal_params.gamma_ex * np.array([1.0, 10.0])
+    with pytest.raises(ParameterError, match=r"supplied gamma_ex \(\d"):
+        replace(nominal_params, gamma_ex=gamma_ex)
