@@ -22,7 +22,7 @@ from .dynamics import (
     OperatingPoint,
     TransducerParams,
     _holds,
-    _require,
+    _require_divisors,
     chi_01,
     chi_02,
     chi_m,
@@ -52,12 +52,6 @@ class CooperativitySet:
     c_12: complex
     f_2: complex
     f_m: complex
-
-
-def _require_divisors(**divisors) -> None:
-    """Reject a linewidth that is zero where a closed form divides by it."""
-    for name, value in divisors.items():
-        _require(value != 0, name, value, "must be > 0 where it divides")
 
 
 def cooperativities(op: OperatingPoint, omega: float | None = None) -> CooperativitySet:

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical singularity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -211,10 +212,14 @@ def _cmd_efficiency_curve(args) -> int:
     powers = np.logspace(math.log10(start), math.log10(stop), points)
     offset = None if args.pump_offset_hz is None else TWO_PI * args.pump_offset_hz
     result = analysis.power_curve(p, powers, pump_offset=offset)
+    metadata = result.metadata
+    if args.pump_offset_hz is not None:
+        # report the flag as given, not after its round trip through rad/s
+        metadata = {**metadata, "pump_offset_hz": args.pump_offset_hz}
     base = _out_base(args, "efficiency-curve")
     _atomic_write(base + ".csv", result.to_csv())
     sidecar = {
-        "metadata": result.metadata,
+        "metadata": metadata,
         "preset": args.preset or "nominal",
         "resolved_params": _resolved_params_payload(p),
     }
@@ -398,10 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than a small run."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the validation exit code
         return int(exc.code) if exc.code else EXIT_OK
@@ -429,6 +439,10 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (OSError, PomtransError) as exc:
         print(f"error: io: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ArithmeticError as exc:
+        # an input the validators let through overflowed or divided by zero
+        print(f"error: arithmetic: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

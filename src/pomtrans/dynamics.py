@@ -116,6 +116,12 @@ def _require(ok, name: str, value, condition: str) -> None:
         raise ParameterError(f"{name} {condition}, got {_first(np.logical_not(ok), value)}")
 
 
+def _require_divisors(**divisors) -> None:
+    """Reject a linewidth that is zero where a closed form divides by it."""
+    for name, value in divisors.items():
+        _require(value != 0, name, value, "must be > 0 where it divides")
+
+
 @dataclass(frozen=True)
 class DerivedRates:
     """Rates derived from a :class:`TransducerParams` record.
@@ -186,15 +192,20 @@ class Susceptibility:
 
 
 def chi_m(p: TransducerParams) -> Susceptibility:
-    return Susceptibility(p.omega_m, derived_rates(p).gamma_m / 2)
+    gamma_m = derived_rates(p).gamma_m
+    _require_divisors(gamma_m=gamma_m)
+    return Susceptibility(p.omega_m, gamma_m / 2)
 
 
 def chi_01(p: TransducerParams) -> Susceptibility:
+    _require_divisors(kappa_1=p.kappa_1)
     return Susceptibility(p.delta_1, p.kappa_1 / 2)
 
 
 def chi_02(p: TransducerParams) -> Susceptibility:
-    return Susceptibility(p.delta_2, derived_rates(p).kappa_2 / 2)
+    kappa_2 = derived_rates(p).kappa_2
+    _require_divisors(kappa_2=kappa_2)
+    return Susceptibility(p.delta_2, kappa_2 / 2)
 
 
 def chi_mw(p: TransducerParams) -> float:

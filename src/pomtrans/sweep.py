@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FLOAT_FORMAT = "{:.11e}"
+# rows per bulk '%' call in to_csv: of 1 024 to all 562 341 rows of a
+# spectrum table, 16 384 formatted fastest
+CSV_BLOCK_ROWS = 16_384
 
 
 def format_float(x: float) -> str:
@@ -43,20 +46,20 @@ class SweepResult:
                 names.append(name)
         return names
 
-    def rows(self):
+    def to_csv(self) -> str:
         cols = []
         for col in self.columns.values():
             if np.iscomplexobj(col):
                 cols.extend([col.real, col.imag])
             else:
                 cols.append(col)
-        for i in range(len(self)):
-            yield [format_float(c[i]) for c in cols]
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.header())]
-        lines.extend(",".join(row) for row in self.rows())
-        return "\n".join(lines) + "\n"
+        # one C-level '%' per block; '%.11e' gives the bytes of FLOAT_FORMAT
+        row_fmt = ",".join(["%.11e"] * len(cols)) + "\n"
+        parts = [",".join(self.header()) + "\n"]
+        for start in range(0, len(self), CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in cols]).astype(float)
+            parts.append((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        return "".join(parts)
 
     def save_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -208,6 +208,62 @@ def test_zero_linewidth_divisor_exits_2(outdir, tmp_path, capsys):
     assert not (outdir / "opt.json").exists()
 
 
+ZERO_LINEWIDTHS = {
+    "kappa_1": {"kappa_1_hz": 0.0},
+    "kappa_2": {"kappa_02_hz": 0.0, "kappa_ex2_hz": 0.0},
+    # a supplied gamma_ex or gamma_m would fail its own check against gamma_m = 0
+    "gamma_m": {"gamma_0_hz": 0.0, "g_em_hz": 0.0, "gamma_ex_hz": None, "gamma_m_hz": None},
+}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "efficiency-curve"])
+@pytest.mark.parametrize("linewidth", sorted(ZERO_LINEWIDTHS))
+def test_frequency_domain_zero_linewidth_named(outdir, tmp_path, capsys, command, linewidth):
+    params = _nominal_payload()
+    for key, value in ZERO_LINEWIDTHS[linewidth].items():
+        if value is None:
+            del params[key]
+        else:
+            params[key] = value
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(params))
+    assert run([command, "--params", str(path), "--out", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: {linewidth} must be > 0 where it divides, got 0.0"]
+    assert list(outdir.glob("x.*")) == []
+
+
+def test_pump_offset_reported_as_given(outdir):
+    assert run(["efficiency-curve", "--pump-offset-hz", "3.2e9", "--out", "c",
+                "--grid-points", "11"]) == 0
+    metadata = json.loads((outdir / "c.json").read_text())["metadata"]
+    assert metadata["pump_offset_hz"] == 3.2e9  # not 3199999999.9999995
+
+
+def test_parser_reuse_does_not_leak_flags(outdir):
+    assert run(["optimize", "--preset", "5gem-5kex2-10G", "--out", "a"]) == 0
+    assert run(["optimize"]) == 0
+    first = json.loads((outdir / "a.json").read_text())
+    second = json.loads((outdir / "optimize.json").read_text())
+    assert first["preset"] == "5gem-5kex2-10G"
+    assert second["preset"] == "nominal"
+    assert second["resolved_params"]["g_em_hz"] == pytest.approx(1.006e8)
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
+                                 OverflowError("math range error")])
+def test_stray_arithmetic_error_exits_2(outdir, monkeypatch, capsys, exc):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(analysis, "critical_photon_number", boom)
+    assert run(["optimize", "--out", "opt"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: arithmetic: {type(exc).__name__}: {exc}"]
+    assert "Traceback" not in err
+    assert not (outdir / "opt.json").exists()
+
+
 @pytest.mark.parametrize("key", ["g_om_hz", "J_hz"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, True])
 def test_non_finite_and_boolean_parameters_exit_2(outdir, tmp_path, capsys, key, value):

@@ -1,7 +1,12 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pomtrans.sweep import SweepResult, format_float
+from pomtrans.sweep import CSV_BLOCK_ROWS, FLOAT_FORMAT, SweepResult, format_float
 
 
 def test_float_format_is_12_significant_digits():
@@ -50,3 +55,63 @@ def test_save_and_load(tmp_path):
     r.save_csv(path)
     back = SweepResult.load_csv(path)
     np.testing.assert_array_equal(back.columns["x"], r.columns["x"])
+
+
+def reference_csv(result: SweepResult) -> str:
+    """The per-element writer ``to_csv`` replaced, kept as its oracle."""
+    cols = []
+    for col in result.columns.values():
+        if np.iscomplexobj(col):
+            cols.extend([col.real, col.imag])
+        else:
+            cols.append(col)
+    lines = [",".join(result.header())]
+    lines.extend(",".join(FLOAT_FORMAT.format(float(c[i])) for c in cols)
+                 for i in range(len(result)))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+               2.2250738585072009e-308, sys.float_info.max, -sys.float_info.max]
+floats64 = st.one_of(st.sampled_from(EDGE_FLOATS),
+                     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+lengths = st.sampled_from([0, 1, 2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+int64s = st.integers(-2**63, 2**63 - 1)
+
+
+def _column(draw, kind, n):
+    """A length-``n`` column cycling through values Hypothesis draws."""
+    if kind == "int":
+        pool = np.array(draw(st.lists(int64s, min_size=1, max_size=32)), dtype=np.int64)
+        return np.resize(pool, n)
+    re = np.resize(np.array(draw(st.lists(floats64, min_size=1, max_size=32))), n)
+    if kind == "real":
+        return re
+    col = np.empty(n, dtype=complex)  # set parts directly: 1j * inf would put nan in .real
+    col.real = re
+    col.imag = np.resize(np.array(draw(st.lists(floats64, min_size=1, max_size=32))), n)[::-1]
+    return col
+
+
+@st.composite
+def sweep_results(draw):
+    n = draw(lengths)
+    kinds = draw(st.lists(st.sampled_from(["real", "complex", "int"]), min_size=1, max_size=4))
+    return SweepResult(columns={f"c{i}": _column(draw, kind, n) for i, kind in enumerate(kinds)})
+
+
+@settings(max_examples=50, deadline=None)
+@given(sweep_results())
+def test_bulk_writer_matches_per_element_reference(result):
+    # compare lines: a failing diff of two whole 16k-row strings takes minutes
+    assert result.to_csv().split("\n") == reference_csv(result).split("\n")
+
+
+def test_bulk_writer_edge_values_and_empty_table():
+    values = np.array(EDGE_FLOATS)
+    z = np.empty(len(values), dtype=complex)
+    z.real, z.imag = values[::-1], values
+    ints = np.array([0, -1, 2**53 + 1, 2**63 - 1, -2**63] * 2)
+    r = SweepResult(columns={"x": values, "z": z, "n": ints})
+    assert r.to_csv() == reference_csv(r)
+    assert SweepResult(columns={}).to_csv() == reference_csv(SweepResult(columns={})) == "\n"
