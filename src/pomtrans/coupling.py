@@ -14,6 +14,7 @@ photoelastic tensor ``p`` is the 6x6 Voigt matrix (NOT assumed symmetric),
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -311,6 +312,8 @@ class MaterialTensorSet:
         """h_ijk (1-based tensor indices); raises when marked unknown."""
         if self.h is None:
             raise MaterialDataError("piezoelectric tensor h is not set")
+        if i not in (1, 2, 3):
+            raise ParameterError(f"tensor index i must be in 1..3, got {i}")
         value = float(self.h[i - 1, voigt_index(j, k) - 1])
         if math.isnan(value):
             raise MaterialDataError(f"piezoelectric element h_{i}{j}{k} is unknown")
@@ -540,3 +543,48 @@ def load_mode_field(path) -> ModeField:
     for c in range(3):
         comps[c] = (data[:, 3 + 2 * c] + 1j * data[:, 4 + 2 * c]).reshape(counts)
     return ModeField(grid, comps, kind, frequency)
+
+
+_TENSOR_SCALARS = ("rho", "eps_rf", "eps_ir")
+_TENSOR_MATRICES = ("h", "e", "p", "c", "eta")
+
+
+def load_tensor_set(path) -> MaterialTensorSet:
+    """Read a material tensor JSON file into a :class:`MaterialTensorSet`.
+
+    The file is one JSON object with the required scalars ``rho``, ``eps_rf``
+    and ``eps_ir`` and the optional Voigt matrices ``h``, ``e``, ``p``, ``c``
+    and ``eta`` (SI units).  Unknown keys are rejected, and so is a scalar that
+    is not a finite number, by name.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"invalid tensor JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParameterError(f"tensor file {path} must contain a JSON object")
+    unknown = sorted(set(data) - {*_TENSOR_SCALARS, *_TENSOR_MATRICES})
+    if unknown:
+        raise ParameterError(f"unknown tensor keys: {unknown}")
+    kwargs = {}
+    for key in _TENSOR_SCALARS:
+        if key not in data:
+            raise ParameterError(f"tensor file missing required scalar {key!r}")
+        raw = data[key]
+        try:
+            if isinstance(raw, bool):  # float(True) would read as 1
+                raise TypeError(raw)
+            value = float(raw)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"tensor scalar {key} is not a number: {raw!r}") from exc
+        if not math.isfinite(value):
+            raise ParameterError(f"tensor scalar {key} must be finite, got {value}")
+        kwargs[key] = value
+    for key in _TENSOR_MATRICES:
+        if data.get(key) is not None:
+            try:
+                kwargs[key] = np.asarray(data[key], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"tensor {key} is not a numeric matrix: {exc}") from exc
+    return MaterialTensorSet(**kwargs)

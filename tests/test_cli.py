@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -5,8 +6,9 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from conftest import write_coupling_inputs
 
-from pomtrans import analysis, cli, coupling, dynamics
+from pomtrans import analysis, cli, coupling, dynamics, rings
 from pomtrans.errors import SingularityError
 from pomtrans.sweep import SweepResult
 
@@ -287,3 +289,82 @@ def test_artifacts_honour_umask(outdir):
     finally:
         os.umask(old)
     assert (outdir / "opt.json").stat().st_mode & 0o777 == 0o644
+
+
+def _float_flags():
+    """(subcommand, flag) for every float-typed option of the parser."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0])
+            for name, subparser in sub.choices.items()
+            for action in subparser._actions if action.type is float]
+
+
+def test_float_flag_list_is_complete():
+    assert sorted(_float_flags()) == sorted(
+        [(command, flag) for command in ("spectrum", "contour", "efficiency-curve", "rings")
+         for flag in ("--grid-start", "--grid-stop")]
+        + [("efficiency-curve", "--pump-offset-hz")]
+        + [("rings", flag) for flag in ("--round-trip-time", "--ring-j-hz", "--ring-loss",
+                                        "--bus-coupling")])
+
+
+@pytest.mark.parametrize("command, flag", _float_flags())
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_flag_rejected_by_name(outdir, capsys, recwarn, command, flag, value):
+    assert run([command, f"{flag}={value}", "--out", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: {flag} must be finite, got {float(value)}"]
+    assert len(recwarn) == 0
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("component", [["0", "1", "3"], ["-2", "1", "3"], ["4", "1", "3"]])
+def test_component_row_index_out_of_range_exits_2(outdir, tmp_path, capsys, component):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling", "--component", *component] + write_coupling_inputs(inputs)
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: tensor index i must be in 1..3, got {component[0]}"]
+    assert not (outdir / "coupling.json").exists()
+
+
+def test_tensor_file_without_object_exits_2(outdir, tmp_path, capsys):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    (inputs / "tensors.json").write_text("3")
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: tensor file {inputs / 'tensors.json'} must contain a JSON object"]
+    assert not (outdir / "coupling.json").exists()
+
+
+@pytest.mark.parametrize("argv, axis", [
+    (["efficiency-curve", "--grid-start", "0"], "power grid"),
+    (["efficiency-curve", "--grid-start", "-1"], "power grid"),
+    (["contour", "--grid-start", "0"], "g_em axis"),
+    (["contour", "--grid-start", "1e7", "-1"], "kappa_ex2 axis"),
+])
+def test_log_axis_start_must_be_positive(outdir, capsys, argv, axis):
+    assert run(argv + ["--out", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: {axis}: start must be > 0"]
+    assert list(outdir.iterdir()) == []
+
+
+def test_sidecar_failure_leaves_no_csv(outdir, monkeypatch, capsys):
+    def nan_frequency(rp, n_range):
+        return [rings.CriticalFrequency(math.nan, rings.FLAT_POINT)]
+
+    monkeypatch.setattr(rings, "critical_frequencies", nan_frequency)
+    assert run(["rings", "--grid-points", "101"]) == 2
+    assert capsys.readouterr().err.startswith("error: validation: Out of range float values")
+    assert list(outdir.iterdir()) == []
+
+
+def test_optimize_takes_no_grid_flags(outdir, capsys):
+    assert run(["optimize", "--grid-points", "5"]) == 2
+    assert "unrecognized arguments: --grid-points 5" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []

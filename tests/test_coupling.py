@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -624,3 +625,55 @@ def test_optomech_unknown_element_named_in_index_order():
     mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, p=p)
     with pytest.raises(MaterialDataError, match="p_1212 is unknown"):
         coupling.optomech_coupling(e, w, mat)
+
+
+# --- tensor file loading and component indices -------------------------------------------
+
+
+@pytest.mark.parametrize("i", [0, -2, 4])
+def test_h_element_rejects_row_index_out_of_range(i):
+    with pytest.raises(ParameterError, match=f"tensor index i must be in 1..3, got {i}"):
+        simple_material().h_element(i, 1, 3)
+
+
+def _tensor_file(tmp_path, text):
+    path = tmp_path / "tensors.json"
+    path.write_text(text)
+    return path
+
+
+def test_load_tensor_set_reads_scalars_and_matrices(tmp_path):
+    mat = simple_material()
+    path = _tensor_file(tmp_path, json.dumps({
+        "rho": mat.rho, "eps_rf": mat.eps_rf, "eps_ir": mat.eps_ir,
+        "h": mat.h.tolist(), "p": mat.p.tolist(), "c": None,
+    }))
+    loaded = coupling.load_tensor_set(path)
+    assert (loaded.rho, loaded.eps_rf, loaded.eps_ir) == (mat.rho, mat.eps_rf, mat.eps_ir)
+    np.testing.assert_array_equal(loaded.h, mat.h)
+    np.testing.assert_array_equal(loaded.p, mat.p)
+    assert loaded.c is None and loaded.e is None and loaded.eta is None
+
+
+SCALARS = {"rho": 3255.0, "eps_rf": 9.5, "eps_ir": 3.67}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3", "must contain a JSON object"),
+    ("[1, 2]", "must contain a JSON object"),
+    ("{", "invalid tensor JSON"),
+    (json.dumps({**SCALARS, "mystery": 1}), "unknown tensor keys: ['mystery']"),
+    (json.dumps({"rho": 3255.0, "eps_rf": 9.5}), "missing required scalar 'eps_ir'"),
+    (json.dumps({**SCALARS, "rho": "x"}), "tensor scalar rho is not a number: 'x'"),
+    (json.dumps({**SCALARS, "eps_rf": True}), "tensor scalar eps_rf is not a number: True"),
+    (json.dumps({**SCALARS, "eps_ir": [1.0]}), "tensor scalar eps_ir is not a number: [1.0]"),
+    (json.dumps({**SCALARS, "rho": math.nan}), "tensor scalar rho must be finite, got nan"),
+    (json.dumps({**SCALARS, "eps_rf": math.inf}), "tensor scalar eps_rf must be finite, got inf"),
+    (json.dumps({**SCALARS, "eps_ir": -math.inf}),
+     "tensor scalar eps_ir must be finite, got -inf"),
+    (json.dumps({**SCALARS, "h": [["x"] * 6] * 3}), "tensor h is not a numeric matrix"),
+])
+def test_load_tensor_set_rejects_malformed_files_by_name(tmp_path, text, message):
+    with pytest.raises(ParameterError) as info:
+        coupling.load_tensor_set(_tensor_file(tmp_path, text))
+    assert message in str(info.value)

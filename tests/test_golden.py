@@ -9,6 +9,7 @@ last digit differently, in which case re-record them on a reference commit.
 import hashlib
 
 import pytest
+from conftest import write_coupling_inputs
 
 from pomtrans import cli
 
@@ -31,6 +32,10 @@ GOLDEN = {
     "optimize-5gem-5kex2-10G": (["optimize", "--preset", "5gem-5kex2-10G"], {
         "json": "8b2ff79393661817068761440e844298cff1b0d3b73529419afb83a720769433",
     }),
+    "efficiency-curve-pump-offset": (["efficiency-curve", "--pump-offset-hz", "3.2e9"], {
+        "csv": "d8814abb8225f9547b6155b5890a3badd21ae7cf692d26a19e94ab69cb5b7d01",
+        "json": "d091e6bbba5a6bdb7153a99c18d4aa915bea4785d60c0154c63c293315e88c61",
+    }),
     "efficiency-curve": (["efficiency-curve"], {
         "csv": "7c85200bb034adfd7dd85e5d007ba2061199d33b51d92f738a991d48cc8d3570",
         "json": "a16789cfa67dc669a4938e05cd605f812a3aa85f9452931b05e5809b8c37be93",
@@ -47,6 +52,33 @@ GOLDEN = {
     }),
 }
 
+# the field and tensor arguments come from write_coupling_inputs
+COUPLING_333 = (["coupling", "--component", "3", "3", "3"], {
+    "json": "fd54478316fc6d289029dd902bf14ac99ffd483773f47516885b2d9f2824ee98",
+})
+
+# the artifact base each subcommand writes when --out is not given
+DEFAULT_BASES = {
+    "spectrum": "spectrum",
+    "contour-7x5": "contour",
+    "optimize": "optimize",
+    "efficiency-curve-pump-offset": "efficiency-curve",
+    "rings": "rings",
+    "materials-em": "materials-em",
+    "coupling-333": "coupling",
+}
+
+
+def _argv(name, directory):
+    if name == "coupling-333":
+        argv, expected = COUPLING_333
+        return argv + write_coupling_inputs(directory), expected
+    return GOLDEN[name]
+
+
+def _hashes(paths):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifact_bytes_match_golden_hashes(tmp_path, capsys, name):
@@ -56,3 +88,23 @@ def test_artifact_bytes_match_golden_hashes(tmp_path, capsys, name):
     assert sorted(written) == sorted(expected)
     for ext, digest in expected.items():
         assert hashlib.sha256(written[ext].read_bytes()).hexdigest() == digest, ext
+
+
+def test_coupling_component_bytes_match_golden_hash(tmp_path, capsys):
+    argv, expected = _argv("coupling-333", tmp_path)
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert _hashes([tmp_path / "out.json"]) == {"out.json": expected["json"]}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_BASES))
+def test_default_out_base_names(tmp_path, monkeypatch, capsys, name):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv, expected = _argv(name, inputs)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    base = DEFAULT_BASES[name]
+    names = [f"{base}.{ext}" for ext in sorted(expected)]
+    assert capsys.readouterr().out == f"wrote {' and '.join(names)}\n"
+    written = [path for path in tmp_path.iterdir() if path.is_file()]
+    assert _hashes(written) == {f"{base}.{ext}": digest for ext, digest in expected.items()}
