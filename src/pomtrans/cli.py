@@ -17,9 +17,9 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
-from importlib import resources
 
 import numpy as np
 
@@ -77,14 +77,8 @@ def _dump_json(payload: dict) -> str:
 
 
 def _load_params(args) -> dynamics.TransducerParams:
-    if args.params:
-        p = dynamics.load_params(args.params)
-    else:
-        text = resources.files("pomtrans.data").joinpath("nominal_params.json").read_text("utf-8")
-        p = dynamics.params_from_dict(json.loads(text))
-    if args.preset:
-        p = analysis.apply_preset(p, args.preset)
-    return p
+    p = dynamics.load_params(args.params or None)
+    return analysis.apply_preset(p, args.preset) if args.preset else p
 
 
 def _sidecar(args, p: dynamics.TransducerParams, payload: dict) -> str:
@@ -106,13 +100,17 @@ def _sidecar(args, p: dynamics.TransducerParams, payload: dict) -> str:
 def _axis(args, i, start, stop, points, what):
     """(start, stop, points) of axis ``i`` from the --grid-* flags, else the defaults.
 
-    A flag given one value sets it for every axis.
+    A flag given one value sets it for every axis; more values than axes are rejected.
     """
-    def pick(values, default):
-        return (values[i] if len(values) > i else values[0]) if values else default
+    def pick(flag, default):
+        values = getattr(args, flag) or [default]
+        if len(values) > args.grid_axes:
+            most = "one value" if args.grid_axes == 1 else f"at most {args.grid_axes} values"
+            raise ParameterError(f"--{flag.replace('_', '-')} takes {most}, got {len(values)}")
+        return values[i] if len(values) > i else values[0]
 
-    start, stop, points = (pick(args.grid_start, start), pick(args.grid_stop, stop),
-                           pick(args.grid_points, points))
+    start, stop, points = (pick("grid_start", start), pick("grid_stop", stop),
+                           pick("grid_points", points))
     if not stop > start:
         raise ParameterError(f"{what}: stop must exceed start")
     if points < 2:
@@ -279,14 +277,22 @@ def _cmd_coupling(args):
 # --- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1.6e9`` as a negative number, not an option; subparsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pomtrans",
         description="Model, analyze and optimize a piezo-optomechanical microwave-optical transducer.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, params=False, grid=False):
+    def command(name, func, help, params=False, grid=0):
         sp = sub.add_parser(name, help=help)
         if params:
             sp.add_argument("--params", help="parameter JSON file (defaults to the bundled nominal set)")
@@ -297,23 +303,23 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--grid-start", type=float, nargs="+", metavar="V")
             sp.add_argument("--grid-stop", type=float, nargs="+", metavar="V")
             sp.add_argument("--grid-points", type=int, nargs="+", metavar="N")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, grid_axes=grid)
         return sp
 
     command("spectrum", _cmd_spectrum, "efficiency vs signal frequency at the critical pump level",
-            params=True, grid=True)
+            params=True, grid=1)
     command("optimize", _cmd_optimize,
             "critical photon number, maximum efficiency, cooperativities", params=True)
     command("contour", _cmd_contour, "maximum efficiency over a (g_em, kappa_ex2) grid",
-            params=True, grid=True)
+            params=True, grid=2)
 
     sp = command("efficiency-curve", _cmd_efficiency_curve,
-                 "efficiency vs pump power on resonance", params=True, grid=True)
+                 "efficiency vs pump power on resonance", params=True, grid=1)
     sp.add_argument("--pump-offset-hz", type=float,
                     help="pump placement in the rotating frame (default: lower enhancement resonance)")
 
     sp = command("rings", _cmd_rings, "ring-pair transmission spectrum and critical frequencies",
-                 grid=True)
+                 grid=1)
     sp.add_argument("--round-trip-time", type=float, default=1e-11, help="ring round-trip time, s")
     sp.add_argument("--ring-j-hz", type=float, default=1.6425e9, help="inter-ring coupling J, Hz")
     sp.add_argument("--ring-loss", type=float, default=0.995,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -26,13 +26,9 @@ from .errors import GridError, MaterialDataError, ParameterError
 
 # --- Voigt notation ---------------------------------------------------------
 
-_VOIGT_OF_PAIR = {
-    (1, 1): 1, (2, 2): 2, (3, 3): 3,
-    (2, 3): 4, (3, 2): 4,
-    (1, 3): 5, (3, 1): 5,
-    (1, 2): 6, (2, 1): 6,
-}
 _PAIR_OF_VOIGT = {1: (1, 1), 2: (2, 2), 3: (3, 3), 4: (2, 3), 5: (1, 3), 6: (1, 2)}
+#: both orders of each symmetric 1-based index pair -> Voigt index
+_VOIGT_OF_PAIR = {pair: v for v, (i, j) in _PAIR_OF_VOIGT.items() for pair in ((i, j), (j, i))}
 #: 0-based Voigt column of each 0-based symmetric index pair
 _VOIGT_OF_INDICES = np.array(
     [[_VOIGT_OF_PAIR[(i, j)] - 1 for j in (1, 2, 3)] for i in (1, 2, 3)])
@@ -88,6 +84,9 @@ class Grid3D:
             raise ParameterError(f"grid spacing must be positive, got {self.spacing}")
         if any(int(c) < 1 or int(c) != c for c in self.counts):
             raise ParameterError(f"grid counts must be positive integers, got {self.counts}")
+        for name in ("origin", "spacing"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ParameterError(f"grid {name} must be finite, got {getattr(self, name)}")
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
 
     def axis(self, k: int) -> np.ndarray:
@@ -132,6 +131,8 @@ class ModeField:
             raise ParameterError(f"kind must be '{EM}' or '{MECH}'")
         if self.frequency < 0:
             raise ParameterError("mode frequency must be >= 0")
+        if not math.isfinite(self.frequency):
+            raise ParameterError(f"mode frequency must be finite, got {self.frequency}")
         object.__setattr__(self, "components", comps)
 
     def scaled(self, factor: complex) -> "ModeField":
@@ -215,18 +216,18 @@ def em_mode_volume(e: ModeField, eta) -> float:
     return total**2 / float(trapezoid_3d(density**2, e.grid))
 
 
+def _scaled_to_volume(f: ModeField, v_eff: float) -> ModeField:
+    return f.scaled(math.sqrt(v_eff / float(trapezoid_3d(_intensity(f), f.grid))))
+
+
 def normalize_mech(w: ModeField) -> ModeField:
     """Rescale so the integrated intensity equals the effective mode volume."""
-    v_eff = mech_mode_volume(w)
-    norm = float(trapezoid_3d(_intensity(w), w.grid))
-    return w.scaled(math.sqrt(v_eff / norm))
+    return _scaled_to_volume(w, mech_mode_volume(w))
 
 
 def normalize_em(e: ModeField, eta_eff: float) -> ModeField:
     """Rescale so integral of eta_eff |E|^2 equals eta_eff times the mode volume."""
-    v_eff = em_mode_volume(e, eta_eff)
-    norm = float(trapezoid_3d(_intensity(e), e.grid))
-    return e.scaled(math.sqrt(v_eff / norm))
+    return _scaled_to_volume(e, em_mode_volume(e, eta_eff))
 
 
 def effective_mass(w_m: ModeField, w_n: ModeField, rho) -> complex:
@@ -271,16 +272,13 @@ class MaterialTensorSet:
             raise MaterialDataError(f"density must be positive, got {self.rho}")
         if self.eps_rf <= 0 or self.eps_ir <= 0:
             raise MaterialDataError("permittivities must be positive")
-        for name in ("h", "e", "p", "c", "eta"):
+        for name in _TENSOR_MATRICES:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, np.asarray(value, dtype=float))
-        if self.h is not None and self.h.shape != (3, 6):
-            raise MaterialDataError("h must be a 3x6 Voigt matrix")
-        if self.e is not None and self.e.shape != (3, 6):
-            raise MaterialDataError("e must be a 3x6 Voigt matrix")
-        if self.p is not None and self.p.shape != (6, 6):
-            raise MaterialDataError("p must be a 6x6 Voigt matrix")
+        for name, shape in (("h", (3, 6)), ("e", (3, 6)), ("p", (6, 6))):
+            if getattr(self, name) is not None and getattr(self, name).shape != shape:
+                raise MaterialDataError(f"{name} must be a {shape[0]}x{shape[1]} Voigt matrix")
         if self.c is not None:
             if self.c.shape != (6, 6):
                 raise MaterialDataError("c must be a 6x6 Voigt matrix")
@@ -320,6 +318,11 @@ class MaterialTensorSet:
         return value
 
 
+#: the required scalars and the optional matrices of a tensor set, in field order
+_TENSOR_SCALARS = tuple(f.name for f in fields(MaterialTensorSet) if f.default is MISSING)
+_TENSOR_MATRICES = tuple(f.name for f in fields(MaterialTensorSet) if f.default is None)
+
+
 # --- coupling constants -------------------------------------------------------
 
 
@@ -328,6 +331,26 @@ def _require_matching(e: ModeField, w: ModeField):
         raise GridError("EM and mechanical fields live on different grids")
     if e.kind != EM or w.kind != MECH:
         raise ParameterError("expected (EM field, mechanical field)")
+
+
+def _volumes_and_strain(e: ModeField, w: ModeField, mat: MaterialTensorSet,
+                        v_eff_em: float | None, v_eff_mech: float | None):
+    """The two mode volumes (computed unless given) and the strain of ``w``."""
+    if v_eff_em is None:
+        v_eff_em = em_mode_volume(e, mat.eta_eff)
+    if v_eff_mech is None:
+        v_eff_mech = mech_mode_volume(w)
+    return v_eff_em, v_eff_mech, strain_field(w)
+
+
+def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet,
+                     v_eff_em: float, v_eff_mech: float, h: float | None = None) -> complex:
+    """i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho)), times |h| if given."""
+    scale = 1j * math.sqrt(e.frequency / w.frequency) / (4 * math.sqrt(v_eff_em * v_eff_mech))
+    if h is None:
+        return scale / math.sqrt(mat.eta_eff * mat.rho)
+    # sqrt(h^2 / (eta_eff rho)) as piezo_coupling documents it; |h| / sqrt(...) rounds differently
+    return scale * math.sqrt(h**2 / (mat.eta_eff * mat.rho))
 
 
 def overlap_integral(e: ModeField, gradients: np.ndarray, j: int, k: int,
@@ -353,18 +376,9 @@ def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
         raise ParameterError("both mode frequencies must be set and positive")
     i, j, k = component
     h = mat.h_element(i, j, k)
-    if v_eff_em is None:
-        v_eff_em = em_mode_volume(e, mat.eta_eff)
-    if v_eff_mech is None:
-        v_eff_mech = mech_mode_volume(w)
-    v_mn = math.sqrt(v_eff_em * v_eff_mech)
-    grads = strain_field(w)
+    v_eff_em, v_eff_mech, grads = _volumes_and_strain(e, w, mat, v_eff_em, v_eff_mech)
     integral = overlap_integral(e, grads, j, k, component=i)
-    prefactor = (
-        1j * math.sqrt(e.frequency / w.frequency) / (4 * v_mn)
-        * math.sqrt(h**2 / (mat.eta_eff * mat.rho))
-    )
-    return prefactor * integral
+    return _piezo_prefactor(e, w, mat, v_eff_em, v_eff_mech, h) * integral
 
 
 def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet,
@@ -382,12 +396,7 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet,
         raise ParameterError("both mode frequencies must be set and positive")
     if mat.h is None:
         raise MaterialDataError("piezoelectric tensor h is not set")
-    if v_eff_em is None:
-        v_eff_em = em_mode_volume(e, mat.eta_eff)
-    if v_eff_mech is None:
-        v_eff_mech = mech_mode_volume(w)
-    v_mn = math.sqrt(v_eff_em * v_eff_mech)
-    grads = strain_field(w)
+    v_eff_em, v_eff_mech, grads = _volumes_and_strain(e, w, mat, v_eff_em, v_eff_mech)
     h = rank3_from_voigt(mat.h)
     for i, j, k in np.argwhere(np.isnan(h)) + 1:
         if overlap_integral(e, grads, j, k, component=i) != 0:
@@ -398,37 +407,27 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet,
     known = np.where(np.isnan(h), 0.0, h)
     integrand = np.einsum("ijk,i...,jk...->...", known, e.components, grads)
     total = complex(trapezoid_3d(integrand, e.grid))
-    prefactor = (
-        1j * math.sqrt(e.frequency / w.frequency) / (4 * v_mn)
-        / math.sqrt(mat.eta_eff * mat.rho)
-    )
-    return prefactor * total
+    return _piezo_prefactor(e, w, mat, v_eff_em, v_eff_mech) * total
 
 
 def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
-                      omega_mech: float | None = None,
                       v_eff_em: float | None = None,
                       v_eff_mech: float | None = None) -> float:
     """Single-photon optomechanical coupling rate between an EM and a mechanical mode.
 
     sqrt(hbar / (32 rho V_mech eps0^2 eta_eff^2 V_em^2 omega_mech)) times the
-    photoelastic overlap sum p_ijkl integral of E_i E_j* dw_k/dr_l.  The
-    optical field enters as E E*, so the result is independent of its global
-    phase; the magnitude of the (generally complex) overlap sum is returned.
-    The sum over tensor elements is taken inside one integrand, integrated once.
+    photoelastic overlap sum p_ijkl integral of E_i E_j* dw_k/dr_l, with
+    omega_mech the frequency of ``w``.  The optical field enters as E E*, so
+    the result is independent of its global phase; the magnitude of the
+    (generally complex) overlap sum is returned.  The sum over tensor
+    elements is taken inside one integrand, integrated once.
     """
     _require_matching(e, w)
     if mat.p is None:
         raise MaterialDataError("photoelastic tensor p is not set")
-    if omega_mech is None:
-        omega_mech = w.frequency
-    if omega_mech <= 0:
+    if w.frequency <= 0:
         raise ParameterError("mechanical frequency must be positive")
-    if v_eff_em is None:
-        v_eff_em = em_mode_volume(e, mat.eta_eff)
-    if v_eff_mech is None:
-        v_eff_mech = mech_mode_volume(w)
-    grads = strain_field(w)
+    v_eff_em, v_eff_mech, grads = _volumes_and_strain(e, w, mat, v_eff_em, v_eff_mech)
     p = rank4_from_voigt(mat.p)
     unknown = np.argwhere(np.isnan(p))
     if len(unknown):
@@ -440,7 +439,7 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
     total = complex(trapezoid_3d(integrand, e.grid))
     prefactor = math.sqrt(
         HBAR / (32 * mat.rho * v_eff_mech * EPSILON_0**2
-                * mat.eta_eff**2 * v_eff_em**2 * omega_mech)
+                * mat.eta_eff**2 * v_eff_em**2 * w.frequency)
     )
     return prefactor * abs(total)
 
@@ -545,17 +544,14 @@ def load_mode_field(path) -> ModeField:
     return ModeField(grid, comps, kind, frequency)
 
 
-_TENSOR_SCALARS = ("rho", "eps_rf", "eps_ir")
-_TENSOR_MATRICES = ("h", "e", "p", "c", "eta")
-
-
 def load_tensor_set(path) -> MaterialTensorSet:
     """Read a material tensor JSON file into a :class:`MaterialTensorSet`.
 
     The file is one JSON object with the required scalars ``rho``, ``eps_rf``
     and ``eps_ir`` and the optional Voigt matrices ``h``, ``e``, ``p``, ``c``
-    and ``eta`` (SI units).  Unknown keys are rejected, and so is a scalar that
-    is not a finite number, by name.
+    and ``eta`` (SI units).  Unknown keys are rejected by name, and so is a
+    value that is not a finite number; a NaN matrix entry of ``h`` or ``p``
+    marks an unknown element.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -582,9 +578,17 @@ def load_tensor_set(path) -> MaterialTensorSet:
             raise ParameterError(f"tensor scalar {key} must be finite, got {value}")
         kwargs[key] = value
     for key in _TENSOR_MATRICES:
-        if data.get(key) is not None:
-            try:
-                kwargs[key] = np.asarray(data[key], dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"tensor {key} is not a numeric matrix: {exc}") from exc
+        if data.get(key) is None:
+            continue
+        try:
+            value = np.asarray(data[key], dtype=float)
+            if any(isinstance(v, bool) for v in np.asarray(data[key], dtype=object).flat):
+                raise TypeError("booleans are not numbers")
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"tensor {key} is not a numeric matrix: {exc}") from exc
+        # NaN marks an unknown element of h and p
+        ok = np.isfinite(value) | (np.isnan(value) if key in ("h", "p") else False)
+        if not np.all(ok):
+            raise ParameterError(f"tensor {key} entries must be finite, got {value[~ok][0]}")
+        kwargs[key] = value
     return MaterialTensorSet(**kwargs)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
+from importlib import resources
 from typing import Mapping
 
 import numpy as np
@@ -72,7 +73,7 @@ class TransducerParams:
         if not _holds(self.Gamma >= self.Gamma_0):
             raise ParameterError("total microwave linewidth Gamma must be >= Gamma_0")
 
-        gamma_m = self.gamma_0 + self._piezo_broadening()
+        gamma_m, _ = _mechanical_rates(self)
         if self.gamma_ex is not None:
             ok = self.gamma_ex <= gamma_m * (1 + 1e-12)
             if not _holds(ok):
@@ -92,12 +93,15 @@ class TransducerParams:
                     f"({_first(bad, gamma_m):.6g}) by more than 2%"
                 )
 
-    def _piezo_broadening(self):
-        if not _holds(self.Gamma != 0):
-            if not _holds(self.g_em == 0):
-                raise ParameterError("Gamma must be > 0 when g_em is nonzero")
-            return 0.0
-        return 4 * self.g_em**2 / self.Gamma
+
+def _mechanical_rates(p: TransducerParams):
+    """(gamma_m, derived gamma_ex) of :func:`derived_rates`; Gamma = 0 needs g_em = 0."""
+    if not _holds(p.Gamma != 0):
+        if not _holds(p.g_em == 0):
+            raise ParameterError("Gamma must be > 0 when g_em is nonzero")
+        return p.gamma_0 + 0.0, 0.0
+    return (p.gamma_0 + 4 * p.g_em**2 / p.Gamma,
+            4 * p.g_em**2 * (p.Gamma - p.Gamma_0) / p.Gamma**2)
 
 
 def _holds(ok) -> bool:
@@ -152,12 +156,8 @@ def derived_rates(p: TransducerParams) -> DerivedRates:
     overrides it (the derived value is still reported alongside).  Array
     parameter fields broadcast.
     """
-    gamma_m = p.gamma_0 + p._piezo_broadening()
+    gamma_m, gamma_ex_derived = _mechanical_rates(p)
     kappa_2 = p.kappa_02 + p.kappa_ex2
-    if not _holds(p.Gamma != 0):
-        gamma_ex_derived = 0.0  # validation allows this only with g_em = 0 throughout
-    else:
-        gamma_ex_derived = 4 * p.g_em**2 * (p.Gamma - p.Gamma_0) / p.Gamma**2
     gamma_ex = p.gamma_ex if p.gamma_ex is not None else gamma_ex_derived
     return DerivedRates(gamma_m=gamma_m, kappa_2=kappa_2,
                         gamma_ex=gamma_ex, gamma_ex_derived=gamma_ex_derived)
@@ -238,24 +238,12 @@ class OperatingPoint:
         return complex(a1) if np.ndim(a1) == 0 else a1
 
 
-def _denominator(op: OperatingPoint, omega):
-    p = op.params
-    r = derived_rates(p)
-    c_m = chi_m(p)(omega)
-    c01 = chi_01(p)(omega)
-    c02 = chi_02(p)(omega)
-    loop_om = p.g_om**2 * op.intra_ring_photons * c01 * c_m
-    loop_12 = p.J**2 * c01 * c02
-    return (1 + loop_om + loop_12, loop_om, loop_12, c_m, c01, c02, r)
-
-
-def _check_denominator(delta, loop_om, loop_12, omega):
-    scale = 1.0 + np.abs(loop_om) + np.abs(loop_12)
-    bad = np.abs(delta) < _SINGULARITY_RTOL * scale
+def _check_denominator(delta, loops, omega, what: str) -> None:
+    """Raise :class:`SingularityError` at each ``omega`` where |delta| < 1e-14 (1 + sum |loop|)."""
+    bad = np.abs(delta) < _SINGULARITY_RTOL * sum(map(np.abs, loops), 1.0)
     if np.any(bad):
-        w = np.asarray(omega)
-        offending = w[bad] if w.shape else w
-        raise SingularityError(offending, "transduction denominator vanished")
+        offending = np.broadcast_to(omega, bad.shape)[bad] if np.ndim(omega) else omega
+        raise SingularityError(offending, f"{what} denominator vanished")
 
 
 def transduction_amplitude(op: OperatingPoint, omega):
@@ -267,8 +255,14 @@ def transduction_amplitude(op: OperatingPoint, omega):
     ``omega``, the parameter fields and the pump level broadcast together.
     """
     p = op.params
-    delta, loop_om, loop_12, c_m, c01, c02, r = _denominator(op, omega)
-    _check_denominator(delta, loop_om, loop_12, omega)
+    r = derived_rates(p)
+    c_m = chi_m(p)(omega)
+    c01 = chi_01(p)(omega)
+    c02 = chi_02(p)(omega)
+    loop_om = p.g_om**2 * op.intra_ring_photons * c01 * c_m
+    loop_12 = p.J**2 * c01 * c02
+    delta = 1 + loop_om + loop_12
+    _check_denominator(delta, (loop_om, loop_12), omega, "transduction")
     num = (
         np.sqrt(p.kappa_ex2) * np.sqrt(r.gamma_ex)
         * c01 * c02 * c_m * (1j * p.g_om * op.a1) * (1j * p.J)
@@ -348,9 +342,7 @@ def intra_ring_gain(p: TransducerParams, omega):
     c02 = chi_02(p)(omega)
     loop = p.J**2 * c01 * c02
     delta = 1 + loop
-    scale = 1.0 + np.abs(loop)
-    if np.any(np.abs(delta) < _SINGULARITY_RTOL * scale):
-        raise SingularityError(omega, "ring-pair denominator vanished")
+    _check_denominator(delta, (loop,), omega, "ring-pair")
     out = 1j * p.J * c01 * c02 * np.sqrt(p.kappa_ex2) / delta
     return complex(out) if np.ndim(out) == 0 else out
 
@@ -440,11 +432,9 @@ _PARAM_KEYS: Mapping[str, tuple[str, str]] = {
     "lambda_l_m": ("lambda_l", "length"),
 }
 
-_REQUIRED_KEYS = (
-    "omega_m_hz", "gamma_0_hz", "Gamma_0_hz", "Gamma_hz", "g_em_hz", "J_hz",
-    "delta_1_hz", "delta_2_hz", "kappa_1_hz", "kappa_02_hz", "kappa_ex2_hz",
-    "g_om_hz",
-)
+#: keys of the fields without a default
+_REQUIRED_KEYS = tuple(key for key, (name, _) in _PARAM_KEYS.items()
+                       if TransducerParams.__dataclass_fields__[name].default is MISSING)
 
 
 def params_from_dict(data: Mapping) -> TransducerParams:
@@ -479,8 +469,14 @@ def params_to_dict(p: TransducerParams) -> dict:
     return out
 
 
-def load_params(path) -> TransducerParams:
-    """Read a parameter JSON file (flat object, unknown keys rejected)."""
+def load_params(path=None) -> TransducerParams:
+    """Read a parameter JSON file (flat object, unknown keys rejected).
+
+    Without a path, the bundled nominal parameter set.
+    """
+    if path is None:
+        return params_from_dict(json.loads(
+            resources.files("pomtrans.data").joinpath("nominal_params.json").read_text("utf-8")))
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

@@ -26,7 +26,7 @@ import csv
 import io
 from dataclasses import dataclass, fields
 from importlib import resources
-from math import sqrt
+from math import isfinite, sqrt
 
 from .errors import MaterialDataError
 
@@ -34,11 +34,6 @@ H33_FLAGS = ("value", "zero-centrosymmetric", "zero-piezo-class", "unknown")
 IR_FLAGS = ("value", "unknown", "opaque")
 P33_FLAGS = ("value", "unknown")
 FAB_KINDS = ("yes", "front-end-compatible", "no")
-
-_COLUMNS = (
-    "name", "h33", "h33_flag", "eps33_rf", "eps33_ir", "eps33_ir_flag",
-    "rho_gcc", "p33", "p33_flag", "fab", "notes",
-)
 
 
 @dataclass(frozen=True)
@@ -66,14 +61,20 @@ class MaterialRecord:
             raise MaterialDataError(f"{self.name}: bad p33 flag {self.p33_flag!r}")
         if self.fab not in FAB_KINDS:
             raise MaterialDataError(f"{self.name}: bad fab marker {self.fab!r}")
-        if (self.h33 is None) == (self.h33_flag == "value"):
-            raise MaterialDataError(f"{self.name}: h33 value and flag are inconsistent")
-        if (self.eps33_ir is None) == (self.eps33_ir_flag == "value"):
-            raise MaterialDataError(f"{self.name}: eps33_ir value and flag are inconsistent")
-        if (self.p33 is None) == (self.p33_flag == "value"):
-            raise MaterialDataError(f"{self.name}: p33 value and flag are inconsistent")
+        for column in ("h33", "eps33_ir", "p33"):
+            if (getattr(self, column) is None) == (getattr(self, f"{column}_flag") == "value"):
+                raise MaterialDataError(f"{self.name}: {column} value and flag are inconsistent")
         if self.rho_gcc is not None and self.rho_gcc <= 0:
             raise MaterialDataError(f"{self.name}: density must be positive")
+        for column in _NUMERIC:
+            value = getattr(self, column)
+            if value is not None and not isfinite(value):
+                raise MaterialDataError(f"{self.name}: {column} must be finite, got {value}")
+
+
+#: CSV columns, in file order, and the numeric ones among them
+_COLUMNS = tuple(f.name for f in fields(MaterialRecord))
+_NUMERIC = tuple(f.name for f in fields(MaterialRecord) if f.type == "float | None")
 
 
 @dataclass(frozen=True)
@@ -194,27 +195,17 @@ def parse_materials_csv(text: str) -> list[MaterialRecord]:
             raise MaterialDataError(
                 f"row {line_no}: expected {len(_COLUMNS)} columns, got {len(row)}"
             )
-        raw = dict(zip(_COLUMNS, row))
-        name = raw["name"].strip()
+        name = row[0].strip()
         if not name:
             raise MaterialDataError(f"row {line_no}: empty material name")
         if name in seen:
             raise MaterialDataError(f"duplicate material name: {name!r}")
         seen.add(name)
         try:
-            record = MaterialRecord(
-                name=name,
-                h33=_parse_float(name, "h33", raw["h33"]),
-                h33_flag=raw["h33_flag"].strip(),
-                eps33_rf=_parse_float(name, "eps33_rf", raw["eps33_rf"]),
-                eps33_ir=_parse_float(name, "eps33_ir", raw["eps33_ir"]),
-                eps33_ir_flag=raw["eps33_ir_flag"].strip(),
-                rho_gcc=_parse_float(name, "rho_gcc", raw["rho_gcc"]),
-                p33=_parse_float(name, "p33", raw["p33"]),
-                p33_flag=raw["p33_flag"].strip(),
-                fab=raw["fab"].strip(),
-                notes=raw["notes"].strip(),
-            )
+            record = MaterialRecord(**{
+                column: _parse_float(name, column, cell) if column in _NUMERIC else cell.strip()
+                for column, cell in zip(_COLUMNS, row)
+            })
         except MaterialDataError as exc:
             raise MaterialDataError(f"row {line_no}: {exc}") from exc
         records.append(record)
@@ -235,7 +226,7 @@ def serialize_materials(records) -> str:
         return value
 
     for r in records:
-        writer.writerow([cell(getattr(r, f.name)) for f in fields(MaterialRecord)])
+        writer.writerow([cell(getattr(r, column)) for column in _COLUMNS])
     return buf.getvalue()
 
 

@@ -26,7 +26,7 @@ from .sweep import SweepResult
 
 @dataclass(frozen=True)
 class RingPair:
-    """Coupled ring pair: equal round-trip time, inter-ring coupling J.
+    """Coupled ring pair: equal round-trip time, inter-ring coupling J >= 0.
 
     ``loss`` is the per-ring round-trip amplitude transmission in (0, 1];
     ``bus_coupling`` the field coupling fraction k of each (identical) bus
@@ -41,6 +41,8 @@ class RingPair:
     def __post_init__(self):
         if self.T <= 0:
             raise ParameterError("round-trip time T must be > 0")
+        if not self.J >= 0:
+            raise ParameterError("inter-ring coupling J must be >= 0")
         if not 0 < self.loss <= 1:
             raise ParameterError("round-trip amplitude loss must be in (0, 1]")
         if not 0 <= self.bus_coupling < 1:
@@ -88,9 +90,8 @@ def supermode_transform(a1: complex, a2: complex) -> tuple[complex, complex]:
 
 
 def supermode_inverse(a_sym: complex, a_asym: complex) -> tuple[complex, complex]:
-    """Inverse of :func:`supermode_transform`; the map is unitary."""
-    inv = 1 / math.sqrt(2)
-    return ((a_sym + a_asym) * inv, (a_sym - a_asym) * inv)
+    """Inverse of :func:`supermode_transform`, which is unitary and its own inverse."""
+    return supermode_transform(a_sym, a_asym)
 
 
 def _inner_ring_response(rp: RingPair, phase: np.ndarray) -> np.ndarray:

@@ -368,3 +368,103 @@ def test_optimize_takes_no_grid_flags(outdir, capsys):
     assert run(["optimize", "--grid-points", "5"]) == 2
     assert "unrecognized arguments: --grid-points 5" in capsys.readouterr().err
     assert list(outdir.iterdir()) == []
+
+
+# --- argument parsing and input files --------------------------------------------
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["efficiency-curve"], "--pump-offset-hz", "-1.6e9"),
+    (["efficiency-curve"], "--pump-offset-hz", "-.5E+9"),
+    (["rings", "--grid-points", "101"], "--grid-start", "-1e9"),
+])
+def test_negative_exponent_flag_space_form_matches_equals_form(outdir, argv, flag, value):
+    assert run(argv + [flag, value, "--out", "space"]) == 0
+    assert run(argv + [f"{flag}={value}", "--out", "equals"]) == 0
+    written = sorted(p.name for p in outdir.iterdir())
+    assert written == sorted(f"{base}{ext}" for base in ("equals", "space")
+                             for ext in (".csv", ".json"))
+    for ext in (".csv", ".json"):
+        assert (outdir / f"space{ext}").read_bytes() == (outdir / f"equals{ext}").read_bytes()
+
+
+def test_negative_ring_j_exits_2(outdir, capsys):
+    assert run(["rings", "--ring-j-hz=-1e9", "--grid-points", "101"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: inter-ring coupling J must be >= 0"]
+    assert list(outdir.iterdir()) == []
+
+
+GRID_VALUES = {"--grid-start": "1e7", "--grid-stop": "1e9", "--grid-points": "101"}
+
+
+@pytest.mark.parametrize("flag", sorted(GRID_VALUES))
+@pytest.mark.parametrize("command, axes", [
+    ("spectrum", 1), ("efficiency-curve", 1), ("rings", 1), ("contour", 2)])
+def test_extra_grid_values_rejected_by_name(outdir, capsys, command, axes, flag):
+    assert run([command, flag, *[GRID_VALUES[flag]] * (axes + 1), "--out", "x"]) == 2
+    most = "one value" if axes == 1 else f"at most {axes} values"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: {flag} takes {most}, got {axes + 1}"]
+    assert list(outdir.iterdir()) == []
+
+
+def _rewrite_header(path, key, value):
+    lines = path.read_text().split("\n")
+    tokens = [f"{key}={value}" if t.startswith(f"{key}=") else t for t in lines[0].split()]
+    path.write_text("\n".join([" ".join(tokens)] + lines[1:]))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("origin", "nan,0,0", "grid origin must be finite, got (nan, 0.0, 0.0)"),
+    ("origin", "0,-inf,0", "grid origin must be finite, got (0.0, -inf, 0.0)"),
+    ("spacing", "1e-07,inf,2.5e-08", "grid spacing must be finite, got (1e-07, inf, 2.5e-08)"),
+    ("frequency", "nan", "mode frequency must be finite, got nan"),
+    ("frequency", "inf", "mode frequency must be finite, got inf"),
+])
+def test_non_finite_mode_field_header_exits_2(outdir, tmp_path, capsys, key, value, message):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    _rewrite_header(inputs / "w.csv", key, value)
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: validation: {message}"]
+    assert not (outdir / "coupling.json").exists()
+
+
+@pytest.mark.parametrize("column, value", [
+    ("h33", "nan"), ("eps33_rf", "inf"), ("rho_gcc", "inf"), ("p33", "-inf")])
+def test_non_finite_materials_cell_exits_2(outdir, tmp_path, capsys, column, value):
+    text = resources.files("pomtrans.data").joinpath("materials.csv").read_text("utf-8")
+    rows = [line.split(",") for line in text.splitlines()]
+    aln = next(row for row in rows if row[0] == "AlN")
+    aln[rows[0].index(column)] = value
+    path = tmp_path / "materials.csv"
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    line_no = rows.index(aln) + 1
+    assert run(["materials", "--which", "em", "--materials-file", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: material-data: row {line_no}: AlN: {column} must be finite, "
+        f"got {float(value)}"]
+    assert not (outdir / "materials-em.csv").exists()
+
+
+@pytest.mark.parametrize("key, entry, message", [
+    ("h", True, "tensor h is not a numeric matrix: booleans are not numbers"),
+    ("p", math.inf, "tensor p entries must be finite, got inf"),
+    ("eta", -math.inf, "tensor eta entries must be finite, got -inf"),
+    ("c", math.nan, "tensor c entries must be finite, got nan"),
+])
+def test_non_numeric_tensor_matrix_entry_exits_2(outdir, tmp_path, capsys, key, entry, message):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    data = json.loads((inputs / "tensors.json").read_text())
+    shape = {"h": (3, 6), "p": (6, 6), "c": (6, 6), "eta": (3, 3)}[key]
+    matrix = data.get(key) or (np.eye(*shape) * 0.1).tolist()
+    matrix[0][0] = entry
+    data[key] = matrix
+    (inputs / "tensors.json").write_text(json.dumps(data))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: validation: {message}"]
+    assert not (outdir / "coupling.json").exists()

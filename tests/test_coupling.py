@@ -677,3 +677,51 @@ def test_load_tensor_set_rejects_malformed_files_by_name(tmp_path, text, message
     with pytest.raises(ParameterError) as info:
         coupling.load_tensor_set(_tensor_file(tmp_path, text))
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("origin, spacing, name", [
+    ((math.nan, 0.0, 0.0), (1.0, 1.0, 1.0), "origin"),
+    ((0.0, math.inf, 0.0), (1.0, 1.0, 1.0), "origin"),
+    ((0.0, 0.0, 0.0), (1.0, math.nan, 1.0), "spacing"),
+    ((0.0, 0.0, 0.0), (1.0, 1.0, math.inf), "spacing"),
+])
+def test_grid_rejects_non_finite_origin_and_spacing(origin, spacing, name):
+    value = origin if name == "origin" else spacing
+    with pytest.raises(ParameterError) as info:
+        coupling.Grid3D(origin, spacing, (3, 3, 3))
+    assert str(info.value) == f"grid {name} must be finite, got {value}"
+
+
+@pytest.mark.parametrize("frequency", [math.nan, math.inf])
+def test_mode_field_rejects_non_finite_frequency(frequency):
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, 3, 3))
+    with pytest.raises(ParameterError, match=f"mode frequency must be finite, got {frequency}"):
+        coupling.ModeField(grid, np.ones((3, 3, 3, 3)), coupling.MECH, frequency)
+
+
+@pytest.mark.parametrize("key, entry, message", [
+    ("h", True, "tensor h is not a numeric matrix: booleans are not numbers"),
+    ("eta", False, "tensor eta is not a numeric matrix: booleans are not numbers"),
+    ("h", math.inf, "tensor h entries must be finite, got inf"),
+    ("p", -math.inf, "tensor p entries must be finite, got -inf"),
+    ("c", math.nan, "tensor c entries must be finite, got nan"),
+    ("e", math.inf, "tensor e entries must be finite, got inf"),
+])
+def test_load_tensor_set_rejects_boolean_and_non_finite_entries(tmp_path, key, entry, message):
+    shape = {"h": (3, 6), "e": (3, 6), "p": (6, 6), "c": (6, 6), "eta": (3, 3)}[key]
+    matrix = np.eye(*shape).tolist()
+    matrix[0][0] = entry
+    path = _tensor_file(tmp_path, json.dumps({**SCALARS, key: matrix}))
+    with pytest.raises(ParameterError) as info:
+        coupling.load_tensor_set(path)
+    assert str(info.value) == message
+
+
+def test_load_tensor_set_keeps_nan_as_unknown_in_h_and_p(tmp_path):
+    h = np.zeros((3, 6)).tolist()
+    p = np.zeros((6, 6)).tolist()
+    h[1][0] = p[3][4] = math.nan
+    path = _tensor_file(tmp_path, json.dumps({**SCALARS, "h": h, "p": p}))
+    loaded = coupling.load_tensor_set(path)
+    assert math.isnan(loaded.h[1, 0]) and math.isnan(loaded.p[3, 4])
+    assert np.isfinite(np.delete(loaded.h.ravel(), 6)).all()

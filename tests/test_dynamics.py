@@ -272,3 +272,36 @@ def test_array_fields_validated_elementwise(nominal_params):
     gamma_ex = nominal_params.gamma_ex * np.array([1.0, 10.0])
     with pytest.raises(ParameterError, match=r"supplied gamma_ex \(\d"):
         replace(nominal_params, gamma_ex=gamma_ex)
+
+
+def test_load_params_defaults_to_bundled_nominal_set(nominal_params):
+    assert dynamics.load_params() == nominal_params
+    assert dynamics.load_params(None) == nominal_params
+
+
+def test_singular_denominators_report_a_scalar_omega_as_given(nominal_params, monkeypatch):
+    # a huge tolerance makes every frequency singular
+    monkeypatch.setattr(dynamics, "_SINGULARITY_RTOL", 1e30)
+    p = nominal_params
+    op = dynamics.OperatingPoint(p, 1e11)
+    for call, omega, what in [
+        (lambda w: dynamics.transduction_amplitude(op, w), p.omega_m, "transduction"),
+        (lambda w: dynamics.intra_ring_gain(p, w), p.delta_1, "ring-pair"),
+    ]:
+        with pytest.raises(sfg.SingularityError, match=f"{what} denominator vanished") as info:
+            call(omega)
+        assert info.value.omega == omega and isinstance(info.value.omega, float)
+
+
+def test_ring_pair_singularity_reports_only_the_offending_frequencies(nominal_params,
+                                                                      monkeypatch):
+    p = nominal_params
+    omegas = p.delta_1 + TWO_PI * np.array([0.0, 1e9, 3e10])
+    loop = p.J**2 * dynamics.chi_01(p)(omegas) * dynamics.chi_02(p)(omegas)
+    margin = np.abs(1 + loop) / (1 + np.abs(loop))
+    monkeypatch.setattr(dynamics, "_SINGULARITY_RTOL", float(np.median(margin)))
+    with pytest.raises(sfg.SingularityError, match="ring-pair denominator vanished") as info:
+        dynamics.intra_ring_gain(p, omegas)
+    offending = omegas[margin < np.median(margin)]
+    assert len(offending) == 1
+    np.testing.assert_array_equal(info.value.omega, offending)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pomtrans import materials
@@ -203,3 +205,24 @@ def test_recomputed_om_column_matches_tabulation(records):
         got = materials.om_fom(by_name(records, name))
         assert got.defined, name
         assert got.value == pytest.approx(printed, rel=2e-2), name
+
+
+# a density of -inf is already rejected as non-positive
+@pytest.mark.parametrize("column, value", [
+    (column, value) for column in ("h33", "eps33_rf", "eps33_ir", "rho_gcc", "p33")
+    for value in (math.nan, math.inf, -math.inf) if (column, value) != ("rho_gcc", -math.inf)])
+def test_non_finite_record_value_rejected_by_name(column, value):
+    fields = dict(name="X", h33=0.1, h33_flag="value", eps33_rf=4.0, eps33_ir=2.0,
+                  eps33_ir_flag="value", rho_gcc=4.0, p33=0.5, p33_flag="value", fab="yes")
+    fields[column] = value
+    with pytest.raises(MaterialDataError, match=f"X: {column} must be finite, got {value}"):
+        materials.MaterialRecord(**fields)
+
+
+def test_non_finite_csv_cell_names_row_and_column():
+    text = (
+        "name,h33,h33_flag,eps33_rf,eps33_ir,eps33_ir_flag,rho_gcc,p33,p33_flag,fab,notes\n"
+        "X,nan,value,4.0,2.0,value,4.0,0.5,value,yes,\n"
+    )
+    with pytest.raises(MaterialDataError, match="row 2: X: h33 must be finite, got nan"):
+        materials.parse_materials_csv(text)

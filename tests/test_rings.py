@@ -190,3 +190,15 @@ def test_coupled_fraction_limits():
     assert at(0.0) == pytest.approx(1.0)
     assert at(lc) == pytest.approx(0.0, abs=1e-30)
     assert 0.0 <= at(0.37 * lc) <= 1.0
+
+
+@pytest.mark.parametrize("J", [-1.0, -TWO_PI * 1e9, math.nan])
+def test_negative_ring_coupling_rejected_by_name(J):
+    with pytest.raises(ParameterError, match="inter-ring coupling J must be >= 0"):
+        rings.RingPair(T=1e-11, J=J)
+
+
+def test_zero_ring_coupling_allowed():
+    crit = rings.critical_frequencies(rings.RingPair(T=1e-11, J=0.0), range(1))
+    lower, upper = (c for c in crit if c.label != rings.FLAT_POINT)
+    assert lower.omega == upper.omega
