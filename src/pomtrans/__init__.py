@@ -43,7 +43,6 @@ from .dynamics import (
     pump_power_to_photons,
     transducer_graph,
     transduction_amplitude,
-    transduction_amplitude_via_graph,
     with_derived_gamma_ex,
 )
 from .errors import (

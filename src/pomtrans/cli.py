@@ -3,8 +3,8 @@
 Subcommands bind parameter files and presets to the sweep and optimization
 engines and emit CSV/JSON artifacts.  All user-facing frequencies are plain
 Hz; conversion to angular rad/s happens at this boundary only.  Every
-artifact is rendered before the first is written, so a failure leaves none
-behind.  Files are written atomically (write-then-rename) and
+artifact is rendered, then written to a temp file, before the first is
+renamed into place, so a failure leaves none behind.  Files are written
 deterministically: byte identical for identical configurations.
 
 Exit codes: 0 success, 2 validation error, 3 numerical singularity.
@@ -55,20 +55,31 @@ _ERRORS = (
 )
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pomtrans-", suffix=".tmp")
+def _write_all(files: dict[str, str]) -> None:
+    """Write each ``{path: text}`` to a temp file beside it, then rename them all.
+
+    On any failure the temp files and every artifact already renamed into
+    place are removed, so a run writes all of its artifacts or none.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    temps, placed = [], []
     try:
-        # mkstemp creates the file 0600; publish it with the mode open() would give
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files.items():
+            directory = os.path.dirname(os.path.abspath(path)) or "."
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pomtrans-", suffix=".tmp")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                # mkstemp creates the file 0600; publish it with the mode open() would give
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.write(text)
+        for tmp, path in zip(temps, files):
+            os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for path in temps + placed:
+            if os.path.exists(path):
+                os.unlink(path)
         raise
 
 
@@ -251,26 +262,22 @@ def _cmd_coupling(args):
     e_field = coupling.load_mode_field(args.em_field)
     w_field = coupling.load_mode_field(args.mech_field)
     mat = coupling.load_tensor_set(args.tensors)
-    v_em = coupling.em_mode_volume(e_field, mat.eta_eff)
-    v_mech = coupling.mech_mode_volume(w_field)
     payload = {
-        "em_mode_volume_m3": v_em,
-        "mech_mode_volume_m3": v_mech,
+        "em_mode_volume_m3": coupling.em_mode_volume(e_field, mat.eta_eff),
+        "mech_mode_volume_m3": coupling.mech_mode_volume(w_field),
         "em_frequency_hz": e_field.frequency / TWO_PI,
         "mech_frequency_hz": w_field.frequency / TWO_PI,
     }
     if mat.h is not None:
-        g = coupling.piezo_coupling_total(e_field, w_field, mat, v_eff_em=v_em, v_eff_mech=v_mech)
+        g = coupling.piezo_coupling_total(e_field, w_field, mat)
         payload["piezo_coupling_rad_s"] = {"re": g.real, "im": g.imag, "abs": abs(g)}
         if args.component:
-            g1 = coupling.piezo_coupling(e_field, w_field, mat, tuple(args.component),
-                                         v_eff_em=v_em, v_eff_mech=v_mech)
+            g1 = coupling.piezo_coupling(e_field, w_field, mat, tuple(args.component))
             payload["piezo_coupling_component"] = {
                 "ijk": args.component, "re": g1.real, "im": g1.imag, "abs": abs(g1),
             }
     if mat.p is not None:
-        payload["optomech_coupling_rad_s"] = coupling.optomech_coupling(
-            e_field, w_field, mat, v_eff_em=v_em, v_eff_mech=v_mech)
+        payload["optomech_coupling_rad_s"] = coupling.optomech_coupling(e_field, w_field, mat)
     return "coupling", {".json": _dump_json(payload)}
 
 
@@ -278,11 +285,18 @@ def _cmd_coupling(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads ``-1.6e9`` as a negative number, not an option; subparsers share the class."""
+    """Reads ``-1.6e9`` as a negative number, not an option; subparsers share the class.
+
+    A usage error raises :class:`ParameterError`, so it prints one ``error:``
+    line like every other failure instead of argparse's usage block.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+    def error(self, message):
+        raise ParameterError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,15 +365,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags, matching the validation exit code
-        return int(exc.code) if exc.code else EXIT_OK
-    try:
         _require_finite(args)
         default_base, artifacts = args.func(args)
-        paths = [(args.out or default_base) + ext for ext in artifacts]
-        for path, text in zip(paths, artifacts.values()):
-            _atomic_write(path, text)
+        files = {(args.out or default_base) + ext: text for ext, text in artifacts.items()}
+        _write_all(files)
+    except SystemExit as exc:
+        # --help: argparse prints it and exits 0; usage errors raise ParameterError
+        return int(exc.code) if exc.code else EXIT_OK
     except tuple(t for t, _, _ in _ERRORS) as exc:
         code, kind = next((c, k) for t, c, k in _ERRORS if isinstance(exc, t))
         print(f"error: {kind}: {exc}", file=sys.stderr)
@@ -368,7 +380,7 @@ def main(argv=None) -> int:
         # an input the validators let through overflowed or divided by zero
         print(f"error: arithmetic: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    print("wrote " + " and ".join(paths))
+    print("wrote " + " and ".join(files))
     return EXIT_OK
 
 

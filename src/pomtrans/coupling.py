@@ -14,6 +14,7 @@ photoelastic tensor ``p`` is the 6x6 Voigt matrix (NOT assumed symmetric),
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -112,7 +113,12 @@ MECH = "mech"
 
 @dataclass(frozen=True)
 class ModeField:
-    """Complex vector field on a grid: an EM mode or a mechanical displacement mode."""
+    """Complex vector field on a grid: an EM mode or a mechanical displacement mode.
+
+    ``components`` is stored read-only, so the cached :attr:`strain` cannot go
+    stale.  A complex array is stored without a copy: the caller's array is
+    frozen too.
+    """
 
     grid: Grid3D
     components: np.ndarray  # shape (3, nx, ny, nz)
@@ -133,7 +139,13 @@ class ModeField:
             raise ParameterError("mode frequency must be >= 0")
         if not math.isfinite(self.frequency):
             raise ParameterError(f"mode frequency must be finite, got {self.frequency}")
+        comps.flags.writeable = False
         object.__setattr__(self, "components", comps)
+
+    @functools.cached_property
+    def strain(self) -> np.ndarray:
+        """:func:`strain_field` of this field, computed on first use."""
+        return strain_field(self)
 
     def scaled(self, factor: complex) -> "ModeField":
         return ModeField(self.grid, self.components * factor, self.kind, self.frequency)
@@ -333,20 +345,11 @@ def _require_matching(e: ModeField, w: ModeField):
         raise ParameterError("expected (EM field, mechanical field)")
 
 
-def _volumes_and_strain(e: ModeField, w: ModeField, mat: MaterialTensorSet,
-                        v_eff_em: float | None, v_eff_mech: float | None):
-    """The two mode volumes (computed unless given) and the strain of ``w``."""
-    if v_eff_em is None:
-        v_eff_em = em_mode_volume(e, mat.eta_eff)
-    if v_eff_mech is None:
-        v_eff_mech = mech_mode_volume(w)
-    return v_eff_em, v_eff_mech, strain_field(w)
-
-
 def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet,
-                     v_eff_em: float, v_eff_mech: float, h: float | None = None) -> complex:
+                     h: float | None = None) -> complex:
     """i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho)), times |h| if given."""
-    scale = 1j * math.sqrt(e.frequency / w.frequency) / (4 * math.sqrt(v_eff_em * v_eff_mech))
+    v_em, v_mech = em_mode_volume(e, mat.eta_eff), mech_mode_volume(w)
+    scale = 1j * math.sqrt(e.frequency / w.frequency) / (4 * math.sqrt(v_em * v_mech))
     if h is None:
         return scale / math.sqrt(mat.eta_eff * mat.rho)
     # sqrt(h^2 / (eta_eff rho)) as piezo_coupling documents it; |h| / sqrt(...) rounds differently
@@ -361,29 +364,25 @@ def overlap_integral(e: ModeField, gradients: np.ndarray, j: int, k: int,
 
 
 def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
-                   component: tuple[int, int, int],
-                   v_eff_em: float | None = None,
-                   v_eff_mech: float | None = None) -> complex:
+                   component: tuple[int, int, int]) -> complex:
     """Single-component piezoelectric coupling rate g_ijk between two modes.
 
     i sqrt(omega_em/omega_mech) / (4 V_mn) * sqrt(h_ijk^2 / (eta_eff rho)) *
     integral of E_i dw_j/dr_k, with V_mn the geometric mean of the two mode
-    volumes.  Fields must carry their frequencies; ``component`` is the
-    1-based (i, j, k) selection.
+    volumes (:func:`em_mode_volume` at eta_eff and :func:`mech_mode_volume`).
+    Fields must carry their frequencies; ``component`` is the 1-based (i, j, k)
+    selection.
     """
     _require_matching(e, w)
     if e.frequency <= 0 or w.frequency <= 0:
         raise ParameterError("both mode frequencies must be set and positive")
     i, j, k = component
     h = mat.h_element(i, j, k)
-    v_eff_em, v_eff_mech, grads = _volumes_and_strain(e, w, mat, v_eff_em, v_eff_mech)
-    integral = overlap_integral(e, grads, j, k, component=i)
-    return _piezo_prefactor(e, w, mat, v_eff_em, v_eff_mech, h) * integral
+    integral = overlap_integral(e, w.strain, j, k, component=i)
+    return _piezo_prefactor(e, w, mat, h) * integral
 
 
-def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet,
-                         v_eff_em: float | None = None,
-                         v_eff_mech: float | None = None) -> complex:
+def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> complex:
     """Full-tensor piezoelectric coupling: signed sum of h_ijk-weighted overlaps.
 
     Reduces to :func:`piezo_coupling` (up to the sign of h_ijk) when a single
@@ -396,7 +395,7 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet,
         raise ParameterError("both mode frequencies must be set and positive")
     if mat.h is None:
         raise MaterialDataError("piezoelectric tensor h is not set")
-    v_eff_em, v_eff_mech, grads = _volumes_and_strain(e, w, mat, v_eff_em, v_eff_mech)
+    grads = w.strain
     h = rank3_from_voigt(mat.h)
     for i, j, k in np.argwhere(np.isnan(h)) + 1:
         if overlap_integral(e, grads, j, k, component=i) != 0:
@@ -407,12 +406,10 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet,
     known = np.where(np.isnan(h), 0.0, h)
     integrand = np.einsum("ijk,i...,jk...->...", known, e.components, grads)
     total = complex(trapezoid_3d(integrand, e.grid))
-    return _piezo_prefactor(e, w, mat, v_eff_em, v_eff_mech) * total
+    return _piezo_prefactor(e, w, mat) * total
 
 
-def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
-                      v_eff_em: float | None = None,
-                      v_eff_mech: float | None = None) -> float:
+def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> float:
     """Single-photon optomechanical coupling rate between an EM and a mechanical mode.
 
     sqrt(hbar / (32 rho V_mech eps0^2 eta_eff^2 V_em^2 omega_mech)) times the
@@ -427,7 +424,6 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
         raise MaterialDataError("photoelastic tensor p is not set")
     if w.frequency <= 0:
         raise ParameterError("mechanical frequency must be positive")
-    v_eff_em, v_eff_mech, grads = _volumes_and_strain(e, w, mat, v_eff_em, v_eff_mech)
     p = rank4_from_voigt(mat.p)
     unknown = np.argwhere(np.isnan(p))
     if len(unknown):
@@ -435,11 +431,12 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
         raise MaterialDataError(f"photoelastic element p_{i}{j}{k}{l} is unknown")
     # no optimize=: a pairwise contraction would build a (3, 3, grid) intermediate
     integrand = np.einsum("ijkl,i...,j...,kl...->...", p, e.components,
-                          np.conj(e.components), grads)
+                          np.conj(e.components), w.strain)
     total = complex(trapezoid_3d(integrand, e.grid))
+    v_em, v_mech = em_mode_volume(e, mat.eta_eff), mech_mode_volume(w)
     prefactor = math.sqrt(
-        HBAR / (32 * mat.rho * v_eff_mech * EPSILON_0**2
-                * mat.eta_eff**2 * v_eff_em**2 * w.frequency)
+        HBAR / (32 * mat.rho * v_mech * EPSILON_0**2
+                * mat.eta_eff**2 * v_em**2 * w.frequency)
     )
     return prefactor * abs(total)
 
@@ -513,7 +510,12 @@ def save_mode_field(path, f: ModeField) -> None:
 
 
 def load_mode_field(path) -> ModeField:
-    """Read a mode field written by :func:`save_mode_field`."""
+    """Read a mode field written by :func:`save_mode_field`.
+
+    Rows must list the header grid's points in "ij" (x-major) order; a row
+    whose x, y or z is off its grid point by more than 1e-3 of that axis's
+    spacing is rejected, naming the file and the first such row.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         meta_line = fh.readline().strip()
         if not meta_line.startswith("#"):
@@ -537,6 +539,18 @@ def load_mode_field(path) -> ModeField:
     if data.shape != (expected, 9):
         raise ParameterError(
             f"mode field file has shape {data.shape}, expected ({expected}, 9)"
+        )
+    off_grid = np.zeros(counts, dtype=bool)
+    for k in range(3):
+        axis = grid.axis(k).reshape([-1 if a == k else 1 for a in range(3)])
+        # written as "not within" so a NaN coordinate is off the grid too
+        off_grid |= ~(np.abs(data[:, k].reshape(counts) - axis) <= 1e-3 * spacing[k])
+    if off_grid.any():
+        row = int(np.flatnonzero(off_grid)[0])
+        point = tuple(float(grid.axis(k)[i]) for k, i in enumerate(np.unravel_index(row, counts)))
+        raise ParameterError(
+            f"mode field {path}: data row {row + 1} at {tuple(data[row, :3].tolist())} "
+            f"is off its header grid point {point}"
         )
     comps = np.empty((3, *counts), dtype=complex)
     for c in range(3):

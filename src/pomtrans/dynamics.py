@@ -312,11 +312,6 @@ def transducer_graph(op: OperatingPoint) -> sfg.SignalFlowGraph:
     return sfg.SignalFlowGraph(nodes, edges)
 
 
-def transduction_amplitude_via_graph(op: OperatingPoint, omega: float) -> complex:
-    """Same quantity as :func:`transduction_amplitude`, evaluated through Mason's rule."""
-    return sfg.mason_gain(transducer_graph(op), "c_in", "a_out", omega)
-
-
 def efficiency(op: OperatingPoint, omega):
     """Transduction efficiency |amplitude|^2 in [0, 1].
 
@@ -351,13 +346,13 @@ def enhancement_peak_value(p: TransducerParams) -> float:
     """On-resonance cavity enhancement factor (squared gain at the split peaks).
 
     64 J^2 kappa_ex2 / ((kappa_1+kappa_2)^2 |(kappa_1-kappa_2)^2 - 16 J^2|),
-    in seconds.
+    in seconds.  Array parameter fields broadcast.
     """
     k2 = derived_rates(p).kappa_2
     num = 64 * p.J**2 * p.kappa_ex2
     den = (p.kappa_1 + k2) ** 2 * abs((p.kappa_1 - k2) ** 2 - 16 * p.J**2)
-    if den == 0:
-        raise ParameterError("degenerate ring-pair parameters")
+    _require(den != 0, "ring-pair enhancement denominator "
+             "(kappa_1 + kappa_2)^2 |(kappa_1 - kappa_2)^2 - 16 J^2|", den, "must be nonzero")
     return num / den
 
 
@@ -366,7 +361,8 @@ class EnhancementResonances:
     """Stationary points of the cavity enhancement factor.
 
     When 8 J^2 <= kappa_1^2 + kappa_2^2 the splitting collapses; both values
-    equal delta_1 and ``degenerate`` is set instead of raising.
+    equal delta_1 and ``degenerate`` is set instead of raising.  Array
+    parameter fields give arrays of the broadcast shape for all three.
     """
 
     lower: float
@@ -381,11 +377,14 @@ class EnhancementResonances:
 def enhancement_resonances(p: TransducerParams) -> EnhancementResonances:
     """Frequencies maximizing the pump enhancement: delta_1 +/- J sqrt(1 - (k1^2+k2^2)/(8J^2))."""
     k2 = derived_rates(p).kappa_2
-    discr = 1.0 - (p.kappa_1**2 + k2**2) / (8 * p.J**2) if p.J else -1.0
-    if discr <= 0:
-        return EnhancementResonances(p.delta_1, p.delta_1, degenerate=True)
-    off = p.J * math.sqrt(discr)
-    return EnhancementResonances(p.delta_1 - off, p.delta_1 + off)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        discr = 1.0 - np.divide(p.kappa_1**2 + k2**2, 8 * p.J**2)
+    degenerate = ~(discr > 0)  # J = 0 gives -inf, or NaN when kappa_1 = kappa_2 = 0 too
+    off = p.J * np.sqrt(np.where(degenerate, 0.0, discr))
+    lower, upper = p.delta_1 - off, p.delta_1 + off
+    if np.ndim(lower) == 0:
+        return EnhancementResonances(float(lower), float(upper), bool(degenerate))
+    return EnhancementResonances(lower, upper, degenerate)
 
 
 def photon_flux(p: TransducerParams, power):

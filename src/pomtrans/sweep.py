@@ -37,25 +37,25 @@ class SweepResult:
     def __len__(self) -> int:
         return 0 if not self.columns else len(next(iter(self.columns.values())))
 
-    def header(self) -> list[str]:
-        names = []
+    def _written_columns(self) -> list[tuple[str, np.ndarray]]:
+        """(name, column) as written: each complex column split into ``_re`` / ``_im``."""
+        out = []
         for name, col in self.columns.items():
             if np.iscomplexobj(col):
-                names.extend([f"{name}_re", f"{name}_im"])
+                out.extend([(f"{name}_re", col.real), (f"{name}_im", col.imag)])
             else:
-                names.append(name)
-        return names
+                out.append((name, col))
+        return out
+
+    def header(self) -> list[str]:
+        return [name for name, _ in self._written_columns()]
 
     def to_csv(self) -> str:
-        cols = []
-        for col in self.columns.values():
-            if np.iscomplexobj(col):
-                cols.extend([col.real, col.imag])
-            else:
-                cols.append(col)
+        written = self._written_columns()
+        cols = [col for _, col in written]
         # one C-level '%' per block; '%.11e' gives the bytes of FLOAT_FORMAT
         row_fmt = ",".join(["%.11e"] * len(cols)) + "\n"
-        parts = [",".join(self.header()) + "\n"]
+        parts = [",".join(name for name, _ in written) + "\n"]
         for start in range(0, len(self), CSV_BLOCK_ROWS):
             block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in cols]).astype(float)
             parts.append((row_fmt * len(block)) % tuple(block.ravel().tolist()))

@@ -420,6 +420,44 @@ def test_power_curve_matches_per_point_scalar_forms(nominal_params, offset_hz):
         (offset if offset is not None else resonance) / TWO_PI, rel=1e-15)
 
 
+def test_ring_pair_forms_broadcast_over_an_array_j(nominal_params):
+    # J = 0 and the two small values leave the splitting collapsed (degenerate)
+    js = TWO_PI * np.array([0.0, 1e5, 1e7, 1.6425e9, 8e9])
+    p = replace(nominal_params, J=js)
+    cells = [replace(nominal_params, J=float(j)) for j in js]
+    powers = np.logspace(-6, 2, len(js))
+    res = dynamics.enhancement_resonances(p)
+    per_cell = [dynamics.enhancement_resonances(c) for c in cells]
+    assert all(type(r.lower) is type(r.upper) is float and type(r.degenerate) is bool
+               for r in per_cell)
+    # the broadcast closed forms are the scalar ones cell by cell, to the bit
+    assert res.lower.tolist() == [r.lower for r in per_cell]
+    assert res.upper.tolist() == [r.upper for r in per_cell]
+    assert res.degenerate.tolist() == [r.degenerate for r in per_cell]
+    assert res.degenerate.tolist() == [True, True, True, False, False]
+    assert dynamics.enhancement_peak_value(p).tolist() == [
+        dynamics.enhancement_peak_value(c) for c in cells]
+    np.testing.assert_allclose(
+        dynamics.pump_power_to_photons(p, powers),
+        [dynamics.pump_power_to_photons(c, float(w)) for c, w in zip(cells, powers)],
+        rtol=1e-12, atol=0)
+    curve = analysis.power_curve(p, powers)
+    for i, c in enumerate(cells):
+        point = analysis.power_curve(c, powers[i:i + 1])
+        for name, column in point.columns.items():
+            assert curve.columns[name][i] == pytest.approx(column[0], rel=1e-12, abs=0)
+        assert curve.metadata["pump_offset_hz"][i] == point.metadata["pump_offset_hz"]
+
+
+def test_zero_ring_pair_enhancement_denominator_named(nominal_params):
+    p = nominal_params
+    k2 = dynamics.derived_rates(p).kappa_2
+    p = replace(p, J=np.array([p.J, abs(p.kappa_1 - k2) / 4]))  # 16 J^2 = (kappa_1 - kappa_2)^2
+    with pytest.raises(ParameterError, match=r"^ring-pair enhancement denominator .* must be "
+                                             r"nonzero, got 0\.0$"):
+        dynamics.enhancement_peak_value(p)
+
+
 def test_scalar_inputs_return_python_scalars(nominal_params):
     p = nominal_params
     n = analysis.critical_photon_number(p)

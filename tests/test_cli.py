@@ -468,3 +468,93 @@ def test_non_numeric_tensor_matrix_entry_exits_2(outdir, tmp_path, capsys, key, 
     assert run(argv) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: validation: {message}"]
     assert not (outdir / "coupling.json").exists()
+
+
+# --- exit contract: one error line, all artifacts or none ----------------------------------
+
+
+def _names(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["optimize", "--grid-points", "5"], "unrecognized arguments: --grid-points 5"),
+    (["efficiency-curve", "--pump-offset-hz", "-inf"],
+     "argument --pump-offset-hz: expected one argument"),
+    (["contour", "--grid-points", "x"], "argument --grid-points: invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
+])
+def test_argparse_error_prints_one_line(outdir, capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: validation: {message}"]
+    assert captured.out == ""
+    assert _names(outdir) == []
+
+
+def test_help_still_exits_0(outdir, capsys):
+    assert run(["optimize", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: pomtrans optimize")
+    assert captured.err == ""
+
+
+def test_failed_rename_removes_artifacts_already_placed(outdir, capsys):
+    (outdir / "o" / "x.json").mkdir(parents=True)
+    assert run(["contour", "--grid-points", "5", "--out", "o/x"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: io:")
+    assert _names(outdir / "o") == ["x.json"]
+    assert _names(outdir / "o" / "x.json") == []
+
+
+def test_failed_temp_write_removes_every_temp_file(outdir, monkeypatch, capsys):
+    real_fdopen = os.fdopen
+    opened = []
+
+    def full_disk_on_second(fd, *args, **kwargs):
+        opened.append(fd)
+        if len(opened) == 2:
+            os.close(fd)
+            raise OSError(28, "No space left on device")
+        return real_fdopen(fd, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fdopen", full_disk_on_second)
+    assert run(["rings", "--grid-points", "101"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: io: [Errno 28] No space left on device"]
+    assert _names(outdir) == []
+
+
+def test_shuffled_mode_field_rows_exit_2(outdir, tmp_path, capsys):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    lines = (inputs / "w.csv").read_text().splitlines()
+    lines[2], lines[3] = lines[3], lines[2]
+    (inputs / "w.csv").write_text("\n".join(lines) + "\n")
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: mode field {inputs / 'w.csv'}: data row 1 at (0.0, 0.0, 2.5e-08) "
+        "is off its header grid point (0.0, 0.0, 0.0)"]
+    assert _names(outdir) == ["inputs"]
+    assert _names(inputs) == ["e.csv", "tensors.json", "w.csv"]
+
+
+def test_coupling_differentiates_the_mechanical_field_once(outdir, tmp_path, monkeypatch):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    calls = []
+    real_strain_field = coupling.strain_field
+
+    def counting_strain_field(w):
+        calls.append(w)
+        return real_strain_field(w)
+
+    monkeypatch.setattr(coupling, "strain_field", counting_strain_field)
+    argv = ["coupling", "--component", "3", "3", "3"] + write_coupling_inputs(inputs)
+    assert run(argv) == 0
+    assert len(calls) == 1
+    payload = json.loads((outdir / "coupling.json").read_text())
+    assert {"piezo_coupling_rad_s", "piezo_coupling_component",
+            "optomech_coupling_rad_s"} <= set(payload)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -546,6 +547,95 @@ def test_mode_field_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(again.components, f.components)
 
 
+def _rewrite_rows(path, edit):
+    """Apply ``edit`` to the data rows of a mode field file, as lists of strings."""
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[2:]]
+    edit(rows)
+    path.write_text("\n".join(lines[:2] + [",".join(row) for row in rows]) + "\n")
+
+
+@pytest.fixture()
+def field_file(tmp_path):
+    grid = coupling.Grid3D((0.0, -1e-7, 2e-7), (1e-8, 2e-8, 3e-8), (4, 3, 5))
+    f = coupling.ModeField(grid, np.ones((3, *grid.shape)), coupling.MECH, TWO_PI * 3e9)
+    path = tmp_path / "field.csv"
+    coupling.save_mode_field(path, f)
+    return path, f
+
+
+def test_mode_field_rows_may_sit_within_tolerance_of_the_grid(field_file):
+    path, f = field_file
+
+    def nudge(rows):
+        rows[7][1] = repr(float(rows[7][1]) + 0.9e-3 * f.grid.spacing[1])
+
+    _rewrite_rows(path, nudge)
+    np.testing.assert_array_equal(coupling.load_mode_field(path).components, f.components)
+
+
+def _swap_first_rows(rows):
+    rows[0], rows[1] = rows[1], rows[0]
+
+
+def _shift_z(rows):
+    rows[9][2] = repr(float(rows[9][2]) + 1.1e-3 * 3e-8)
+
+
+def _nan_x(rows):
+    rows[4][0] = "nan"
+
+
+@pytest.mark.parametrize("edit, row, at, point", [
+    (_swap_first_rows, 1, (0.0, -1e-07, 2.3e-07), (0.0, -1e-07, 2e-07)),
+    (_shift_z, 10, (0.0, -8e-08, 3.2e-07 + 1.1e-3 * 3e-8), (0.0, -8e-08, 3.2e-07)),
+    (_nan_x, 5, (math.nan, -1e-07, 3.2e-07), (0.0, -1e-07, 3.2e-07)),
+])
+def test_mode_field_row_off_the_header_grid_rejected(field_file, edit, row, at, point):
+    path, _ = field_file
+    _rewrite_rows(path, edit)
+    with pytest.raises(ParameterError) as info:
+        coupling.load_mode_field(path)
+    assert str(info.value) == (
+        f"mode field {path}: data row {row} at {at} is off its header grid point {point}")
+
+
+# --- strain cache and the rates' signatures ----------------------------------------------
+
+
+def test_mode_field_components_are_read_only():
+    _, w = _random_pair(np.random.default_rng(2))
+    assert not w.components.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        w.components[0, 0, 0, 0] = 1.0
+
+
+def test_strain_is_cached_and_equals_strain_field():
+    _, w = _random_pair(np.random.default_rng(3))
+    assert w.strain is w.strain
+    np.testing.assert_array_equal(w.strain, coupling.strain_field(w))
+
+
+def test_no_public_coupling_function_takes_a_mode_volume():
+    functions = [f for name, f in inspect.getmembers(coupling, inspect.isfunction)
+                 if f.__module__ == coupling.__name__ and not name.startswith("_")]
+    assert coupling.optomech_coupling in functions
+    for f in functions:
+        names = inspect.signature(f).parameters
+        assert not [n for n in names if "v_eff" in n or "volume" in n], f.__name__
+
+
+@pytest.mark.parametrize("rate, args", [
+    (coupling.piezo_coupling, ((3, 3, 3),)),
+    (coupling.piezo_coupling_total, ()),
+    (coupling.optomech_coupling, ()),
+])
+def test_rates_reject_a_mode_volume_keyword(rate, args):
+    e, w = _random_pair(np.random.default_rng(5))
+    with pytest.raises(TypeError, match="v_eff_em"):
+        rate(e, w, simple_material(), *args, v_eff_em=1.0)
+
+
 # --- tensor contractions against the per-element sums ------------------------------------
 
 
@@ -603,15 +693,18 @@ def test_coupling_contractions_match_per_element_sums(seed):
     mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, h=h, p=p)
     grads = coupling.strain_field(w)
 
-    piezo = coupling.piezo_coupling_total(e, w, mat, v_eff_em=1.0, v_eff_mech=1.0)
+    v_em = coupling.em_mode_volume(e, mat.eta_eff)
+    v_mech = coupling.mech_mode_volume(w)
+
+    piezo = coupling.piezo_coupling_total(e, w, mat)
     piezo_prefactor = 1j * math.sqrt(e.frequency / w.frequency) / 4 / math.sqrt(
-        mat.eta_eff * mat.rho)
+        v_em * v_mech * mat.eta_eff * mat.rho)
     expected = piezo_prefactor * _per_element_piezo_sum(e, grads, h)
     assert abs(piezo - expected) <= 1e-12 * abs(expected)
 
-    om = coupling.optomech_coupling(e, w, mat, v_eff_em=1.0, v_eff_mech=1.0)
-    om_prefactor = math.sqrt(
-        HBAR / (32 * mat.rho * EPSILON_0**2 * mat.eta_eff**2 * w.frequency))
+    om = coupling.optomech_coupling(e, w, mat)
+    om_prefactor = math.sqrt(HBAR / (
+        32 * mat.rho * v_mech * EPSILON_0**2 * mat.eta_eff**2 * v_em**2 * w.frequency))
     assert om == pytest.approx(
         om_prefactor * abs(_per_element_photoelastic_sum(e, grads, p)), rel=1e-12)
 
