@@ -23,6 +23,7 @@ from .dynamics import (
     TransducerParams,
     _holds,
     _require_divisors,
+    _require_finite_result,
     chi_01,
     chi_02,
     chi_m,
@@ -30,7 +31,6 @@ from .dynamics import (
     efficiency,
     enhancement_resonances,
     pump_power_to_photons,
-    with_derived_gamma_ex,
 )
 from .errors import GridError, ModelViolationError, ParameterError, UndefinedOptimumError
 from .sweep import SweepResult
@@ -119,7 +119,8 @@ def max_efficiency(p: TransducerParams) -> float:
     op = OperatingPoint(p, critical_photon_number(p))
     c = cooperativities(op)
     eta = c.f_2 * c.f_m * c.c_12 / (c.c_12 + 1)
-    if not _holds(eta <= 1 + 1e-9):
+    if not _holds(eta <= 1 + 1e-9):  # false for NaN too
+        _require_finite_result(eta, "maximum efficiency")
         raise ModelViolationError(f"maximum efficiency {np.max(eta):.12g} exceeds 1")
     return eta
 
@@ -134,12 +135,9 @@ class ThresholdResult:
 
 def kappa_ex2_threshold(p: TransducerParams) -> ThresholdResult:
     """Bus-coupling growth condition: d(eta)/d(kappa_ex2) > 0 while F2 < (1+C12)/(2+C12)."""
-    r = derived_rates(p)
-    _require_divisors(kappa_1=p.kappa_1, kappa_2=r.kappa_2)
-    c_12 = 4 * p.J**2 / (p.kappa_1 * r.kappa_2)
-    f_2 = p.kappa_ex2 / r.kappa_2
-    threshold = (1 + c_12) / (2 + c_12)
-    return ThresholdResult(threshold=threshold, monotone_increasing=f_2 < threshold)
+    c = cooperativities(OperatingPoint(p, 0.0))
+    threshold = (1 + c.c_12) / (2 + c.c_12)
+    return ThresholdResult(threshold=threshold, monotone_increasing=c.f_2 < threshold)
 
 
 # --- spectra ----------------------------------------------------------------
@@ -159,9 +157,7 @@ class SpectrumResult:
 
 
 def _quadratic_peak(x: np.ndarray, y: np.ndarray, i: int) -> float:
-    """Vertex abscissa of the parabola through samples i-1, i, i+1."""
-    if i == 0 or i == len(x) - 1:
-        return float(x[i])
+    """Vertex abscissa of the parabola through samples i-1, i, i+1 (an interior i)."""
     curvature = y[i - 1] - 2 * y[i] + y[i + 1]
     if curvature == 0:
         return float(x[i])
@@ -290,8 +286,8 @@ def max_efficiency_contour(p: TransducerParams, g_em_grid, kappa_ex2_grid) -> Sw
     k_grid = np.asarray(kappa_ex2_grid, dtype=float)
     if np.any(g_grid <= 0) or np.any(k_grid <= 0):
         raise ParameterError("contour grids must be strictly positive")
-    base = with_derived_gamma_ex(replace(p, gamma_m_supplied=None))
-    eta = max_efficiency(replace(base, g_em=g_grid[:, None], kappa_ex2=k_grid[None, :]))
+    eta = max_efficiency(replace(p, gamma_ex=None, gamma_m_supplied=None,
+                                 g_em=g_grid[:, None], kappa_ex2=k_grid[None, :]))
     return SweepResult(
         columns={
             "log10_gEM_hz": np.repeat(np.log10(g_grid / (2 * math.pi)), len(k_grid)),

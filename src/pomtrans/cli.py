@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical singularity.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -58,9 +59,14 @@ _ERRORS = (
 def _write_all(files: dict[str, str]) -> None:
     """Write each ``{path: text}`` to a temp file beside it, then rename them all.
 
-    On any failure the temp files and every artifact already renamed into
+    A target that is an existing directory is rejected before anything is
+    written, so a failing rerun leaves the previous run's files in place.  On
+    a later failure the temp files and every artifact already renamed into
     place are removed, so a run writes all of its artifacts or none.
     """
+    for path in files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     umask = os.umask(0)
     os.umask(umask)
     temps, placed = [], []
@@ -366,7 +372,9 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         _require_finite(args)
-        default_base, artifacts = args.func(args)
+        # an overflow or invalid value the validators let through raises, not warns
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            default_base, artifacts = args.func(args)
         files = {(args.out or default_base) + ext: text for ext, text in artifacts.items()}
         _write_all(files)
     except SystemExit as exc:
@@ -377,7 +385,7 @@ def main(argv=None) -> int:
         print(f"error: {kind}: {exc}", file=sys.stderr)
         return code
     except ArithmeticError as exc:
-        # an input the validators let through overflowed or divided by zero
+        # an input the validators let through overflowed, divided by zero or gave NaN
         print(f"error: arithmetic: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     print("wrote " + " and ".join(files))

@@ -24,6 +24,7 @@ import numpy as np
 
 from .constants import EPSILON_0, HBAR
 from .errors import GridError, MaterialDataError, ParameterError
+from .sweep import csv_blocks
 
 # --- Voigt notation ---------------------------------------------------------
 
@@ -280,10 +281,14 @@ class MaterialTensorSet:
     eta: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise MaterialDataError(f"density must be positive, got {self.rho}")
-        if self.eps_rf <= 0 or self.eps_ir <= 0:
-            raise MaterialDataError("permittivities must be positive")
+        if not 0 < self.rho < math.inf:
+            raise MaterialDataError(
+                f"density must be positive and finite, got rho = {self.rho}")
+        for name in ("eps_rf", "eps_ir"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise MaterialDataError(
+                    f"permittivities must be positive and finite, got {name} = {value}")
         for name in _TENSOR_MATRICES:
             value = getattr(self, name)
             if value is not None:
@@ -505,8 +510,7 @@ def save_mode_field(path, f: ModeField) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header_meta + "\n")
         fh.write("x,y,z,Re_fx,Im_fx,Re_fy,Im_fy,Re_fz,Im_fz\n")
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(csv_blocks(cols, "%r"))
 
 
 def load_mode_field(path) -> ModeField:

@@ -126,6 +126,13 @@ def _require_divisors(**divisors) -> None:
         _require(value != 0, name, value, "must be > 0 where it divides")
 
 
+def _require_finite_result(value, what: str) -> None:
+    """Raise :class:`ModelViolationError` naming ``what`` unless ``value`` is finite everywhere."""
+    if not np.all(np.isfinite(value)):
+        raise ModelViolationError(
+            f"{what} is not finite; a rate is too small or too large to evaluate")
+
+
 @dataclass(frozen=True)
 class DerivedRates:
     """Rates derived from a :class:`TransducerParams` record.
@@ -180,15 +187,6 @@ class Susceptibility:
 
     def __call__(self, omega):
         return 1.0 / (-1j * (np.asarray(omega) - self.center) + self.halfwidth)
-
-    @property
-    def peak_value(self) -> float:
-        return 1.0 / self.halfwidth
-
-    @property
-    def fwhm(self) -> float:
-        """Full width at half maximum of the squared magnitude."""
-        return 2.0 * self.halfwidth
 
 
 def chi_m(p: TransducerParams) -> Susceptibility:
@@ -316,10 +314,12 @@ def efficiency(op: OperatingPoint, omega):
     """Transduction efficiency |amplitude|^2 in [0, 1].
 
     Values above 1 + 1e-9 signal an invalid (non-passive) parameter set and
-    raise :class:`ModelViolationError`; nothing is clamped.
+    raise :class:`ModelViolationError`, and so does a NaN or infinite value;
+    nothing is clamped.
     """
     eta = np.abs(transduction_amplitude(op, omega)) ** 2
-    if np.any(eta > 1 + 1e-9):
+    if not np.all(eta <= 1 + 1e-9):  # false for NaN too
+        _require_finite_result(eta, "efficiency")
         raise ModelViolationError(
             f"efficiency exceeded unity (max {float(np.max(eta)):.12g}); parameter set is unphysical"
         )

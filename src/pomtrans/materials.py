@@ -145,12 +145,10 @@ def rank(records, which: str, fab_filter: str | None = None):
 
     Returns a list of (record, FomValue) pairs.
     """
-    if which == "em":
-        fom = em_fom
-    elif which == "om":
-        fom = om_fom
-    else:
-        raise MaterialDataError(f"ranking must be 'em' or 'om', got {which!r}")
+    try:
+        fom = {"em": em_fom, "om": om_fom}[which]
+    except KeyError:
+        raise MaterialDataError(f"ranking must be 'em' or 'om', got {which!r}") from None
     pool = [r for r in records if fab_filter is None or r.fab == fab_filter]
     scored = [(r, fom(r)) for r in pool]
     defined = sorted(

@@ -39,10 +39,12 @@ class RingPair:
     bus_coupling: float = 0.1
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ParameterError("round-trip time T must be > 0")
+        if not 0 < self.T < math.inf:
+            raise ParameterError(f"round-trip time T must be > 0 and finite, got {self.T}")
         if not self.J >= 0:
             raise ParameterError("inter-ring coupling J must be >= 0")
+        if not self.J < math.inf:
+            raise ParameterError(f"inter-ring coupling J must be finite, got {self.J}")
         if not 0 < self.loss <= 1:
             raise ParameterError("round-trip amplitude loss must be in (0, 1]")
         if not 0 <= self.bus_coupling < 1:
@@ -137,8 +139,12 @@ class CouplerGeometry:
     interaction_length: float = 0.0  # m
 
     def __post_init__(self):
-        if self.wavelength <= 0:
-            raise ParameterError("wavelength must be > 0")
+        if not 0 < self.wavelength < math.inf:
+            raise ParameterError(f"wavelength must be > 0 and finite, got {self.wavelength}")
+        for name in ("n_eff_sym", "n_eff_asym", "interaction_length"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
 
 
 def beat_length(cg: CouplerGeometry) -> float:

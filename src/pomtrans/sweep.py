@@ -21,6 +21,14 @@ def format_float(x: float) -> str:
     return FLOAT_FORMAT.format(float(x))
 
 
+def csv_blocks(columns, conversion: str):
+    """CSV rows of equal-length float columns, one C-level ``conversion`` ``%`` per block."""
+    row_fmt = ",".join([conversion] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]) if columns else 0, CSV_BLOCK_ROWS):
+        block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns]).astype(float)
+        yield (row_fmt * len(block)) % tuple(block.ravel().tolist())
+
+
 @dataclass
 class SweepResult:
     """Column-labelled series produced by a frequency/power/parameter sweep."""
@@ -52,14 +60,8 @@ class SweepResult:
 
     def to_csv(self) -> str:
         written = self._written_columns()
-        cols = [col for _, col in written]
-        # one C-level '%' per block; '%.11e' gives the bytes of FLOAT_FORMAT
-        row_fmt = ",".join(["%.11e"] * len(cols)) + "\n"
-        parts = [",".join(name for name, _ in written) + "\n"]
-        for start in range(0, len(self), CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in cols]).astype(float)
-            parts.append((row_fmt * len(block)) % tuple(block.ravel().tolist()))
-        return "".join(parts)
+        header = ",".join(name for name, _ in written) + "\n"
+        return "".join([header, *csv_blocks([col for _, col in written], "%.11e")])
 
     def save_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -487,3 +487,23 @@ def test_zero_divisor_linewidth_rejected_by_name(nominal_params, changes, name):
         analysis.max_efficiency(p)
     with pytest.raises(ParameterError, match=rf"^{name} must be > 0"):
         analysis.cooperativities(dynamics.OperatingPoint(p, 1e11))
+
+
+def test_threshold_equals_the_closed_form_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for i in range(50):
+        p = random_valid_params(rng, supplied_gamma_ex=bool(i % 2))
+        # reference: the closed form written out, independent of cooperativities
+        r = dynamics.derived_rates(p)
+        c_12 = 4 * p.J**2 / (p.kappa_1 * r.kappa_2)
+        f_2 = p.kappa_ex2 / r.kappa_2
+        threshold = (1 + c_12) / (2 + c_12)
+        res = analysis.kappa_ex2_threshold(p)
+        assert res.threshold == threshold
+        assert res.monotone_increasing == (f_2 < threshold)
+
+
+def test_threshold_rejects_zero_mechanical_linewidth_by_name(nominal_params):
+    p = replace(nominal_params, gamma_ex=None, gamma_m_supplied=None, gamma_0=0.0, g_em=0.0)
+    with pytest.raises(ParameterError, match=r"^gamma_m must be > 0"):
+        analysis.kappa_ex2_threshold(p)

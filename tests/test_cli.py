@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import math
 import os
@@ -558,3 +559,42 @@ def test_coupling_differentiates_the_mechanical_field_once(outdir, tmp_path, mon
     payload = json.loads((outdir / "coupling.json").read_text())
     assert {"piezo_coupling_rad_s", "piezo_coupling_component",
             "optomech_coupling_rad_s"} <= set(payload)
+
+
+@pytest.fixture()
+def subnormal_kappa_1(tmp_path):
+    """A parameter file whose kappa_1 is positive but subnormal, so the closed forms overflow."""
+    text = resources.files("pomtrans.data").joinpath("nominal_params.json").read_text("utf-8")
+    path = tmp_path / "inputs" / "subnormal.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({**json.loads(text), "kappa_1_hz": 1e-320}))
+    return path
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["spectrum", "--grid-points", "2001"], "error: arithmetic: FloatingPointError: "),
+    (["efficiency-curve"], "error: arithmetic: FloatingPointError: "),
+    (["contour"], "error: arithmetic: FloatingPointError: "),
+    (["optimize"], "error: model-violation: maximum efficiency is not finite"),
+], ids=["spectrum", "efficiency-curve", "contour", "optimize"])
+def test_subnormal_linewidth_exits_2_with_one_line(outdir, subnormal_kappa_1, capsys, argv,
+                                                    prefix):
+    assert run(argv + ["--params", str(subnormal_kappa_1)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+    assert [p.name for p in outdir.iterdir()] == ["inputs"]
+    assert [p.name for p in (outdir / "inputs").iterdir()] == ["subnormal.json"]
+
+
+def test_failing_rerun_keeps_the_previous_artifacts(outdir, capsys):
+    argv = ["contour", "--grid-points", "5", "--out", "x"]
+    assert run(argv) == 0
+    csv_bytes = (outdir / "x.csv").read_bytes()
+    (outdir / "x.json").unlink()
+    (outdir / "x.json").mkdir()
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: io: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'x.json'"]
+    assert (outdir / "x.csv").read_bytes() == csv_bytes
+    assert sorted(p.name for p in outdir.iterdir()) == ["x.csv", "x.json"]

@@ -8,6 +8,7 @@ import pytest
 from pomtrans import coupling
 from pomtrans.constants import EPSILON_0, HBAR
 from pomtrans.errors import GridError, MaterialDataError, ParameterError
+from pomtrans.sweep import CSV_BLOCK_ROWS
 
 TWO_PI = 2 * math.pi
 
@@ -818,3 +819,49 @@ def test_load_tensor_set_keeps_nan_as_unknown_in_h_and_p(tmp_path):
     loaded = coupling.load_tensor_set(path)
     assert math.isnan(loaded.h[1, 0]) and math.isnan(loaded.p[3, 4])
     assert np.isfinite(np.delete(loaded.h.ravel(), 6)).all()
+
+
+def reference_mode_field_text(f: coupling.ModeField) -> str:
+    """The per-row writer ``save_mode_field`` replaced, kept as its oracle."""
+    g = f.grid
+    lines = [(
+        "# origin={0},{1},{2} spacing={3},{4},{5} counts={6},{7},{8} "
+        "kind={9} frequency={10!r}"
+    ).format(*g.origin, *g.spacing, *g.counts, f.kind, f.frequency),
+        "x,y,z,Re_fx,Im_fx,Re_fy,Im_fy,Re_fz,Im_fz"]
+    cols = [axis.ravel() for axis in g.meshgrid()]
+    for c in range(3):
+        cols.extend([f.components[c].real.ravel(), f.components[c].imag.ravel()])
+    lines.extend(",".join(repr(float(v)) for v in row) for row in zip(*cols))
+    return "\n".join(lines) + "\n"
+
+
+# -0.0, subnormals, the smallest normal and the largest finite float
+EDGE_COMPONENTS = [complex(-0.0, 5e-324), complex(-5e-324, 2.2250738585072009e-308),
+                   complex(1.7976931348623157e308, -0.0)]
+
+
+@pytest.mark.parametrize("counts", [
+    (1, 1, 1), (1, 1, CSV_BLOCK_ROWS - 1), (1, 1, CSV_BLOCK_ROWS), (1, 1, CSV_BLOCK_ROWS + 1),
+    (4, 3, 5),
+])
+def test_save_mode_field_writes_the_per_row_writers_bytes(tmp_path, counts):
+    grid = coupling.Grid3D((-1e-6, -0.0, 2.5e-7), (1.3e-8, 7e-9, 1e-8), counts)
+    rng = np.random.default_rng(sum(counts))
+    comps = rng.normal(size=(3, *counts)) + 1j * rng.normal(size=(3, *counts))
+    comps[:, 0, 0, 0] = EDGE_COMPONENTS
+    comps[:, -1, -1, -1] = EDGE_COMPONENTS[::-1]
+    for kind in (coupling.EM, coupling.MECH):
+        f = coupling.ModeField(grid, comps, kind, TWO_PI * 3.2e9)
+        path = tmp_path / f"{kind}.csv"
+        coupling.save_mode_field(path, f)
+        assert path.read_bytes() == reference_mode_field_text(f).encode()
+
+
+@pytest.mark.parametrize("name", ["rho", "eps_rf", "eps_ir"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_tensor_set_non_finite_scalar_rejected_by_name(name, value):
+    prefix = "density" if name == "rho" else "permittivities"
+    with pytest.raises(MaterialDataError,
+                       match=rf"^{prefix} must be positive and finite, got {name} = {value}$"):
+        coupling.MaterialTensorSet(**{**SCALARS, name: value})

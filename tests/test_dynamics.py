@@ -2,6 +2,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -305,3 +306,14 @@ def test_ring_pair_singularity_reports_only_the_offending_frequencies(nominal_pa
     offending = omegas[margin < np.median(margin)]
     assert len(offending) == 1
     np.testing.assert_array_equal(info.value.omega, offending)
+
+
+def test_efficiency_rejects_a_non_finite_result_by_name():
+    text = resources.files("pomtrans.data").joinpath("nominal_params.json").read_text("utf-8")
+    p = dynamics.params_from_dict({**json.loads(text), "kappa_1_hz": 1e-320})
+    op = dynamics.OperatingPoint(p, 1e11)
+    # chi_01 overflows at its centre, so the amplitude there is inf / inf
+    with np.errstate(all="ignore"):
+        for omega in (p.omega_m, p.omega_m + np.linspace(-1e9, 1e9, 201)):
+            with pytest.raises(ModelViolationError, match="^efficiency is not finite"):
+                dynamics.efficiency(op, omega)

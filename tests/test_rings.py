@@ -202,3 +202,22 @@ def test_zero_ring_coupling_allowed():
     crit = rings.critical_frequencies(rings.RingPair(T=1e-11, J=0.0), range(1))
     lower, upper = (c for c in crit if c.label != rings.FLAT_POINT)
     assert lower.omega == upper.omega
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"T": math.nan}, "round-trip time T must be > 0 and finite, got nan"),
+    ({"T": math.inf}, "round-trip time T must be > 0 and finite, got inf"),
+    ({"J": math.inf}, "inter-ring coupling J must be finite, got inf"),
+])
+def test_non_finite_ring_pair_fields_rejected_by_name(kwargs, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        rings.RingPair(**{"T": 1e-11, "J": 1.0, **kwargs})
+
+
+@pytest.mark.parametrize("name", ["wavelength", "n_eff_sym", "n_eff_asym", "interaction_length"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_coupler_fields_rejected_by_name(name, value):
+    kwargs = {"wavelength": 1.55e-6, "n_eff_sym": 2.01, "n_eff_asym": 2.00,
+              "interaction_length": 1e-5, name: value}
+    with pytest.raises(ParameterError, match=rf"^{name} must be .*finite, got {value}$"):
+        rings.CouplerGeometry(**kwargs)
