@@ -116,9 +116,9 @@ MECH = "mech"
 class ModeField:
     """Complex vector field on a grid: an EM mode or a mechanical displacement mode.
 
-    ``components`` is stored read-only, so the cached :attr:`strain` cannot go
-    stale.  A complex array is stored without a copy: the caller's array is
-    frozen too.
+    ``components`` is stored read-only, so the cached :attr:`strain` and mode
+    volumes cannot go stale.  A complex array is stored without a copy: the
+    caller's array is frozen too.
     """
 
     grid: Grid3D
@@ -147,6 +147,18 @@ class ModeField:
     def strain(self) -> np.ndarray:
         """:func:`strain_field` of this field, computed on first use."""
         return strain_field(self)
+
+    @functools.cached_property
+    def mech_volume(self) -> float:
+        """:func:`mech_mode_volume` of this field, computed on first use."""
+        return mech_mode_volume(self)
+
+    def em_volume(self, eta_eff: float) -> float:
+        """:func:`em_mode_volume` of this field at a scalar ``eta_eff``, computed once per value."""
+        volumes = self.__dict__.setdefault("_em_volumes", {})
+        if eta_eff not in volumes:
+            volumes[eta_eff] = em_mode_volume(self, eta_eff)
+        return volumes[eta_eff]
 
     def scaled(self, factor: complex) -> "ModeField":
         return ModeField(self.grid, self.components * factor, self.kind, self.frequency)
@@ -353,7 +365,7 @@ def _require_matching(e: ModeField, w: ModeField):
 def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet,
                      h: float | None = None) -> complex:
     """i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho)), times |h| if given."""
-    v_em, v_mech = em_mode_volume(e, mat.eta_eff), mech_mode_volume(w)
+    v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
     scale = 1j * math.sqrt(e.frequency / w.frequency) / (4 * math.sqrt(v_em * v_mech))
     if h is None:
         return scale / math.sqrt(mat.eta_eff * mat.rho)
@@ -438,7 +450,7 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     integrand = np.einsum("ijkl,i...,j...,kl...->...", p, e.components,
                           np.conj(e.components), w.strain)
     total = complex(trapezoid_3d(integrand, e.grid))
-    v_em, v_mech = em_mode_volume(e, mat.eta_eff), mech_mode_volume(w)
+    v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
     prefactor = math.sqrt(
         HBAR / (32 * mat.rho * v_mech * EPSILON_0**2
                 * mat.eta_eff**2 * v_em**2 * w.frequency)

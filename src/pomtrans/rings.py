@@ -45,6 +45,9 @@ class RingPair:
             raise ParameterError("inter-ring coupling J must be >= 0")
         if not self.J < math.inf:
             raise ParameterError(f"inter-ring coupling J must be finite, got {self.J}")
+        if not math.isfinite(self.J * self.T):
+            raise ParameterError(
+                f"inter-ring phase J*T must be finite, got J={self.J} and T={self.T}")
         if not 0 < self.loss <= 1:
             raise ParameterError("round-trip amplitude loss must be in (0, 1]")
         if not 0 <= self.bus_coupling < 1:

@@ -396,6 +396,14 @@ def test_negative_ring_j_exits_2(outdir, capsys):
     assert list(outdir.iterdir()) == []
 
 
+def test_overflowing_ring_phase_exits_2(outdir, capsys):
+    assert run(["rings", "--round-trip-time", "1e300", "--grid-points", "101"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: inter-ring phase J*T must be finite, "
+        f"got J={TWO_PI * 1.6425e9} and T=1e+300"]
+    assert list(outdir.iterdir()) == []
+
+
 GRID_VALUES = {"--grid-start": "1e7", "--grid-stop": "1e9", "--grid-points": "101"}
 
 
@@ -559,6 +567,27 @@ def test_coupling_differentiates_the_mechanical_field_once(outdir, tmp_path, mon
     payload = json.loads((outdir / "coupling.json").read_text())
     assert {"piezo_coupling_rad_s", "piezo_coupling_component",
             "optomech_coupling_rad_s"} <= set(payload)
+
+
+def test_coupling_integrates_each_mode_volume_once(outdir, tmp_path, monkeypatch):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling", "--component", "3", "3", "3"] + write_coupling_inputs(inputs)
+    calls = []
+    for name in ("em_mode_volume", "mech_mode_volume"):
+        def counting(*args, _real=getattr(coupling, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(coupling, name, counting)
+    assert run(argv) == 0
+    assert sorted(calls) == ["em_mode_volume", "mech_mode_volume"]
+    monkeypatch.undo()
+    payload = json.loads((outdir / "coupling.json").read_text())
+    mat = coupling.load_tensor_set(inputs / "tensors.json")
+    assert payload["em_mode_volume_m3"] == coupling.em_mode_volume(
+        coupling.load_mode_field(inputs / "e.csv"), mat.eta_eff)
+    assert payload["mech_mode_volume_m3"] == coupling.mech_mode_volume(
+        coupling.load_mode_field(inputs / "w.csv"))
 
 
 @pytest.fixture()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,3 +222,10 @@ def test_non_finite_coupler_fields_rejected_by_name(name, value):
               "interaction_length": 1e-5, name: value}
     with pytest.raises(ParameterError, match=rf"^{name} must be .*finite, got {value}$"):
         rings.CouplerGeometry(**kwargs)
+
+
+@pytest.mark.parametrize("T, J", [(1e300, TWO_PI * 1.6425e9), (10.0, 1.7e308)])
+def test_overflowing_ring_phase_rejected_by_name(T, J):
+    message = f"inter-ring phase J*T must be finite, got J={J} and T={T}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        rings.RingPair(T=T, J=J)

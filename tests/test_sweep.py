@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pomtrans import cli, sweep
 from pomtrans.sweep import CSV_BLOCK_ROWS, FLOAT_FORMAT, SweepResult, format_float
 
 
@@ -115,3 +116,112 @@ def test_bulk_writer_edge_values_and_empty_table():
     r = SweepResult(columns={"x": values, "z": z, "n": ints})
     assert r.to_csv() == reference_csv(r)
     assert SweepResult(columns={}).to_csv() == reference_csv(SweepResult(columns={})) == "\n"
+
+
+# --- the vectorized '%.11e' fast path -----------------------------------------
+
+FAST_MIN, FAST_MAX = 1e-99, 9.9e99
+
+
+def percent_block(block: np.ndarray) -> str:
+    """The ``%`` line the fast path stands in for."""
+    row = ",".join(["%.11e"] * block.shape[1]) + "\n"
+    return (row * len(block)) % tuple(block.ravel().tolist())
+
+
+@st.composite
+def fast_path_results(draw):
+    """Tables of positive floats in [1e-99, 9.9e99], all of whose blocks take the fast path."""
+    n = draw(st.sampled_from([CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for i in range(draw(st.integers(1, 3))):
+        col = 10 ** rng.uniform(math.log10(FAST_MIN), math.log10(FAST_MAX), n)
+        drawn = draw(st.lists(st.floats(FAST_MIN, FAST_MAX), min_size=1, max_size=64))
+        col[rng.integers(0, n, len(drawn))] = drawn
+        columns[f"c{i}"] = col
+    return SweepResult(columns=columns)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fast_path_results())
+def test_fast_path_matches_per_element_reference(result):
+    assert result.to_csv().split("\n") == reference_csv(result).split("\n")
+
+
+def _ulps_around(x: float) -> list[float]:
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, math.inf)]
+
+
+FAST_EDGES = np.array(
+    # exact ties: half-to-even goes down on ...2|5 and up on ...3|5
+    [1234567890125.0, 1234567890135.0, 123456789012.5, 123456789013.5]
+    + [float(10**12 + 10 * k + 5) for k in range(200)]
+    # decimal ties that are not binary ties: the near-tie window decides them
+    + [float(f"1.234567890125e{n}") for n in range(-99, 99)]
+    # decimal ties whose scaled float lands 2**-13 (one ulp) on the wrong side of the tie
+    + [9.999956205835e-39, 9.999765649605e-12, 9.999690893225e16, 9.999632269535e87]
+    # powers of ten, where log10 can put the exponent one off
+    + [v for k in range(-99, 100) for v in _ulps_around(10.0**k) if v >= 1e-99]
+    # mantissas that round up into the next exponent
+    + [float(f"9.9999999999995e{n}") for n in range(-99, 99)]
+    + [float(f"9.99999999999949e{n}") for n in range(-99, 99)]
+    + [1e-99, FAST_MAX])
+
+
+def test_fast_path_edge_values_match_percent():
+    block = FAST_EDGES.reshape(-1, 1)
+    text = sweep._e11_block(block)
+    assert text is not None
+    assert text.split("\n") == percent_block(block).split("\n")
+    table = SweepResult(columns={"a": FAST_EDGES, "b": FAST_EDGES[::-1]})
+    assert table.to_csv().split("\n") == reference_csv(table).split("\n")
+
+
+@pytest.mark.parametrize("shift", [-0.75, 0.75])
+def test_fast_path_fixes_an_exponent_estimate_one_off(monkeypatch, shift):
+    # the scaled-mantissa check, not the accuracy of log10, makes the exponent exact
+    log10 = np.log10
+    monkeypatch.setattr(sweep.np, "log10", lambda x: log10(x) + shift)
+    block = np.column_stack([FAST_EDGES, FAST_EDGES[::-1]])
+    assert sweep._e11_block(block).split("\n") == percent_block(block).split("\n")
+
+
+@pytest.mark.parametrize("odd", [
+    0.0, -0.0, -1.0, math.nan, math.inf, 5e-324, np.nextafter(1e-99, 0.0),
+    9.99999999999995e99, 9.999999999995e99, 1e100, sys.float_info.max])
+def test_out_of_range_value_sends_its_block_to_percent(odd):
+    block = np.column_stack([FAST_EDGES, FAST_EDGES[::-1]])
+    block[len(block) // 2, 1] = odd
+    assert sweep._e11_block(block) is None
+    table = SweepResult(columns={"a": block[:, 0], "b": block[:, 1]})
+    assert table.to_csv() == reference_csv(table)
+
+
+def test_fast_path_upper_bound_sits_below_three_digit_exponents():
+    bound = 9.999999999995e99
+    assert format_float(np.nextafter(bound, math.inf)) == "1.00000000000e+100"
+    below = np.nextafter(bound, 0.0)
+    assert sweep._e11_block(np.array([[below]])) == format_float(below) + "\n" == "9.99999999999e+99\n"
+    assert sweep._e11_block(np.array([[bound]])) is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--grid-points", "40001"],
+    ["contour", "--grid-points", "101"],
+    ["efficiency-curve"],
+])
+def test_cli_tables_take_the_fast_path(tmp_path, monkeypatch, argv):
+    blocks = []
+    fast = sweep._e11_block
+
+    def spy(block):
+        text = fast(block)
+        assert text == percent_block(block)
+        blocks.append(len(block))
+        return text
+
+    monkeypatch.setattr(sweep, "_e11_block", spy)
+    assert cli.main([*argv, "--out", str(tmp_path / "t")]) == 0
+    rows = len((tmp_path / "t.csv").read_text("utf-8").splitlines()) - 1
+    assert sum(blocks) == rows > 0
