@@ -13,11 +13,11 @@ used throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .constants import TWO_PI
 from .dynamics import (
     OperatingPoint,
     TransducerParams,
@@ -290,8 +290,8 @@ def max_efficiency_contour(p: TransducerParams, g_em_grid, kappa_ex2_grid) -> Sw
                                  g_em=g_grid[:, None], kappa_ex2=k_grid[None, :]))
     return SweepResult(
         columns={
-            "log10_gEM_hz": np.repeat(np.log10(g_grid / (2 * math.pi)), len(k_grid)),
-            "log10_kex2_hz": np.tile(np.log10(k_grid / (2 * math.pi)), len(g_grid)),
+            "log10_gEM_hz": np.repeat(np.log10(g_grid / TWO_PI), len(k_grid)),
+            "log10_kex2_hz": np.tile(np.log10(k_grid / TWO_PI), len(g_grid)),
             "max_efficiency": eta.ravel(),
         },
         metadata={"n_g_em": len(g_grid), "n_kappa_ex2": len(k_grid)},
@@ -320,6 +320,6 @@ def power_curve(p: TransducerParams, power_grid, pump_offset: float | None = Non
         metadata={
             "peak_power_w": float(powers[i_best]),
             "peak_efficiency": float(eta[i_best]),
-            "pump_offset_hz": pump_offset / (2 * math.pi),
+            "pump_offset_hz": pump_offset / TWO_PI,
         },
     )

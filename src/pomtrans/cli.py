@@ -25,6 +25,7 @@ import tempfile
 import numpy as np
 
 from . import analysis, coupling, dynamics, materials, rings
+from .constants import TWO_PI
 from .errors import (
     GridError,
     MaterialDataError,
@@ -40,8 +41,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SINGULARITY = 3
 
-TWO_PI = 2 * math.pi
-
 #: (exception type, exit code, error kind); the first matching row wins
 _ERRORS = (
     (SingularityError, EXIT_SINGULARITY, "singularity"),
@@ -52,6 +51,7 @@ _ERRORS = (
     (ParameterError, EXIT_VALIDATION, "validation"),
     (ValueError, EXIT_VALIDATION, "validation"),
     (OSError, EXIT_VALIDATION, "io"),
+    (MemoryError, EXIT_VALIDATION, "memory"),
     (PomtransError, EXIT_VALIDATION, "io"),
 )
 
@@ -230,11 +230,17 @@ def _cmd_rings(args):
                         loss=args.ring_loss, bus_coupling=args.bus_coupling)
     fsr = 1.0 / args.round_trip_time
     start, stop, points = _axis(args, 0, 0.0, 3 * fsr, 30_001, "frequency grid")
+    # orders 0..max(1, ceil(stop T)) are listed; more orders than grid points is rejected
+    fsrs = stop * rp.T
+    if not fsrs <= points - 1:
+        raise ParameterError(
+            f"frequency grid: stop {stop:g} Hz spans {fsrs:.6g} free spectral ranges, so the "
+            f"critical frequencies listed would outnumber its {points} points")
     grid = TWO_PI * np.linspace(start, stop, points)
     spectrum = rings.transmission_spectrum(rp, grid)
     table = SweepResult(columns={"frequency_hz": grid / TWO_PI,
                                  "transmission": spectrum.columns["transmission"]})
-    n_max = max(1, int(math.ceil(stop * rp.T)))
+    n_max = max(1, math.ceil(fsrs))
     crit = rings.critical_frequencies(rp, range(0, n_max + 1))
     return "rings", {
         ".csv": table.to_csv(),
@@ -382,7 +388,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     except tuple(t for t, _, _ in _ERRORS) as exc:
         code, kind = next((c, k) for t, c, k in _ERRORS if isinstance(exc, t))
-        print(f"error: {kind}: {exc}", file=sys.stderr)
+        # a bare MemoryError has no message
+        print(f"error: {kind}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return code
     except ArithmeticError as exc:
         # an input the validators let through overflowed, divided by zero or gave NaN

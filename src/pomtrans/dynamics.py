@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from . import sfg
-from .constants import HBAR, SPEED_OF_LIGHT
+from .constants import HBAR, SPEED_OF_LIGHT, TWO_PI
 from .errors import ModelViolationError, ParameterError, SingularityError
 
 _SINGULARITY_RTOL = 1e-14
@@ -284,30 +284,20 @@ def transducer_graph(op: OperatingPoint) -> sfg.SignalFlowGraph:
     x02 = chi_02(p)
     a1 = op.a1
 
-    def edge(src, dst, fn, label):
-        return sfg.SfgEdge(src, dst, fn, label)
-
     edges = [
-        edge("c_in", "b", lambda w: math.sqrt(r.gamma_ex) * xm(w), "sqrt(gamma_ex) chi_m"),
-        edge("f_m", "b", lambda w: math.sqrt(p.gamma_0) * xm(w), "sqrt(gamma_0) chi_m"),
-        edge("a1", "b", lambda w: 1j * p.g_om * np.conj(a1) * xm(w), "i g_om a1* chi_m"),
-        edge("b", "a1", lambda w: 1j * p.g_om * a1 * x01(w), "i g_om a1 chi_01"),
-        edge("a2", "a1", lambda w: 1j * p.J * x01(w), "i J chi_01"),
-        edge("f_01", "a1", lambda w: math.sqrt(p.kappa_1) * x01(w), "sqrt(kappa_01) chi_01"),
-        edge("a1", "a2", lambda w: 1j * p.J * x02(w), "i J chi_02"),
-        edge("f_02", "a2", lambda w: math.sqrt(p.kappa_02) * x02(w), "sqrt(kappa_02) chi_02"),
-        edge("a_in", "a2", lambda w: math.sqrt(p.kappa_ex2) * x02(w), "sqrt(kappa_ex2) chi_02"),
-        edge("a2", "a_out", lambda w: math.sqrt(p.kappa_ex2), "sqrt(kappa_ex2)"),
-        edge("a_in", "a_out", lambda w: -1.0, "-1"),
+        sfg.SfgEdge("c_in", "b", lambda w: math.sqrt(r.gamma_ex) * xm(w), "sqrt(gamma_ex) chi_m"),
+        sfg.SfgEdge("f_m", "b", lambda w: math.sqrt(p.gamma_0) * xm(w), "sqrt(gamma_0) chi_m"),
+        sfg.SfgEdge("a1", "b", lambda w: 1j * p.g_om * np.conj(a1) * xm(w), "i g_om a1* chi_m"),
+        sfg.SfgEdge("b", "a1", lambda w: 1j * p.g_om * a1 * x01(w), "i g_om a1 chi_01"),
+        sfg.SfgEdge("a2", "a1", lambda w: 1j * p.J * x01(w), "i J chi_01"),
+        sfg.SfgEdge("f_01", "a1", lambda w: math.sqrt(p.kappa_1) * x01(w), "sqrt(kappa_01) chi_01"),
+        sfg.SfgEdge("a1", "a2", lambda w: 1j * p.J * x02(w), "i J chi_02"),
+        sfg.SfgEdge("f_02", "a2", lambda w: math.sqrt(p.kappa_02) * x02(w), "sqrt(kappa_02) chi_02"),
+        sfg.SfgEdge("a_in", "a2", lambda w: math.sqrt(p.kappa_ex2) * x02(w), "sqrt(kappa_ex2) chi_02"),
+        sfg.SfgEdge("a2", "a_out", lambda w: math.sqrt(p.kappa_ex2), "sqrt(kappa_ex2)"),
+        sfg.SfgEdge("a_in", "a_out", lambda w: -1.0, "-1"),
     ]
-    nodes = [
-        sfg.SfgNode("c_in", "source"), sfg.SfgNode("a_in", "source"),
-        sfg.SfgNode("f_m", "source"), sfg.SfgNode("f_01", "source"),
-        sfg.SfgNode("f_02", "source"),
-        sfg.SfgNode("b"), sfg.SfgNode("a1"), sfg.SfgNode("a2"),
-        sfg.SfgNode("a_out", "sink"),
-    ]
-    return sfg.SignalFlowGraph(nodes, edges)
+    return sfg.SignalFlowGraph.from_edges(edges)
 
 
 def efficiency(op: OperatingPoint, omega):
@@ -392,7 +382,7 @@ def photon_flux(p: TransducerParams, power):
     if p.lambda_l is None:
         raise ParameterError("lambda_l (pump wavelength) is required for power mapping")
     _require(power >= 0, "power", power, "must be >= 0")
-    return power * p.lambda_l / (2 * math.pi * HBAR * SPEED_OF_LIGHT)
+    return power * p.lambda_l / (TWO_PI * HBAR * SPEED_OF_LIGHT)
 
 
 def pump_power_to_photons(p: TransducerParams, power,
@@ -453,7 +443,7 @@ def params_from_dict(data: Mapping) -> TransducerParams:
             value = float(raw)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"parameter {key} is not a number: {raw!r}") from exc
-        kwargs[field_name] = 2 * math.pi * value if kind == "freq" else value
+        kwargs[field_name] = TWO_PI * value if kind == "freq" else value
     return TransducerParams(**kwargs)
 
 
@@ -464,7 +454,7 @@ def params_to_dict(p: TransducerParams) -> dict:
         value = getattr(p, field_name)
         if value is None:
             continue
-        out[key] = value / (2 * math.pi) if kind == "freq" else value
+        out[key] = value / TWO_PI if kind == "freq" else value
     return out
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import TWO_PI
 from .errors import ParameterError
 from .sweep import SweepResult
 
@@ -75,7 +76,7 @@ def critical_frequencies(rp: RingPair, n_range) -> list[CriticalFrequency]:
     out: list[CriticalFrequency] = []
     for n in n_range:
         out.append(CriticalFrequency(n * math.pi / rp.T, FLAT_POINT))
-        center = (math.pi + 2 * math.pi * n) / rp.T
+        center = (math.pi + TWO_PI * n) / rp.T
         out.append(CriticalFrequency(center - rp.J, SPLIT_LOWER))
         out.append(CriticalFrequency(center + rp.J, SPLIT_UPPER))
     out.sort(key=lambda c: (c.omega, c.label))
@@ -128,7 +129,7 @@ def transmission_spectrum(rp: RingPair, omega_grid) -> SweepResult:
     power = np.abs(amp) ** 2
     return SweepResult(
         columns={"omega_rad_s": w, "transmission": power},
-        metadata={"round_trip_time_s": rp.T, "J_hz": rp.J / (2 * math.pi)},
+        metadata={"round_trip_time_s": rp.T, "J_hz": rp.J / TWO_PI},
     )
 
 

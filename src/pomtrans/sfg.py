@@ -16,6 +16,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -74,8 +75,11 @@ class SignalFlowGraph:
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate node ids: {dupes}")
         self._nodes: dict[str, SfgNode] = {n.id: n for n in node_list}
+        #: node id -> bit position in a loop or path mask; iterates in sorted id order
+        self._index: dict[str, int] = {nid: k for k, nid in enumerate(sorted(self._nodes))}
 
         self._edges: dict[tuple[str, str], SfgEdge] = {}
+        succ: dict[str, list[str]] = {nid: [] for nid in self._nodes}
         for e in edges:
             for endpoint in (e.src, e.dst):
                 if endpoint not in self._nodes:
@@ -84,44 +88,36 @@ class SignalFlowGraph:
             if key in self._edges:
                 raise ValueError(f"multiple edges for pair {key}")
             self._edges[key] = e
+            succ[e.src].append(e.dst)
+        self._succ: dict[str, tuple[str, ...]] = {nid: tuple(sorted(s)) for nid, s in succ.items()}
 
-        self._succ: dict[str, tuple[str, ...]] = {nid: () for nid in self._nodes}
-        self._pred: dict[str, tuple[str, ...]] = {nid: () for nid in self._nodes}
-        succ: dict[str, list[str]] = {nid: [] for nid in self._nodes}
-        pred: dict[str, list[str]] = {nid: [] for nid in self._nodes}
-        for (u, v) in self._edges:
-            succ[u].append(v)
-            pred[v].append(u)
-        for nid in self._nodes:
-            self._succ[nid] = tuple(sorted(succ[nid]))
-            self._pred[nid] = tuple(sorted(pred[nid]))
-
+        has_in = {v for _, v in self._edges}
         for n in node_list:
-            if n.kind == "source" and self._pred[n.id]:
+            if n.kind == "source" and n.id in has_in:
                 raise ValueError(f"source node {n.id!r} has incoming edges")
             if n.kind == "sink" and self._succ[n.id]:
                 raise ValueError(f"sink node {n.id!r} has outgoing edges")
-
-        self._loops: tuple[tuple[str, ...], ...] | None = None
-        self._node_order = tuple(sorted(self._nodes))
 
     @classmethod
     def from_edges(cls, edges: Iterable[SfgEdge]) -> "SignalFlowGraph":
         """Build a graph from edges alone, inferring node kinds from degrees."""
         edges = list(edges)
-        ids = sorted({e.src for e in edges} | {e.dst for e in edges})
         has_in = {e.dst for e in edges}
         has_out = {e.src for e in edges}
-        nodes = []
-        for nid in ids:
-            if nid not in has_in:
-                kind = "source"
-            elif nid not in has_out:
-                kind = "sink"
-            else:
-                kind = "internal"
-            nodes.append(SfgNode(nid, kind))
-        return cls(nodes, edges)
+
+        def kind(nid: str) -> str:
+            return "source" if nid not in has_in else "sink" if nid not in has_out else "internal"
+
+        return cls([SfgNode(nid, kind(nid)) for nid in sorted(has_in | has_out)], edges)
+
+    @functools.cached_property
+    def _loops(self) -> tuple[tuple[tuple[str, ...], int], ...]:
+        """Every simple cycle, in :func:`enumerate_loops` order, with its node mask."""
+        return tuple((loop, self._mask(loop)) for loop in enumerate_loops(self))
+
+    def _mask(self, node_ids: Iterable[str]) -> int:
+        """Bit set of ``node_ids``, which are distinct: a simple path or loop."""
+        return sum(1 << self._index[nid] for nid in node_ids)
 
     @property
     def nodes(self) -> Mapping[str, SfgNode]:
@@ -135,7 +131,7 @@ class SignalFlowGraph:
         return self._edges[(src, dst)]
 
     def source_ids(self) -> tuple[str, ...]:
-        return tuple(nid for nid in self._node_order if self._nodes[nid].kind == "source")
+        return tuple(nid for nid in self._index if self._nodes[nid].kind == "source")
 
     def successors(self, node_id: str) -> tuple[str, ...]:
         self._require(node_id)
@@ -147,11 +143,7 @@ class SignalFlowGraph:
 
     def dump_adjacency(self) -> str:
         """Plain-text edge listing, one ``from -> to : label`` line per edge."""
-        lines = []
-        for key in sorted(self._edges):
-            e = self._edges[key]
-            lines.append(f"{e.src} -> {e.dst} : {e.label or '(unlabelled)'}")
-        return "\n".join(lines)
+        return "\n".join(f"{e.src} -> {e.dst} : {e.label or '(unlabelled)'}" for e in self.edges)
 
 
 def enumerate_paths(g: SignalFlowGraph, src: str, dst: str) -> list[tuple[str, ...]]:
@@ -187,8 +179,7 @@ def enumerate_loops(g: SignalFlowGraph) -> list[tuple[str, ...]]:
     deterministic.
     """
     loops: list[tuple[str, ...]] = []
-    order = g._node_order
-    for root in order:
+    for root in g._index:
         if (root, root) in g._edges:
             loops.append((root,))
         stack = [root]
@@ -210,59 +201,38 @@ def enumerate_loops(g: SignalFlowGraph) -> list[tuple[str, ...]]:
     return loops
 
 
-def _loop_gain(g: SignalFlowGraph, loop: Sequence[str], omega: float) -> complex:
-    gain = 1 + 0j
-    n = len(loop)
-    for i in range(n):
-        gain *= g.edge(loop[i], loop[(i + 1) % n]).evaluate(omega)
-    return gain
-
-
-def _path_gain(g: SignalFlowGraph, path: Sequence[str], omega: float) -> complex:
+def _gain(g: SignalFlowGraph, path: Sequence[str], omega: float) -> complex:
+    """Product of the edge gains along ``path``; a loop is the path ``loop + loop[:1]``."""
     gain = 1 + 0j
     for u, v in zip(path, path[1:]):
         gain *= g.edge(u, v).evaluate(omega)
     return gain
 
 
-def _cached_loops(g: SignalFlowGraph) -> tuple[tuple[str, ...], ...]:
-    if g._loops is None:
-        g._loops = tuple(enumerate_loops(g))
-    return g._loops
+def _loop_gains(g: SignalFlowGraph, omega: float) -> list[tuple[complex, int]]:
+    """(gain, node mask) of every loop of ``g`` at ``omega``."""
+    return [(_gain(g, loop + loop[:1], omega), mask) for loop, mask in g._loops]
 
 
-def _delta(loop_gains: Sequence[complex], loop_masks: Sequence[int]) -> complex:
+def _delta(loops: Sequence[tuple[complex, int]]) -> complex:
     """Inclusion-exclusion sum over sets of pairwise non-touching loops."""
-    n = len(loop_gains)
+    n = len(loops)
 
     def rec(i: int, used: int) -> complex:
         if i == n:
             return 1 + 0j
         total = rec(i + 1, used)
-        if not (loop_masks[i] & used):
-            total -= loop_gains[i] * rec(i + 1, used | loop_masks[i])
+        gain, mask = loops[i]
+        if not (mask & used):
+            total -= gain * rec(i + 1, used | mask)
         return total
 
     return rec(0, 0)
 
 
-def _loop_data(g: SignalFlowGraph, omega: float):
-    loops = _cached_loops(g)
-    index = {nid: k for k, nid in enumerate(g._node_order)}
-    gains = [_loop_gain(g, loop, omega) for loop in loops]
-    masks = []
-    for loop in loops:
-        m = 0
-        for nid in loop:
-            m |= 1 << index[nid]
-        masks.append(m)
-    return loops, gains, masks, index
-
-
 def graph_determinant(g: SignalFlowGraph, omega: float) -> complex:
     """Graph determinant: 1 - sum(loop gains) + sum(non-touching pair products) - ..."""
-    _, gains, masks, _ = _loop_data(g, omega)
-    return _delta(gains, masks)
+    return _delta(_loop_gains(g, omega))
 
 
 def mason_gain(g: SignalFlowGraph, src: str, dst: str, omega: float) -> complex:
@@ -273,9 +243,9 @@ def mason_gain(g: SignalFlowGraph, src: str, dst: str, omega: float) -> complex:
     zero test against the total loop-gain magnitude).
     """
     paths = enumerate_paths(g, src, dst)
-    _, gains, masks, index = _loop_data(g, omega)
-    delta = _delta(gains, masks)
-    scale = 1.0 + sum(abs(x) for x in gains)
+    loops = _loop_gains(g, omega)
+    delta = _delta(loops)
+    scale = 1.0 + sum(abs(x) for x, _ in loops)
     if abs(delta) < _SINGULARITY_RTOL * scale:
         raise SingularityError(omega, "graph determinant vanished")
     if not paths:
@@ -283,12 +253,8 @@ def mason_gain(g: SignalFlowGraph, src: str, dst: str, omega: float) -> complex:
 
     total = 0j
     for path in paths:
-        pmask = 0
-        for nid in path:
-            pmask |= 1 << index[nid]
-        sub_gains = [x for x, m in zip(gains, masks) if not (m & pmask)]
-        sub_masks = [m for m in masks if not (m & pmask)]
-        total += _path_gain(g, path, omega) * _delta(sub_gains, sub_masks)
+        pmask = g._mask(path)
+        total += _gain(g, path, omega) * _delta([(x, m) for x, m in loops if not (m & pmask)])
     return total / delta
 
 
@@ -300,9 +266,8 @@ def linear_solve_gain(g: SignalFlowGraph, src: str, dst: str, omega: float) -> c
     """
     g._require(src)
     g._require(dst)
-    order = g._node_order
-    index = {nid: k for k, nid in enumerate(order)}
-    n = len(order)
+    index = g._index
+    n = len(index)
     mat = np.eye(n, dtype=complex)
     for (u, v), e in g._edges.items():
         mat[index[v], index[u]] -= e.evaluate(omega)

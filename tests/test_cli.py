@@ -185,6 +185,23 @@ def test_singularity_maps_to_exit_3(outdir, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: singularity:")
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+                 "and data type float64"),
+     "error: memory: Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+     "and data type float64"),
+    (MemoryError(), "error: memory: MemoryError"),
+])
+def test_memory_error_maps_to_exit_2(outdir, monkeypatch, capsys, exc, line):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(analysis, "max_efficiency_contour", boom)
+    assert run(["contour", "--out", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert list(outdir.iterdir()) == []
+
+
 def test_preset_flag_resolves_parameters(outdir):
     assert run(["optimize", "--preset", "5gem-5kex2-10G-lowloss", "--out", "ll"]) == 0
     payload = json.loads((outdir / "ll.json").read_text())
@@ -402,6 +419,24 @@ def test_overflowing_ring_phase_exits_2(outdir, capsys):
         "error: validation: inter-ring phase J*T must be finite, "
         f"got J={TWO_PI * 1.6425e9} and T=1e+300"]
     assert list(outdir.iterdir()) == []
+
+
+def test_rings_with_more_critical_orders_than_grid_points_exits_2(outdir, capsys):
+    # T = 1e-11 s: a 1e13 Hz grid spans 100 free spectral ranges, so orders 0..100
+    assert run(["rings", "--grid-stop", "1e13", "--grid-points", "50"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: frequency grid: stop 1e+13 Hz spans 100 free spectral ranges, "
+        "so the critical frequencies listed would outnumber its 50 points"]
+    assert list(outdir.iterdir()) == []
+
+
+def test_rings_lists_as_many_critical_orders_as_grid_points(outdir):
+    assert run(["rings", "--grid-stop", "1e13", "--grid-points", "101", "--out", "r"]) == 0
+    payload = json.loads((outdir / "r.json").read_text())
+    rp = rings.RingPair(T=1e-11, J=TWO_PI * 1.6425e9, loss=0.995, bus_coupling=0.05)
+    orders = rings.critical_frequencies(rp, range(0, 101))
+    assert [c["frequency_hz"] for c in payload["critical_frequencies"]] == [
+        c.omega / TWO_PI for c in orders]
 
 
 GRID_VALUES = {"--grid-start": "1e7", "--grid-stop": "1e9", "--grid-points": "101"}
