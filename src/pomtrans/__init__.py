@@ -32,7 +32,6 @@ from .dynamics import (
     chi_01,
     chi_02,
     chi_m,
-    chi_mw,
     derived_rates,
     efficiency,
     enhancement_resonances,

@@ -288,14 +288,11 @@ def max_efficiency_contour(p: TransducerParams, g_em_grid, kappa_ex2_grid) -> Sw
         raise ParameterError("contour grids must be strictly positive")
     eta = max_efficiency(replace(p, gamma_ex=None, gamma_m_supplied=None,
                                  g_em=g_grid[:, None], kappa_ex2=k_grid[None, :]))
-    return SweepResult(
-        columns={
-            "log10_gEM_hz": np.repeat(np.log10(g_grid / TWO_PI), len(k_grid)),
-            "log10_kex2_hz": np.tile(np.log10(k_grid / TWO_PI), len(g_grid)),
-            "max_efficiency": eta.ravel(),
-        },
-        metadata={"n_g_em": len(g_grid), "n_kappa_ex2": len(k_grid)},
-    )
+    return SweepResult(columns={
+        "log10_gEM_hz": np.repeat(np.log10(g_grid / TWO_PI), len(k_grid)),
+        "log10_kex2_hz": np.tile(np.log10(k_grid / TWO_PI), len(g_grid)),
+        "max_efficiency": eta.ravel(),
+    })
 
 
 def power_curve(p: TransducerParams, power_grid, pump_offset: float | None = None) -> SweepResult:

@@ -13,8 +13,10 @@ Exit codes: 0 success, 2 validation error, 3 numerical singularity.
 from __future__ import annotations
 
 import argparse
+import csv
 import errno
 import functools
+import io
 import json
 import math
 import os
@@ -259,15 +261,16 @@ def _cmd_rings(args):
 def _cmd_materials(args):
     records = materials.load_materials(args.materials_file)
     ranked = materials.rank(records, args.which, fab_filter=args.fab)
-    lines = ["rank,name,fom,fom_abs,defined,reason,fab"]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["rank", "name", "fom", "fom_abs", "defined", "reason", "fab"])
     for i, (rec, fom) in enumerate(ranked, start=1):
         if fom.defined:
-            lines.append(f"{i},{rec.name},{format_float(fom.value)},"
-                         f"{format_float(abs(fom.value))},yes,,{rec.fab}")
+            writer.writerow([i, rec.name, format_float(fom.value),
+                             format_float(abs(fom.value)), "yes", "", rec.fab])
         else:
-            reason = (fom.reason or "").replace(",", ";")
-            lines.append(f"{i},{rec.name},,,no,{reason},{rec.fab}")
-    return f"materials-{args.which}", {".csv": "\n".join(lines) + "\n"}
+            writer.writerow([i, rec.name, "", "", "no", fom.reason, rec.fab])
+    return f"materials-{args.which}", {".csv": text.getvalue()}
 
 
 def _cmd_coupling(args):

@@ -202,6 +202,17 @@ def _intensity(f: ModeField) -> np.ndarray:
     return np.sum(np.abs(f.components) ** 2, axis=0)
 
 
+def _intensity_integral(density: np.ndarray, f: ModeField) -> float:
+    """trapezoid_3d of an intensity ``density`` of ``f``, rejecting a zero integral."""
+    total = float(trapezoid_3d(density, f.grid))
+    if total == 0:
+        if np.any(f.components):
+            raise ParameterError(
+                "mode field intensity integral underflows to 0, though the field is not zero")
+        raise ParameterError("mode field is identically zero")
+    return total
+
+
 def mech_mode_volume(w: ModeField) -> float:
     """Effective mechanical mode volume.
 
@@ -211,10 +222,7 @@ def mech_mode_volume(w: ModeField) -> float:
     if w.kind != MECH:
         raise ParameterError("expected a mechanical displacement field")
     intensity = _intensity(w)
-    norm = float(trapezoid_3d(intensity, w.grid))
-    if norm == 0:
-        raise ParameterError("mode field is identically zero")
-    density = intensity / norm
+    density = intensity / _intensity_integral(intensity, w)
     return 1.0 / float(trapezoid_3d(density**2, w.grid))
 
 
@@ -235,10 +243,7 @@ def em_mode_volume(e: ModeField, eta) -> float:
         ))
     else:
         raise ParameterError("eta must be a scalar or a 3x3 matrix")
-    total = float(trapezoid_3d(density, e.grid))
-    if total == 0:
-        raise ParameterError("mode field is identically zero")
-    return total**2 / float(trapezoid_3d(density**2, e.grid))
+    return _intensity_integral(density, e)**2 / _intensity_integral(density**2, e)
 
 
 def _scaled_to_volume(f: ModeField, v_eff: float) -> ModeField:
@@ -301,6 +306,12 @@ class MaterialTensorSet:
             if not 0 < value < math.inf:
                 raise MaterialDataError(
                     f"permittivities must be positive and finite, got {name} = {value}")
+        # the model divides by rho and works with eta_eff = 1/eps_rf
+        for name in ("rho", "eps_rf"):
+            value = getattr(self, name)
+            if not np.finfo(float).smallest_normal <= 1 / value < math.inf:
+                raise MaterialDataError(
+                    f"1/{name} must be finite and not subnormal, got {name} = {value}")
         for name in _TENSOR_MATRICES:
             value = getattr(self, name)
             if value is not None:
@@ -456,15 +467,6 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
                 * mat.eta_eff**2 * v_em**2 * w.frequency)
     )
     return prefactor * abs(total)
-
-
-def gamma_ex_from_gem(g_em: float, Gamma: float, Gamma_ex: float) -> float:
-    """External microwave-mechanical coupling 4 g_em^2 Gamma_ex / Gamma^2."""
-    if Gamma <= 0:
-        raise ParameterError("Gamma must be > 0")
-    if not 0 <= Gamma_ex <= Gamma:
-        raise ParameterError("Gamma_ex must satisfy 0 <= Gamma_ex <= Gamma")
-    return 4 * g_em**2 * Gamma_ex / Gamma**2
 
 
 # --- analytic mode library -----------------------------------------------------

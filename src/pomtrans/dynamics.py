@@ -206,13 +206,6 @@ def chi_02(p: TransducerParams) -> Susceptibility:
     return Susceptibility(p.delta_2, kappa_2 / 2)
 
 
-def chi_mw(p: TransducerParams) -> float:
-    """Flat-band approximation of the microwave cavity susceptibility, 2/Gamma."""
-    if p.Gamma <= 0:
-        raise ParameterError("Gamma must be > 0")
-    return 2.0 / p.Gamma
-
-
 @dataclass(frozen=True)
 class OperatingPoint:
     """Parameter set plus the linearization point of the pump field.

@@ -89,12 +89,6 @@ class FomValue:
         return self.value is not None
 
 
-@dataclass(frozen=True)
-class FomResult:
-    em: FomValue
-    om: FomValue
-
-
 def em_fom(r: MaterialRecord) -> FomValue:
     """Electromechanical figure of merit h33 sqrt(eps33_rf / rho).
 
@@ -129,10 +123,6 @@ def om_fom(r: MaterialRecord) -> FomValue:
     if reasons:
         return FomValue(None, "; ".join(reasons))
     return FomValue(r.eps33_ir * r.p33 / sqrt(r.rho_gcc))
-
-
-def figures_of_merit(r: MaterialRecord) -> FomResult:
-    return FomResult(em=em_fom(r), om=om_fom(r))
 
 
 def rank(records, which: str, fab_filter: str | None = None):
@@ -208,24 +198,6 @@ def parse_materials_csv(text: str) -> list[MaterialRecord]:
             raise MaterialDataError(f"row {line_no}: {exc}") from exc
         records.append(record)
     return records
-
-
-def serialize_materials(records) -> str:
-    """Inverse of :func:`parse_materials_csv`; round-trips records exactly."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_COLUMNS)
-
-    def cell(value):
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            return repr(value)
-        return value
-
-    for r in records:
-        writer.writerow([cell(getattr(r, column)) for column in _COLUMNS])
-    return buf.getvalue()
 
 
 def load_materials(path=None) -> list[MaterialRecord]:

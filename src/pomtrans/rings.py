@@ -42,6 +42,8 @@ class RingPair:
     def __post_init__(self):
         if not 0 < self.T < math.inf:
             raise ParameterError(f"round-trip time T must be > 0 and finite, got {self.T}")
+        if not 1 / self.T < math.inf:
+            raise ParameterError(f"free spectral range 1/T must be finite, got T={self.T}")
         if not self.J >= 0:
             raise ParameterError("inter-ring coupling J must be >= 0")
         if not self.J < math.inf:
@@ -77,6 +79,9 @@ def critical_frequencies(rp: RingPair, n_range) -> list[CriticalFrequency]:
     for n in n_range:
         out.append(CriticalFrequency(n * math.pi / rp.T, FLAT_POINT))
         center = (math.pi + TWO_PI * n) / rp.T
+        if not center + rp.J < math.inf:
+            raise ParameterError(
+                f"critical frequencies of order {n} overflow: round-trip time T={rp.T} is too small")
         out.append(CriticalFrequency(center - rp.J, SPLIT_LOWER))
         out.append(CriticalFrequency(center + rp.J, SPLIT_UPPER))
     out.sort(key=lambda c: (c.omega, c.label))
@@ -127,10 +132,7 @@ def transmission_spectrum(rp: RingPair, omega_grid) -> SweepResult:
     loop = rp.loss * _inner_ring_response(rp, phase) * phase
     amp = t_bus * (1 + loop) / (1 + t_bus**2 * loop)
     power = np.abs(amp) ** 2
-    return SweepResult(
-        columns={"omega_rad_s": w, "transmission": power},
-        metadata={"round_trip_time_s": rp.T, "J_hz": rp.J / TWO_PI},
-    )
+    return SweepResult(columns={"omega_rad_s": w, "transmission": power})
 
 
 @dataclass(frozen=True)

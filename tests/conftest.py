@@ -50,6 +50,14 @@ def random_valid_params(rng: np.random.Generator, supplied_gamma_ex: bool = Fals
     )
 
 
+def read_table(path) -> dict[str, np.ndarray]:
+    """Columns of a CSV table written by ``SweepResult.to_csv``, by header name."""
+    with open(path, encoding="utf-8") as fh:
+        names = fh.readline().rstrip("\n").split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return dict(zip(names, data.T))
+
+
 def random_graph(rng: np.random.Generator, n_nodes: int | None = None,
                  acyclic: bool = False, omega_dependent: bool = True):
     """Random signal flow graph with one guaranteed source and sink.

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import errno
 import json
 import math
@@ -7,11 +8,10 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import write_coupling_inputs
+from conftest import read_table, write_coupling_inputs
 
 from pomtrans import analysis, cli, coupling, dynamics, rings
 from pomtrans.errors import SingularityError
-from pomtrans.sweep import SweepResult
 
 TWO_PI = 2 * math.pi
 
@@ -65,9 +65,8 @@ def test_spectrum_sidecar_matches_library(outdir):
         "--grid-points", "40001",
     ]) == 0
     payload = json.loads((outdir / "spec.json").read_text())
-    text = (outdir / "spec.csv").read_text()
-    table = SweepResult.from_csv_text(text)
-    assert len(table.columns["frequency_hz"]) == 40001
+    table = read_table(outdir / "spec.csv")
+    assert len(table["frequency_hz"]) == 40001
 
     p = dynamics.params_from_dict({
         k: v for k, v in payload["resolved_params"].items()
@@ -79,7 +78,7 @@ def test_spectrum_sidecar_matches_library(outdir):
     assert payload["peak_shift_mhz"] == pytest.approx(spec.peak_shift / TWO_PI / 1e6, abs=1e-9)
     assert payload["broad_peak"] == spec.broad_peak_flag
     np.testing.assert_allclose(
-        table.columns["efficiency"], spec.efficiencies, rtol=1e-11)
+        table["efficiency"], spec.efficiencies, rtol=1e-11)
 
 
 def test_contour_cell_matches_optimize_derived(outdir):
@@ -91,13 +90,13 @@ def test_contour_cell_matches_optimize_derived(outdir):
         "--grid-stop", str(p_nom_hz), str(k_nom_hz),
         "--grid-points", "2", "2",
     ]) == 0
-    table = SweepResult.load_csv(outdir / "cont.csv")
+    table = read_table(outdir / "cont.csv")
     assert run(["optimize", "--out", "opt"]) == 0
     opt = json.loads((outdir / "opt.json").read_text())
     # cell at the nominal coordinates equals the optimizer's derived-gamma_ex value
-    gs = table.columns["log10_gEM_hz"]
-    ks = table.columns["log10_kex2_hz"]
-    eta = table.columns["max_efficiency"]
+    gs = table["log10_gEM_hz"]
+    ks = table["log10_kex2_hz"]
+    eta = table["max_efficiency"]
     idx = np.argmin(np.hypot(gs - math.log10(p_nom_hz), ks - math.log10(k_nom_hz)))
     assert eta[idx] == pytest.approx(opt["max_efficiency_derived_gamma_ex"], rel=1e-9)
 
@@ -107,8 +106,7 @@ def test_efficiency_curve_outputs(outdir):
         "efficiency-curve", "--out", "curve",
         "--grid-start", "1e-4", "--grid-stop", "50", "--grid-points", "120",
     ]) == 0
-    table = SweepResult.load_csv(outdir / "curve.csv")
-    eta = table.columns["efficiency"]
+    eta = read_table(outdir / "curve.csv")["efficiency"]
     assert np.all((eta >= 0) & (eta <= 1))
     payload = json.loads((outdir / "curve.json").read_text())
     assert payload["metadata"]["peak_efficiency"] == pytest.approx(max(eta), rel=1e-9)
@@ -116,8 +114,7 @@ def test_efficiency_curve_outputs(outdir):
 
 def test_rings_outputs(outdir):
     assert run(["rings", "--out", "r", "--grid-points", "20001"]) == 0
-    table = SweepResult.load_csv(outdir / "r.csv")
-    t = table.columns["transmission"]
+    t = read_table(outdir / "r.csv")["transmission"]
     assert np.all((t >= 0) & (t <= 1 + 1e-12))
     payload = json.loads((outdir / "r.json").read_text())
     labels = {c["label"] for c in payload["critical_frequencies"]}
@@ -421,6 +418,21 @@ def test_overflowing_ring_phase_exits_2(outdir, capsys):
     assert list(outdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    # 1/T overflows: the run used to fail on an inf in the JSON, or on an inf grid stop
+    (["--round-trip-time", "1e-320", "--grid-stop", "1e9", "--grid-points", "8"],
+     "free spectral range 1/T must be finite, got T=1e-320"),
+    (["--round-trip-time", "1e-320"], "free spectral range 1/T must be finite, got T=1e-320"),
+    # 1/T is finite, but the order-0 split resonance pi/T is not
+    (["--round-trip-time", "1e-308", "--grid-stop", "1e9", "--grid-points", "8"],
+     "critical frequencies of order 0 overflow: round-trip time T=1e-308 is too small"),
+], ids=["subnormal-grid-stop", "subnormal-default-grid", "overflowing-order"])
+def test_tiny_round_trip_time_exits_2(outdir, capsys, argv, message):
+    assert run(["rings", *argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: validation: {message}"]
+    assert list(outdir.iterdir()) == []
+
+
 def test_rings_with_more_critical_orders_than_grid_points_exits_2(outdir, capsys):
     # T = 1e-11 s: a 1e13 Hz grid spans 100 free spectral ranges, so orders 0..100
     assert run(["rings", "--grid-stop", "1e13", "--grid-points", "50"]) == 2
@@ -512,6 +524,48 @@ def test_non_numeric_tensor_matrix_entry_exits_2(outdir, tmp_path, capsys, key, 
     assert run(argv) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: validation: {message}"]
     assert not (outdir / "coupling.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [("rho", 1e-320), ("eps_rf", 1e308)])
+def test_tensor_scalar_with_out_of_range_reciprocal_exits_2(outdir, tmp_path, capsys, key,
+                                                              value):
+    # rho = 1e-320 used to end in ZeroDivisionError, eps_rf = 1e308 in "identically zero"
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    data = json.loads((inputs / "tensors.json").read_text())
+    (inputs / "tensors.json").write_text(json.dumps({**data, key: value}))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: material-data: 1/{key} must be finite and not subnormal, got {key} = {value}"]
+    assert not (outdir / "coupling.json").exists()
+
+
+@pytest.mark.parametrize("name", ["e.csv", "w.csv"])
+def test_underflowing_field_intensity_exits_2(outdir, tmp_path, capsys, name):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    field = coupling.load_mode_field(inputs / name)
+    # |1e-170|^2 underflows to 0, so the field is nonzero but its intensity is not
+    coupling.save_mode_field(inputs / name, field.scaled(1e-170))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: mode field intensity integral underflows to 0, "
+        "though the field is not zero"]
+    assert not (outdir / "coupling.json").exists()
+
+
+def test_materials_name_with_comma_is_quoted(outdir, tmp_path):
+    text = resources.files("pomtrans.data").joinpath("materials.csv").read_text("utf-8")
+    text = text.replace("\nAlN,", '\n"AlN, wurtzite",', 1)
+    path = tmp_path / "materials.csv"
+    path.write_text(text)
+    assert run(["materials", "--which", "em", "--materials-file", str(path), "--out", "m"]) == 0
+    with open(outdir / "m.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(row) for row in rows} == {7}
+    assert rows[1][1] == "AlN, wurtzite"
 
 
 # --- exit contract: one error line, all artifacts or none ----------------------------------

@@ -514,23 +514,6 @@ def test_elasticity_must_be_symmetric():
         coupling.MaterialTensorSet(rho=1000.0, eps_rf=5.0, eps_ir=2.0, c=c)
 
 
-def test_gamma_ex_from_gem():
-    g = TWO_PI * 100.6e6
-    Gamma = TWO_PI * 15e9
-    Gamma_ex = Gamma - TWO_PI * 500e6
-    # fully external limit: gamma_ex = 4 g^2 / Gamma
-    assert coupling.gamma_ex_from_gem(g, Gamma, Gamma) == pytest.approx(
-        4 * g**2 / Gamma, rel=1e-12)
-    assert coupling.gamma_ex_from_gem(0.0, Gamma, Gamma_ex) == 0.0
-    # nominal-scale inputs land at 2.61 MHz, not the tabulated 2.98 MHz
-    val = coupling.gamma_ex_from_gem(g, Gamma, Gamma_ex)
-    assert val / TWO_PI == pytest.approx(2.61e6, rel=2e-3)
-    with pytest.raises(ParameterError):
-        coupling.gamma_ex_from_gem(g, Gamma, Gamma * 1.1)
-    with pytest.raises(ParameterError):
-        coupling.gamma_ex_from_gem(g, 0.0, 0.0)
-
-
 # --- mode field file round trip ------------------------------------------------------------
 
 

@@ -27,6 +27,20 @@ def test_nominal_derived_rates(nominal_params):
     assert r.gamma_ex_discrepancy == pytest.approx(0.142, abs=0.005)
 
 
+def test_derived_gamma_ex_limits(nominal_params):
+    p = replace(nominal_params, gamma_ex=None, gamma_m_supplied=None)
+    # nominal-scale inputs land at 2.61 MHz, not the tabulated 2.98 MHz
+    assert dynamics.derived_rates(p).gamma_ex / TWO_PI == pytest.approx(2.61e6, rel=2e-3)
+    # fully external limit (Gamma_0 = 0): gamma_ex = 4 g^2 / Gamma
+    r = dynamics.derived_rates(replace(p, Gamma_0=0.0))
+    assert r.gamma_ex == pytest.approx(4 * p.g_em**2 / p.Gamma, rel=1e-12)
+    assert r.gamma_ex == pytest.approx(r.gamma_m - p.gamma_0, rel=1e-12)
+    with pytest.raises(ParameterError, match="Gamma_0"):  # Gamma_ex = Gamma - Gamma_0 > Gamma
+        replace(p, Gamma_0=-TWO_PI * 1e6)
+    with pytest.raises(ParameterError, match="Gamma must be > 0"):
+        replace(p, Gamma=0.0, Gamma_0=0.0)
+
+
 def test_decoupled_limit_rates(nominal_params):
     p = replace(nominal_params, g_em=0.0, gamma_ex=None, gamma_m_supplied=None)
     r = dynamics.derived_rates(p)
@@ -88,10 +102,6 @@ def test_susceptibility_peak_and_fwhm():
 def test_susceptibility_requires_positive_halfwidth():
     with pytest.raises(ParameterError):
         dynamics.Susceptibility(center=0.0, halfwidth=0.0)
-
-
-def test_chi_mw_flat_band_value(nominal_params):
-    assert dynamics.chi_mw(nominal_params) == pytest.approx(2 / nominal_params.Gamma)
 
 
 # --- closed-form transduction amplitude -------------------------------------------
