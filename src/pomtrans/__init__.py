@@ -57,7 +57,6 @@ from .errors import (
 )
 from .sfg import (
     SfgEdge,
-    SfgNode,
     SignalFlowGraph,
     SourceGains,
     all_source_gains,

@@ -230,8 +230,12 @@ def _cmd_efficiency_curve(args):
 def _cmd_rings(args):
     rp = rings.RingPair(T=args.round_trip_time, J=TWO_PI * args.ring_j_hz,
                         loss=args.ring_loss, bus_coupling=args.bus_coupling)
-    fsr = 1.0 / args.round_trip_time
-    start, stop, points = _axis(args, 0, 0.0, 3 * fsr, 30_001, "frequency grid")
+    default_stop = 3 * (1.0 / args.round_trip_time)
+    if not args.grid_stop and not default_stop < math.inf:
+        raise ParameterError(
+            f"frequency grid: the default stop 3/T overflows at round-trip time "
+            f"T={args.round_trip_time:g}; pass --grid-stop")
+    start, stop, points = _axis(args, 0, 0.0, default_stop, 30_001, "frequency grid")
     # orders 0..max(1, ceil(stop T)) are listed; more orders than grid points is rejected
     fsrs = stop * rp.T
     if not fsrs <= points - 1:

@@ -226,23 +226,15 @@ def mech_mode_volume(w: ModeField) -> float:
     return 1.0 / float(trapezoid_3d(density**2, w.grid))
 
 
-def em_mode_volume(e: ModeField, eta) -> float:
+def em_mode_volume(e: ModeField, eta_eff: float) -> float:
     """Electromagnetic mode volume with inverse-permittivity weighting.
 
-    (integral of eta_ij E_j E_i*)^2 / integral of (eta_ij E_j E_i*)^2;
-    ``eta`` may be a scalar or a 3x3 matrix (spatially uniform).
+    (integral of eta_eff |E|^2)^2 / integral of (eta_eff |E|^2)^2, at the
+    scalar effective inverse relative permittivity ``eta_eff``.
     """
     if e.kind != EM:
         raise ParameterError("expected an electromagnetic field")
-    eta_m = np.asarray(eta, dtype=float)
-    if eta_m.ndim == 0:
-        density = float(eta_m) * _intensity(e)
-    elif eta_m.shape == (3, 3):
-        density = np.real(np.einsum(
-            "ij,j...,i...->...", eta_m, e.components, np.conj(e.components)
-        ))
-    else:
-        raise ParameterError("eta must be a scalar or a 3x3 matrix")
+    density = float(eta_eff) * _intensity(e)
     return _intensity_integral(density, e)**2 / _intensity_integral(density**2, e)
 
 
@@ -373,15 +365,25 @@ def _require_matching(e: ModeField, w: ModeField):
         raise ParameterError("expected (EM field, mechanical field)")
 
 
+def _in_range(value: float, what: str, mat: MaterialTensorSet) -> float:
+    """``value`` of a prefactor term under a square root, unless it over- or underflowed."""
+    if not 0 < value < math.inf:
+        raise MaterialDataError(
+            f"coupling prefactor term {what} = {value} is out of range (0, inf) "
+            f"at rho = {mat.rho}, eps_rf = {mat.eps_rf}")
+    return value
+
+
 def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet,
                      h: float | None = None) -> complex:
     """i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho)), times |h| if given."""
     v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
     scale = 1j * math.sqrt(e.frequency / w.frequency) / (4 * math.sqrt(v_em * v_mech))
+    eta_rho = _in_range(mat.eta_eff * mat.rho, "eta_eff rho", mat)
     if h is None:
-        return scale / math.sqrt(mat.eta_eff * mat.rho)
+        return scale / math.sqrt(eta_rho)
     # sqrt(h^2 / (eta_eff rho)) as piezo_coupling documents it; |h| / sqrt(...) rounds differently
-    return scale * math.sqrt(h**2 / (mat.eta_eff * mat.rho))
+    return scale * math.sqrt(h**2 / eta_rho)
 
 
 def overlap_integral(e: ModeField, gradients: np.ndarray, j: int, k: int,
@@ -462,10 +464,10 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
                           np.conj(e.components), w.strain)
     total = complex(trapezoid_3d(integrand, e.grid))
     v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
-    prefactor = math.sqrt(
-        HBAR / (32 * mat.rho * v_mech * EPSILON_0**2
-                * mat.eta_eff**2 * v_em**2 * w.frequency)
-    )
+    denominator = _in_range(
+        32 * mat.rho * v_mech * EPSILON_0**2 * mat.eta_eff**2 * v_em**2 * w.frequency,
+        "32 rho V_mech eps0^2 eta_eff^2 V_em^2 omega_mech", mat)
+    prefactor = math.sqrt(_in_range(HBAR / denominator, "hbar / (32 rho ... omega_mech)", mat))
     return prefactor * abs(total)
 
 

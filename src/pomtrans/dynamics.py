@@ -96,12 +96,13 @@ class TransducerParams:
 
 def _mechanical_rates(p: TransducerParams):
     """(gamma_m, derived gamma_ex) of :func:`derived_rates`; Gamma = 0 needs g_em = 0."""
-    if not _holds(p.Gamma != 0):
-        if not _holds(p.g_em == 0):
-            raise ParameterError("Gamma must be > 0 when g_em is nonzero")
-        return p.gamma_0 + 0.0, 0.0
-    return (p.gamma_0 + 4 * p.g_em**2 / p.Gamma,
-            4 * p.g_em**2 * (p.Gamma - p.Gamma_0) / p.Gamma**2)
+    Gamma = p.Gamma
+    if not _holds(Gamma != 0):
+        _require((Gamma != 0) | (p.g_em == 0), "Gamma", Gamma, "must be > 0 when g_em is nonzero")
+        # g_em = Gamma_0 = 0 where Gamma = 0, so a unit divisor gives gamma_0 + 0.0 and 0.0 there
+        Gamma = np.where(Gamma == 0, 1.0, Gamma) if np.ndim(Gamma) else 1.0
+    return (p.gamma_0 + 4 * p.g_em**2 / Gamma,
+            4 * p.g_em**2 * (Gamma - p.Gamma_0) / Gamma**2)
 
 
 def _holds(ok) -> bool:
@@ -150,9 +151,14 @@ class DerivedRates:
     @property
     def gamma_ex_discrepancy(self) -> float:
         """Relative difference between effective and derived gamma_ex."""
-        if self.gamma_ex_derived == 0:
-            return 0.0 if self.gamma_ex == 0 else math.inf
-        return abs(self.gamma_ex - self.gamma_ex_derived) / self.gamma_ex_derived
+        derived, gamma_ex = self.gamma_ex_derived, self.gamma_ex
+        if isinstance(derived, np.ndarray) or isinstance(gamma_ex, np.ndarray):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(derived == 0, np.where(gamma_ex == 0, 0.0, math.inf),
+                                abs(gamma_ex - derived) / derived)
+        if derived == 0:
+            return 0.0 if gamma_ex == 0 else math.inf
+        return abs(gamma_ex - derived) / derived
 
 
 def derived_rates(p: TransducerParams) -> DerivedRates:
@@ -290,7 +296,7 @@ def transducer_graph(op: OperatingPoint) -> sfg.SignalFlowGraph:
         sfg.SfgEdge("a2", "a_out", lambda w: math.sqrt(p.kappa_ex2), "sqrt(kappa_ex2)"),
         sfg.SfgEdge("a_in", "a_out", lambda w: -1.0, "-1"),
     ]
-    return sfg.SignalFlowGraph.from_edges(edges)
+    return sfg.SignalFlowGraph(edges)
 
 
 def efficiency(op: OperatingPoint, omega):

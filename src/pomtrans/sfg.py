@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,24 +29,6 @@ GainFunction = Callable[[float], complex]
 
 #: threshold scale for the determinant zero test, relative to loop-gain size
 _SINGULARITY_RTOL = 1e-14
-
-NODE_KINDS = ("source", "internal", "sink")
-
-
-@dataclass(frozen=True)
-class SfgNode:
-    """Graph node with a unique symbolic id.
-
-    ``kind`` is one of ``source`` (no incoming edges), ``sink`` (no outgoing
-    edges) or ``internal``.
-    """
-
-    id: str
-    kind: str = "internal"
-
-    def __post_init__(self):
-        if self.kind not in NODE_KINDS:
-            raise ValueError(f"node kind must be one of {NODE_KINDS}, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -66,49 +48,25 @@ class SfgEdge:
 
 
 class SignalFlowGraph:
-    """Immutable directed graph with at most one edge per ordered node pair."""
+    """Immutable directed graph with at most one edge per ordered node pair.
 
-    def __init__(self, nodes: Iterable[SfgNode], edges: Iterable[SfgEdge]):
-        node_list = list(nodes)
-        ids = [n.id for n in node_list]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate node ids: {dupes}")
-        self._nodes: dict[str, SfgNode] = {n.id: n for n in node_list}
-        #: node id -> bit position in a loop or path mask; iterates in sorted id order
-        self._index: dict[str, int] = {nid: k for k, nid in enumerate(sorted(self._nodes))}
+    The nodes are the edge endpoints; a source is a node with no incoming edge.
+    """
 
+    def __init__(self, edges: Iterable[SfgEdge]):
         self._edges: dict[tuple[str, str], SfgEdge] = {}
-        succ: dict[str, list[str]] = {nid: [] for nid in self._nodes}
         for e in edges:
-            for endpoint in (e.src, e.dst):
-                if endpoint not in self._nodes:
-                    raise UnknownNodeError(endpoint)
             key = (e.src, e.dst)
             if key in self._edges:
                 raise ValueError(f"multiple edges for pair {key}")
             self._edges[key] = e
-            succ[e.src].append(e.dst)
+        ids = sorted({nid for key in self._edges for nid in key})
+        #: node id -> bit position in a loop or path mask; iterates in sorted id order
+        self._index: dict[str, int] = {nid: k for k, nid in enumerate(ids)}
+        succ: dict[str, list[str]] = {nid: [] for nid in ids}
+        for u, v in self._edges:
+            succ[u].append(v)
         self._succ: dict[str, tuple[str, ...]] = {nid: tuple(sorted(s)) for nid, s in succ.items()}
-
-        has_in = {v for _, v in self._edges}
-        for n in node_list:
-            if n.kind == "source" and n.id in has_in:
-                raise ValueError(f"source node {n.id!r} has incoming edges")
-            if n.kind == "sink" and self._succ[n.id]:
-                raise ValueError(f"sink node {n.id!r} has outgoing edges")
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[SfgEdge]) -> "SignalFlowGraph":
-        """Build a graph from edges alone, inferring node kinds from degrees."""
-        edges = list(edges)
-        has_in = {e.dst for e in edges}
-        has_out = {e.src for e in edges}
-
-        def kind(nid: str) -> str:
-            return "source" if nid not in has_in else "sink" if nid not in has_out else "internal"
-
-        return cls([SfgNode(nid, kind(nid)) for nid in sorted(has_in | has_out)], edges)
 
     @functools.cached_property
     def _loops(self) -> tuple[tuple[tuple[str, ...], int], ...]:
@@ -120,8 +78,8 @@ class SignalFlowGraph:
         return sum(1 << self._index[nid] for nid in node_ids)
 
     @property
-    def nodes(self) -> Mapping[str, SfgNode]:
-        return dict(self._nodes)
+    def nodes(self) -> tuple[str, ...]:
+        return tuple(self._index)
 
     @property
     def edges(self) -> tuple[SfgEdge, ...]:
@@ -131,14 +89,11 @@ class SignalFlowGraph:
         return self._edges[(src, dst)]
 
     def source_ids(self) -> tuple[str, ...]:
-        return tuple(nid for nid in self._index if self._nodes[nid].kind == "source")
-
-    def successors(self, node_id: str) -> tuple[str, ...]:
-        self._require(node_id)
-        return self._succ[node_id]
+        has_in = {v for _, v in self._edges}
+        return tuple(nid for nid in self._index if nid not in has_in)
 
     def _require(self, node_id: str):
-        if node_id not in self._nodes:
+        if node_id not in self._index:
             raise UnknownNodeError(node_id)
 
     def dump_adjacency(self) -> str:
@@ -146,29 +101,26 @@ class SignalFlowGraph:
         return "\n".join(f"{e.src} -> {e.dst} : {e.label or '(unlabelled)'}" for e in self.edges)
 
 
+def _walk(g: SignalFlowGraph, start: str, allowed: Callable[[str], bool]):
+    """Every simple path from ``start`` through ``allowed`` nodes, in lexicographic order."""
+    stack = [start]
+
+    def extend():
+        yield tuple(stack)
+        for nxt in g._succ[stack[-1]]:
+            if allowed(nxt) and nxt not in stack:
+                stack.append(nxt)
+                yield from extend()
+                stack.pop()
+
+    return extend()
+
+
 def enumerate_paths(g: SignalFlowGraph, src: str, dst: str) -> list[tuple[str, ...]]:
     """All simple paths from ``src`` to ``dst`` in lexicographic order."""
     g._require(src)
     g._require(dst)
-    paths: list[tuple[str, ...]] = []
-    stack: list[str] = [src]
-    on_stack = {src}
-
-    def walk(node: str):
-        if node == dst:
-            paths.append(tuple(stack))
-            return
-        for nxt in g.successors(node):
-            if nxt in on_stack:
-                continue
-            stack.append(nxt)
-            on_stack.add(nxt)
-            walk(nxt)
-            stack.pop()
-            on_stack.discard(nxt)
-
-    walk(src)
-    return paths
+    return [path for path in _walk(g, src, lambda nid: True) if path[-1] == dst]
 
 
 def enumerate_loops(g: SignalFlowGraph) -> list[tuple[str, ...]]:
@@ -178,27 +130,11 @@ def enumerate_loops(g: SignalFlowGraph) -> list[tuple[str, ...]]:
     which makes the canonical form automatic and the output order
     deterministic.
     """
-    loops: list[tuple[str, ...]] = []
-    for root in g._index:
-        if (root, root) in g._edges:
-            loops.append((root,))
-        stack = [root]
-        on_stack = {root}
-
-        def walk(node: str):
-            for nxt in g.successors(node):
-                if nxt == root and len(stack) > 1:
-                    loops.append(tuple(stack))
-                elif nxt > root and nxt not in on_stack:
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    walk(nxt)
-                    stack.pop()
-                    on_stack.discard(nxt)
-
-        walk(root)
-    loops.sort()
-    return loops
+    return sorted(
+        walk for root in g._index
+        for walk in _walk(g, root, root.__lt__)  # through ids above the root only
+        if (walk[-1], root) in g._edges
+    )
 
 
 def _gain(g: SignalFlowGraph, path: Sequence[str], omega: float) -> complex:

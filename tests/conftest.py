@@ -96,7 +96,7 @@ def random_graph(rng: np.random.Generator, n_nodes: int | None = None,
             continue  # keep src a source and dst a sink
         if (u, v) not in edges:
             edges[(u, v)] = sfg.SfgEdge(u, v, gain_fn())
-    return sfg.SignalFlowGraph.from_edges(edges.values()), src, dst
+    return sfg.SignalFlowGraph(edges.values()), src, dst
 
 
 def write_coupling_inputs(directory) -> list[str]:

@@ -58,6 +58,19 @@ def test_unknown_param_key_exits_2(outdir, tmp_path, capsys):
     assert "error: validation:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("nope", "invalid JSON in {path}: Expecting value: line 1 column 1 (char 0)"),
+    ("[1]", "parameter file {path} must contain a flat JSON object"),
+], ids=["invalid-json", "not-an-object"])
+def test_malformed_params_file_exits_2(outdir, tmp_path, capsys, text, message):
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    assert run(["optimize", "--params", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: " + message.format(path=path)]
+    assert list(outdir.iterdir()) == [path]
+
+
 def test_spectrum_sidecar_matches_library(outdir):
     assert run([
         "spectrum", "--preset", "nominal", "--out", "spec",
@@ -433,6 +446,15 @@ def test_tiny_round_trip_time_exits_2(outdir, capsys, argv, message):
     assert list(outdir.iterdir()) == []
 
 
+def test_rings_default_grid_stop_overflow_names_round_trip_time(outdir, capsys):
+    # 1/T is finite at T = 1e-308, but the default stop 3/T is not
+    assert run(["rings", "--round-trip-time", "1e-308"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: frequency grid: the default stop 3/T overflows at round-trip "
+        "time T=1e-308; pass --grid-stop"]
+    assert list(outdir.iterdir()) == []
+
+
 def test_rings_with_more_critical_orders_than_grid_points_exits_2(outdir, capsys):
     # T = 1e-11 s: a 1e13 Hz grid spans 100 free spectral ranges, so orders 0..100
     assert run(["rings", "--grid-stop", "1e13", "--grid-points", "50"]) == 2
@@ -538,6 +560,27 @@ def test_tensor_scalar_with_out_of_range_reciprocal_exits_2(outdir, tmp_path, ca
     assert run(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: material-data: 1/{key} must be finite and not subnormal, got {key} = {value}"]
+    assert not (outdir / "coupling.json").exists()
+
+
+@pytest.mark.parametrize("scalars, term", [
+    # the optomechanical denominator overflows (the coupling used to read 0.0) ...
+    ({"rho": 1e307}, "32 rho V_mech eps0^2 eta_eff^2 V_em^2 omega_mech = inf"),
+    # ... or underflows (it used to end in ZeroDivisionError)
+    ({"rho": 1e-300}, "32 rho V_mech eps0^2 eta_eff^2 V_em^2 omega_mech = 0.0"),
+    # eta_eff rho overflows (the piezoelectric coupling used to read 0.0)
+    ({"rho": 1e300, "eps_rf": 1e-10}, "eta_eff rho = inf"),
+], ids=["optomech-overflow", "optomech-underflow", "piezo-overflow"])
+def test_out_of_range_coupling_prefactor_exits_2(outdir, tmp_path, capsys, scalars, term):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    data = {**json.loads((inputs / "tensors.json").read_text()), **scalars}
+    (inputs / "tensors.json").write_text(json.dumps(data))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: material-data: coupling prefactor term {term} is out of range (0, inf) "
+        f"at rho = {data['rho']}, eps_rf = {data['eps_rf']}"]
     assert not (outdir / "coupling.json").exists()
 
 

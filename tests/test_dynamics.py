@@ -41,6 +41,35 @@ def test_derived_gamma_ex_limits(nominal_params):
         replace(p, Gamma=0.0, Gamma_0=0.0)
 
 
+def test_derived_rates_broadcast_over_array_fields(nominal_params):
+    # the first cell is the Gamma = 0 limit, which needs g_em = 0 and so Gamma_0 = 0
+    base = replace(nominal_params, gamma_ex=None, gamma_m_supplied=None)
+    fields = {
+        "Gamma": [0.0, base.Gamma, 2 * base.Gamma],
+        "Gamma_0": [0.0, base.Gamma_0, base.Gamma_0],
+        "g_em": [0.0, base.g_em, base.g_em],
+    }
+    supplied = [base.gamma_0 / 2, nominal_params.gamma_ex, nominal_params.gamma_ex]
+    for cell_fields in (fields, {**fields, "gamma_ex": supplied}):
+        p = replace(base, **{name: np.array(v) for name, v in cell_fields.items()})
+        cells = [replace(base, **{name: v[i] for name, v in cell_fields.items()})
+                 for i in range(3)]
+        r = dynamics.derived_rates(p)
+        per_cell = [dynamics.derived_rates(c) for c in cells]
+        for name in ("gamma_m", "kappa_2", "gamma_ex", "gamma_ex_derived",
+                     "gamma_ex_discrepancy"):
+            assert all(type(getattr(c, name)) is float for c in per_cell)
+            # the broadcast rates are the scalar ones cell by cell, to the bit
+            assert np.broadcast_to(getattr(r, name), (3,)).tolist() == [
+                getattr(c, name) for c in per_cell]
+        assert per_cell[0].gamma_m == base.gamma_0 and per_cell[0].gamma_ex_derived == 0.0
+    assert per_cell[0].gamma_ex_discrepancy == math.inf  # supplied, but g_em = 0 derives 0
+    with pytest.raises(ParameterError, match=r"^Gamma must be > 0 when g_em is nonzero, "
+                                             r"got 0\.0$"):
+        replace(base, g_em=np.array([base.g_em, base.g_em]),
+                Gamma=np.array([base.Gamma, 0.0]), Gamma_0=np.array([base.Gamma_0, 0.0]))
+
+
 def test_decoupled_limit_rates(nominal_params):
     p = replace(nominal_params, g_em=0.0, gamma_ex=None, gamma_m_supplied=None)
     r = dynamics.derived_rates(p)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import networkx as nx
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pomtrans import sfg
+from pomtrans import analysis, dynamics, sfg
 from pomtrans.errors import EdgeGainError, SingularityError, UnknownNodeError
 
 from conftest import random_graph
@@ -17,7 +18,7 @@ def const(c):
 
 
 def graph_from(edge_gains):
-    return sfg.SignalFlowGraph.from_edges(
+    return sfg.SignalFlowGraph(
         sfg.SfgEdge(u, v, const(g)) for (u, v), g in edge_gains.items()
     )
 
@@ -35,31 +36,8 @@ def to_networkx(g: sfg.SignalFlowGraph) -> nx.DiGraph:
 def test_duplicate_edge_rejected():
     e1 = sfg.SfgEdge("a", "b", const(1.0))
     e2 = sfg.SfgEdge("a", "b", const(2.0))
-    nodes = [sfg.SfgNode("a", "source"), sfg.SfgNode("b", "sink")]
     with pytest.raises(ValueError, match="multiple edges"):
-        sfg.SignalFlowGraph(nodes, [e1, e2])
-
-
-def test_duplicate_node_ids_rejected():
-    with pytest.raises(ValueError, match="duplicate node ids"):
-        sfg.SignalFlowGraph([sfg.SfgNode("a"), sfg.SfgNode("a")], [])
-
-
-def test_source_with_incoming_rejected():
-    nodes = [sfg.SfgNode("a", "source"), sfg.SfgNode("b", "source")]
-    with pytest.raises(ValueError, match="incoming"):
-        sfg.SignalFlowGraph(nodes, [sfg.SfgEdge("a", "b", const(1.0))])
-
-
-def test_sink_with_outgoing_rejected():
-    nodes = [sfg.SfgNode("a", "sink"), sfg.SfgNode("b", "internal")]
-    with pytest.raises(ValueError, match="outgoing"):
-        sfg.SignalFlowGraph(nodes, [sfg.SfgEdge("a", "b", const(1.0))])
-
-
-def test_edge_to_unknown_node_rejected():
-    with pytest.raises(UnknownNodeError, match="zzz"):
-        sfg.SignalFlowGraph([sfg.SfgNode("a")], [sfg.SfgEdge("a", "zzz", const(1.0))])
+        sfg.SignalFlowGraph([e1, e2])
 
 
 def test_dump_adjacency_lists_every_edge():
@@ -150,6 +128,7 @@ def test_enumeration_matches_networkx_on_small_graphs(data):
         for c in (list(cyc) for cyc in nx.simple_cycles(ref))
     )
     assert sfg.enumerate_loops(g) == ref_loops
+    assert g.source_ids() == tuple(sorted(nid for nid, deg in ref.in_degree() if deg == 0))
 
     present = sorted(g.nodes)
     src = data.draw(st.sampled_from(present))
@@ -237,7 +216,7 @@ def test_edge_gain_failure_carries_edge_identity():
     def bad_gain(w):
         raise FloatingPointError("boom")
 
-    g = sfg.SignalFlowGraph.from_edges([
+    g = sfg.SignalFlowGraph([
         sfg.SfgEdge("a", "b", bad_gain),
     ])
     with pytest.raises(EdgeGainError, match="'a' -> 'b'"):
@@ -273,3 +252,34 @@ def test_all_source_gains_multiple_sources():
     assert set(result.gains) == {"s1", "s2"}
     assert result.gains["s1"] == pytest.approx(0.5)
     assert result.gains["s2"] == pytest.approx(0.25j)
+
+
+# --- pinned oracle output ---------------------------------------------------------
+
+#: SHA-256 of the oracle outputs below, recorded with numpy 2.4 on x86-64 Linux; a
+#: refactor of the oracle must leave every value it covers bit-identical
+ORACLE_DIGEST = "2813394715b4f1f607e644d68352268a07b1be1e09a79075894af75f8669f44e"
+
+
+def test_oracle_outputs_hold_their_bits(nominal_params):
+    out = []
+    rng = np.random.default_rng(1956)
+    for k in range(40):
+        g, src, dst = random_graph(rng, acyclic=k % 4 == 0)
+        out += [sfg.enumerate_loops(g), g.dump_adjacency(), g.source_ids()]
+        out += [sfg.enumerate_paths(g, u, v) for u in sorted(g.nodes) for v in sorted(g.nodes)]
+        for w in (-1.3, 0.0, 0.7):
+            out.append(sfg.graph_determinant(g, w))
+            for solve in (sfg.mason_gain, sfg.linear_solve_gain):
+                try:
+                    out.append(solve(g, src, dst, w))
+                except SingularityError as exc:
+                    out.append(str(exc))
+    for name in analysis.PRESETS:
+        p = analysis.apply_preset(nominal_params, name)
+        graph = dynamics.transducer_graph(
+            dynamics.OperatingPoint(p, analysis.critical_photon_number(p), pump_phase=0.3))
+        for df in (-20e6, 0.0, 3e6):
+            result = sfg.all_source_gains(graph, "a_out", p.omega_m + 2 * math.pi * df)
+            out += [sorted(result.gains.items()), result.power_sum]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == ORACLE_DIGEST
