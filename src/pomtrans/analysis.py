@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import TWO_PI
 from .dynamics import (
     OperatingPoint,
     TransducerParams,
@@ -29,11 +28,9 @@ from .dynamics import (
     chi_m,
     derived_rates,
     efficiency,
-    enhancement_resonances,
     pump_power_to_photons,
 )
 from .errors import GridError, ModelViolationError, ParameterError, UndefinedOptimumError
-from .sweep import SweepResult
 
 _F_M_TOL = 1e-12
 
@@ -147,7 +144,6 @@ def kappa_ex2_threshold(p: TransducerParams) -> ThresholdResult:
 class SpectrumResult:
     """Efficiency spectrum with interpolated peak location and 50% bandwidth."""
 
-    frequencies: np.ndarray  # rad/s
     efficiencies: np.ndarray
     peak_shift: float  # rad/s, peak location minus omega_m
     fwhm: float  # rad/s
@@ -217,7 +213,6 @@ def efficiency_spectrum(p: TransducerParams, omega_grid) -> SpectrumResult:
     broad = hits_boundary or (fwhm > 0 and flat_width > 0.1 * fwhm)
 
     return SpectrumResult(
-        frequencies=w,
         efficiencies=eta,
         peak_shift=peak_omega - p.omega_m,
         fwhm=fwhm,
@@ -273,50 +268,29 @@ def apply_preset(p: TransducerParams, name: str) -> TransducerParams:
 # --- sweep engines ----------------------------------------------------------
 
 
-def max_efficiency_contour(p: TransducerParams, g_em_grid, kappa_ex2_grid) -> SweepResult:
+def max_efficiency_contour(p: TransducerParams, g_em_grid, kappa_ex2_grid) -> np.ndarray:
     """Maximum achievable efficiency over a (g_em, kappa_ex2) grid.
 
     Every cell has its own derived rates: gamma_m and gamma_ex respond to
     g_em, kappa_2 responds to kappa_ex2.  Since g_em varies, gamma_ex follows
     the derived relation everywhere (a supplied value on the base record is
-    ignored; it cannot scale consistently).  Cells are emitted row-major over
-    the g_em axis with axes as log10 of plain-Hz frequencies.
+    ignored; it cannot scale consistently).  Returns the
+    ``(len(g_em_grid), len(kappa_ex2_grid))`` array, rows along g_em.
     """
     g_grid = np.asarray(g_em_grid, dtype=float)
     k_grid = np.asarray(kappa_ex2_grid, dtype=float)
     if np.any(g_grid <= 0) or np.any(k_grid <= 0):
         raise ParameterError("contour grids must be strictly positive")
-    eta = max_efficiency(replace(p, gamma_ex=None, gamma_m_supplied=None,
-                                 g_em=g_grid[:, None], kappa_ex2=k_grid[None, :]))
-    return SweepResult(columns={
-        "log10_gEM_hz": np.repeat(np.log10(g_grid / TWO_PI), len(k_grid)),
-        "log10_kex2_hz": np.tile(np.log10(k_grid / TWO_PI), len(g_grid)),
-        "max_efficiency": eta.ravel(),
-    })
+    return max_efficiency(replace(p, gamma_ex=None, gamma_m_supplied=None,
+                                  g_em=g_grid[:, None], kappa_ex2=k_grid[None, :]))
 
 
-def power_curve(p: TransducerParams, power_grid, pump_offset: float | None = None) -> SweepResult:
-    """On-resonance efficiency versus pump power in the bus waveguide.
+def power_curve(p: TransducerParams, power_grid, pump_offset: float | None = None):
+    """On-resonance ``(intra_ring_photons, efficiency)`` versus pump power in the bus waveguide.
 
     The pump is mapped to intra-ring photons via the ring-pair enhancement
     factor at ``pump_offset`` (rad/s, rotating frame), by default the lower
     enhancement resonance; the signal stays at omega_m.
     """
-    powers = np.asarray(power_grid, dtype=float)
-    if pump_offset is None:
-        pump_offset = enhancement_resonances(p).lower
-    photons = pump_power_to_photons(p, powers, pump_offset)
-    eta = efficiency(OperatingPoint(p, photons), p.omega_m)
-    i_best = int(np.argmax(eta))
-    return SweepResult(
-        columns={
-            "power_w": powers,
-            "intra_ring_photons": photons,
-            "efficiency": eta,
-        },
-        metadata={
-            "peak_power_w": float(powers[i_best]),
-            "peak_efficiency": float(eta[i_best]),
-            "pump_offset_hz": pump_offset / TWO_PI,
-        },
-    )
+    photons = pump_power_to_photons(p, np.asarray(power_grid, dtype=float), pump_offset)
+    return photons, efficiency(OperatingPoint(p, photons), p.omega_m)

@@ -161,9 +161,9 @@ def _cmd_spectrum(args):
     p = _load_params(args)
     f_m = p.omega_m / TWO_PI
     start, stop, points = _axis(args, 0, f_m - 2.5e8, f_m + 2.5e8, 500_001, "spectrum grid")
-    spec = analysis.efficiency_spectrum(p, TWO_PI * np.linspace(start, stop, points))
-    table = SweepResult(columns={"frequency_hz": spec.frequencies / TWO_PI,
-                                 "efficiency": spec.efficiencies})
+    grid = TWO_PI * np.linspace(start, stop, points)
+    spec = analysis.efficiency_spectrum(p, grid)
+    table = SweepResult(columns={"frequency_hz": grid / TWO_PI, "efficiency": spec.efficiencies})
     return "spectrum", {
         ".csv": table.to_csv(),
         ".json": _sidecar(args, p, {
@@ -200,9 +200,14 @@ def _cmd_contour(args):
     k_start, k_stop, n_k = _log_axis(args, 1, 1e7, 1e10, 41, "kappa_ex2 axis")
     g_grid = TWO_PI * np.logspace(math.log10(g_start), math.log10(g_stop), n_g)
     k_grid = TWO_PI * np.logspace(math.log10(k_start), math.log10(k_stop), n_k)
-    result = analysis.max_efficiency_contour(p, g_grid, k_grid)
+    eta = analysis.max_efficiency_contour(p, g_grid, k_grid)
+    table = SweepResult(columns={
+        "log10_gEM_hz": np.repeat(np.log10(g_grid / TWO_PI), n_k),
+        "log10_kex2_hz": np.tile(np.log10(k_grid / TWO_PI), n_g),
+        "max_efficiency": eta.ravel(),
+    })
     return "contour", {
-        ".csv": result.to_csv(),
+        ".csv": table.to_csv(),
         ".json": _sidecar(args, p, {
             "g_em_axis_hz": [g_start, g_stop, n_g],
             "kappa_ex2_axis_hz": [k_start, k_stop, n_k],
@@ -215,15 +220,23 @@ def _cmd_efficiency_curve(args):
     p = _load_params(args)
     start, stop, points = _log_axis(args, 0, 1e-6, 100.0, 601, "power grid")
     powers = np.logspace(math.log10(start), math.log10(stop), points)
-    offset = None if args.pump_offset_hz is None else TWO_PI * args.pump_offset_hz
-    result = analysis.power_curve(p, powers, pump_offset=offset)
-    metadata = result.metadata
-    if args.pump_offset_hz is not None:
+    if args.pump_offset_hz is None:
+        offset = dynamics.enhancement_resonances(p).lower
+        offset_hz = offset / TWO_PI
+    else:
         # report the flag as given, not after its round trip through rad/s
-        metadata = {**metadata, "pump_offset_hz": args.pump_offset_hz}
+        offset, offset_hz = TWO_PI * args.pump_offset_hz, args.pump_offset_hz
+    photons, eta = analysis.power_curve(p, powers, pump_offset=offset)
+    table = SweepResult(columns={"power_w": powers, "intra_ring_photons": photons,
+                                 "efficiency": eta})
+    i_best = int(np.argmax(eta))
     return "efficiency-curve", {
-        ".csv": result.to_csv(),
-        ".json": _sidecar(args, p, {"metadata": metadata}),
+        ".csv": table.to_csv(),
+        ".json": _sidecar(args, p, {"metadata": {
+            "peak_power_w": float(powers[i_best]),
+            "peak_efficiency": float(eta[i_best]),
+            "pump_offset_hz": offset_hz,
+        }}),
     }
 
 
@@ -243,9 +256,8 @@ def _cmd_rings(args):
             f"frequency grid: stop {stop:g} Hz spans {fsrs:.6g} free spectral ranges, so the "
             f"critical frequencies listed would outnumber its {points} points")
     grid = TWO_PI * np.linspace(start, stop, points)
-    spectrum = rings.transmission_spectrum(rp, grid)
     table = SweepResult(columns={"frequency_hz": grid / TWO_PI,
-                                 "transmission": spectrum.columns["transmission"]})
+                                 "transmission": rings.transmission_spectrum(rp, grid)})
     n_max = max(1, math.ceil(fsrs))
     crit = rings.critical_frequencies(rp, range(0, n_max + 1))
     return "rings", {

@@ -408,6 +408,10 @@ def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
         raise ParameterError("both mode frequencies must be set and positive")
     i, j, k = component
     h = mat.h_element(i, j, k)
+    # the prefactor squares h; a square that over- or underflows would raise or give 0
+    if h != 0 and not 0 < h * h < math.inf:
+        raise MaterialDataError(
+            f"piezoelectric element h_{i}{j}{k} = {h} has a square out of range (0, inf)")
     integral = overlap_integral(e, w.strain, j, k, component=i)
     return _piezo_prefactor(e, w, mat, h) * integral
 

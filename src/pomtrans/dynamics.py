@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, replace
 from importlib import resources
 from typing import Mapping
@@ -26,6 +27,14 @@ from .errors import ModelViolationError, ParameterError, SingularityError
 
 _SINGULARITY_RTOL = 1e-14
 _GAMMA_M_CHECK_RTOL = 0.02
+#: largest accepted value of a rate the closed forms square.  A Python float
+#: ``x**2`` raises on overflow; below this bound squares such as
+#: (kappa_1 + kappa_02 + kappa_ex2)^2 and 16 J^2 stay finite.
+_SQUARED_RATE_MAX = math.sqrt(sys.float_info.max) / 4
+_SQUARED_RATE_CONDITION = (f"must be <= {_SQUARED_RATE_MAX:.4g} rad/s "
+                           "so that its square stays finite")
+# Gamma_0 is not squared, but listing it names it before the Gamma >= Gamma_0 check
+_SQUARED_RATES = ("Gamma_0", "Gamma", "g_em", "J", "kappa_1", "kappa_02", "kappa_ex2", "g_om")
 
 
 @dataclass(frozen=True)
@@ -67,6 +76,9 @@ class TransducerParams:
             value = getattr(self, name)
             if value is not None:
                 _require(value >= 0, name, value, "must be >= 0")
+        for name in _SQUARED_RATES:
+            value = getattr(self, name)
+            _require(value <= _SQUARED_RATE_MAX, name, value, _SQUARED_RATE_CONDITION)
         _require(self.omega_m > 0, "omega_m", self.omega_m, "must be > 0")
         if self.lambda_l is not None:
             _require(self.lambda_l > 0, "lambda_l", self.lambda_l, "must be > 0")
@@ -381,7 +393,10 @@ def photon_flux(p: TransducerParams, power):
     if p.lambda_l is None:
         raise ParameterError("lambda_l (pump wavelength) is required for power mapping")
     _require(power >= 0, "power", power, "must be >= 0")
-    return power * p.lambda_l / (TWO_PI * HBAR * SPEED_OF_LIGHT)
+    with np.errstate(over="ignore"):
+        flux = power * p.lambda_l / (TWO_PI * HBAR * SPEED_OF_LIGHT)
+    _require(flux < math.inf, "power", power, "must give a finite photon flux")
+    return flux
 
 
 def pump_power_to_photons(p: TransducerParams, power,

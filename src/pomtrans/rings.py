@@ -22,7 +22,6 @@ import numpy as np
 
 from .constants import TWO_PI
 from .errors import ParameterError
-from .sweep import SweepResult
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,8 @@ def _inner_ring_response(rp: RingPair, phase: np.ndarray) -> np.ndarray:
     return (c + loop1) / (1 + c * loop1)
 
 
-def transmission_spectrum(rp: RingPair, omega_grid) -> SweepResult:
-    """Bus through-port power transmission of the ring pair.
+def transmission_spectrum(rp: RingPair, omega_grid) -> np.ndarray:
+    """Bus through-port power transmission of the ring pair at each ``omega_grid`` point.
 
     Symmetric double-bus transfer model: the second ring carries the bus
     couplers and sees the first ring as a frequency-dependent all-pass
@@ -131,8 +130,7 @@ def transmission_spectrum(rp: RingPair, omega_grid) -> SweepResult:
     t_bus = math.sqrt(1 - rp.bus_coupling**2)
     loop = rp.loss * _inner_ring_response(rp, phase) * phase
     amp = t_bus * (1 + loop) / (1 + t_bus**2 * loop)
-    power = np.abs(amp) ** 2
-    return SweepResult(columns={"omega_rad_s": w, "transmission": power})
+    return np.abs(amp) ** 2
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ among them, are re-formatted with ``%``: the scaled float is rounded twice
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,7 +110,6 @@ class SweepResult:
     """Real-valued, column-labelled series produced by a frequency/power/parameter sweep."""
 
     columns: dict[str, np.ndarray]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         lengths = {name: len(np.atleast_1d(col)) for name, col in self.columns.items()}

@@ -315,16 +315,16 @@ def test_contour_cell_matches_max_efficiency(nominal_params):
     p = nominal_params
     g_axis = np.array([p.g_em / 2, p.g_em, p.g_em * 5])
     k_axis = np.array([p.kappa_ex2, p.kappa_ex2 * 5])
-    result = analysis.max_efficiency_contour(p, g_axis, k_axis)
+    eta = analysis.max_efficiency_contour(p, g_axis, k_axis)
+    assert eta.shape == (len(g_axis), len(k_axis))
     base = dynamics.with_derived_gamma_ex(replace(p, gamma_m_supplied=None))
     # the cell at the nominal coordinates equals the scalar optimizer output
-    idx = 1 * len(k_axis) + 0
-    assert result.columns["max_efficiency"][idx] == pytest.approx(
+    assert eta[1, 0] == pytest.approx(
         analysis.max_efficiency(base), rel=1e-12
     )
     # and the (5 g_em, 5 kex2) cell matches the scaled parameter set
     scaled = replace(base, g_em=p.g_em * 5, kappa_ex2=p.kappa_ex2 * 5)
-    assert result.columns["max_efficiency"][-1] == pytest.approx(
+    assert eta[-1, -1] == pytest.approx(
         analysis.max_efficiency(scaled), rel=1e-12
     )
 
@@ -333,23 +333,12 @@ def test_contour_monotone_in_bus_coupling_below_threshold(nominal_params):
     p = nominal_params
     k_axis = TWO_PI * np.logspace(7, 9, 9)
     g_axis = np.array([p.g_em])
-    result = analysis.max_efficiency_contour(p, g_axis, k_axis)
-    eta = result.columns["max_efficiency"]
+    eta = analysis.max_efficiency_contour(p, g_axis, k_axis)[0]
     base = dynamics.with_derived_gamma_ex(replace(p, gamma_m_supplied=None))
     for i in range(len(k_axis) - 1):
         cell = replace(base, kappa_ex2=float(k_axis[i]))
         if analysis.kappa_ex2_threshold(cell).monotone_increasing:
             assert eta[i + 1] > eta[i]
-
-
-def test_contour_axes_are_log10_hz(nominal_params):
-    p = nominal_params
-    result = analysis.max_efficiency_contour(
-        p, np.array([p.g_em]), np.array([p.kappa_ex2]))
-    assert result.columns["log10_gEM_hz"][0] == pytest.approx(
-        math.log10(p.g_em / TWO_PI))
-    assert result.columns["log10_kex2_hz"][0] == pytest.approx(
-        math.log10(p.kappa_ex2 / TWO_PI))
 
 
 def test_power_curve_unimodal_and_vanishing(nominal_params):
@@ -359,8 +348,8 @@ def test_power_curve_unimodal_and_vanishing(nominal_params):
     gain = abs(dynamics.intra_ring_gain(p, dynamics.enhancement_resonances(p).lower)) ** 2
     p_crit = n_crit / gain / dynamics.photon_flux(p, 1.0)
     powers = np.logspace(math.log10(p_crit) - 3, math.log10(p_crit) + 3, 301)
-    curve = analysis.power_curve(p, powers)
-    eta = curve.columns["efficiency"]
+    photons, eta = analysis.power_curve(p, powers)
+    assert photons.shape == eta.shape == powers.shape
 
     # exactly one interior maximum: the discrete derivative changes sign once
     signs = np.sign(np.diff(eta))
@@ -368,8 +357,8 @@ def test_power_curve_unimodal_and_vanishing(nominal_params):
     flips = np.sum(np.abs(np.diff(signs)) > 0)
     assert flips == 1
 
-    assert curve.columns["efficiency"][0] >= 0
-    assert analysis.power_curve(p, np.array([0.0])).columns["efficiency"][0] == 0.0
+    assert eta[0] >= 0
+    assert analysis.power_curve(p, np.array([0.0]))[1][0] == 0.0
 
     # far above the optimum the efficiency collapses (asymptotically to zero)
     peak = float(np.max(eta))
@@ -385,22 +374,18 @@ def test_contour_matches_per_cell_scalar_forms(nominal_params, preset):
     p = analysis.apply_preset(nominal_params, preset)
     g_axis = TWO_PI * np.logspace(7, 10, 7)
     k_axis = TWO_PI * np.logspace(7, 10, 5)
-    result = analysis.max_efficiency_contour(p, g_axis, k_axis)
+    eta = analysis.max_efficiency_contour(p, g_axis, k_axis).ravel()
     base = dynamics.with_derived_gamma_ex(replace(p, gamma_m_supplied=None))
     cells = [replace(base, g_em=float(g), kappa_ex2=float(k)) for g in g_axis for k in k_axis]
     # the broadcast closed form is the scalar one cell by cell, to the bit
-    assert result.columns["max_efficiency"].tolist() == [analysis.max_efficiency(c) for c in cells]
+    assert eta.tolist() == [analysis.max_efficiency(c) for c in cells]
     # and agrees with the full transfer function at the critical pump level
     full = [
         dynamics.efficiency(
             dynamics.OperatingPoint(c, analysis.critical_photon_number(c)), c.omega_m)
         for c in cells
     ]
-    np.testing.assert_allclose(result.columns["max_efficiency"], full, rtol=1e-12, atol=0)
-    assert result.columns["log10_gEM_hz"].tolist() == [
-        math.log10(c.g_em / TWO_PI) for c in cells]
-    assert result.columns["log10_kex2_hz"].tolist() == [
-        math.log10(c.kappa_ex2 / TWO_PI) for c in cells]
+    np.testing.assert_allclose(eta, full, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("offset_hz", [None, 1.7e9, 3.2e9])
@@ -408,16 +393,11 @@ def test_power_curve_matches_per_point_scalar_forms(nominal_params, offset_hz):
     p = nominal_params
     offset = None if offset_hz is None else TWO_PI * offset_hz
     powers = np.concatenate([[0.0], np.logspace(-6, 2, 81)])
-    curve = analysis.power_curve(p, powers, pump_offset=offset)
-    rows = zip(powers, curve.columns["intra_ring_photons"], curve.columns["efficiency"])
-    for power, photons, eta in rows:
+    for power, photons, eta in zip(powers, *analysis.power_curve(p, powers, pump_offset=offset)):
         n = dynamics.pump_power_to_photons(p, float(power), offset)
         assert photons == pytest.approx(n, rel=1e-12, abs=0)
         expected = dynamics.efficiency(dynamics.OperatingPoint(p, n), p.omega_m)
         assert eta == pytest.approx(expected, rel=1e-12, abs=0)
-    resonance = dynamics.enhancement_resonances(p).lower
-    assert curve.metadata["pump_offset_hz"] == pytest.approx(
-        (offset if offset is not None else resonance) / TWO_PI, rel=1e-15)
 
 
 def test_ring_pair_forms_broadcast_over_an_array_j(nominal_params):
@@ -444,9 +424,8 @@ def test_ring_pair_forms_broadcast_over_an_array_j(nominal_params):
     curve = analysis.power_curve(p, powers)
     for i, c in enumerate(cells):
         point = analysis.power_curve(c, powers[i:i + 1])
-        for name, column in point.columns.items():
-            assert curve.columns[name][i] == pytest.approx(column[0], rel=1e-12, abs=0)
-        assert curve.metadata["pump_offset_hz"][i] == point.metadata["pump_offset_hz"]
+        for column, value in zip(curve, point):
+            assert column[i] == pytest.approx(value[0], rel=1e-12, abs=0)
 
 
 def test_zero_ring_pair_enhancement_denominator_named(nominal_params):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import errno
 import json
 import math
@@ -12,6 +13,7 @@ from conftest import read_table, write_coupling_inputs
 
 from pomtrans import analysis, cli, coupling, dynamics, rings
 from pomtrans.errors import SingularityError
+from pomtrans.sweep import SweepResult
 
 TWO_PI = 2 * math.pi
 
@@ -112,6 +114,20 @@ def test_contour_cell_matches_optimize_derived(outdir):
     eta = table["max_efficiency"]
     idx = np.argmin(np.hypot(gs - math.log10(p_nom_hz), ks - math.log10(k_nom_hz)))
     assert eta[idx] == pytest.approx(opt["max_efficiency_derived_gamma_ex"], rel=1e-9)
+
+
+def test_contour_axes_are_log10_hz(outdir, nominal_params):
+    assert run(["contour", "--out", "c", "--grid-start", "1e7", "1e8",
+                "--grid-stop", "1e9", "1e10", "--grid-points", "3", "4"]) == 0
+    table = read_table(outdir / "c.csv")
+    # rows run over kappa_ex2 within each g_em value
+    np.testing.assert_allclose(table["log10_gEM_hz"], np.repeat([7.0, 8.0, 9.0], 4),
+                               rtol=1e-11, atol=0)
+    np.testing.assert_allclose(table["log10_kex2_hz"], np.tile(np.linspace(8.0, 10.0, 4), 3),
+                               rtol=1e-11, atol=0)
+    eta = analysis.max_efficiency_contour(
+        nominal_params, TWO_PI * np.logspace(7, 9, 3), TWO_PI * np.logspace(8, 10, 4))
+    np.testing.assert_allclose(table["max_efficiency"], eta.ravel(), rtol=1e-11, atol=0)
 
 
 def test_efficiency_curve_outputs(outdir):
@@ -268,6 +284,14 @@ def test_pump_offset_reported_as_given(outdir):
                 "--grid-points", "11"]) == 0
     metadata = json.loads((outdir / "c.json").read_text())["metadata"]
     assert metadata["pump_offset_hz"] == 3.2e9  # not 3199999999.9999995
+
+
+def test_default_pump_offset_reported_at_the_lower_enhancement_resonance(outdir,
+                                                                         nominal_params):
+    assert run(["efficiency-curve", "--out", "c", "--grid-points", "11"]) == 0
+    metadata = json.loads((outdir / "c.json").read_text())["metadata"]
+    lower = dynamics.enhancement_resonances(nominal_params).lower
+    assert metadata["pump_offset_hz"] == lower / TWO_PI
 
 
 def test_parser_reuse_does_not_leak_flags(outdir):
@@ -759,3 +783,61 @@ def test_failing_rerun_keeps_the_previous_artifacts(outdir, capsys):
         f"error: io: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'x.json'"]
     assert (outdir / "x.csv").read_bytes() == csv_bytes
     assert sorted(p.name for p in outdir.iterdir()) == ["x.csv", "x.json"]
+
+
+def test_only_the_cli_names_columns_and_converts_to_hz():
+    # the physics modules return rad/s arrays; cli.py builds every table it writes
+    assert not hasattr(analysis, "SweepResult")
+    assert not hasattr(analysis, "TWO_PI")
+    assert not hasattr(rings, "SweepResult")
+    assert [f.name for f in dataclasses.fields(SweepResult)] == ["columns"]
+
+
+@pytest.mark.parametrize("command", ["optimize", "spectrum", "efficiency-curve", "contour"])
+@pytest.mark.parametrize("key", ["Gamma_0_hz", "Gamma_hz", "g_em_hz", "J_hz", "kappa_1_hz",
+                                 "kappa_02_hz", "kappa_ex2_hz", "g_om_hz"])
+def test_rate_whose_square_overflows_named(outdir, tmp_path, capsys, command, key):
+    # each used to end in an unnamed "arithmetic: OverflowError" under some subcommand
+    params = {k: v for k, v in _nominal_payload().items() if k not in ("gamma_ex_hz", "gamma_m_hz")}
+    path = tmp_path / "inputs" / "huge.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({**params, key: 1e200}))
+    assert run([command, "--params", str(path), "--out", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: {key.removesuffix('_hz')} must be <= "
+        f"{dynamics._SQUARED_RATE_MAX:.4g} rad/s so that its square stays finite, "
+        f"got {TWO_PI * 1e200}"]
+    assert [p.name for p in outdir.iterdir()] == ["inputs"]
+
+
+def test_contour_axis_whose_square_overflows_names_g_em(outdir, capsys):
+    # used to end in "arithmetic: FloatingPointError: overflow encountered in square"
+    assert run(["contour", "--grid-stop", "1e300", "--grid-points", "3", "--out", "x"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: validation: g_em must be <= ")
+    assert list(outdir.iterdir()) == []
+
+
+def test_overflowing_photon_flux_names_power(outdir, capsys):
+    # used to end in "arithmetic: FloatingPointError: overflow encountered in divide"
+    assert run(["efficiency-curve", "--grid-stop", "1e308", "--grid-points", "11",
+                "--out", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: power must give a finite photon flux, got 1e+308"]
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("h33", [1e200, 1e-200], ids=["overflow", "underflow"])
+def test_piezo_element_whose_square_leaves_range_exits_2(outdir, tmp_path, capsys, h33):
+    # 1e200 used to end in an unnamed OverflowError; 1e-200 squared to 0, a zero coupling
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs) + ["--component", "3", "3", "3"]
+    data = json.loads((inputs / "tensors.json").read_text())
+    data["h"][2][2] = h33
+    (inputs / "tensors.json").write_text(json.dumps(data))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: material-data: piezoelectric element h_333 = {h33} has a square out of "
+        "range (0, inf)"]
+    assert not (outdir / "coupling.json").exists()

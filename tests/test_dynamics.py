@@ -92,6 +92,21 @@ def test_negative_rate_rejected(nominal_params):
         replace(nominal_params, kappa_1=-1.0)
 
 
+@pytest.mark.parametrize("name", dynamics._SQUARED_RATES)
+def test_rate_whose_square_overflows_rejected_by_name(nominal_params, name):
+    limit = dynamics._SQUARED_RATE_MAX
+    fields = {"gamma_ex": None, "gamma_m_supplied": None, "Gamma": limit}
+    replace(nominal_params, **{**fields, name: limit})  # the bound itself is accepted
+    expected = (f"{name} must be <= {limit:.4g} rad/s so that its square stays finite, "
+                f"got {2 * limit!r}")
+    with pytest.raises(ParameterError, match=f"^{re.escape(expected)}$"):
+        replace(nominal_params, **{**fields, name: 2 * limit})
+    # an array field names its first offending element
+    values = np.array([getattr(nominal_params, name), 2 * limit, 3 * limit])
+    with pytest.raises(ParameterError, match=f"^{re.escape(expected)}$"):
+        replace(nominal_params, **{**fields, name: values})
+
+
 def test_params_json_round_trip(nominal_params, tmp_path):
     path = tmp_path / "params.json"
     path.write_text(json.dumps(dynamics.params_to_dict(nominal_params)))
@@ -299,6 +314,16 @@ def test_pump_power_requires_wavelength(nominal_params):
     p = replace(nominal_params, lambda_l=None)
     with pytest.raises(ParameterError, match="lambda_l"):
         dynamics.pump_power_to_photons(p, 1e-3)
+
+
+@pytest.mark.parametrize("power, first", [(1e308, "1e+308"),
+                                          (np.array([1e-3, 1e300, 1e308]), "1e+300")])
+def test_overflowing_photon_flux_names_power(nominal_params, power, first):
+    # an array used to raise FloatingPointError under the CLI's errstate
+    with np.errstate(over="raise"):
+        with pytest.raises(ParameterError,
+                           match=f"^power must give a finite photon flux, got {re.escape(first)}$"):
+            dynamics.photon_flux(nominal_params, power)
 
 
 def test_array_fields_validated_elementwise(nominal_params):
