@@ -21,7 +21,6 @@ from .dynamics import (
     OperatingPoint,
     TransducerParams,
     _holds,
-    _require_divisors,
     _require_finite_result,
     chi_01,
     chi_02,
@@ -29,6 +28,7 @@ from .dynamics import (
     derived_rates,
     efficiency,
     pump_power_to_photons,
+    with_derived_gamma_ex,
 )
 from .errors import GridError, ModelViolationError, ParameterError, UndefinedOptimumError
 
@@ -61,7 +61,6 @@ def cooperativities(op: OperatingPoint, omega: float | None = None) -> Cooperati
     p = op.params
     r = derived_rates(p)
     if omega is None:
-        _require_divisors(kappa_1=p.kappa_1, kappa_2=r.kappa_2, gamma_m=r.gamma_m)
         c_om = 4 * p.g_om**2 * op.intra_ring_photons / (p.kappa_1 * r.gamma_m)
         c_12 = 4 * p.J**2 / (p.kappa_1 * r.kappa_2)
         f_2 = p.kappa_ex2 / r.kappa_2
@@ -104,7 +103,6 @@ def critical_photon_number(p: TransducerParams) -> float:
     if not _holds(p.g_om > 0):
         raise UndefinedOptimumError("g_om must be > 0 for a finite optimal pump level")
     r = derived_rates(p)
-    _require_divisors(kappa_2=r.kappa_2)
     return r.gamma_m / (4 * p.g_om**2) * (4 * p.J**2 / r.kappa_2 + p.kappa_1)
 
 
@@ -258,11 +256,10 @@ def apply_preset(p: TransducerParams, name: str) -> TransducerParams:
         ) from None
     if not multipliers:
         return p
-    changes = {field: getattr(p, field) * m for field, m in multipliers.items()}
     if multipliers.get("g_em", 1.0) != 1.0:
-        changes["gamma_ex"] = None
-        changes["gamma_m_supplied"] = None
-    return replace(p, **changes)
+        # before scaling: a scaled g_em fails the supplied gamma_m check
+        p = with_derived_gamma_ex(p)
+    return replace(p, **{field: getattr(p, field) * m for field, m in multipliers.items()})
 
 
 # --- sweep engines ----------------------------------------------------------
@@ -281,7 +278,7 @@ def max_efficiency_contour(p: TransducerParams, g_em_grid, kappa_ex2_grid) -> np
     k_grid = np.asarray(kappa_ex2_grid, dtype=float)
     if np.any(g_grid <= 0) or np.any(k_grid <= 0):
         raise ParameterError("contour grids must be strictly positive")
-    return max_efficiency(replace(p, gamma_ex=None, gamma_m_supplied=None,
+    return max_efficiency(replace(with_derived_gamma_ex(p),
                                   g_em=g_grid[:, None], kappa_ex2=k_grid[None, :]))
 
 

@@ -160,8 +160,17 @@ def _require_finite(args) -> None:
 def _cmd_spectrum(args):
     p = _load_params(args)
     f_m = p.omega_m / TWO_PI
-    start, stop, points = _axis(args, 0, f_m - 2.5e8, f_m + 2.5e8, 500_001, "spectrum grid")
+    start, stop = f_m - 2.5e8, f_m + 2.5e8
+    # the default window holds ever fewer distinct frequencies as omega_m grows
+    default_window = not (args.grid_start or args.grid_stop)
+    collapsed = (f"spectrum grid: the default window omega_m_hz +- 2.5e8 Hz holds too few "
+                 f"distinct frequencies at omega_m_hz={f_m:g}; pass --grid-start/--grid-stop")
+    if default_window and not stop > start:
+        raise ParameterError(collapsed)
+    start, stop, points = _axis(args, 0, start, stop, 500_001, "spectrum grid")
     grid = TWO_PI * np.linspace(start, stop, points)
+    if default_window and not np.all(np.diff(grid) > 0):
+        raise ParameterError(collapsed)
     spec = analysis.efficiency_spectrum(p, grid)
     table = SweepResult(columns={"frequency_hz": grid / TWO_PI, "efficiency": spec.efficiencies})
     return "spectrum", {

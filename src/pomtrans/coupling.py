@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import warnings
 from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
@@ -90,6 +91,10 @@ class Grid3D:
             if not all(math.isfinite(v) for v in getattr(self, name)):
                 raise ParameterError(f"grid {name} must be finite, got {getattr(self, name)}")
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        # Python floats: an overflowing last point is inf here, not an error
+        last = tuple(o + s * (c - 1) for o, s, c in zip(self.origin, self.spacing, self.counts))
+        if not all(math.isfinite(v) for v in last):
+            raise ParameterError(f"grid last point must be finite, got {last}")
 
     def axis(self, k: int) -> np.ndarray:
         return self.origin[k] + self.spacing[k] * np.arange(self.counts[k])
@@ -557,7 +562,10 @@ def load_mode_field(path) -> ModeField:
         except (KeyError, ValueError) as exc:
             raise ParameterError(f"malformed mode field header: {meta_line!r}") from exc
         fh.readline()  # column header
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # a file without rows would also print a warning; the shape check names it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
     grid = Grid3D(origin, spacing, counts)
     expected = math.prod(counts)
     if data.shape != (expected, 9):
@@ -578,7 +586,9 @@ def load_mode_field(path) -> ModeField:
         )
     comps = np.empty((3, *counts), dtype=complex)
     for c in range(3):
-        comps[c] = (data[:, 3 + 2 * c] + 1j * data[:, 4 + 2 * c]).reshape(counts)
+        # set apart, not as re + 1j * im: an infinite cell must reach ModeField's check
+        comps[c].real = data[:, 3 + 2 * c].reshape(counts)
+        comps[c].imag = data[:, 4 + 2 * c].reshape(counts)
     return ModeField(grid, comps, kind, frequency)
 
 

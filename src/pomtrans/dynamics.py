@@ -31,8 +31,7 @@ _GAMMA_M_CHECK_RTOL = 0.02
 #: ``x**2`` raises on overflow; below this bound squares such as
 #: (kappa_1 + kappa_02 + kappa_ex2)^2 and 16 J^2 stay finite.
 _SQUARED_RATE_MAX = math.sqrt(sys.float_info.max) / 4
-_SQUARED_RATE_CONDITION = (f"must be <= {_SQUARED_RATE_MAX:.4g} rad/s "
-                           "so that its square stays finite")
+_SQUARED_RATE_CONDITION = "must be <= {rate:.4g} {unit} so that its square stays finite"
 # Gamma_0 is not squared, but listing it names it before the Gamma >= Gamma_0 check
 _SQUARED_RATES = ("Gamma_0", "Gamma", "g_em", "J", "kappa_1", "kappa_02", "kappa_ex2", "g_om")
 
@@ -46,7 +45,9 @@ class TransducerParams:
     :func:`derived_rates`.  ``gamma_m_supplied`` is an optional consistency
     input: it must agree with the derived total mechanical linewidth within
     2 %.  ``lambda_l`` (pump vacuum wavelength, metres) is used only by the
-    pump-power mapping.
+    pump-power mapping.  Every field is checked here, once: a record with a
+    zero kappa_1, kappa_2 or gamma_m, which the closed forms divide by, is
+    rejected when it is built.
     """
 
     omega_m: float
@@ -78,43 +79,40 @@ class TransducerParams:
                 _require(value >= 0, name, value, "must be >= 0")
         for name in _SQUARED_RATES:
             value = getattr(self, name)
-            _require(value <= _SQUARED_RATE_MAX, name, value, _SQUARED_RATE_CONDITION)
+            _require(value <= _SQUARED_RATE_MAX, name, value, _SQUARED_RATE_CONDITION,
+                     _SQUARED_RATE_MAX)
         _require(self.omega_m > 0, "omega_m", self.omega_m, "must be > 0")
         if self.lambda_l is not None:
             _require(self.lambda_l > 0, "lambda_l", self.lambda_l, "must be > 0")
         if not _holds(self.Gamma >= self.Gamma_0):
             raise ParameterError("total microwave linewidth Gamma must be >= Gamma_0")
+        _require((self.Gamma != 0) | (self.g_em == 0), "Gamma", self.Gamma,
+                 "must be > 0 when g_em is nonzero")
 
-        gamma_m, _ = _mechanical_rates(self)
+        # every closed form divides by these, so a record with a zero one is never built
+        gamma_m, _, kappa_2 = _mechanical_rates(self)
+        for name, value in (("kappa_1", self.kappa_1), ("kappa_2", kappa_2), ("gamma_m", gamma_m)):
+            _require(value != 0, name, value, "must be > 0 where it divides")
         if self.gamma_ex is not None:
-            ok = self.gamma_ex <= gamma_m * (1 + 1e-12)
-            if not _holds(ok):
-                bad = np.logical_not(ok)
-                raise ParameterError(
-                    f"supplied gamma_ex ({_first(bad, self.gamma_ex):.6g}) exceeds the total "
-                    f"mechanical linewidth gamma_m ({_first(bad, gamma_m):.6g})"
-                )
+            _require(self.gamma_ex <= gamma_m * (1 + 1e-12), "gamma_ex", self.gamma_ex,
+                     "must not exceed the total mechanical linewidth gamma_m = "
+                     "{rate:.6g} {unit}", gamma_m)
         if self.gamma_m_supplied is not None:
-            ok = (gamma_m != 0) & (
-                abs(self.gamma_m_supplied - gamma_m) <= _GAMMA_M_CHECK_RTOL * gamma_m)
-            if not _holds(ok):
-                bad = np.logical_not(ok)
-                raise ParameterError(
-                    f"supplied gamma_m ({_first(bad, self.gamma_m_supplied):.6g}) disagrees "
-                    f"with the derived value gamma_0 + 4 g_em^2 / Gamma "
-                    f"({_first(bad, gamma_m):.6g}) by more than 2%"
-                )
+            _require(abs(self.gamma_m_supplied - gamma_m) <= _GAMMA_M_CHECK_RTOL * gamma_m,
+                     "gamma_m_supplied", self.gamma_m_supplied,
+                     "must agree within 2% with the derived value gamma_0 + 4 g_em^2 / Gamma "
+                     "= {rate:.6g} {unit}", gamma_m)
 
 
 def _mechanical_rates(p: TransducerParams):
-    """(gamma_m, derived gamma_ex) of :func:`derived_rates`; Gamma = 0 needs g_em = 0."""
+    """(gamma_m, derived gamma_ex, kappa_2) of :func:`derived_rates`."""
     Gamma = p.Gamma
     if not _holds(Gamma != 0):
-        _require((Gamma != 0) | (p.g_em == 0), "Gamma", Gamma, "must be > 0 when g_em is nonzero")
         # g_em = Gamma_0 = 0 where Gamma = 0, so a unit divisor gives gamma_0 + 0.0 and 0.0 there
         Gamma = np.where(Gamma == 0, 1.0, Gamma) if np.ndim(Gamma) else 1.0
     return (p.gamma_0 + 4 * p.g_em**2 / Gamma,
-            4 * p.g_em**2 * (Gamma - p.Gamma_0) / Gamma**2)
+            4 * p.g_em**2 * (Gamma - p.Gamma_0) / Gamma**2,
+            p.kappa_02 + p.kappa_ex2)
 
 
 def _holds(ok) -> bool:
@@ -127,16 +125,28 @@ def _first(mask, value) -> float:
     return float(np.broadcast_to(value, np.shape(mask))[mask][0])
 
 
-def _require(ok, name: str, value, condition: str) -> None:
-    """Raise :class:`ParameterError` naming ``name`` unless ``ok`` holds everywhere."""
+class _RangeError(ParameterError):
+    """A value out of range, raised by :func:`_require`.
+
+    It keeps its parts, so that :func:`params_from_dict` can restate it for
+    the file's ``*_hz`` key, in Hz.
+    """
+
+    def __init__(self, template: str, name: str, value: float, rate: float | None):
+        super().__init__(template.format(name=name, value=value, rate=rate, unit="rad/s"))
+        self.template, self.name, self.value, self.rate = template, name, value, rate
+
+
+def _require(ok, name: str, value, condition: str, rate=None) -> None:
+    """Raise :class:`ParameterError` naming ``name`` unless ``ok`` holds everywhere.
+
+    ``condition`` may quote ``rate`` (rad/s, broadcasting like ``value``) as
+    ``{rate}`` and its unit as ``{unit}``.
+    """
     if not _holds(ok):
-        raise ParameterError(f"{name} {condition}, got {_first(np.logical_not(ok), value)}")
-
-
-def _require_divisors(**divisors) -> None:
-    """Reject a linewidth that is zero where a closed form divides by it."""
-    for name, value in divisors.items():
-        _require(value != 0, name, value, "must be > 0 where it divides")
+        bad = np.logical_not(ok)
+        raise _RangeError("{name} " + condition + ", got {value}", name, _first(bad, value),
+                          None if rate is None else _first(bad, rate))
 
 
 def _require_finite_result(value, what: str) -> None:
@@ -163,14 +173,11 @@ class DerivedRates:
     @property
     def gamma_ex_discrepancy(self) -> float:
         """Relative difference between effective and derived gamma_ex."""
-        derived, gamma_ex = self.gamma_ex_derived, self.gamma_ex
-        if isinstance(derived, np.ndarray) or isinstance(gamma_ex, np.ndarray):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(derived == 0, np.where(gamma_ex == 0, 0.0, math.inf),
-                                abs(gamma_ex - derived) / derived)
-        if derived == 0:
-            return 0.0 if gamma_ex == 0 else math.inf
-        return abs(gamma_ex - derived) / derived
+        derived = np.float64(self.gamma_ex_derived)  # divides by zero to inf or NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # fmax turns the NaN of 0/0, where both rates are zero, into 0.0
+            out = np.fmax(abs(self.gamma_ex - derived) / derived, 0.0)
+        return out if isinstance(out, np.ndarray) else float(out)
 
 
 def derived_rates(p: TransducerParams) -> DerivedRates:
@@ -181,16 +188,21 @@ def derived_rates(p: TransducerParams) -> DerivedRates:
     overrides it (the derived value is still reported alongside).  Array
     parameter fields broadcast.
     """
-    gamma_m, gamma_ex_derived = _mechanical_rates(p)
-    kappa_2 = p.kappa_02 + p.kappa_ex2
+    gamma_m, gamma_ex_derived, kappa_2 = _mechanical_rates(p)
     gamma_ex = p.gamma_ex if p.gamma_ex is not None else gamma_ex_derived
     return DerivedRates(gamma_m=gamma_m, kappa_2=kappa_2,
                         gamma_ex=gamma_ex, gamma_ex_derived=gamma_ex_derived)
 
 
 def with_derived_gamma_ex(p: TransducerParams) -> TransducerParams:
-    """Copy of ``p`` with any supplied gamma_ex dropped in favour of the derived relation."""
-    return replace(p, gamma_ex=None)
+    """Copy of ``p`` with any supplied gamma_ex dropped in favour of the derived relation.
+
+    The supplied gamma_m consistency value is dropped too, since it no longer
+    holds once g_em changes.
+    """
+    if p.gamma_ex is None and p.gamma_m_supplied is None:
+        return p  # nothing to drop, and a record is immutable
+    return replace(p, gamma_ex=None, gamma_m_supplied=None)
 
 
 @dataclass(frozen=True)
@@ -208,20 +220,15 @@ class Susceptibility:
 
 
 def chi_m(p: TransducerParams) -> Susceptibility:
-    gamma_m = derived_rates(p).gamma_m
-    _require_divisors(gamma_m=gamma_m)
-    return Susceptibility(p.omega_m, gamma_m / 2)
+    return Susceptibility(p.omega_m, derived_rates(p).gamma_m / 2)
 
 
 def chi_01(p: TransducerParams) -> Susceptibility:
-    _require_divisors(kappa_1=p.kappa_1)
     return Susceptibility(p.delta_1, p.kappa_1 / 2)
 
 
 def chi_02(p: TransducerParams) -> Susceptibility:
-    kappa_2 = derived_rates(p).kappa_2
-    _require_divisors(kappa_2=kappa_2)
-    return Susceptibility(p.delta_2, kappa_2 / 2)
+    return Susceptibility(p.delta_2, derived_rates(p).kappa_2 / 2)
 
 
 @dataclass(frozen=True)
@@ -458,7 +465,19 @@ def params_from_dict(data: Mapping) -> TransducerParams:
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"parameter {key} is not a number: {raw!r}") from exc
         kwargs[field_name] = TWO_PI * value if kind == "freq" else value
-    return TransducerParams(**kwargs)
+    try:
+        return TransducerParams(**kwargs)
+    except _RangeError as exc:
+        # restated for the file's key in Hz; a message that quotes no rate and a value
+        # of 0.0, inf or nan reads the same in both units and is kept, and so is an inf
+        # that only the conversion to rad/s made
+        key = next((k for k, (name, kind) in _PARAM_KEYS.items()
+                    if name == exc.name and kind == "freq"), None)
+        if key is None or (exc.rate is None and not 0 < abs(exc.value) < math.inf):
+            raise
+        raise ParameterError(exc.template.format(
+            name=key, value=float(data[key]),
+            rate=None if exc.rate is None else exc.rate / TWO_PI, unit="Hz")) from exc
 
 
 def params_to_dict(p: TransducerParams) -> dict:

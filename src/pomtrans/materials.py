@@ -70,6 +70,9 @@ class MaterialRecord:
             value = getattr(self, column)
             if value is not None and not isfinite(value):
                 raise MaterialDataError(f"{self.name}: {column} must be finite, got {value}")
+        # em_fom takes the square root of eps33_rf / rho
+        if self.eps33_rf is not None and self.eps33_rf <= 0:
+            raise MaterialDataError(f"{self.name}: eps33_rf must be positive, got {self.eps33_rf}")
 
 
 #: CSV columns, in file order, and the numeric ones among them

@@ -5,6 +5,7 @@ import errno
 import json
 import math
 import os
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -521,6 +522,8 @@ def _rewrite_header(path, key, value):
     ("origin", "nan,0,0", "grid origin must be finite, got (nan, 0.0, 0.0)"),
     ("origin", "0,-inf,0", "grid origin must be finite, got (0.0, -inf, 0.0)"),
     ("spacing", "1e-07,inf,2.5e-08", "grid spacing must be finite, got (1e-07, inf, 2.5e-08)"),
+    # finite, but the 41st point along z overflows
+    ("spacing", "1e-07,1e-07,1e+307", "grid last point must be finite, got (4e-07, 4e-07, inf)"),
     ("frequency", "nan", "mode frequency must be finite, got nan"),
     ("frequency", "inf", "mode frequency must be finite, got inf"),
 ])
@@ -531,6 +534,36 @@ def test_non_finite_mode_field_header_exits_2(outdir, tmp_path, capsys, key, val
     _rewrite_header(inputs / "w.csv", key, value)
     assert run(argv) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: validation: {message}"]
+    assert not (outdir / "coupling.json").exists()
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+def test_non_finite_mode_field_cell_exits_2(outdir, tmp_path, capsys, cell):
+    # an infinite cell used to end in "arithmetic: FloatingPointError: invalid value"
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    lines = (inputs / "w.csv").read_text().split("\n")
+    lines[2] = ",".join(lines[2].split(",")[:-1] + [cell])
+    (inputs / "w.csv").write_text("\n".join(lines))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: mode field contains non-finite values"]
+    assert not (outdir / "coupling.json").exists()
+
+
+def test_mode_field_without_rows_exits_2_without_a_warning(outdir, tmp_path, capsys):
+    # numpy's "input contained no data" warning used to print a second stderr line
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    lines = (inputs / "e.csv").read_text().split("\n")
+    (inputs / "e.csv").write_text("\n".join(lines[:2]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: mode field file has shape (0, 1), expected (1025, 9)"]
     assert not (outdir / "coupling.json").exists()
 
 
@@ -803,10 +836,48 @@ def test_rate_whose_square_overflows_named(outdir, tmp_path, capsys, command, ke
     path.parent.mkdir()
     path.write_text(json.dumps({**params, key: 1e200}))
     assert run([command, "--params", str(path), "--out", "x"]) == 2
+    # the file's key, number and unit, not the record's rad/s field
     assert capsys.readouterr().err.splitlines() == [
-        f"error: validation: {key.removesuffix('_hz')} must be <= "
-        f"{dynamics._SQUARED_RATE_MAX:.4g} rad/s so that its square stays finite, "
-        f"got {TWO_PI * 1e200}"]
+        f"error: validation: {key} must be <= {dynamics._SQUARED_RATE_MAX / TWO_PI:.4g} Hz "
+        "so that its square stays finite, got 1e+200"]
+    assert [p.name for p in outdir.iterdir()] == ["inputs"]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"gamma_ex_hz": 1e9}, "gamma_ex_hz must not exceed the total mechanical linewidth "
+                           "gamma_m = {gamma_m_hz:.6g} Hz, got 1000000000.0"),
+    ({"gamma_m_hz": 1e9}, "gamma_m_hz must agree within 2% with the derived value "
+                          "gamma_0 + 4 g_em^2 / Gamma = {gamma_m_hz:.6g} Hz, got 1000000000.0"),
+    ({"gamma_m_hz": 0.0}, "gamma_m_hz must agree within 2% with the derived value "
+                          "gamma_0 + 4 g_em^2 / Gamma = {gamma_m_hz:.6g} Hz, got 0.0"),
+    ({"kappa_1_hz": -2.5}, "kappa_1_hz must be >= 0, got -2.5"),
+    ({"omega_m_hz": -2.5}, "omega_m_hz must be > 0, got -2.5"),
+    # a number that reads the same in Hz keeps the record's field name
+    ({"kappa_1_hz": 0.0}, "kappa_1 must be > 0 where it divides, got 0.0"),
+], ids=["gamma_ex", "gamma_m", "zero-gamma_m", "negative-kappa_1", "negative-omega_m",
+        "zero-kappa_1"])
+def test_range_error_quotes_the_file_key_and_number_in_hz(outdir, tmp_path, capsys,
+                                                         nominal_params, change, message):
+    path = tmp_path / "inputs" / "bad.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({**_nominal_payload(), **change}))
+    assert run(["optimize", "--params", str(path), "--out", "x"]) == 2
+    gamma_m_hz = dynamics.derived_rates(nominal_params).gamma_m / TWO_PI
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: " + message.format(gamma_m_hz=gamma_m_hz)]
+    assert [p.name for p in outdir.iterdir()] == ["inputs"]
+
+
+@pytest.mark.parametrize("omega_m_hz", [3e24, 1e23])  # the window collapses / holds ~30 values
+def test_collapsed_default_spectrum_window_names_omega_m(outdir, tmp_path, capsys, omega_m_hz):
+    path = tmp_path / "inputs" / "far.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({**_nominal_payload(), "omega_m_hz": omega_m_hz,
+                                "delta_1_hz": omega_m_hz, "delta_2_hz": omega_m_hz}))
+    assert run(["spectrum", "--params", str(path), "--grid-points", "2001", "--out", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: spectrum grid: the default window omega_m_hz +- 2.5e8 Hz holds too "
+        f"few distinct frequencies at omega_m_hz={omega_m_hz:g}; pass --grid-start/--grid-stop"]
     assert [p.name for p in outdir.iterdir()] == ["inputs"]
 
 

@@ -335,7 +335,8 @@ def test_array_fields_validated_elementwise(nominal_params):
     with pytest.raises(ParameterError, match=re.escape(expected)):
         replace(nominal_params, g_em=g, gamma_ex=None, gamma_m_supplied=None)
     gamma_ex = nominal_params.gamma_ex * np.array([1.0, 10.0])
-    with pytest.raises(ParameterError, match=r"supplied gamma_ex \(\d"):
+    with pytest.raises(ParameterError, match=r"^gamma_ex must not exceed the total mechanical "
+                                             r"linewidth gamma_m = \d"):
         replace(nominal_params, gamma_ex=gamma_ex)
 
 

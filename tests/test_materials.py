@@ -213,6 +213,15 @@ def test_non_finite_record_value_rejected_by_name(column, value):
         materials.MaterialRecord(**fields)
 
 
+@pytest.mark.parametrize("value", [-9.5, 0.0])
+def test_non_positive_rf_permittivity_rejected_by_name(value):
+    # a negative one used to end in "math domain error" from em_fom's square root
+    fields = dict(name="X", h33=0.1, h33_flag="value", eps33_rf=value, eps33_ir=2.0,
+                  eps33_ir_flag="value", rho_gcc=4.0, p33=0.5, p33_flag="value", fab="yes")
+    with pytest.raises(MaterialDataError, match=f"^X: eps33_rf must be positive, got {value}$"):
+        materials.MaterialRecord(**fields)
+
+
 def test_non_finite_csv_cell_names_row_and_column():
     text = (
         "name,h33,h33_flag,eps33_rf,eps33_ir,eps33_ir_flag,rho_gcc,p33,p33_flag,fab,notes\n"
