@@ -32,65 +32,53 @@ from .dynamics import (
 )
 from .errors import GridError, ModelViolationError, ParameterError, UndefinedOptimumError
 
-_F_M_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class CooperativitySet:
-    """Cooperativities and extraction efficiencies of an operating point.
+    """On-resonance cooperativities and extraction efficiencies of an operating point.
 
-    On resonance all four entries are real:
     c_om = 4 g_om^2 |a1|^2 / (kappa_1 gamma_m), c_12 = 4 J^2 / (kappa_1 kappa_2),
-    f_2 = kappa_ex2 / kappa_2 and f_m = gamma_ex / gamma_m.  When evaluated at
-    a frequency they generalize to the complex susceptibility products.
+    f_2 = kappa_ex2 / kappa_2 and f_m = gamma_ex / gamma_m.
     """
 
-    c_om: complex
-    c_12: complex
-    f_2: complex
-    f_m: complex
+    c_om: float
+    c_12: float
+    f_2: float
+    f_m: float
 
 
-def cooperativities(op: OperatingPoint, omega: float | None = None) -> CooperativitySet:
-    """On-resonance cooperativity parameters, or their complex functions at ``omega``.
+def cooperativities(op: OperatingPoint) -> CooperativitySet:
+    """On-resonance cooperativity parameters; parameter fields and pump level broadcast.
 
-    On resonance the parameter fields and the pump level broadcast together.
-    Raises :class:`ModelViolationError` when the real extraction efficiency
-    f_m exceeds 1 (a supplied gamma_ex inconsistent with gamma_m).
+    f_m <= 1 holds because :class:`TransducerParams` rejects gamma_ex > gamma_m.
     """
     p = op.params
     r = derived_rates(p)
-    if omega is None:
-        c_om = 4 * p.g_om**2 * op.intra_ring_photons / (p.kappa_1 * r.gamma_m)
-        c_12 = 4 * p.J**2 / (p.kappa_1 * r.kappa_2)
-        f_2 = p.kappa_ex2 / r.kappa_2
-        f_m = r.gamma_ex / r.gamma_m
-        if not _holds(f_m <= 1 + _F_M_TOL):
-            raise ModelViolationError(
-                f"extraction efficiency f_m = gamma_ex/gamma_m = {np.max(f_m):.6g} exceeds 1; "
-                "the externally supplied gamma_ex is inconsistent with gamma_m"
-            )
-        return CooperativitySet(c_om, c_12, f_2, f_m)
-    c01 = chi_01(p)(omega)
-    c02 = chi_02(p)(omega)
-    cm = chi_m(p)(omega)
     return CooperativitySet(
-        c_om=p.g_om**2 * op.intra_ring_photons * c01 * cm,
-        c_12=p.J**2 * c01 * c02,
-        f_2=p.kappa_ex2 * c02 / 2,
-        f_m=r.gamma_ex * cm / 2,
+        c_om=4 * p.g_om**2 * op.intra_ring_photons / (p.kappa_1 * r.gamma_m),
+        c_12=4 * p.J**2 / (p.kappa_1 * r.kappa_2),
+        f_2=p.kappa_ex2 / r.kappa_2,
+        f_m=r.gamma_ex / r.gamma_m,
     )
 
 
 def efficiency_via_cooperativities(op: OperatingPoint, omega) -> float:
-    """Transduction efficiency assembled from the cooperativity functions.
+    """Transduction efficiency assembled from the complex cooperativity functions.
 
-    |F_2 F_m * 4 C_om C_12 / (1 + C_om + C_12)^2| with the complex functions
-    of :func:`cooperativities`; algebraically identical to
-    ``dynamics.efficiency`` and used as its cross-check.
+    |F_2 F_m * 4 C_om C_12 / (1 + C_om + C_12)^2| with C_om = g_om^2 |a1|^2 chi_01 chi_m,
+    C_12 = J^2 chi_01 chi_02, F_2 = kappa_ex2 chi_02 / 2 and F_m = gamma_ex chi_m / 2
+    at ``omega``; these reduce to :func:`cooperativities` on resonance.  Algebraically
+    identical to ``dynamics.efficiency`` and used as its cross-check.
     """
-    c = cooperativities(op, omega)
-    value = np.abs(c.f_2 * c.f_m * 4 * c.c_om * c.c_12 / (1 + c.c_om + c.c_12) ** 2)
+    p = op.params
+    c01 = chi_01(p)(omega)
+    c02 = chi_02(p)(omega)
+    cm = chi_m(p)(omega)
+    c_om = p.g_om**2 * op.intra_ring_photons * c01 * cm
+    c_12 = p.J**2 * c01 * c02
+    f_2 = p.kappa_ex2 * c02 / 2
+    f_m = derived_rates(p).gamma_ex * cm / 2
+    value = np.abs(f_2 * f_m * 4 * c_om * c_12 / (1 + c_om + c_12) ** 2)
     return float(value) if np.ndim(value) == 0 else value
 
 

@@ -195,10 +195,10 @@ def _cmd_optimize(args):
         "max_efficiency_derived_gamma_ex": analysis.max_efficiency(
             dynamics.with_derived_gamma_ex(p)),
         "cooperativities": {
-            "c_om": coops.c_om.real,
-            "c_12": coops.c_12.real,
-            "f_2": coops.f_2.real,
-            "f_m": coops.f_m.real,
+            "c_om": coops.c_om,
+            "c_12": coops.c_12,
+            "f_2": coops.f_2,
+            "f_m": coops.f_m,
         },
     })}
 

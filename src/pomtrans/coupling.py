@@ -14,7 +14,9 @@ photoelastic tensor ``p`` is the 6x6 Voigt matrix (NOT assumed symmetric),
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import json
 import math
 import warnings
@@ -218,6 +220,22 @@ def _intensity_integral(density: np.ndarray, f: ModeField) -> float:
     return total
 
 
+@contextlib.contextmanager
+def _intensity_overflow_named(f: ModeField):
+    """Raise :class:`ParameterError` naming ``f``'s kind if its intensity arithmetic overflows.
+
+    Numpy raises on overflow inside, whatever the caller's error state, and a
+    Python float square raises ``OverflowError``; neither warns.
+    """
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (FloatingPointError, OverflowError):
+        raise ParameterError(
+            f"{f.kind} mode field intensity overflows to inf, though the field is finite"
+        ) from None
+
+
 def mech_mode_volume(w: ModeField) -> float:
     """Effective mechanical mode volume.
 
@@ -226,9 +244,10 @@ def mech_mode_volume(w: ModeField) -> float:
     """
     if w.kind != MECH:
         raise ParameterError("expected a mechanical displacement field")
-    intensity = _intensity(w)
-    density = intensity / _intensity_integral(intensity, w)
-    return 1.0 / float(trapezoid_3d(density**2, w.grid))
+    with _intensity_overflow_named(w):
+        intensity = _intensity(w)
+        density = intensity / _intensity_integral(intensity, w)
+        return 1.0 / float(trapezoid_3d(density**2, w.grid))
 
 
 def em_mode_volume(e: ModeField, eta_eff: float) -> float:
@@ -239,8 +258,9 @@ def em_mode_volume(e: ModeField, eta_eff: float) -> float:
     """
     if e.kind != EM:
         raise ParameterError("expected an electromagnetic field")
-    density = float(eta_eff) * _intensity(e)
-    return _intensity_integral(density, e)**2 / _intensity_integral(density**2, e)
+    with _intensity_overflow_named(e):
+        density = float(eta_eff) * _intensity(e)
+        return _intensity_integral(density, e)**2 / _intensity_integral(density**2, e)
 
 
 def _scaled_to_volume(f: ModeField, v_eff: float) -> ModeField:
@@ -538,12 +558,35 @@ def save_mode_field(path, f: ModeField) -> None:
         fh.writelines(csv_blocks(cols, "%r"))
 
 
+def _malformed_row(path) -> str:
+    """The first data row of a mode field file that is not 9 numbers, and what is wrong.
+
+    Rows are numbered from 1 like ``np.loadtxt``'s rows: after the two header
+    lines, skipping blank lines and ``#`` comments.  A decode error that
+    ``np.loadtxt`` hit is raised again here.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (line.split("#", 1)[0] for line in itertools.islice(fh, 2, None))
+        for n, line in enumerate((line for line in lines if line.strip()), start=1):
+            cells = line.split(",")
+            if len(cells) != 9:
+                return f"data row {n} has {len(cells)} cells, expected 9"
+            for c, cell in enumerate(cells, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    return f"data row {n} cell {c} is not a number: {cell.strip()!r}"
+    # a cell that float() reads and np.loadtxt does not, such as '1_0'
+    return "a data row is not 9 comma-separated numbers"
+
+
 def load_mode_field(path) -> ModeField:
     """Read a mode field written by :func:`save_mode_field`.
 
-    Rows must list the header grid's points in "ij" (x-major) order; a row
-    whose x, y or z is off its grid point by more than 1e-3 of that axis's
-    spacing is rejected, naming the file and the first such row.
+    Rows must be 9 numbers listing the header grid's points in "ij" (x-major)
+    order; a row that is not, or whose x, y or z is off its grid point by more
+    than 1e-3 of that axis's spacing, is rejected, naming the file and the
+    first such row.
     """
     with open(path, "r", encoding="utf-8") as fh:
         meta_line = fh.readline().strip()
@@ -565,7 +608,10 @@ def load_mode_field(path) -> ModeField:
         with warnings.catch_warnings():
             # a file without rows would also print a warning; the shape check names it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ParameterError(f"mode field {path}: {_malformed_row(path)}") from exc
     grid = Grid3D(origin, spacing, counts)
     expected = math.prod(counts)
     if data.shape != (expected, 9):

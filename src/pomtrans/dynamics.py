@@ -464,13 +464,24 @@ def params_from_dict(data: Mapping) -> TransducerParams:
             value = float(raw)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"parameter {key} is not a number: {raw!r}") from exc
-        kwargs[field_name] = TWO_PI * value if kind == "freq" else value
+        if kind == "freq":
+            rad_s = TWO_PI * value
+            if abs(rad_s) == math.inf and abs(value) < math.inf:
+                # named here, in Hz: the record would only see an inf
+                squared = field_name in _SQUARED_RATES and value > 0
+                condition = (_SQUARED_RATE_CONDITION if squared else
+                             "must have magnitude <= {rate:.4g} {unit} so that its rad/s "
+                             "value stays finite")
+                bound = (_SQUARED_RATE_MAX if squared else sys.float_info.max) / TWO_PI
+                raise ParameterError(f"{key} {condition.format(rate=bound, unit='Hz')}, "
+                                     f"got {value}")
+            value = rad_s
+        kwargs[field_name] = value
     try:
         return TransducerParams(**kwargs)
     except _RangeError as exc:
         # restated for the file's key in Hz; a message that quotes no rate and a value
-        # of 0.0, inf or nan reads the same in both units and is kept, and so is an inf
-        # that only the conversion to rad/s made
+        # of 0.0, inf or nan reads the same in both units and is kept
         key = next((k for k, (name, kind) in _PARAM_KEYS.items()
                     if name == exc.name and kind == "freq"), None)
         if key is None or (exc.rate is None and not 0 < abs(exc.value) < math.inf):

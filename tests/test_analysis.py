@@ -28,23 +28,20 @@ def test_nominal_inter_ring_cooperativity(nominal_params):
 
 def test_cooperativity_functions_reduce_on_resonance(nominal_params):
     op = dynamics.OperatingPoint(nominal_params, 4.0e11)
-    on_res = analysis.cooperativities(op)
-    at_center = analysis.cooperativities(op, omega=nominal_params.omega_m)
-    # chi at its center is real (2/width), so the functions collapse to the
-    # real parameter definitions
-    assert at_center.c_om.imag == pytest.approx(0.0, abs=1e-9 * abs(at_center.c_om))
-    assert at_center.c_om.real == pytest.approx(on_res.c_om.real, rel=1e-12)
-    assert at_center.c_12.real == pytest.approx(on_res.c_12.real, rel=1e-12)
-    assert at_center.f_2.real == pytest.approx(on_res.f_2.real, rel=1e-12)
-    assert at_center.f_m.real == pytest.approx(on_res.f_m.real, rel=1e-12)
+    c = analysis.cooperativities(op)
+    # chi at its center is real (2/width), so the oracle's complex functions
+    # collapse to the real on-resonance set
+    on_res = c.f_2 * c.f_m * 4 * c.c_om * c.c_12 / (1 + c.c_om + c.c_12) ** 2
+    at_center = analysis.efficiency_via_cooperativities(op, nominal_params.omega_m)
+    assert at_center == pytest.approx(on_res, rel=1e-12)
 
 
 def test_extraction_efficiency_bound_enforced(nominal_params):
+    # a record forged past validation with gamma_ex > gamma_m is caught by the output bound
     p = replace(nominal_params, gamma_ex=None)
     object.__setattr__(p, "gamma_ex", 2 * dynamics.derived_rates(p).gamma_m)
-    op = dynamics.OperatingPoint(p, 1e10)
-    with pytest.raises(ModelViolationError, match="gamma_ex"):
-        analysis.cooperativities(op)
+    with pytest.raises(ModelViolationError, match="maximum efficiency"):
+        analysis.max_efficiency(p)
 
 
 # --- efficiency identity -----------------------------------------------------------

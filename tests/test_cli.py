@@ -656,6 +656,22 @@ def test_underflowing_field_intensity_exits_2(outdir, tmp_path, capsys, name):
     assert not (outdir / "coupling.json").exists()
 
 
+@pytest.mark.parametrize("name, factor, kind", [("w.csv", 1e200, "mech"), ("e.csv", 1e100, "em")])
+def test_overflowing_field_intensity_exits_2(outdir, tmp_path, capsys, name, factor, kind):
+    # these used to end in "arithmetic: FloatingPointError: overflow encountered in square"
+    # and "arithmetic: OverflowError: (34, 'Numerical result out of range')"
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    field = coupling.load_mode_field(inputs / name)
+    coupling.save_mode_field(inputs / name, field.scaled(factor))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: {kind} mode field intensity overflows to inf, "
+        "though the field is finite"]
+    assert _names(outdir) == ["inputs"]
+
+
 def test_materials_name_with_comma_is_quoted(outdir, tmp_path):
     text = resources.files("pomtrans.data").joinpath("materials.csv").read_text("utf-8")
     text = text.replace("\nAlN,", '\n"AlN, wurtzite",', 1)
@@ -737,6 +753,32 @@ def test_shuffled_mode_field_rows_exit_2(outdir, tmp_path, capsys):
         "is off its header grid point (0.0, 0.0, 0.0)"]
     assert _names(outdir) == ["inputs"]
     assert _names(inputs) == ["e.csv", "tensors.json", "w.csv"]
+
+
+def _cut_to_five_cells(cells):
+    return cells[:5]
+
+
+def _abc_in_cell_4(cells):
+    return cells[:3] + ["abc"] + cells[4:]
+
+
+@pytest.mark.parametrize("edit, what", [
+    (_cut_to_five_cells, "has 5 cells, expected 9"),
+    (_abc_in_cell_4, "cell 4 is not a number: 'abc'"),
+])
+def test_malformed_mode_field_row_names_file_and_row(outdir, tmp_path, capsys, edit, what):
+    # numpy's own messages used to pass through, numbering this row 3 and 2 respectively
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    lines = (inputs / "w.csv").read_text().splitlines()
+    lines[4] = ",".join(edit(lines[4].split(",")))  # data row 3
+    (inputs / "w.csv").write_text("\n".join(lines) + "\n")
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: mode field {inputs / 'w.csv'}: data row 3 {what}"]
+    assert _names(outdir) == ["inputs"]
 
 
 def test_coupling_differentiates_the_mechanical_field_once(outdir, tmp_path, monkeypatch):
@@ -840,6 +882,25 @@ def test_rate_whose_square_overflows_named(outdir, tmp_path, capsys, command, ke
     assert capsys.readouterr().err.splitlines() == [
         f"error: validation: {key} must be <= {dynamics._SQUARED_RATE_MAX / TWO_PI:.4g} Hz "
         "so that its square stays finite, got 1e+200"]
+    assert [p.name for p in outdir.iterdir()] == ["inputs"]
+
+
+@pytest.mark.parametrize("key, message", [
+    ("g_om_hz", "g_om_hz must be <= 5.335e+152 Hz so that its square stays finite, "
+                "got 1.7e+308"),
+    ("delta_1_hz", "delta_1_hz must have magnitude <= 2.861e+307 Hz so that its rad/s value "
+                   "stays finite, got 1.7e+308"),
+    ("gamma_0_hz", "gamma_0_hz must have magnitude <= 2.861e+307 Hz so that its rad/s value "
+                   "stays finite, got 1.7e+308"),
+])
+def test_finite_hz_value_whose_rad_s_value_overflows_named(outdir, tmp_path, capsys, key,
+                                                           message):
+    # each used to read "<field> must be finite, got inf", naming neither key nor number
+    path = tmp_path / "inputs" / "huge.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({**_nominal_payload(), key: 1.7e308}))
+    assert run(["optimize", "--params", str(path), "--out", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: validation: {message}"]
     assert [p.name for p in outdir.iterdir()] == ["inputs"]
 
 

@@ -179,6 +179,30 @@ def test_zero_field_mode_volume_rejected():
         coupling.mech_mode_volume(w)
 
 
+def _coupling_input_field(kind):
+    """The EM or mechanical field that ``conftest.write_coupling_inputs`` writes."""
+    grid = coupling.Grid3D((0, 0, 0), (1e-7, 1e-7, 0.25e-7), (5, 5, 41))
+    comps = np.zeros((3, *grid.shape), dtype=complex)
+    if kind == coupling.EM:
+        comps[0] = 1.0
+    else:
+        comps[2] = 1e-4 * np.sin(math.pi * grid.meshgrid()[2] / 1e-6)
+    return coupling.ModeField(grid, comps, kind, 1.0)
+
+
+@pytest.mark.parametrize("kind, factor, volume", [
+    (coupling.MECH, 1e200, coupling.mech_mode_volume),
+    (coupling.EM, 1e100, lambda e: coupling.em_mode_volume(e, 1 / 9.5)),
+])
+def test_overflowing_field_intensity_rejected_by_kind(kind, factor, volume):
+    # no caller error state: numpy would warn (an error under this suite's filter) or,
+    # for the Python-float square of the EM integral, raise OverflowError
+    field = _coupling_input_field(kind).scaled(factor)
+    with pytest.raises(ParameterError, match=rf"^{kind} mode field intensity overflows to inf, "
+                                             "though the field is finite$"):
+        volume(field)
+
+
 def test_normalization_convention():
     # after normalization the integrated intensity equals the mode volume
     grid = box_grid(17)
@@ -582,6 +606,38 @@ def test_mode_field_row_off_the_header_grid_rejected(field_file, edit, row, at, 
         coupling.load_mode_field(path)
     assert str(info.value) == (
         f"mode field {path}: data row {row} at {at} is off its header grid point {point}")
+
+
+def _cut_row_3(rows):
+    rows[2] = rows[2][:5]
+
+
+def _abc_cell(rows):
+    rows[2][3] = "abc"
+
+
+def _comment_and_blank_before_cut(rows):
+    # np.loadtxt skips both, so the cut row is still data row 3
+    rows[:0] = [["# note"], [""]]
+    rows[4] = rows[4][:5]
+
+
+def _underscored_cell(rows):
+    rows[2][3] = "1_0"  # float() reads it, np.loadtxt does not
+
+
+@pytest.mark.parametrize("edit, what", [
+    (_cut_row_3, "data row 3 has 5 cells, expected 9"),
+    (_abc_cell, "data row 3 cell 4 is not a number: 'abc'"),
+    (_comment_and_blank_before_cut, "data row 3 has 5 cells, expected 9"),
+    (_underscored_cell, "a data row is not 9 comma-separated numbers"),
+])
+def test_malformed_mode_field_row_named(field_file, edit, what):
+    path, _ = field_file
+    _rewrite_rows(path, edit)
+    with pytest.raises(ParameterError) as info:
+        coupling.load_mode_field(path)
+    assert str(info.value) == f"mode field {path}: {what}"
 
 
 # --- strain cache and the rates' signatures ----------------------------------------------
