@@ -99,12 +99,8 @@ def random_graph(rng: np.random.Generator, n_nodes: int | None = None,
     return sfg.SignalFlowGraph(edges.values()), src, dst
 
 
-def write_coupling_inputs(directory) -> list[str]:
-    """Small analytic EM/mechanical fields and a tensor file for ``coupling``.
-
-    Writes ``e.csv``, ``w.csv`` and ``tensors.json`` into ``directory`` and
-    returns the matching ``--em-field/--mech-field/--tensors`` arguments.
-    """
+def coupling_input_fields():
+    """The small analytic ``(EM, mechanical)`` field pair of :func:`write_coupling_inputs`."""
     from pomtrans import coupling
 
     grid = coupling.Grid3D((0, 0, 0), (1e-7, 1e-7, 0.25e-7), (5, 5, 41))
@@ -113,10 +109,21 @@ def write_coupling_inputs(directory) -> list[str]:
     e_comps[0] = 1.0
     w_comps = np.zeros((3, *grid.shape), dtype=complex)
     w_comps[2] = 1e-4 * np.sin(math.pi * z / 1e-6)
-    coupling.save_mode_field(directory / "e.csv", coupling.ModeField(
-        grid, e_comps, coupling.EM, TWO_PI * 1.935e14))
-    coupling.save_mode_field(directory / "w.csv", coupling.ModeField(
-        grid, w_comps, coupling.MECH, TWO_PI * 3.285e9))
+    return (coupling.ModeField(grid, e_comps, coupling.EM, TWO_PI * 1.935e14),
+            coupling.ModeField(grid, w_comps, coupling.MECH, TWO_PI * 3.285e9))
+
+
+def write_coupling_inputs(directory) -> list[str]:
+    """Small analytic EM/mechanical fields and a tensor file for ``coupling``.
+
+    Writes ``e.csv``, ``w.csv`` and ``tensors.json`` into ``directory`` and
+    returns the matching ``--em-field/--mech-field/--tensors`` arguments.
+    """
+    from pomtrans import coupling
+
+    e_field, w_field = coupling_input_fields()
+    coupling.save_mode_field(directory / "e.csv", e_field)
+    coupling.save_mode_field(directory / "w.csv", w_field)
     h = np.zeros((3, 6)); h[2, 2] = 0.145
     p = np.zeros((6, 6)); p[0, 2] = 0.239
     (directory / "tensors.json").write_text(json.dumps({

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import coupling_input_fields
 
 from pomtrans import coupling
 from pomtrans.constants import EPSILON_0, HBAR
@@ -179,17 +180,6 @@ def test_zero_field_mode_volume_rejected():
         coupling.mech_mode_volume(w)
 
 
-def _coupling_input_field(kind):
-    """The EM or mechanical field that ``conftest.write_coupling_inputs`` writes."""
-    grid = coupling.Grid3D((0, 0, 0), (1e-7, 1e-7, 0.25e-7), (5, 5, 41))
-    comps = np.zeros((3, *grid.shape), dtype=complex)
-    if kind == coupling.EM:
-        comps[0] = 1.0
-    else:
-        comps[2] = 1e-4 * np.sin(math.pi * grid.meshgrid()[2] / 1e-6)
-    return coupling.ModeField(grid, comps, kind, 1.0)
-
-
 @pytest.mark.parametrize("kind, factor, volume", [
     (coupling.MECH, 1e200, coupling.mech_mode_volume),
     (coupling.EM, 1e100, lambda e: coupling.em_mode_volume(e, 1 / 9.5)),
@@ -197,7 +187,8 @@ def _coupling_input_field(kind):
 def test_overflowing_field_intensity_rejected_by_kind(kind, factor, volume):
     # no caller error state: numpy would warn (an error under this suite's filter) or,
     # for the Python-float square of the EM integral, raise OverflowError
-    field = _coupling_input_field(kind).scaled(factor)
+    e, w = coupling_input_fields()
+    field = (e if kind == coupling.EM else w).scaled(factor)
     with pytest.raises(ParameterError, match=rf"^{kind} mode field intensity overflows to inf, "
                                              "though the field is finite$"):
         volume(field)
