@@ -125,7 +125,8 @@ class ModeField:
 
     ``components`` is stored read-only, so the cached :attr:`strain` and mode
     volumes cannot go stale.  A complex array is stored without a copy: the
-    caller's array is frozen too.
+    caller's array is frozen too.  ``frequency`` must be finite and > 0, so
+    the rates may divide by it.
     """
 
     grid: Grid3D
@@ -143,10 +144,10 @@ class ModeField:
             raise ParameterError("mode field contains non-finite values")
         if self.kind not in (EM, MECH):
             raise ParameterError(f"kind must be '{EM}' or '{MECH}'")
-        if self.frequency < 0:
-            raise ParameterError("mode frequency must be >= 0")
         if not math.isfinite(self.frequency):
             raise ParameterError(f"mode frequency must be finite, got {self.frequency}")
+        if not self.frequency > 0:
+            raise ParameterError(f"mode frequency must be > 0, got {self.frequency}")
         comps.flags.writeable = False
         object.__setattr__(self, "components", comps)
 
@@ -247,7 +248,7 @@ def mech_mode_volume(w: ModeField) -> float:
     with _intensity_overflow_named(w):
         intensity = _intensity(w)
         density = intensity / _intensity_integral(intensity, w)
-        return 1.0 / float(trapezoid_3d(density**2, w.grid))
+        return 1.0 / _intensity_integral(density**2, w)
 
 
 def em_mode_volume(e: ModeField, eta_eff: float) -> float:
@@ -303,6 +304,10 @@ class MaterialTensorSet:
     ``p``: photoelastic 6x6 Voigt matrix, not required to be symmetric.
     ``c``: elasticity 6x6 Voigt, symmetric.  ``eta``: inverse relative
     permittivity, 3x3 symmetric positive definite.  ``rho``: kg/m^3.
+
+    Every value is checked here, however the record is built: a scalar must
+    be a number, not a boolean, and a matrix entry a finite number, not a
+    boolean (NaN is allowed in ``h`` and ``p`` only).
     """
 
     rho: float
@@ -315,6 +320,30 @@ class MaterialTensorSet:
     eta: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in _TENSOR_SCALARS:
+            value = getattr(self, name)
+            try:
+                if isinstance(value, (bool, np.bool_)):  # float(True) would read as 1
+                    raise TypeError(value)
+                object.__setattr__(self, name, float(value))
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"tensor scalar {name} is not a number: {value!r}") from exc
+        for name in _TENSOR_MATRICES:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            try:
+                matrix = np.asarray(value, dtype=float)
+                entries = np.asarray(value, dtype=object).flat
+                if any(isinstance(v, (bool, np.bool_)) for v in entries):
+                    raise TypeError("booleans are not numbers")
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"tensor {name} is not a numeric matrix: {exc}") from exc
+            # NaN marks an unknown element of h and p
+            ok = np.isfinite(matrix) | (np.isnan(matrix) if name in ("h", "p") else False)
+            if not np.all(ok):
+                raise ParameterError(f"tensor {name} entries must be finite, got {matrix[~ok][0]}")
+            object.__setattr__(self, name, matrix)
         if not 0 < self.rho < math.inf:
             raise MaterialDataError(
                 f"density must be positive and finite, got rho = {self.rho}")
@@ -329,10 +358,6 @@ class MaterialTensorSet:
             if not np.finfo(float).smallest_normal <= 1 / value < math.inf:
                 raise MaterialDataError(
                     f"1/{name} must be finite and not subnormal, got {name} = {value}")
-        for name in _TENSOR_MATRICES:
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, np.asarray(value, dtype=float))
         for name, shape in (("h", (3, 6)), ("e", (3, 6)), ("p", (6, 6))):
             if getattr(self, name) is not None and getattr(self, name).shape != shape:
                 raise MaterialDataError(f"{name} must be a {shape[0]}x{shape[1]} Voigt matrix")
@@ -425,12 +450,9 @@ def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
     i sqrt(omega_em/omega_mech) / (4 V_mn) * sqrt(h_ijk^2 / (eta_eff rho)) *
     integral of E_i dw_j/dr_k, with V_mn the geometric mean of the two mode
     volumes (:func:`em_mode_volume` at eta_eff and :func:`mech_mode_volume`).
-    Fields must carry their frequencies; ``component`` is the 1-based (i, j, k)
-    selection.
+    ``component`` is the 1-based (i, j, k) selection.
     """
     _require_matching(e, w)
-    if e.frequency <= 0 or w.frequency <= 0:
-        raise ParameterError("both mode frequencies must be set and positive")
     i, j, k = component
     h = mat.h_element(i, j, k)
     # the prefactor squares h; a square that over- or underflows would raise or give 0
@@ -450,8 +472,6 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> 
     the fields into one integrand, integrated once.
     """
     _require_matching(e, w)
-    if e.frequency <= 0 or w.frequency <= 0:
-        raise ParameterError("both mode frequencies must be set and positive")
     if mat.h is None:
         raise MaterialDataError("piezoelectric tensor h is not set")
     grads = w.strain
@@ -481,8 +501,6 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     _require_matching(e, w)
     if mat.p is None:
         raise MaterialDataError("photoelastic tensor p is not set")
-    if w.frequency <= 0:
-        raise ParameterError("mechanical frequency must be positive")
     p = rank4_from_voigt(mat.p)
     unknown = np.argwhere(np.isnan(p))
     if len(unknown):
@@ -585,9 +603,16 @@ def load_mode_field(path) -> ModeField:
 
     Rows must be 9 numbers listing the header grid's points in "ij" (x-major)
     order; a row that is not, or whose x, y or z is off its grid point by more
-    than 1e-3 of that axis's spacing, is rejected, naming the file and the
-    first such row.
+    than 1e-3 of that axis's spacing, is rejected, naming the first such row.
+    Every :class:`ParameterError` raised while loading names the file.
     """
+    try:
+        return _read_mode_field(path)
+    except ParameterError as exc:
+        raise ParameterError(f"mode field {path}: {exc}") from exc
+
+
+def _read_mode_field(path) -> ModeField:
     with open(path, "r", encoding="utf-8") as fh:
         meta_line = fh.readline().strip()
         if not meta_line.startswith("#"):
@@ -611,7 +636,7 @@ def load_mode_field(path) -> ModeField:
             try:
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:
-                raise ParameterError(f"mode field {path}: {_malformed_row(path)}") from exc
+                raise ParameterError(_malformed_row(path)) from exc
     grid = Grid3D(origin, spacing, counts)
     expected = math.prod(counts)
     if data.shape != (expected, 9):
@@ -627,7 +652,7 @@ def load_mode_field(path) -> ModeField:
         row = int(np.flatnonzero(off_grid)[0])
         point = tuple(float(grid.axis(k)[i]) for k, i in enumerate(np.unravel_index(row, counts)))
         raise ParameterError(
-            f"mode field {path}: data row {row + 1} at {tuple(data[row, :3].tolist())} "
+            f"data row {row + 1} at {tuple(data[row, :3].tolist())} "
             f"is off its header grid point {point}"
         )
     comps = np.empty((3, *counts), dtype=complex)
@@ -643,9 +668,8 @@ def load_tensor_set(path) -> MaterialTensorSet:
 
     The file is one JSON object with the required scalars ``rho``, ``eps_rf``
     and ``eps_ir`` and the optional Voigt matrices ``h``, ``e``, ``p``, ``c``
-    and ``eta`` (SI units).  Unknown keys are rejected by name, and so is a
-    value that is not a finite number; a NaN matrix entry of ``h`` or ``p``
-    marks an unknown element.
+    and ``eta`` (SI units).  Unknown keys and a missing scalar are rejected
+    by name; :class:`MaterialTensorSet` checks the values.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -657,32 +681,7 @@ def load_tensor_set(path) -> MaterialTensorSet:
     unknown = sorted(set(data) - {*_TENSOR_SCALARS, *_TENSOR_MATRICES})
     if unknown:
         raise ParameterError(f"unknown tensor keys: {unknown}")
-    kwargs = {}
     for key in _TENSOR_SCALARS:
         if key not in data:
             raise ParameterError(f"tensor file missing required scalar {key!r}")
-        raw = data[key]
-        try:
-            if isinstance(raw, bool):  # float(True) would read as 1
-                raise TypeError(raw)
-            value = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"tensor scalar {key} is not a number: {raw!r}") from exc
-        if not math.isfinite(value):
-            raise ParameterError(f"tensor scalar {key} must be finite, got {value}")
-        kwargs[key] = value
-    for key in _TENSOR_MATRICES:
-        if data.get(key) is None:
-            continue
-        try:
-            value = np.asarray(data[key], dtype=float)
-            if any(isinstance(v, bool) for v in np.asarray(data[key], dtype=object).flat):
-                raise TypeError("booleans are not numbers")
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"tensor {key} is not a numeric matrix: {exc}") from exc
-        # NaN marks an unknown element of h and p
-        ok = np.isfinite(value) | (np.isnan(value) if key in ("h", "p") else False)
-        if not np.all(ok):
-            raise ParameterError(f"tensor {key} entries must be finite, got {value[~ok][0]}")
-        kwargs[key] = value
-    return MaterialTensorSet(**kwargs)
+    return MaterialTensorSet(**data)

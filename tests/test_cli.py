@@ -526,6 +526,8 @@ def _rewrite_header(path, key, value):
     ("spacing", "1e-07,1e-07,1e+307", "grid last point must be finite, got (4e-07, 4e-07, inf)"),
     ("frequency", "nan", "mode frequency must be finite, got nan"),
     ("frequency", "inf", "mode frequency must be finite, got inf"),
+    # 0 used to pass the load and fail at the rate, without naming the file
+    ("frequency", "0", "mode frequency must be > 0, got 0.0"),
 ])
 def test_non_finite_mode_field_header_exits_2(outdir, tmp_path, capsys, key, value, message):
     inputs = tmp_path / "inputs"
@@ -533,7 +535,8 @@ def test_non_finite_mode_field_header_exits_2(outdir, tmp_path, capsys, key, val
     argv = ["coupling"] + write_coupling_inputs(inputs)
     _rewrite_header(inputs / "w.csv", key, value)
     assert run(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: validation: {message}"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: mode field {inputs / 'w.csv'}: {message}"]
     assert not (outdir / "coupling.json").exists()
 
 
@@ -548,7 +551,7 @@ def test_non_finite_mode_field_cell_exits_2(outdir, tmp_path, capsys, cell):
     (inputs / "w.csv").write_text("\n".join(lines))
     assert run(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: validation: mode field contains non-finite values"]
+        f"error: validation: mode field {inputs / 'w.csv'}: mode field contains non-finite values"]
     assert not (outdir / "coupling.json").exists()
 
 
@@ -563,7 +566,8 @@ def test_mode_field_without_rows_exits_2_without_a_warning(outdir, tmp_path, cap
         warnings.simplefilter("error")
         assert run(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: validation: mode field file has shape (0, 1), expected (1025, 9)"]
+        f"error: validation: mode field {inputs / 'e.csv'}: "
+        "mode field file has shape (0, 1), expected (1025, 9)"]
     assert not (outdir / "coupling.json").exists()
 
 
@@ -654,6 +658,21 @@ def test_underflowing_field_intensity_exits_2(outdir, tmp_path, capsys, name):
         "error: validation: mode field intensity integral underflows to 0, "
         "though the field is not zero"]
     assert not (outdir / "coupling.json").exists()
+
+
+def test_underflowing_mechanical_volume_integral_exits_2(outdir, tmp_path, capsys):
+    # this used to end in "arithmetic: ZeroDivisionError: float division by zero"
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1e100,) * 3, (5, 5, 5))
+    coupling.save_mode_field(inputs / "w.csv", coupling.ModeField(
+        grid, np.ones((3, 5, 5, 5)), coupling.MECH, TWO_PI * 3.285e9))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: mode field intensity integral underflows to 0, "
+        "though the field is not zero"]
+    assert _names(outdir) == ["inputs"]
 
 
 @pytest.mark.parametrize("name, factor, kind", [("w.csv", 1e200, "mech"), ("e.csv", 1e100, "em")])

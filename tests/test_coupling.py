@@ -180,6 +180,15 @@ def test_zero_field_mode_volume_rejected():
         coupling.mech_mode_volume(w)
 
 
+def test_underflowing_mechanical_volume_integral_rejected():
+    # the normalized density squared underflows to 0; this used to raise ZeroDivisionError
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1e100,) * 3, (5, 5, 5))
+    w = coupling.ModeField(grid, np.ones((3, 5, 5, 5)), coupling.MECH, 1.0)
+    with pytest.raises(ParameterError, match="^mode field intensity integral underflows to 0, "
+                                             "though the field is not zero$"):
+        coupling.mech_mode_volume(w)
+
+
 @pytest.mark.parametrize("kind, factor, volume", [
     (coupling.MECH, 1e200, coupling.mech_mode_volume),
     (coupling.EM, 1e100, lambda e: coupling.em_mode_volume(e, 1 / 9.5)),
@@ -791,16 +800,20 @@ SCALARS = {"rho": 3255.0, "eps_rf": 9.5, "eps_ir": 3.67}
     (json.dumps({**SCALARS, "rho": "x"}), "tensor scalar rho is not a number: 'x'"),
     (json.dumps({**SCALARS, "eps_rf": True}), "tensor scalar eps_rf is not a number: True"),
     (json.dumps({**SCALARS, "eps_ir": [1.0]}), "tensor scalar eps_ir is not a number: [1.0]"),
-    (json.dumps({**SCALARS, "rho": math.nan}), "tensor scalar rho must be finite, got nan"),
-    (json.dumps({**SCALARS, "eps_rf": math.inf}), "tensor scalar eps_rf must be finite, got inf"),
+    (json.dumps({**SCALARS, "rho": math.nan}),
+     MaterialDataError("density must be positive and finite, got rho = nan")),
+    (json.dumps({**SCALARS, "eps_rf": math.inf}),
+     MaterialDataError("permittivities must be positive and finite, got eps_rf = inf")),
     (json.dumps({**SCALARS, "eps_ir": -math.inf}),
-     "tensor scalar eps_ir must be finite, got -inf"),
+     MaterialDataError("permittivities must be positive and finite, got eps_ir = -inf")),
     (json.dumps({**SCALARS, "h": [["x"] * 6] * 3}), "tensor h is not a numeric matrix"),
 ])
 def test_load_tensor_set_rejects_malformed_files_by_name(tmp_path, text, message):
-    with pytest.raises(ParameterError) as info:
+    # a value the record rejects raises the record's error, given here as an instance
+    error = type(message) if isinstance(message, Exception) else ParameterError
+    with pytest.raises(error) as info:
         coupling.load_tensor_set(_tensor_file(tmp_path, text))
-    assert message in str(info.value)
+    assert str(message) in str(info.value)
 
 
 @pytest.mark.parametrize("origin, spacing, name", [
@@ -821,6 +834,50 @@ def test_mode_field_rejects_non_finite_frequency(frequency):
     grid = coupling.Grid3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, 3, 3))
     with pytest.raises(ParameterError, match=f"mode frequency must be finite, got {frequency}"):
         coupling.ModeField(grid, np.ones((3, 3, 3, 3)), coupling.MECH, frequency)
+
+
+@pytest.mark.parametrize("frequency", [0.0, -1.0])
+def test_mode_field_rejects_a_frequency_not_above_zero(frequency):
+    # the rates divide by both mode frequencies; 0 used to pass as "unset"
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, 3, 3))
+    with pytest.raises(ParameterError) as info:
+        coupling.ModeField(grid, np.ones((3, 3, 3, 3)), coupling.MECH, frequency)
+    assert str(info.value) == f"mode frequency must be > 0, got {frequency}"
+
+
+TENSOR_SHAPES = {"h": (3, 6), "e": (3, 6), "p": (6, 6), "c": (6, 6), "eta": (3, 3)}
+
+
+def _matrix_with(key, entry):
+    matrix = np.eye(*TENSOR_SHAPES[key]).tolist()
+    matrix[0][0] = entry
+    return matrix
+
+
+@pytest.mark.parametrize("values, message", [
+    *[({key: _matrix_with(key, math.inf)}, f"tensor {key} entries must be finite, got inf")
+      for key in TENSOR_SHAPES],
+    *[({key: _matrix_with(key, math.nan)}, f"tensor {key} entries must be finite, got nan")
+      for key in ("e", "c", "eta")],
+    ({"p": _matrix_with("p", True)}, "tensor p is not a numeric matrix: booleans are not numbers"),
+    ({"eta": np.eye(3, dtype=bool)},
+     "tensor eta is not a numeric matrix: booleans are not numbers"),
+    ({"rho": "x"}, "tensor scalar rho is not a number: 'x'"),
+    ({"eps_ir": np.True_}, "tensor scalar eps_ir is not a number: np.True_"),
+])
+def test_tensor_set_built_in_python_checks_values_like_the_loader(values, message):
+    # an infinite p or h used to give a nan coupling rather than an error
+    with pytest.raises(ParameterError) as info:
+        coupling.MaterialTensorSet(**{**SCALARS, **values})
+    assert str(info.value) == message
+
+
+def test_tensor_set_built_in_python_keeps_nan_as_unknown_in_h_and_p():
+    h, p = _matrix_with("h", math.nan), _matrix_with("p", math.nan)
+    mat = coupling.MaterialTensorSet(**SCALARS, h=h, p=p)
+    assert math.isnan(mat.h[0, 0]) and math.isnan(mat.p[0, 0])
+    with pytest.raises(MaterialDataError, match="^piezoelectric element h_111 is unknown$"):
+        mat.h_element(1, 1, 1)
 
 
 @pytest.mark.parametrize("key, entry, message", [
