@@ -22,7 +22,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 
 import numpy as np
 
@@ -65,21 +64,21 @@ def _write_all(files: dict[str, str]) -> None:
     written, so a failing rerun leaves the previous run's files in place.  On
     a later failure the temp files and every artifact already renamed into
     place are removed, so a run writes all of its artifacts or none.
+
+    Each temp file, ``.pomtrans-<16 hex digits>.tmp``, is created with mode
+    0o666, so it gets the mode ``open()`` would give it.
     """
     for path in files:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    umask = os.umask(0)
-    os.umask(umask)
     temps, placed = [], []
     try:
         for path, text in files.items():
-            directory = os.path.dirname(os.path.abspath(path)) or "."
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pomtrans-", suffix=".tmp")
+            tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                               f".pomtrans-{os.urandom(8).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             temps.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                # mkstemp creates the file 0600; publish it with the mode open() would give
-                os.fchmod(fh.fileno(), 0o666 & ~umask)
                 fh.write(text)
         for tmp, path in zip(temps, files):
             os.replace(tmp, path)
@@ -308,6 +307,9 @@ def _cmd_coupling(args):
         "em_frequency_hz": e_field.frequency / TWO_PI,
         "mech_frequency_hz": w_field.frequency / TWO_PI,
     }
+    # after the mode volumes, so a field's own fault is named first; without h or p
+    # no rate compares the grids
+    coupling.require_matching(e_field, w_field)
     if mat.h is not None:
         g = coupling.piezo_coupling_total(e_field, w_field, mat)
         payload["piezo_coupling_rad_s"] = {"re": g.real, "im": g.imag, "abs": abs(g)}

@@ -408,7 +408,8 @@ _TENSOR_MATRICES = tuple(f.name for f in fields(MaterialTensorSet) if f.default 
 # --- coupling constants -------------------------------------------------------
 
 
-def _require_matching(e: ModeField, w: ModeField):
+def require_matching(e: ModeField, w: ModeField):
+    """Reject a pair that is not (EM field, mechanical field) on one grid."""
     if e.grid != w.grid:
         raise GridError("EM and mechanical fields live on different grids")
     if e.kind != EM or w.kind != MECH:
@@ -452,7 +453,7 @@ def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
     volumes (:func:`em_mode_volume` at eta_eff and :func:`mech_mode_volume`).
     ``component`` is the 1-based (i, j, k) selection.
     """
-    _require_matching(e, w)
+    require_matching(e, w)
     i, j, k = component
     h = mat.h_element(i, j, k)
     # the prefactor squares h; a square that over- or underflows would raise or give 0
@@ -471,7 +472,7 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> 
     corresponding overlap would contribute; the known elements contract with
     the fields into one integrand, integrated once.
     """
-    _require_matching(e, w)
+    require_matching(e, w)
     if mat.h is None:
         raise MaterialDataError("piezoelectric tensor h is not set")
     grads = w.strain
@@ -498,7 +499,7 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     (generally complex) overlap sum is returned.  The sum over tensor
     elements is taken inside one integrand, integrated once.
     """
-    _require_matching(e, w)
+    require_matching(e, w)
     if mat.p is None:
         raise MaterialDataError("photoelastic tensor p is not set")
     p = rank4_from_voigt(mat.p)

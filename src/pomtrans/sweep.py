@@ -5,14 +5,15 @@ identical runs produce byte-identical files on any platform.  Tables are
 real-valued: a complex column is rejected by name.
 
 The ``'%.11e'`` writer has a vectorized fast path that writes the same bytes
-as ``%``.  It takes a block whose values all lie in [1e-99, 9.999999999995e99),
-where every value prints as 17 characters: a 12-digit integer mantissa,
-rounded from ``x * 10**(11 - e)``, and a two-digit exponent ``e``.  Entries
-whose mantissa fraction lies within ``_NEAR_TIE`` of one half, exact ties
-among them, are re-formatted with ``%``: the scaled float is rounded twice
-(the power of ten, then the product), so its fraction can be off by about
-2.5e-4.  Any other block (a zero, a negative, a subnormal, NaN/inf or a
-3-digit exponent) and any other conversion take the ``%`` line.
+as ``%``.  It takes a block whose values are all +0.0 or in [1e-99,
+9.999999999995e99), which ``%`` prints in 17 characters each.  A value in
+range is a 12-digit integer mantissa, rounded from ``x * 10**(11 - e)``, and
+a two-digit exponent ``e``.  Entries whose mantissa fraction lies within
+``_NEAR_TIE`` of one half, exact ties among them, are re-formatted with
+``%``: the scaled float is rounded twice (the power of ten, then the
+product), so its fraction can be off by about 2.5e-4.  The +0.0 entries are
+re-formatted with them.  Any other block (-0.0, a negative, a subnormal,
+NaN/inf or a 3-digit exponent) and any other conversion take the ``%`` line.
 """
 
 from __future__ import annotations
@@ -56,14 +57,20 @@ def _scaled(x: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def _e11_block(block: np.ndarray) -> str | None:
     """``'%.11e'`` CSV rows of a 2-D float block, or None if a value is out of range."""
-    x = block.ravel()
-    if not np.all((x >= 1e-99) & (x < 9.999999999995e99)):
-        return None
-    e = np.floor(np.log10(x)).astype(np.int64)
-    m = _scaled(x, e)
+    x = v = block.ravel()
+    zeros = None
+    fast = (x >= 1e-99) & (x < 9.999999999995e99)
+    if not np.all(fast):
+        # +0.0 prints in 17 characters too: '%' writes it with the near ties
+        zero = (x == 0) & ~np.signbit(x)
+        if not np.all(fast | zero):
+            return None
+        v, zeros = np.where(zero, 1.0, x), np.flatnonzero(zero)
+    e = np.floor(np.log10(v)).astype(np.int64)
+    m = _scaled(v, e)
     # log10 can land one off next to a power of ten; the scaled mantissa decides
     e += (m >= 1e12).astype(np.int64) - (m < 1e11)
-    m = _scaled(x, e)
+    m = _scaled(v, e)
     whole = np.floor(m)
     frac = m - whole
     mant = whole.astype(np.int64) + (frac > 0.5)
@@ -84,6 +91,8 @@ def _e11_block(block: np.ndarray) -> str | None:
     rec["sep"] = b","
     rec["sep"][:, -1] = b"\n"
     near = np.flatnonzero(np.abs(frac - 0.5) < _NEAR_TIE)
+    if zeros is not None:
+        near = np.union1d(near, zeros)
     if near.size:
         exact = ("%.11e" * near.size) % tuple(x[near].tolist())
         chars = flat.view(np.uint8).reshape(-1, _RECORD.itemsize)

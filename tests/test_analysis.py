@@ -326,6 +326,14 @@ def test_contour_cell_matches_max_efficiency(nominal_params):
     )
 
 
+@pytest.mark.parametrize("g_scale, k_scale", [(0.0, 1.0), (1.0, -1.0)])
+def test_contour_rejects_a_non_positive_grid(nominal_params, g_scale, k_scale):
+    p = nominal_params
+    with pytest.raises(ParameterError, match="^contour grids must be strictly positive$"):
+        analysis.max_efficiency_contour(p, np.array([p.g_em, g_scale * p.g_em]),
+                                        np.array([p.kappa_ex2, k_scale * p.kappa_ex2]))
+
+
 def test_contour_monotone_in_bus_coupling_below_threshold(nominal_params):
     p = nominal_params
     k_axis = TWO_PI * np.logspace(7, 9, 9)

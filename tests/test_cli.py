@@ -879,6 +879,54 @@ def test_failing_rerun_keeps_the_previous_artifacts(outdir, capsys):
     assert sorted(p.name for p in outdir.iterdir()) == ["x.csv", "x.json"]
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["optimize"], ["o.json"]),
+    (["spectrum", "--grid-points", "2001"], ["o.csv", "o.json"]),
+], ids=["optimize", "spectrum"])
+def test_artifacts_get_open_mode_with_the_umask_left_alone(outdir, monkeypatch, argv, names):
+    # the kernel applies the umask to the 0o666 temp files; nothing reads or sets it
+    def no_umask(mask):
+        raise AssertionError("the process umask was read or set")
+
+    real_umask = os.umask
+    old = real_umask(0o022)
+    try:
+        monkeypatch.setattr(os, "umask", no_umask)
+        assert run([*argv, "--out", "o"]) == 0
+    finally:
+        real_umask(old)
+    assert {n: (outdir / n).stat().st_mode & 0o777 for n in _names(outdir)} == dict.fromkeys(
+        names, 0o644)
+
+
+def test_file_at_the_temp_path_is_left_alone(outdir, monkeypatch, capsys):
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(range(n)))
+    tmp = outdir / ".pomtrans-0001020304050607.tmp"
+    tmp.write_bytes(b"not a pomtrans artifact\n")
+    assert run(["optimize", "--out", "o"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: io: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{tmp}'"]
+    assert tmp.read_bytes() == b"not a pomtrans artifact\n"
+    assert _names(outdir) == [tmp.name]
+
+
+def test_coupling_fields_on_different_grids_exit_2(outdir, tmp_path, capsys):
+    # without h or p no rate compares the grids, so the command itself must
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    grid = coupling.Grid3D((0, 0, 0), (1e-7, 1e-7, 0.25e-7), (5, 5, 5))
+    w_comps = np.zeros((3, *grid.shape), dtype=complex)
+    w_comps[2] = 1e-4
+    coupling.save_mode_field(inputs / "w.csv",
+                             coupling.ModeField(grid, w_comps, coupling.MECH, TWO_PI * 3.285e9))
+    (inputs / "tensors.json").write_text(json.dumps({"rho": 3255.0, "eps_rf": 9.5, "eps_ir": 3.67}))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: grid: EM and mechanical fields live on different grids"]
+    assert _names(outdir) == ["inputs"]
+
+
 def test_only_the_cli_names_columns_and_converts_to_hz():
     # the physics modules return rad/s arrays; cli.py builds every table it writes
     assert not hasattr(analysis, "SweepResult")

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -82,6 +83,17 @@ def test_rank4_expansion_not_symmetrized():
     assert full[1, 2, 0, 0] == -1.0
 
 
+@pytest.mark.parametrize("expand, shape, message", [
+    (coupling.rank3_from_voigt, (6, 3), "expected a 3x6 Voigt matrix, got shape (6, 3)"),
+    (coupling.rank3_from_voigt, (18,), "expected a 3x6 Voigt matrix, got shape (18,)"),
+    (coupling.rank4_from_voigt, (3, 6), "expected a 6x6 Voigt matrix, got shape (3, 6)"),
+])
+def test_voigt_expansion_rejects_a_wrong_shape(expand, shape, message):
+    with pytest.raises(ParameterError) as info:
+        expand(np.zeros(shape))
+    assert str(info.value) == message
+
+
 # --- strain --------------------------------------------------------------------
 
 
@@ -136,6 +148,22 @@ def test_plane_wave_gradient_second_order_convergence():
 
 
 # --- mode volumes and effective mass -----------------------------------------------
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda e, w: coupling.strain_field(e), "strain is defined for mechanical displacement fields"),
+    (lambda e, w: coupling.mech_mode_volume(e), "expected a mechanical displacement field"),
+    (lambda e, w: coupling.em_mode_volume(w, 0.1), "expected an electromagnetic field"),
+    (lambda e, w: coupling.require_matching(w, e), "expected (EM field, mechanical field)"),
+    (lambda e, w: coupling.optomech_coupling(w, e, simple_material()),
+     "expected (EM field, mechanical field)"),
+], ids=["strain_field", "mech_mode_volume", "em_mode_volume", "require_matching",
+        "optomech_coupling"])
+def test_field_of_the_wrong_kind_rejected(check, message):
+    e, w = coupling_input_fields()
+    with pytest.raises(ParameterError) as info:
+        check(e, w)
+    assert str(info.value) == message
 
 
 def test_uniform_field_mode_volume_is_box_volume():
@@ -525,6 +553,34 @@ def test_h_e_consistency_check():
                                    h=h_bad, e=e_tensor, eta=eta)
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"h": np.zeros((6, 3))}, "h must be a 3x6 Voigt matrix"),
+    ({"e": np.zeros((3, 3))}, "e must be a 3x6 Voigt matrix"),
+    ({"p": np.zeros((3, 6))}, "p must be a 6x6 Voigt matrix"),
+    ({"c": np.eye(3)}, "c must be a 6x6 Voigt matrix"),
+    ({"eta": np.eye(2)}, "eta must be 3x3"),
+    ({"eta": np.eye(3) + np.triu(np.ones((3, 3)), 1) * 0.1}, "eta must be symmetric"),
+])
+def test_tensor_set_rejects_a_wrong_shape_or_an_asymmetric_eta(values, message):
+    with pytest.raises(MaterialDataError) as info:
+        coupling.MaterialTensorSet(rho=1000.0, eps_rf=5.0, eps_ir=2.0, **values)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rate, unset, message", [
+    (lambda e, w, mat: mat.h_element(3, 3, 3), "h", "piezoelectric tensor h is not set"),
+    (coupling.piezo_coupling_total, "h", "piezoelectric tensor h is not set"),
+    (coupling.optomech_coupling, "p", "photoelastic tensor p is not set"),
+], ids=["h_element", "piezo_coupling_total", "optomech_coupling"])
+def test_rate_without_its_tensor_rejected(rate, unset, message):
+    # a record may leave out h or p; `coupling` then skips the rate rather than calling it
+    e, w = coupling_input_fields()
+    mat = dataclasses.replace(simple_material(), **{unset: None})
+    with pytest.raises(MaterialDataError) as info:
+        rate(e, w, mat)
+    assert str(info.value) == message
+
+
 def test_eta_must_be_positive_definite():
     eta = -np.eye(3)
     with pytest.raises(MaterialDataError, match="positive definite"):
@@ -827,6 +883,46 @@ def test_grid_rejects_non_finite_origin_and_spacing(origin, spacing, name):
     with pytest.raises(ParameterError) as info:
         coupling.Grid3D(origin, spacing, (3, 3, 3))
     assert str(info.value) == f"grid {name} must be finite, got {value}"
+
+
+@pytest.mark.parametrize("origin, spacing, counts, message", [
+    ((0.0, 0.0), (1.0, 1.0, 1.0), (3, 3, 3), "origin, spacing and counts must have 3 entries each"),
+    ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), (3, 3, 3),
+     "origin, spacing and counts must have 3 entries each"),
+    ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, 3), "origin, spacing and counts must have 3 entries each"),
+    ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, 0, 3), "grid counts must be positive integers, got (3, 0, 3)"),
+    ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, 3, 2.5),
+     "grid counts must be positive integers, got (3, 3, 2.5)"),
+])
+def test_grid_rejects_wrong_lengths_and_counts(origin, spacing, counts, message):
+    with pytest.raises(ParameterError) as info:
+        coupling.Grid3D(origin, spacing, counts)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("shape, kind, message", [
+    ((3, 3, 3, 2), coupling.MECH, "components shape (3, 3, 3, 2) does not match grid (3, 3, 3)"),
+    ((3, 3, 3, 3), "acoustic", "kind must be 'em' or 'mech'"),
+])
+def test_mode_field_rejects_components_off_its_grid_and_an_unknown_kind(shape, kind, message):
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, 3, 3))
+    with pytest.raises(ParameterError) as info:
+        coupling.ModeField(grid, np.ones(shape), kind, 1.0)
+    assert str(info.value) == message
+
+
+def test_gaussian_sheet_peaks_at_its_center():
+    grid = coupling.Grid3D((0.0, 0.0, -1.0), (1.0, 1.0, 0.1), (2, 3, 21))
+    f = coupling.gaussian_sheet(grid, coupling.EM, 1.0, 2.0 - 1.0j, polarization=1, axis=2,
+                                center=0.0, width=0.3)
+    profile = f.components[1]
+    assert not np.any(f.components[[0, 2]])
+    # constant across the sheet, largest at the center, and even about it
+    np.testing.assert_array_equal(profile, np.broadcast_to(profile[:1, :1], profile.shape))
+    z = profile[0, 0]
+    assert np.argmax(np.abs(z)) == 10 and z[10] == 2.0 - 1.0j
+    np.testing.assert_allclose(z, z[::-1], rtol=1e-12)
+    np.testing.assert_allclose(z[13], (2.0 - 1.0j) * math.exp(-1.0), rtol=1e-12)
 
 
 @pytest.mark.parametrize("frequency", [math.nan, math.inf])

@@ -41,6 +41,12 @@ def test_derived_gamma_ex_limits(nominal_params):
         replace(p, Gamma=0.0, Gamma_0=0.0)
 
 
+def test_gamma_below_its_intrinsic_part_rejected(nominal_params):
+    with pytest.raises(ParameterError,
+                       match="^total microwave linewidth Gamma must be >= Gamma_0$"):
+        replace(nominal_params, Gamma_0=2 * nominal_params.Gamma)
+
+
 def test_derived_rates_broadcast_over_array_fields(nominal_params):
     # the first cell is the Gamma = 0 limit, which needs g_em = 0 and so Gamma_0 = 0
     base = replace(nominal_params, gamma_ex=None, gamma_m_supplied=None)

@@ -222,6 +222,42 @@ def test_non_positive_rf_permittivity_rejected_by_name(value):
         materials.MaterialRecord(**fields)
 
 
+HEADER = "name,h33,h33_flag,eps33_rf,eps33_ir,eps33_ir_flag,rho_gcc,p33,p33_flag,fab,notes\n"
+
+
+def _record(**changes):
+    fields = dict(name="X", h33=0.1, h33_flag="value", eps33_rf=4.0, eps33_ir=2.0,
+                  eps33_ir_flag="value", rho_gcc=4.0, p33=0.5, p33_flag="value", fab="yes")
+    return materials.MaterialRecord(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("value", [0.0, -3.2])
+def test_non_positive_density_rejected_by_name(value):
+    with pytest.raises(MaterialDataError, match="^X: density must be positive$"):
+        _record(rho_gcc=value)
+
+
+def test_unknown_permittivities_make_the_figures_undefined_with_reason():
+    assert materials.em_fom(_record(eps33_rf=None)) == materials.FomValue(None, "eps33_rf unknown")
+    om = materials.om_fom(_record(eps33_ir=None, eps33_ir_flag="unknown"))
+    assert om == materials.FomValue(None, "eps33_ir unknown")
+
+
+def test_unknown_ranking_rejected_by_name():
+    with pytest.raises(MaterialDataError, match="^ranking must be 'em' or 'om', got 'xx'$"):
+        materials.rank([_record()], "xx")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty materials file"),
+    (HEADER + " ,0.1,value,1,1,value,1,0.1,value,yes,\n", "row 2: empty material name"),
+])
+def test_empty_file_and_empty_name_rejected(text, message):
+    with pytest.raises(MaterialDataError) as info:
+        materials.parse_materials_csv(text)
+    assert str(info.value) == message
+
+
 def test_non_finite_csv_cell_names_row_and_column():
     text = (
         "name,h33,h33_flag,eps33_rf,eps33_ir,eps33_ir_flag,rho_gcc,p33,p33_flag,fab,notes\n"

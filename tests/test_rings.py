@@ -158,6 +158,17 @@ def test_transmission_periodicity():
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("grid, message", [
+    (np.zeros((2, 2)), "omega grid must be a 1-D array"),
+    (np.array([1.0]), "omega grid must be a 1-D array"),
+    (np.array([1.0, 1.0, 2.0]), "omega grid must be strictly increasing"),
+    (np.array([2.0, 1.0]), "omega grid must be strictly increasing"),
+])
+def test_transmission_spectrum_rejects_a_bad_grid(grid, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        rings.transmission_spectrum(make_pair(), grid)
+
+
 def test_bad_ring_parameters_rejected():
     with pytest.raises(ParameterError):
         rings.RingPair(T=0.0, J=1.0)

@@ -160,7 +160,7 @@ def test_fast_path_fixes_an_exponent_estimate_one_off(monkeypatch, shift):
 
 
 @pytest.mark.parametrize("odd", [
-    0.0, -0.0, -1.0, math.nan, math.inf, 5e-324, np.nextafter(1e-99, 0.0),
+    -0.0, -1.0, math.nan, math.inf, 5e-324, np.nextafter(1e-99, 0.0),
     9.99999999999995e99, 9.999999999995e99, 1e100, sys.float_info.max])
 def test_out_of_range_value_sends_its_block_to_percent(odd):
     block = np.column_stack([FAST_EDGES, FAST_EDGES[::-1]])
@@ -168,6 +168,15 @@ def test_out_of_range_value_sends_its_block_to_percent(odd):
     assert sweep._e11_block(block) is None
     table = SweepResult(columns={"a": block[:, 0], "b": block[:, 1]})
     assert table.to_csv() == reference_csv(table)
+
+
+def test_positive_zero_takes_the_fast_path():
+    # +0.0 prints in 17 characters like every fast-path value, so its block stays fast
+    block = np.column_stack([FAST_EDGES, FAST_EDGES[::-1]])
+    block[0] = 0.0
+    block[len(block) // 2, 1] = 0.0
+    assert sweep._e11_block(block).split("\n") == percent_block(block).split("\n")
+    assert sweep._e11_block(np.zeros((3, 2))) == "0.00000000000e+00,0.00000000000e+00\n" * 3
 
 
 def test_fast_path_upper_bound_sits_below_three_digit_exponents():
@@ -182,6 +191,7 @@ def test_fast_path_upper_bound_sits_below_three_digit_exponents():
     ["spectrum", "--grid-points", "40001"],
     ["contour", "--grid-points", "101"],
     ["efficiency-curve"],
+    ["rings", "--grid-points", "3001"],
 ])
 def test_cli_tables_take_the_fast_path(tmp_path, monkeypatch, argv):
     blocks = []
