@@ -300,6 +300,7 @@ def _cmd_materials(args):
 def _cmd_coupling(args):
     e_field = coupling.load_mode_field(args.em_field)
     w_field = coupling.load_mode_field(args.mech_field)
+    coupling.require_matching(e_field, w_field)
     mat = coupling.load_tensor_set(args.tensors)
     payload = {
         "em_mode_volume_m3": e_field.em_volume(mat.eta_eff),
@@ -307,9 +308,6 @@ def _cmd_coupling(args):
         "em_frequency_hz": e_field.frequency / TWO_PI,
         "mech_frequency_hz": w_field.frequency / TWO_PI,
     }
-    # after the mode volumes, so a field's own fault is named first; without h or p
-    # no rate compares the grids
-    coupling.require_matching(e_field, w_field)
     if mat.h is not None:
         g = coupling.piezo_coupling_total(e_field, w_field, mat)
         payload["piezo_coupling_rad_s"] = {"re": g.real, "im": g.imag, "abs": abs(g)}

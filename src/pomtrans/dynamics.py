@@ -45,8 +45,9 @@ class TransducerParams:
     :func:`derived_rates`.  ``gamma_m_supplied`` is an optional consistency
     input: it must agree with the derived total mechanical linewidth within
     2 %.  ``lambda_l`` (pump vacuum wavelength, metres) is used only by the
-    pump-power mapping.  Every field is checked here, once: a record with a
-    zero kappa_1, kappa_2 or gamma_m, which the closed forms divide by, is
+    pump-power mapping.  Every field is checked here, once: each is a real
+    number or a real array, never a boolean, and a record with a zero
+    kappa_1, kappa_2 or gamma_m, which the closed forms divide by, is
     rejected when it is built.
     """
 
@@ -67,11 +68,17 @@ class TransducerParams:
     lambda_l: float | None = None
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
+        for name, field in self.__dataclass_fields__.items():
             value = getattr(self, name)
-            if value is not None:
-                # abs(x) < inf is false exactly for NaN and +-inf
-                _require(abs(value) < math.inf, name, value, "must be finite")
+            if type(value) is not float:
+                if value is None and field.default is None:
+                    continue
+                # a list is not an array, and kind "b" is a boolean, which would read as 0 or 1
+                if (not isinstance(value, (int, float, np.number, np.ndarray))
+                        or np.asarray(value).dtype.kind not in "iuf"):
+                    raise ParameterError(f"{name} is not a number: {value!r}")
+            # abs(x) < inf is false exactly for NaN and +-inf
+            _require(abs(value) < math.inf, name, value, "must be finite")
         for name in ("gamma_0", "Gamma_0", "Gamma", "g_em", "J", "kappa_1",
                      "kappa_02", "kappa_ex2", "g_om", "gamma_ex"):
             value = getattr(self, name)
@@ -376,10 +383,6 @@ class EnhancementResonances:
     lower: float
     upper: float
     degenerate: bool = False
-
-    @property
-    def pair(self) -> tuple[float, float]:
-        return (self.lower, self.upper)
 
 
 def enhancement_resonances(p: TransducerParams) -> EnhancementResonances:

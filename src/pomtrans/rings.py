@@ -94,14 +94,12 @@ def critical_equation_residual(rp: RingPair, omega) -> np.ndarray:
 
 
 def supermode_transform(a1: complex, a2: complex) -> tuple[complex, complex]:
-    """Ring amplitudes to (symmetric, antisymmetric) supermode amplitudes."""
+    """Ring amplitudes to (symmetric, antisymmetric) supermode amplitudes.
+
+    The transform is unitary and its own inverse.
+    """
     inv = 1 / math.sqrt(2)
     return ((a1 + a2) * inv, (a1 - a2) * inv)
-
-
-def supermode_inverse(a_sym: complex, a_asym: complex) -> tuple[complex, complex]:
-    """Inverse of :func:`supermode_transform`, which is unitary and its own inverse."""
-    return supermode_transform(a_sym, a_asym)
 
 
 def _inner_ring_response(rp: RingPair, phase: np.ndarray) -> np.ndarray:

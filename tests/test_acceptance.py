@@ -238,7 +238,7 @@ def test_criterion_5_enhancement_resonances(nominal_params):
     res = dynamics.enhancement_resonances(p)
     step = TWO_PI * 1e3  # 1 kHz grid
 
-    for predicted in res.pair:
+    for predicted in (res.lower, res.upper):
         grid = np.arange(predicted - TWO_PI * 2e6, predicted + TWO_PI * 2e6, step)
         power = np.abs(dynamics.intra_ring_gain(p, grid)) ** 2
         found = grid[int(np.argmax(power))]

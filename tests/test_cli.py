@@ -666,6 +666,11 @@ def test_underflowing_mechanical_volume_integral_exits_2(outdir, tmp_path, capsy
     inputs.mkdir()
     argv = ["coupling"] + write_coupling_inputs(inputs)
     grid = coupling.Grid3D((0.0, 0.0, 0.0), (1e100,) * 3, (5, 5, 5))
+    # an x-polarized EM field on the same grid, small enough that its volume stays finite
+    e_comps = np.zeros((3, 5, 5, 5))
+    e_comps[0] = 1e-75
+    coupling.save_mode_field(inputs / "e.csv", coupling.ModeField(
+        grid, e_comps, coupling.EM, TWO_PI * 1.935e14))
     coupling.save_mode_field(inputs / "w.csv", coupling.ModeField(
         grid, np.ones((3, 5, 5, 5)), coupling.MECH, TWO_PI * 3.285e9))
     assert run(argv) == 2

@@ -98,6 +98,24 @@ def test_negative_rate_rejected(nominal_params):
         replace(nominal_params, kappa_1=-1.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("J", True), ("J", np.True_), ("g_om", "400"), ("g_om", None), ("J", 1j),
+    ("J", np.array([True, False])), ("gamma_ex", True), ("J", [1.0]),
+], ids=["bool", "numpy-bool", "string", "none-required", "complex", "bool-array",
+        "bool-optional", "list"])
+def test_non_number_rejected_by_name(nominal_params, name, value):
+    # True used to read as 1 rad/s; "400" and None ended in a bare TypeError
+    expected = f"{name} is not a number: {value!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(expected)}$"):
+        replace(nominal_params, **{name: value})
+
+
+@pytest.mark.parametrize("value", [3, np.float64(2.0), np.array([1e6, 2e6])],
+                         ids=["int", "numpy-float", "float-array"])
+def test_real_numbers_and_arrays_accepted(nominal_params, value):
+    assert replace(nominal_params, J=value).J is value
+
+
 @pytest.mark.parametrize("name", dynamics._SQUARED_RATES)
 def test_rate_whose_square_overflows_rejected_by_name(nominal_params, name):
     limit = dynamics._SQUARED_RATE_MAX
@@ -263,7 +281,7 @@ def test_enhancement_resonance_closed_form_matches_peak_formula(nominal_params):
     res = dynamics.enhancement_resonances(p)
     assert not res.degenerate
     peak = dynamics.enhancement_peak_value(p)
-    for w in res.pair:
+    for w in (res.lower, res.upper):
         value = abs(dynamics.intra_ring_gain(p, w)) ** 2
         assert value == pytest.approx(peak, rel=1e-6)
 
@@ -290,7 +308,7 @@ def test_enhancement_resonances_match_grid_argmax(nominal_params, j_scale):
     res = dynamics.enhancement_resonances(p)
     assert not res.degenerate
     step = TWO_PI * 1e3
-    for predicted in res.pair:
+    for predicted in (res.lower, res.upper):
         grid = np.arange(predicted - TWO_PI * 2e6, predicted + TWO_PI * 2e6, step)
         power = np.abs(dynamics.intra_ring_gain(p, grid)) ** 2
         found = grid[np.argmax(power)]
