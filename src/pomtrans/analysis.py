@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import sweep
 from .dynamics import (
     OperatingPoint,
     TransducerParams,
@@ -30,7 +31,13 @@ from .dynamics import (
     pump_power_to_photons,
     with_derived_gamma_ex,
 )
-from .errors import GridError, ModelViolationError, ParameterError, UndefinedOptimumError
+from .errors import (
+    GridError,
+    ModelViolationError,
+    ParameterError,
+    PomtransError,
+    UndefinedOptimumError,
+)
 
 
 @dataclass(frozen=True)
@@ -147,6 +154,11 @@ def _quadratic_peak(x: np.ndarray, y: np.ndarray, i: int) -> float:
     return float(x[i] + 0.5 * dx * (y[i - 1] - y[i + 1]) / curvature)
 
 
+def _first_last(mask: np.ndarray) -> tuple[int, int]:
+    """Indices of the first and last true element of a mask that holds somewhere."""
+    return int(np.argmax(mask)), len(mask) - 1 - int(np.argmax(mask[::-1]))
+
+
 def _cross(x, y, j, k, level):
     return float(x[j] + (level - y[j]) * (x[k] - x[j]) / (y[k] - y[j]))
 
@@ -155,7 +167,12 @@ def efficiency_spectrum(p: TransducerParams, omega_grid) -> SpectrumResult:
     """Efficiency vs signal frequency at the resonance-critical pump level.
 
     |a1|^2 is held fixed at :func:`critical_photon_number` across the sweep
-    (the pump is not re-optimized per frequency).  The peak is located by
+    (the pump is not re-optimized per frequency).  The efficiency is
+    evaluated ``sweep.CSV_BLOCK_ROWS`` frequencies at a time into one float64
+    array, so its complex temporaries stay bounded whatever the grid size.
+    If a block raises, the whole grid is evaluated once more in one call, so
+    the error names every offending frequency and the grid-wide maximum, as
+    a single call would.  The peak is located by
     three-point quadratic interpolation; the 50% crossings are found by linear
     interpolation independently on each side, so asymmetric peaks are handled.
 
@@ -167,12 +184,19 @@ def efficiency_spectrum(p: TransducerParams, omega_grid) -> SpectrumResult:
     w = np.asarray(omega_grid, dtype=float)
     if w.ndim != 1 or len(w) < 3:
         raise GridError("omega grid must be a 1-D array with at least 3 points")
-    if np.any(np.diff(w) <= 0):
+    if np.any(w[1:] <= w[:-1]):
         raise GridError("omega grid must be strictly increasing")
 
     n_pump = critical_photon_number(p)
     op = OperatingPoint(p, n_pump)
-    eta = np.asarray(efficiency(op, w))
+    eta = np.empty(len(w))
+    step = sweep.CSV_BLOCK_ROWS
+    try:
+        for start in range(0, len(w), step):
+            eta[start:start + step] = efficiency(op, w[start:start + step])
+    except (PomtransError, ArithmeticError):
+        efficiency(op, w)  # raises the error of the whole grid
+        raise
 
     i_max = int(np.argmax(eta))
     if i_max == 0 or i_max == len(w) - 1:
@@ -181,9 +205,7 @@ def efficiency_spectrum(p: TransducerParams, omega_grid) -> SpectrumResult:
     peak_omega = _quadratic_peak(w, eta, i_max)
     half = peak_eff / 2
 
-    above = eta >= half
-    idx = np.flatnonzero(above)
-    lo, hi = int(idx[0]), int(idx[-1])
+    lo, hi = _first_last(eta >= half)
     if hi - lo + 1 < 8:
         raise GridError(
             f"only {hi - lo + 1} grid points inside the 50% band; refine the grid"
@@ -193,9 +215,8 @@ def efficiency_spectrum(p: TransducerParams, omega_grid) -> SpectrumResult:
     right = w[-1] if hi == len(w) - 1 else _cross(w, eta, hi, hi + 1, half)
     fwhm = right - left
 
-    flat = eta >= peak_eff * (1 - 1e-6)
-    j = np.flatnonzero(flat)
-    flat_width = float(w[j[-1]] - w[j[0]]) if len(j) > 1 else 0.0
+    first, last = _first_last(eta >= peak_eff * (1 - 1e-6))
+    flat_width = float(w[last] - w[first])
     broad = hits_boundary or (fwhm > 0 and flat_width > 0.1 * fwhm)
 
     return SpectrumResult(

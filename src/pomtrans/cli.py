@@ -3,7 +3,7 @@
 Subcommands bind parameter files and presets to the sweep and optimization
 engines and emit CSV/JSON artifacts.  All user-facing frequencies are plain
 Hz; conversion to angular rad/s happens at this boundary only.  Every
-artifact is rendered, then written to a temp file, before the first is
+artifact is rendered block by block into a temp file before the first is
 renamed into place, so a failure leaves none behind.  Files are written
 deterministically: byte identical for identical configurations.
 
@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -57,8 +58,11 @@ _ERRORS = (
 )
 
 
-def _write_all(files: dict[str, str]) -> None:
-    """Write each ``{path: text}`` to a temp file beside it, then rename them all.
+def _write_all(files: dict[str, Iterable[str]]) -> None:
+    """Write each ``{path: text chunks}`` to a temp file beside it, then rename them all.
+
+    The chunks are drawn as they are written, so a table never exists as one
+    string, and an error raised while rendering one counts as a failed write.
 
     A target that is an existing directory is rejected before anything is
     written, so a failing rerun leaves the previous run's files in place.  On
@@ -73,13 +77,13 @@ def _write_all(files: dict[str, str]) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     temps, placed = [], []
     try:
-        for path, text in files.items():
+        for path, chunks in files.items():
             tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                                f".pomtrans-{os.urandom(8).hex()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             temps.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         for tmp, path in zip(temps, files):
             os.replace(tmp, path)
             placed.append(path)
@@ -153,7 +157,8 @@ def _require_finite(args) -> None:
 
 
 # --- subcommand implementations ----------------------------------------------
-# Each returns (default output base, {extension: rendered text}); main writes them.
+# Each returns (default output base, {extension: text chunks}); main writes them.
+# A table is its lazy ``SweepResult.csv_chunks()``; a JSON text is a one-element list.
 
 
 def _cmd_spectrum(args):
@@ -168,19 +173,19 @@ def _cmd_spectrum(args):
         raise ParameterError(collapsed)
     start, stop, points = _axis(args, 0, start, stop, 500_001, "spectrum grid")
     grid = TWO_PI * np.linspace(start, stop, points)
-    if default_window and not np.all(np.diff(grid) > 0):
+    if default_window and not np.all(grid[1:] > grid[:-1]):
         raise ParameterError(collapsed)
     spec = analysis.efficiency_spectrum(p, grid)
     table = SweepResult(columns={"frequency_hz": grid / TWO_PI, "efficiency": spec.efficiencies})
     return "spectrum", {
-        ".csv": table.to_csv(),
-        ".json": _sidecar(args, p, {
+        ".csv": table.csv_chunks(),
+        ".json": [_sidecar(args, p, {
             "peak_shift_mhz": spec.peak_shift / TWO_PI / 1e6,
             "fwhm_mhz": spec.fwhm / TWO_PI / 1e6,
             "broad_peak": spec.broad_peak_flag,
             "peak_efficiency": spec.peak_efficiency,
             "intra_ring_photons": spec.intra_ring_photons,
-        }),
+        })],
     }
 
 
@@ -188,7 +193,7 @@ def _cmd_optimize(args):
     p = _load_params(args)
     n_crit = analysis.critical_photon_number(p)
     coops = analysis.cooperativities(analysis.OperatingPoint(p, n_crit))
-    return "optimize", {".json": _sidecar(args, p, {
+    return "optimize", {".json": [_sidecar(args, p, {
         "critical_photon_number": n_crit,
         "max_efficiency": analysis.max_efficiency(p),
         "max_efficiency_derived_gamma_ex": analysis.max_efficiency(
@@ -199,7 +204,7 @@ def _cmd_optimize(args):
             "f_2": coops.f_2,
             "f_m": coops.f_m,
         },
-    })}
+    })]}
 
 
 def _cmd_contour(args):
@@ -215,12 +220,12 @@ def _cmd_contour(args):
         "max_efficiency": eta.ravel(),
     })
     return "contour", {
-        ".csv": table.to_csv(),
-        ".json": _sidecar(args, p, {
+        ".csv": table.csv_chunks(),
+        ".json": [_sidecar(args, p, {
             "g_em_axis_hz": [g_start, g_stop, n_g],
             "kappa_ex2_axis_hz": [k_start, k_stop, n_k],
             "note": "gamma_ex follows the derived relation across the grid",
-        }),
+        })],
     }
 
 
@@ -239,12 +244,12 @@ def _cmd_efficiency_curve(args):
                                  "efficiency": eta})
     i_best = int(np.argmax(eta))
     return "efficiency-curve", {
-        ".csv": table.to_csv(),
-        ".json": _sidecar(args, p, {"metadata": {
+        ".csv": table.csv_chunks(),
+        ".json": [_sidecar(args, p, {"metadata": {
             "peak_power_w": float(powers[i_best]),
             "peak_efficiency": float(eta[i_best]),
             "pump_offset_hz": offset_hz,
-        }}),
+        }})],
     }
 
 
@@ -269,8 +274,8 @@ def _cmd_rings(args):
     n_max = max(1, math.ceil(fsrs))
     crit = rings.critical_frequencies(rp, range(0, n_max + 1))
     return "rings", {
-        ".csv": table.to_csv(),
-        ".json": _dump_json({
+        ".csv": table.csv_chunks(),
+        ".json": [_dump_json({
             "round_trip_time_s": rp.T,
             "ring_j_hz": args.ring_j_hz,
             "loss": rp.loss,
@@ -278,7 +283,7 @@ def _cmd_rings(args):
             "critical_frequencies": [
                 {"frequency_hz": c.omega / TWO_PI, "label": c.label} for c in crit
             ],
-        }),
+        })],
     }
 
 
@@ -294,7 +299,7 @@ def _cmd_materials(args):
                              format_float(abs(fom.value)), "yes", "", rec.fab])
         else:
             writer.writerow([i, rec.name, "", "", "no", fom.reason, rec.fab])
-    return f"materials-{args.which}", {".csv": text.getvalue()}
+    return f"materials-{args.which}", {".csv": [text.getvalue()]}
 
 
 def _cmd_coupling(args):
@@ -318,7 +323,7 @@ def _cmd_coupling(args):
             }
     if mat.p is not None:
         payload["optomech_coupling_rad_s"] = coupling.optomech_coupling(e_field, w_field, mat)
-    return "coupling", {".json": _dump_json(payload)}
+    return "coupling", {".json": [_dump_json(payload)]}
 
 
 # --- parser -------------------------------------------------------------------
@@ -406,11 +411,12 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         _require_finite(args)
-        # an overflow or invalid value the validators let through raises, not warns
+        # an overflow or invalid value the validators let through raises, not warns,
+        # while the tables are rendered too
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             default_base, artifacts = args.func(args)
-        files = {(args.out or default_base) + ext: text for ext, text in artifacts.items()}
-        _write_all(files)
+            files = {(args.out or default_base) + ext: chunks for ext, chunks in artifacts.items()}
+            _write_all(files)
     except SystemExit as exc:
         # --help: argparse prints it and exits 0; usage errors raise ParameterError
         return int(exc.code) if exc.code else EXIT_OK

@@ -116,7 +116,11 @@ def csv_blocks(columns, conversion: str):
 
 @dataclass
 class SweepResult:
-    """Real-valued, column-labelled series produced by a frequency/power/parameter sweep."""
+    """Real-valued, column-labelled series produced by a frequency/power/parameter sweep.
+
+    :meth:`csv_chunks` yields its CSV text piece by piece, so a writer never
+    holds the whole table as text; :meth:`to_csv` joins those pieces.
+    """
 
     columns: dict[str, np.ndarray]
 
@@ -132,6 +136,10 @@ class SweepResult:
     def __len__(self) -> int:
         return 0 if not self.columns else len(next(iter(self.columns.values())))
 
+    def csv_chunks(self):
+        """The CSV text: the header line, then one string per ``CSV_BLOCK_ROWS`` rows."""
+        yield ",".join(self.columns) + "\n"
+        yield from csv_blocks(list(self.columns.values()), "%.11e")
+
     def to_csv(self) -> str:
-        header = ",".join(self.columns) + "\n"
-        return "".join([header, *csv_blocks(list(self.columns.values()), "%.11e")])
+        return "".join(self.csv_chunks())

@@ -1,14 +1,18 @@
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pomtrans import analysis, dynamics
+from pomtrans import analysis, dynamics, sweep
 from pomtrans.errors import (
     GridError,
     ModelViolationError,
     ParameterError,
+    PomtransError,
+    SingularityError,
     UndefinedOptimumError,
 )
 
@@ -261,6 +265,84 @@ def test_efficiency_spectrum_boundary_sets_broad_flag(nominal_params):
     grid = p.omega_m + TWO_PI * np.linspace(-2e6, 2e6, 4001)
     spec = analysis.efficiency_spectrum(p, grid)
     assert spec.broad_peak_flag
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 4096, 20001, sweep.CSV_BLOCK_ROWS])
+def test_efficiency_spectrum_in_blocks_equals_one_call(nominal_params, monkeypatch, block_rows):
+    p = nominal_params
+    grid = p.omega_m + TWO_PI * np.linspace(-40e6, 40e6, 20001)
+    op = dynamics.OperatingPoint(p, analysis.critical_photon_number(p))
+    one_call = dynamics.efficiency(op, grid)
+    monkeypatch.setattr(sweep, "CSV_BLOCK_ROWS", block_rows)
+    spec = analysis.efficiency_spectrum(p, grid)
+    assert spec.efficiencies.tobytes() == one_call.tobytes()
+
+
+# 64 frequencies in blocks of 8; the peak sits between indices 31 and 32
+BLOCK = 8
+
+
+def _spectrum_error(p, grid):
+    with pytest.raises(PomtransError) as info:
+        analysis.efficiency_spectrum(p, grid)
+    return info.value
+
+
+def test_singularity_in_later_blocks_names_every_omega(nominal_params, monkeypatch):
+    p = nominal_params
+    grid = p.omega_m + TWO_PI * np.linspace(-40e6, 40e6, 8 * BLOCK)
+    n_pump = analysis.critical_photon_number(p)
+    c01, c02, cm = (chi(p)(grid) for chi in (dynamics.chi_01, dynamics.chi_02, dynamics.chi_m))
+    loops = (p.g_om**2 * n_pump * c01 * cm, p.J**2 * c01 * c02)
+    margin = np.abs(1 + sum(loops)) / (1 + sum(map(np.abs, loops)))
+    ordered = np.sort(margin)
+    monkeypatch.setattr(dynamics, "_SINGULARITY_RTOL", (ordered[5] + ordered[6]) / 2)
+    offending = np.flatnonzero(margin < dynamics._SINGULARITY_RTOL)
+    # six frequencies across two blocks, none in the first
+    assert len(offending) == 6 and len(set(offending // BLOCK)) == 2 and offending[0] >= BLOCK
+
+    one_call = _spectrum_error(p, grid)
+    monkeypatch.setattr(sweep, "CSV_BLOCK_ROWS", BLOCK)
+    blocked = _spectrum_error(p, grid)
+    assert isinstance(blocked, SingularityError) and str(blocked) == str(one_call)
+    np.testing.assert_array_equal(blocked.omega, grid[offending])
+
+
+@pytest.mark.parametrize("nan_last, message", [
+    (False, r"^efficiency exceeded unity \(max 1\.8"),
+    # a NaN anywhere in the grid outranks a value above 1 in an earlier block
+    (True, "^efficiency is not finite"),
+])
+def test_model_violation_in_later_blocks_reads_as_one_call(nominal_params, monkeypatch,
+                                                            nan_last, message):
+    p = nominal_params
+    grid = p.omega_m + TWO_PI * np.linspace(-40e6, 40e6, 8 * BLOCK)
+    amplitude = dynamics.transduction_amplitude
+
+    def forged(op, omega):
+        # exceeds 1 at index 31 (max 1.04) and, further, at indices 32-35 (max 1.84)
+        out = amplitude(op, omega) * np.where(omega > p.omega_m, 2.0, 1.5)
+        return np.where(omega == grid[-1], np.nan, out) if nan_last else out
+
+    monkeypatch.setattr(dynamics, "transduction_amplitude", forged)
+    one_call = _spectrum_error(p, grid)
+    monkeypatch.setattr(sweep, "CSV_BLOCK_ROWS", BLOCK)
+    blocked = _spectrum_error(p, grid)
+    assert isinstance(blocked, ModelViolationError) and str(blocked) == str(one_call)
+    assert re.match(message, str(blocked))
+
+
+def test_efficiency_spectrum_peak_memory_within_twice_its_result(nominal_params):
+    # the complex temporaries of one call held 128 B per grid point
+    p = nominal_params
+    grid = p.omega_m + TWO_PI * np.linspace(-2.5e8, 2.5e8, 1_000_000)
+    tracemalloc.start()
+    try:
+        spec = analysis.efficiency_spectrum(p, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * spec.efficiencies.nbytes
 
 
 # --- presets -----------------------------------------------------------------------------

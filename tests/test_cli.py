@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import read_table, write_coupling_inputs
 
-from pomtrans import analysis, cli, coupling, dynamics, rings
+from pomtrans import analysis, cli, coupling, dynamics, rings, sweep
 from pomtrans.errors import SingularityError
 from pomtrans.sweep import SweepResult
 
@@ -761,6 +761,28 @@ def test_failed_temp_write_removes_every_temp_file(outdir, monkeypatch, capsys):
     assert run(["rings", "--grid-points", "101"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: io: [Errno 28] No space left on device"]
+    assert _names(outdir) == []
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: memory: MemoryError"),
+    (FloatingPointError("overflow encountered in multiply"),
+     "error: arithmetic: FloatingPointError: overflow encountered in multiply"),
+])
+def test_failure_while_streaming_a_table_leaves_no_file(outdir, monkeypatch, capsys, exc, line):
+    # the first block is already in the temp file when the second fails
+    fast, blocks = sweep._e11_block, []
+
+    def fail_after_first(block):
+        blocks.append(len(block))
+        if len(blocks) > 1:
+            raise exc
+        return fast(block)
+
+    monkeypatch.setattr(sweep, "_e11_block", fail_after_first)
+    assert run(["spectrum", "--grid-points", str(3 * sweep.CSV_BLOCK_ROWS)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert len(blocks) == 2
     assert _names(outdir) == []
 
 

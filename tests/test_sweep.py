@@ -38,6 +38,16 @@ def test_serialization_is_deterministic():
     assert r.to_csv() == r.to_csv()
 
 
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_csv_chunks_are_the_header_then_one_per_block(rows):
+    # a writer holds one block of text at a time, never the table
+    r = SweepResult(columns={"a": np.linspace(1, 2, rows), "b": np.ones(rows)})
+    chunks = list(r.csv_chunks())
+    assert chunks[0] == "a,b\n"
+    assert [len(c.splitlines()) for c in chunks[1:]] == [
+        min(CSV_BLOCK_ROWS, rows - start) for start in range(0, rows, CSV_BLOCK_ROWS)]
+
+
 def test_column_length_mismatch_rejected():
     with pytest.raises(ValueError, match="length"):
         SweepResult(columns={"a": np.array([1.0]), "b": np.array([1.0, 2.0])})
