@@ -262,6 +262,8 @@ def _cmd_rings(args):
             f"frequency grid: the default stop 3/T overflows at round-trip time "
             f"T={args.round_trip_time:g}; pass --grid-stop")
     start, stop, points = _axis(args, 0, 0.0, default_stop, 30_001, "frequency grid")
+    if start < 0:
+        raise ParameterError("frequency grid: start must be >= 0")
     # orders 0..max(1, ceil(stop T)) are listed; more orders than grid points is rejected
     fsrs = stop * rp.T
     if not fsrs <= points - 1:

@@ -47,14 +47,6 @@ def voigt_index(i: int, j: int) -> int:
         raise ParameterError(f"tensor indices must be in 1..3, got ({i}, {j})") from None
 
 
-def voigt_pair(index: int) -> tuple[int, int]:
-    """Canonical (i, j) pair of a Voigt index; inverse of :func:`voigt_index`."""
-    try:
-        return _PAIR_OF_VOIGT[index]
-    except KeyError:
-        raise ParameterError(f"Voigt index must be in 1..6, got {index}") from None
-
-
 def rank3_from_voigt(m: np.ndarray) -> np.ndarray:
     """Expand a 3x6 Voigt matrix (e.g. piezoelectric h) to the full 3x3x3 tensor."""
     m = np.asarray(m, dtype=float)
@@ -107,12 +99,6 @@ class Grid3D:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.counts
-
-    @property
-    def box_volume(self) -> float:
-        return math.prod(
-            self.spacing[k] * (self.counts[k] - 1) for k in range(3) if self.counts[k] > 1
-        )
 
 
 EM = "em"
@@ -530,20 +516,6 @@ def plane_wave(grid: Grid3D, kind: str, frequency: float, amplitude: complex,
     phase = np.exp(1j * (qx * x + qy * y + qz * z))
     comps = np.zeros((3, *grid.shape), dtype=complex)
     comps[polarization] = amplitude * phase
-    return ModeField(grid, comps, kind, frequency)
-
-
-def top_hat(grid: Grid3D, kind: str, frequency: float, amplitude: complex,
-            polarization: int, lo: Sequence[float], hi: Sequence[float]) -> ModeField:
-    """Uniform field on the axis-aligned box [lo, hi], zero outside."""
-    x, y, z = grid.meshgrid()
-    inside = (
-        (x >= lo[0]) & (x <= hi[0])
-        & (y >= lo[1]) & (y <= hi[1])
-        & (z >= lo[2]) & (z <= hi[2])
-    )
-    comps = np.zeros((3, *grid.shape), dtype=complex)
-    comps[polarization] = amplitude * inside
     return ModeField(grid, comps, kind, frequency)
 
 

@@ -310,17 +310,17 @@ def transducer_graph(op: OperatingPoint) -> sfg.SignalFlowGraph:
     a1 = op.a1
 
     edges = [
-        sfg.SfgEdge("c_in", "b", lambda w: math.sqrt(r.gamma_ex) * xm(w), "sqrt(gamma_ex) chi_m"),
-        sfg.SfgEdge("f_m", "b", lambda w: math.sqrt(p.gamma_0) * xm(w), "sqrt(gamma_0) chi_m"),
-        sfg.SfgEdge("a1", "b", lambda w: 1j * p.g_om * np.conj(a1) * xm(w), "i g_om a1* chi_m"),
-        sfg.SfgEdge("b", "a1", lambda w: 1j * p.g_om * a1 * x01(w), "i g_om a1 chi_01"),
-        sfg.SfgEdge("a2", "a1", lambda w: 1j * p.J * x01(w), "i J chi_01"),
-        sfg.SfgEdge("f_01", "a1", lambda w: math.sqrt(p.kappa_1) * x01(w), "sqrt(kappa_01) chi_01"),
-        sfg.SfgEdge("a1", "a2", lambda w: 1j * p.J * x02(w), "i J chi_02"),
-        sfg.SfgEdge("f_02", "a2", lambda w: math.sqrt(p.kappa_02) * x02(w), "sqrt(kappa_02) chi_02"),
-        sfg.SfgEdge("a_in", "a2", lambda w: math.sqrt(p.kappa_ex2) * x02(w), "sqrt(kappa_ex2) chi_02"),
-        sfg.SfgEdge("a2", "a_out", lambda w: math.sqrt(p.kappa_ex2), "sqrt(kappa_ex2)"),
-        sfg.SfgEdge("a_in", "a_out", lambda w: -1.0, "-1"),
+        sfg.SfgEdge("c_in", "b", lambda w: math.sqrt(r.gamma_ex) * xm(w)),
+        sfg.SfgEdge("f_m", "b", lambda w: math.sqrt(p.gamma_0) * xm(w)),
+        sfg.SfgEdge("a1", "b", lambda w: 1j * p.g_om * np.conj(a1) * xm(w)),
+        sfg.SfgEdge("b", "a1", lambda w: 1j * p.g_om * a1 * x01(w)),
+        sfg.SfgEdge("a2", "a1", lambda w: 1j * p.J * x01(w)),
+        sfg.SfgEdge("f_01", "a1", lambda w: math.sqrt(p.kappa_1) * x01(w)),
+        sfg.SfgEdge("a1", "a2", lambda w: 1j * p.J * x02(w)),
+        sfg.SfgEdge("f_02", "a2", lambda w: math.sqrt(p.kappa_02) * x02(w)),
+        sfg.SfgEdge("a_in", "a2", lambda w: math.sqrt(p.kappa_ex2) * x02(w)),
+        sfg.SfgEdge("a2", "a_out", lambda w: math.sqrt(p.kappa_ex2)),
+        sfg.SfgEdge("a_in", "a_out", lambda w: -1.0),
     ]
     return sfg.SignalFlowGraph(edges)
 

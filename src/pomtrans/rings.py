@@ -35,8 +35,8 @@ class RingPair:
 
     T: float
     J: float
-    loss: float = 1.0
-    bus_coupling: float = 0.1
+    loss: float
+    bus_coupling: float
 
     def __post_init__(self):
         if not 0 < self.T < math.inf:
@@ -93,15 +93,6 @@ def critical_equation_residual(rp: RingPair, omega) -> np.ndarray:
     return np.abs((math.cos(rp.J * rp.T) + np.cos(wt)) * np.sin(wt))
 
 
-def supermode_transform(a1: complex, a2: complex) -> tuple[complex, complex]:
-    """Ring amplitudes to (symmetric, antisymmetric) supermode amplitudes.
-
-    The transform is unitary and its own inverse.
-    """
-    inv = 1 / math.sqrt(2)
-    return ((a1 + a2) * inv, (a1 - a2) * inv)
-
-
 def _inner_ring_response(rp: RingPair, phase: np.ndarray) -> np.ndarray:
     # effective through-coefficient of the inter-ring coupler loaded by the
     # closed first ring; unimodular when the ring is lossless
@@ -121,8 +112,8 @@ def transmission_spectrum(rp: RingPair, omega_grid) -> np.ndarray:
     """
     w = np.asarray(omega_grid, dtype=float)
     if w.ndim != 1 or len(w) < 2:
-        raise ParameterError("omega grid must be a 1-D array")
-    if np.any(np.diff(w) <= 0):
+        raise ParameterError("omega grid must be a 1-D array with at least 2 points")
+    if np.any(w[1:] <= w[:-1]):
         raise ParameterError("omega grid must be strictly increasing")
     phase = np.exp(1j * w * rp.T)
     t_bus = math.sqrt(1 - rp.bus_coupling**2)

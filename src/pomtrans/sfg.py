@@ -38,7 +38,6 @@ class SfgEdge:
     src: str
     dst: str
     gain: GainFunction
-    label: str = ""
 
     def evaluate(self, omega: float) -> complex:
         try:
@@ -95,10 +94,6 @@ class SignalFlowGraph:
     def _require(self, node_id: str):
         if node_id not in self._index:
             raise UnknownNodeError(node_id)
-
-    def dump_adjacency(self) -> str:
-        """Plain-text edge listing, one ``from -> to : label`` line per edge."""
-        return "\n".join(f"{e.src} -> {e.dst} : {e.label or '(unlabelled)'}" for e in self.edges)
 
 
 def _walk(g: SignalFlowGraph, start: str, allowed: Callable[[str], bool]):

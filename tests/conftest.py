@@ -113,6 +113,21 @@ def coupling_input_fields():
             coupling.ModeField(grid, w_comps, coupling.MECH, TWO_PI * 3.285e9))
 
 
+def top_hat(grid, kind, frequency, amplitude, polarization, lo, hi):
+    """Uniform field on the axis-aligned box [lo, hi], zero outside."""
+    from pomtrans import coupling
+
+    x, y, z = grid.meshgrid()
+    inside = (
+        (x >= lo[0]) & (x <= hi[0])
+        & (y >= lo[1]) & (y <= hi[1])
+        & (z >= lo[2]) & (z <= hi[2])
+    )
+    comps = np.zeros((3, *grid.shape), dtype=complex)
+    comps[polarization] = amplitude * inside
+    return coupling.ModeField(grid, comps, kind, frequency)
+
+
 def write_coupling_inputs(directory) -> list[str]:
     """Small analytic EM/mechanical fields and a tensor file for ``coupling``.
 

@@ -26,7 +26,7 @@ import pytest
 
 from pomtrans import analysis, coupling, dynamics, materials, rings, sfg
 
-from conftest import TWO_PI, random_graph, random_valid_params
+from conftest import TWO_PI, random_graph, random_valid_params, top_hat
 
 
 def report(criterion: int, status: str, detail: str):
@@ -404,8 +404,7 @@ def test_criterion_7_quadrature():
     mat = coupling.MaterialTensorSet(rho=3255.0, eps_rf=9.5, eps_ir=3.67,
                                      h=mat_h, p=mat_p)
     grid = coupling.Grid3D((0, 0, 0), (3.125e-8,) * 3, (33, 33, 33))
-    e = coupling.top_hat(grid, coupling.EM, 1e10, 1.0, 2,
-                         lo=(0, 0, 0), hi=(1e-6, 1e-6, 0.4e-6))
+    e = top_hat(grid, coupling.EM, 1e10, 1.0, 2, lo=(0, 0, 0), hi=(1e-6, 1e-6, 0.4e-6))
     z = grid.meshgrid()[2]
     comps = np.zeros((3, *grid.shape), dtype=complex)
     comps[2] = np.where(z >= 0.7e-6, (z - 0.7e-6) * 1e-3, 0.0)

@@ -429,7 +429,8 @@ def test_optimize_takes_no_grid_flags(outdir, capsys):
 @pytest.mark.parametrize("argv, flag, value", [
     (["efficiency-curve"], "--pump-offset-hz", "-1.6e9"),
     (["efficiency-curve"], "--pump-offset-hz", "-.5E+9"),
-    (["rings", "--grid-points", "101"], "--grid-start", "-1e9"),
+    # spectrum is the one grid command whose start may be below 0
+    (["spectrum", "--grid-points", "5001"], "--grid-start", "-1e9"),
 ])
 def test_negative_exponent_flag_space_form_matches_equals_form(outdir, argv, flag, value):
     assert run(argv + [flag, value, "--out", "space"]) == 0
@@ -477,6 +478,15 @@ def test_rings_default_grid_stop_overflow_names_round_trip_time(outdir, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: validation: frequency grid: the default stop 3/T overflows at round-trip "
         "time T=1e-308; pass --grid-stop"]
+    assert list(outdir.iterdir()) == []
+
+
+def test_rings_negative_grid_start_exits_2(outdir, capsys):
+    # the critical frequencies start at 0 Hz, and the order count reads only stop*T
+    assert run(["rings", "--grid-start", "-1e12", "--grid-stop", "1e10",
+                "--grid-points", "50"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: frequency grid: start must be >= 0"]
     assert list(outdir.iterdir()) == []
 
 

@@ -40,13 +40,6 @@ def test_duplicate_edge_rejected():
         sfg.SignalFlowGraph([e1, e2])
 
 
-def test_dump_adjacency_lists_every_edge():
-    g = graph_from({("a", "b"): 1.0, ("b", "c"): 2.0})
-    text = g.dump_adjacency()
-    assert "a -> b" in text and "b -> c" in text
-    assert len(text.splitlines()) == 2
-
-
 # --- path enumeration ----------------------------------------------------------
 
 
@@ -258,7 +251,7 @@ def test_all_source_gains_multiple_sources():
 
 #: SHA-256 of the oracle outputs below, recorded with numpy 2.4 on x86-64 Linux; a
 #: refactor of the oracle must leave every value it covers bit-identical
-ORACLE_DIGEST = "2813394715b4f1f607e644d68352268a07b1be1e09a79075894af75f8669f44e"
+ORACLE_DIGEST = "f7ce7643c0b63cb89029a0d52dcd6250326c4fb41d2ef486ec8fd0863b5e0c47"
 
 
 def test_oracle_outputs_hold_their_bits(nominal_params):
@@ -266,7 +259,7 @@ def test_oracle_outputs_hold_their_bits(nominal_params):
     rng = np.random.default_rng(1956)
     for k in range(40):
         g, src, dst = random_graph(rng, acyclic=k % 4 == 0)
-        out += [sfg.enumerate_loops(g), g.dump_adjacency(), g.source_ids()]
+        out += [sfg.enumerate_loops(g), g.source_ids()]
         out += [sfg.enumerate_paths(g, u, v) for u in sorted(g.nodes) for v in sorted(g.nodes)]
         for w in (-1.3, 0.0, 0.7):
             out.append(sfg.graph_determinant(g, w))
