@@ -19,6 +19,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import warnings
 from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
@@ -27,7 +28,7 @@ import numpy as np
 
 from .constants import EPSILON_0, HBAR
 from .errors import GridError, MaterialDataError, ParameterError
-from .sweep import csv_blocks
+from .sweep import CSV_BLOCK_ROWS, csv_blocks
 
 # --- Voigt notation ---------------------------------------------------------
 
@@ -109,10 +110,10 @@ MECH = "mech"
 class ModeField:
     """Complex vector field on a grid: an EM mode or a mechanical displacement mode.
 
-    ``components`` is stored read-only, so the cached :attr:`strain` and mode
-    volumes cannot go stale.  A complex array is stored without a copy: the
-    caller's array is frozen too.  ``frequency`` must be finite and > 0, so
-    the rates may divide by it.
+    ``components`` is stored read-only, so the cached mode volumes cannot go
+    stale.  A complex array is stored without a copy: the caller's array is
+    frozen too.  ``frequency`` must be finite and > 0, so the rates may
+    divide by it.
     """
 
     grid: Grid3D
@@ -136,11 +137,6 @@ class ModeField:
             raise ParameterError(f"mode frequency must be > 0, got {self.frequency}")
         comps.flags.writeable = False
         object.__setattr__(self, "components", comps)
-
-    @functools.cached_property
-    def strain(self) -> np.ndarray:
-        """:func:`strain_field` of this field, computed on first use."""
-        return strain_field(self)
 
     @functools.cached_property
     def mech_volume(self) -> float:
@@ -169,13 +165,7 @@ def trapezoid_3d(values: np.ndarray, grid: Grid3D):
     return out
 
 
-def strain_field(w: ModeField) -> np.ndarray:
-    """All nine displacement gradients d w_j / d r_k, shape (3, 3, nx, ny, nz).
-
-    Central differences in the interior and one-sided second-order stencils at
-    the boundaries.  With rigid-body rotation excluded this gradient IS the
-    strain.  Axes with fewer than 3 points cannot be differentiated.
-    """
+def _require_differentiable(w: ModeField) -> None:
     if w.kind != MECH:
         raise ParameterError("strain is defined for mechanical displacement fields")
     for k in range(3):
@@ -183,6 +173,18 @@ def strain_field(w: ModeField) -> np.ndarray:
             raise GridError(
                 f"axis {k} has {w.grid.counts[k]} points; need >= 3 to differentiate"
             )
+
+
+def strain_field(w: ModeField) -> np.ndarray:
+    """All nine displacement gradients d w_j / d r_k, shape (3, 3, nx, ny, nz).
+
+    Central differences in the interior and one-sided second-order stencils at
+    the boundaries.  With rigid-body rotation excluded this gradient IS the
+    strain.  Axes with fewer than 3 points cannot be differentiated.  The
+    rates never hold this array: they differentiate slab by slab, to the same
+    bits (see :func:`_slab_gradient`).
+    """
+    _require_differentiable(w)
     out = np.empty((3, 3, *w.grid.shape), dtype=complex)
     for j in range(3):
         for k in range(3):
@@ -425,9 +427,62 @@ def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet,
 
 def overlap_integral(e: ModeField, gradients: np.ndarray, j: int, k: int,
                      component: int) -> complex:
-    """integral of E_i dw_j/dr_k over the grid (all indices 1-based)."""
+    """integral of E_i dw_j/dr_k over the grid (all indices 1-based), from full gradients."""
     integrand = e.components[component - 1] * gradients[j - 1, k - 1]
     return complex(trapezoid_3d(integrand, e.grid))
+
+
+# The rates walk the grid in x-slabs of at most CSV_BLOCK_ROWS voxels, so
+# beside the two fields they hold only a few slab-sized arrays, never a
+# full-grid gradient.  Each slab is integrated over z, then y, and the
+# x-planes last: the same operations, in the same order, as trapezoid_3d.
+
+#: 0-based index pair (a, b) of each Voigt index 1..6, in Voigt order
+_VOIGT_PAIRS = [(i - 1, j - 1) for _, (i, j) in sorted(_PAIR_OF_VOIGT.items())]
+
+
+def _x_slabs(grid: Grid3D):
+    """Slices of whole x-planes, each of at most CSV_BLOCK_ROWS voxels and at least one plane."""
+    step = max(1, CSV_BLOCK_ROWS // (grid.counts[1] * grid.counts[2]))
+    for start in range(0, grid.counts[0], step):
+        yield slice(start, min(start + step, grid.counts[0]))
+
+
+def _slab_gradient(w: ModeField, xs: slice, j: int, k: int) -> np.ndarray:
+    """d w_j / d r_k (0-based) on the x-planes ``xs``, bit-equal to :func:`strain_field`'s.
+
+    Along x the slab is differentiated with two halo planes on each side,
+    clipped at the grid's ends: every plane of ``xs`` then gets the stencil it
+    gets on the whole grid, and the halo always gives the 3 planes that the
+    one-sided second-order stencil needs.
+    """
+    if k != 0:
+        return np.gradient(w.components[j, xs], w.grid.spacing[k], axis=k, edge_order=2)
+    lo, hi = max(xs.start - 2, 0), min(xs.stop + 2, w.grid.counts[0])
+    grad = np.gradient(w.components[j, lo:hi], w.grid.spacing[0], axis=0, edge_order=2)
+    return grad[xs.start - lo:xs.stop - lo]
+
+
+def _pair_sums(w: ModeField, xs: slice) -> np.ndarray:
+    """B_J: d w_a / d r_b summed over both orders of each Voigt pair J, on ``xs``; shape (6, ...)."""
+    g = [[_slab_gradient(w, xs, a, b) for b in range(3)] for a in range(3)]
+    return np.stack([g[a][a] if a == b else g[a][b] + g[b][a] for a, b in _VOIGT_PAIRS])
+
+
+def _slab_integral(e: ModeField, w: ModeField, integrand) -> complex:
+    """trapezoid_3d of the samples ``integrand(xs)`` returns for each x-slab ``xs``."""
+    _require_differentiable(w)
+    grid = e.grid
+    planes = np.empty(grid.counts[0], dtype=complex)
+    for xs in _x_slabs(grid):
+        planes[xs] = np.trapezoid(np.trapezoid(integrand(xs), dx=grid.spacing[2], axis=2),
+                                  dx=grid.spacing[1], axis=1)
+    return complex(np.trapezoid(planes, dx=grid.spacing[0]))
+
+
+def _overlap(e: ModeField, w: ModeField, i: int, j: int, k: int) -> complex:
+    """integral of E_i dw_j/dr_k (0-based), differentiating only that one gradient."""
+    return _slab_integral(e, w, lambda xs: e.components[i, xs] * _slab_gradient(w, xs, j, k))
 
 
 def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
@@ -446,7 +501,7 @@ def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
     if h != 0 and not 0 < h * h < math.inf:
         raise MaterialDataError(
             f"piezoelectric element h_{i}{j}{k} = {h} has a square out of range (0, inf)")
-    integral = overlap_integral(e, w.strain, j, k, component=i)
+    integral = _overlap(e, w, i - 1, j - 1, k - 1)
     return _piezo_prefactor(e, w, mat, h) * integral
 
 
@@ -455,24 +510,26 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> 
 
     Reduces to :func:`piezo_coupling` (up to the sign of h_ijk) when a single
     tensor element is nonzero.  Unknown (NaN) elements raise only when the
-    corresponding overlap would contribute; the known elements contract with
-    the fields into one integrand, integrated once.
+    corresponding overlap would contribute.  The known elements contract in
+    Voigt form, sum_J (sum_i h_iJ E_i) B_J with B_J the gradient pair sums,
+    into one integrand, integrated once.
     """
     require_matching(e, w)
     if mat.h is None:
         raise MaterialDataError("piezoelectric tensor h is not set")
-    grads = w.strain
-    h = rank3_from_voigt(mat.h)
-    for i, j, k in np.argwhere(np.isnan(h)) + 1:
-        if overlap_integral(e, grads, j, k, component=i) != 0:
+    for i, j, k in np.argwhere(np.isnan(rank3_from_voigt(mat.h))):
+        if _overlap(e, w, i, j, k) != 0:
             raise MaterialDataError(
-                f"piezoelectric element h_{i}{j}{k} is unknown but its "
+                f"piezoelectric element h_{i + 1}{j + 1}{k + 1} is unknown but its "
                 "overlap integral is nonzero"
             )
-    known = np.where(np.isnan(h), 0.0, h)
-    integrand = np.einsum("ijk,i...,jk...->...", known, e.components, grads)
-    total = complex(trapezoid_3d(integrand, e.grid))
-    return _piezo_prefactor(e, w, mat) * total
+    known = np.where(np.isnan(mat.h), 0.0, mat.h)
+
+    def integrand(xs):
+        weights = np.tensordot(known, e.components[:, xs], axes=(0, 0))  # sum_i h_iJ E_i
+        return np.einsum("J...,J...->...", weights, _pair_sums(w, xs))
+
+    return _piezo_prefactor(e, w, mat) * _slab_integral(e, w, integrand)
 
 
 def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> float:
@@ -482,21 +539,28 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     photoelastic overlap sum p_ijkl integral of E_i E_j* dw_k/dr_l, with
     omega_mech the frequency of ``w``.  The optical field enters as E E*, so
     the result is independent of its global phase; the magnitude of the
-    (generally complex) overlap sum is returned.  The sum over tensor
-    elements is taken inside one integrand, integrated once.
+    (generally complex) overlap sum is returned.  The sum is taken in Voigt
+    form, sum_IJ p_IJ A_I B_J, exact for a non-symmetric p: A_I sums
+    E_a E_b* over both orders of pair I, which is real, and B_J sums the
+    gradients likewise.  It is one integrand, integrated once.
     """
     require_matching(e, w)
     if mat.p is None:
         raise MaterialDataError("photoelastic tensor p is not set")
-    p = rank4_from_voigt(mat.p)
-    unknown = np.argwhere(np.isnan(p))
+    unknown = np.argwhere(np.isnan(rank4_from_voigt(mat.p)))
     if len(unknown):
         i, j, k, l = unknown[0] + 1
         raise MaterialDataError(f"photoelastic element p_{i}{j}{k}{l} is unknown")
-    # no optimize=: a pairwise contraction would build a (3, 3, grid) intermediate
-    integrand = np.einsum("ijkl,i...,j...,kl...->...", p, e.components,
-                          np.conj(e.components), w.strain)
-    total = complex(trapezoid_3d(integrand, e.grid))
+
+    def integrand(xs):
+        field = e.components[:, xs]
+        # |E_a|^2 for a = b, else E_a E_b* + E_b E_a* = 2 Re(E_a E_b*)
+        products = np.stack([(field[a] * field[b].conj()).real * (1 if a == b else 2)
+                             for a, b in _VOIGT_PAIRS])
+        weights = np.tensordot(mat.p, products, axes=(0, 0))  # sum_I p_IJ A_I
+        return np.einsum("J...,J...->...", weights, _pair_sums(w, xs))
+
+    total = _slab_integral(e, w, integrand)
     v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
     denominator = _in_range(
         32 * mat.rho * v_mech * EPSILON_0**2 * mat.eta_eff**2 * v_em**2 * w.frequency,
@@ -577,12 +641,43 @@ def load_mode_field(path) -> ModeField:
     Rows must be 9 numbers listing the header grid's points in "ij" (x-major)
     order; a row that is not, or whose x, y or z is off its grid point by more
     than 1e-3 of that axis's spacing, is rejected, naming the first such row.
-    Every :class:`ParameterError` raised while loading names the file.
+    Every :class:`ParameterError` raised while loading names the file.  The
+    rows are read ``CSV_BLOCK_ROWS`` lines at a time straight into the
+    component array, which is allocated only if the file is large enough to
+    hold the header grid's rows.
     """
     try:
         return _read_mode_field(path)
     except ParameterError as exc:
         raise ParameterError(f"mode field {path}: {exc}") from exc
+
+
+def _data_blocks(fh, path):
+    """``(first data row, rows)`` per block of ``CSV_BLOCK_ROWS`` lines of ``fh``.
+
+    ``rows`` is the block's data rows as a float array; a block of only blank
+    lines and comments is skipped.  A block that is not numbers, or whose
+    column count differs from the first block's, raises the
+    :func:`_malformed_row` message, as a whole-file ``np.loadtxt`` would.
+    """
+    start, width = 0, None
+    while True:
+        try:
+            lines = list(itertools.islice(fh, CSV_BLOCK_ROWS))
+            if not lines:
+                return
+            with warnings.catch_warnings():
+                # a block without rows would also print a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+            if len(rows) and width not in (None, rows.shape[1]):
+                raise ValueError("column count changed")
+        except ValueError as exc:  # a decode error too: _malformed_row raises it again
+            raise ParameterError(_malformed_row(path)) from exc
+        if len(rows):
+            width = rows.shape[1]
+            yield start, rows
+            start += len(rows)
 
 
 def _read_mode_field(path) -> ModeField:
@@ -603,37 +698,45 @@ def _read_mode_field(path) -> ModeField:
         except (KeyError, ValueError) as exc:
             raise ParameterError(f"malformed mode field header: {meta_line!r}") from exc
         fh.readline()  # column header
-        with warnings.catch_warnings():
-            # a file without rows would also print a warning; the shape check names it
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise ParameterError(_malformed_row(path)) from exc
-    grid = Grid3D(origin, spacing, counts)
-    expected = math.prod(counts)
-    if data.shape != (expected, 9):
+        try:
+            grid = Grid3D(origin, spacing, counts)
+        except ParameterError:
+            for _ in _data_blocks(fh, path):  # a malformed row is named first
+                pass
+            raise
+        expected = math.prod(counts)
+        # a row is 9 numbers and 8 commas, and all but the last a newline: a
+        # file too small for the grid is only counted, never given its array
+        fits = not fh.seekable() or expected <= (os.fstat(fh.fileno()).st_size + 1) // 18
+        comps = np.empty((3, expected), dtype=complex) if fits else None
+        n_rows, width, off_grid = 0, 1, None
+        for start, rows in _data_blocks(fh, path):
+            n_rows, width = start + len(rows), rows.shape[1]
+            if comps is None or width != 9 or n_rows > expected or off_grid is not None:
+                continue  # the shape or an earlier row is already wrong: only count
+            index = np.unravel_index(np.arange(start, n_rows), counts)
+            off = np.zeros(len(rows), dtype=bool)
+            for k in range(3):
+                # grid.axis(k)[index[k]], without an axis array; written as
+                # "not within" so a NaN coordinate is off the grid too
+                off |= ~(np.abs(rows[:, k] - (origin[k] + spacing[k] * index[k]))
+                         <= 1e-3 * spacing[k])
+            if off.any():
+                first = int(off.argmax())
+                off_grid = start + first, tuple(rows[first, :3].tolist())
+                continue
+            # set apart, not as re + 1j * im: an infinite cell must reach ModeField's check
+            comps[:, start:n_rows].real = rows[:, 3::2].T
+            comps[:, start:n_rows].imag = rows[:, 4::2].T
+    if (n_rows, width) != (expected, 9):
         raise ParameterError(
-            f"mode field file has shape {data.shape}, expected ({expected}, 9)"
+            f"mode field file has shape {(n_rows, width)}, expected ({expected}, 9)"
         )
-    off_grid = np.zeros(counts, dtype=bool)
-    for k in range(3):
-        axis = grid.axis(k).reshape([-1 if a == k else 1 for a in range(3)])
-        # written as "not within" so a NaN coordinate is off the grid too
-        off_grid |= ~(np.abs(data[:, k].reshape(counts) - axis) <= 1e-3 * spacing[k])
-    if off_grid.any():
-        row = int(np.flatnonzero(off_grid)[0])
+    if off_grid is not None:
+        row, at = off_grid
         point = tuple(float(grid.axis(k)[i]) for k, i in enumerate(np.unravel_index(row, counts)))
-        raise ParameterError(
-            f"data row {row + 1} at {tuple(data[row, :3].tolist())} "
-            f"is off its header grid point {point}"
-        )
-    comps = np.empty((3, *counts), dtype=complex)
-    for c in range(3):
-        # set apart, not as re + 1j * im: an infinite cell must reach ModeField's check
-        comps[c].real = data[:, 3 + 2 * c].reshape(counts)
-        comps[c].imag = data[:, 4 + 2 * c].reshape(counts)
-    return ModeField(grid, comps, kind, frequency)
+        raise ParameterError(f"data row {row + 1} at {at} is off its header grid point {point}")
+    return ModeField(grid, comps.reshape(3, *counts), kind, frequency)
 
 
 def load_tensor_set(path) -> MaterialTensorSet:

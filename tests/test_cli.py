@@ -5,6 +5,7 @@ import errno
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -837,23 +838,38 @@ def test_malformed_mode_field_row_names_file_and_row(outdir, tmp_path, capsys, e
     assert _names(outdir) == ["inputs"]
 
 
-def test_coupling_differentiates_the_mechanical_field_once(outdir, tmp_path, monkeypatch):
+@pytest.mark.parametrize("block_rows", [1, 2 * 5 * 41, 10**6])
+def test_coupling_json_is_the_same_in_any_block_size(outdir, tmp_path, monkeypatch, block_rows):
+    # the field files are read, and the overlaps integrated, block by block
     inputs = tmp_path / "inputs"
     inputs.mkdir()
-    calls = []
-    real_strain_field = coupling.strain_field
-
-    def counting_strain_field(w):
-        calls.append(w)
-        return real_strain_field(w)
-
-    monkeypatch.setattr(coupling, "strain_field", counting_strain_field)
     argv = ["coupling", "--component", "3", "3", "3"] + write_coupling_inputs(inputs)
-    assert run(argv) == 0
-    assert len(calls) == 1
-    payload = json.loads((outdir / "coupling.json").read_text())
-    assert {"piezo_coupling_rad_s", "piezo_coupling_component",
-            "optomech_coupling_rad_s"} <= set(payload)
+    assert run(argv + ["--out", "whole"]) == 0
+    monkeypatch.setattr(coupling, "CSV_BLOCK_ROWS", block_rows)
+    assert run(argv + ["--out", "blocked"]) == 0
+    assert (outdir / "blocked.json").read_bytes() == (outdir / "whole.json").read_bytes()
+
+
+def test_mode_field_too_short_for_its_header_grid_exits_2_without_its_array(outdir, tmp_path,
+                                                                             capsys):
+    # a 4000^3 grid would need 3 TB of components; two rows cannot fill it
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    _rewrite_header(inputs / "e.csv", "counts", "4000,4000,4000")
+    lines = (inputs / "e.csv").read_text().split("\n")
+    (inputs / "e.csv").write_text("\n".join(lines[:4]) + "\n")
+    tracemalloc.start()
+    try:
+        assert run(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: mode field {inputs / 'e.csv'}: "
+        "mode field file has shape (2, 9), expected (64000000000, 9)"]
+    assert not (outdir / "coupling.json").exists()
 
 
 def test_coupling_integrates_each_mode_volume_once(outdir, tmp_path, monkeypatch):

@@ -2,6 +2,9 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -450,14 +453,17 @@ def test_optomech_global_phase_invariance():
 
 
 def test_optomech_linear_in_photoelastic_element():
-    # TE-like field with only |E_x|^2, strain only x_33, p with only p_13
-    grid = box_grid(17)
+    # TE-like field with only |E_x|^2, strain only x_33, p with only p_13.  The
+    # overlap is p13 * L^2 * integral of cos^2(pi z/2L) (pi amp/L) cos(pi z/L) dz
+    # = p13 * L^2 * amp * pi/4; a cos^3(pi z/L) profile would integrate to 0
+    length, amp = 1e-6, 1e-4
+    grid = box_grid(17, length)
     z = grid.meshgrid()[2]
     e_comps = np.zeros((3, *grid.shape), dtype=complex)
-    e_comps[0] = np.cos(math.pi * z / 1e-6)
+    e_comps[0] = np.cos(math.pi * z / (2 * length))
     e = coupling.ModeField(grid, e_comps, coupling.EM, TWO_PI * 2e14)
     w_comps = np.zeros((3, *grid.shape), dtype=complex)
-    w_comps[2] = np.sin(math.pi * z / 1e-6) * 1e-4
+    w_comps[2] = np.sin(math.pi * z / length) * amp
     w = coupling.ModeField(grid, w_comps, coupling.MECH, TWO_PI * 3e9)
 
     def material(p13):
@@ -465,10 +471,16 @@ def test_optomech_linear_in_photoelastic_element():
         p[0, 2] = p13
         return coupling.MaterialTensorSet(rho=317.0, eps_rf=4.2, eps_ir=3.99, p=p)
 
-    g1 = coupling.optomech_coupling(e, w, material(0.239))
+    mat = material(0.239)
+    g1 = coupling.optomech_coupling(e, w, mat)
     g2 = coupling.optomech_coupling(e, w, material(0.478))
-    assert g1 > 0
     assert g2 == pytest.approx(2 * g1, rel=1e-12)
+    v_em = coupling.em_mode_volume(e, mat.eta_eff)
+    v_mech = coupling.mech_mode_volume(w)
+    prefactor = math.sqrt(HBAR / (32 * mat.rho * v_mech * EPSILON_0**2 * mat.eta_eff**2
+                                  * v_em**2 * w.frequency))
+    # 17 points per axis: the stencil and the quadrature are off by O(h^2)
+    assert g1 == pytest.approx(prefactor * 0.239 * length**2 * amp * math.pi / 4, rel=5e-3)
 
 
 def test_optomech_hand_prefactor():
@@ -697,7 +709,97 @@ def test_malformed_mode_field_row_named(field_file, edit, what):
     assert str(info.value) == f"mode field {path}: {what}"
 
 
-# --- strain cache and the rates' signatures ----------------------------------------------
+def _grid_point(grid, row):
+    return tuple(float(grid.axis(k)[i]) for k, i in enumerate(np.unravel_index(row, grid.counts)))
+
+
+def _cut_row_21(rows):
+    rows[20] = rows[20][:5]
+
+
+def _shift_row_21_z(rows):
+    rows[20][2] = repr(float(rows[20][2]) + 1.1e-3 * 3e-8)
+
+
+def _nan_row_21_y(rows):
+    rows[20][1] = "nan"
+
+
+def _comments_across_a_block_boundary(rows):
+    # data lines 16 and 17, the last line of one 16-line block and the first of the next
+    rows[15:15] = [["# note"], [""]]
+    rows[22] = rows[22][:5]  # data row 21
+
+
+def _extra_row(rows):
+    rows.append(list(rows[-1]))
+
+
+@pytest.mark.parametrize("block_rows", [2, 3, 16, CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("edit, message", [
+    (_cut_row_21, lambda f, at: "data row 21 has 5 cells, expected 9"),
+    (_shift_row_21_z, lambda f, at: f"data row 21 at {at} is off its header grid point "
+                                    f"{_grid_point(f.grid, 20)}"),
+    (_nan_row_21_y, lambda f, at: f"data row 21 at {at} is off its header grid point "
+                                  f"{_grid_point(f.grid, 20)}"),
+    (_comments_across_a_block_boundary, lambda f, at: "data row 21 has 5 cells, expected 9"),
+    (_extra_row, lambda f, at: "mode field file has shape (61, 9), expected (60, 9)"),
+], ids=["malformed", "off-grid", "nan-coordinate", "comments-at-boundary", "extra-row"])
+def test_mode_field_errors_in_a_later_block_read_as_one_block(field_file, monkeypatch,
+                                                              block_rows, edit, message):
+    # the file has 60 data rows: row 21 sits in the second block of 16 lines
+    path, f = field_file
+    _rewrite_rows(path, edit)
+    at = tuple(float(v) for v in path.read_text().splitlines()[22].split(",")[:3])
+    monkeypatch.setattr(coupling, "CSV_BLOCK_ROWS", block_rows)
+    with pytest.raises(ParameterError) as info:
+        coupling.load_mode_field(path)
+    assert str(info.value) == f"mode field {path}: {message(f, at)}"
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 60, CSV_BLOCK_ROWS])
+def test_mode_field_reads_the_same_in_any_block_size(field_file, monkeypatch, block_rows):
+    path, base = field_file
+    rng = np.random.default_rng(block_rows)
+    f = coupling.ModeField(base.grid, rng.normal(size=(3, *base.grid.shape)) + 1j,
+                           coupling.EM, 1.0)
+    coupling.save_mode_field(path, f)
+    monkeypatch.setattr(coupling, "CSV_BLOCK_ROWS", block_rows)
+    np.testing.assert_array_equal(coupling.load_mode_field(path).components, f.components)
+
+
+def test_mode_field_reads_from_a_pipe(field_file, tmp_path):
+    # a pipe has no size to bound the rows by: the loader reads it like a file
+    path, f = field_file
+    fifo = tmp_path / "field.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+    writer.start()
+    try:
+        loaded = coupling.load_mode_field(fifo)
+    finally:
+        writer.join()
+    np.testing.assert_array_equal(loaded.components, f.components)
+
+
+def test_load_mode_field_peak_memory_is_its_components_and_a_block(tmp_path):
+    # the whole-file table alone took 72 B per voxel, 19 MB here
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1e-8, 1e-8, 1e-8), (64, 64, 64))
+    rng = np.random.default_rng(8)
+    # integer-valued like the benchmark's field files, so the file writes fast
+    comps = np.round(1e3 * rng.normal(size=(3, *grid.shape))) + 1j
+    path = tmp_path / "field.csv"
+    coupling.save_mode_field(path, coupling.ModeField(grid, comps, coupling.EM, 1.0))
+    tracemalloc.start()
+    try:
+        f = coupling.load_mode_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - f.components.nbytes < 10e6
+
+
+# --- read-only components and the rates' signatures -------------------------------------
 
 
 def test_mode_field_components_are_read_only():
@@ -705,12 +807,6 @@ def test_mode_field_components_are_read_only():
     assert not w.components.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         w.components[0, 0, 0, 0] = 1.0
-
-
-def test_strain_is_cached_and_equals_strain_field():
-    _, w = _random_pair(np.random.default_rng(3))
-    assert w.strain is w.strain
-    np.testing.assert_array_equal(w.strain, coupling.strain_field(w))
 
 
 def test_no_public_coupling_function_takes_a_mode_volume():
@@ -815,6 +911,89 @@ def test_optomech_unknown_element_named_in_index_order():
     mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, p=p)
     with pytest.raises(MaterialDataError, match="p_1212 is unknown"):
         coupling.optomech_coupling(e, w, mat)
+
+
+# --- slab-wise overlaps against the full-gradient oracles ---------------------------------
+
+
+def _strain_pair_sums(strain):
+    """B_J of the full gradient array: strain[a, b] + strain[b, a] for each Voigt pair J."""
+    pairs = [(0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)]
+    return np.stack([strain[a, a] if a == b else strain[a, b] + strain[b, a] for a, b in pairs])
+
+
+@pytest.mark.parametrize("n0", [3, 4, 7])
+@pytest.mark.parametrize("block_rows, planes", [
+    (1, 1),  # fewer voxels than a plane: still one plane per slab
+    (2 * 20, 2), (3 * 20 + 19, 3), (10**6, 7)])
+def test_slab_pair_sums_bit_equal_the_strain_field_pairs(monkeypatch, n0, block_rows, planes):
+    rng = np.random.default_rng(n0 * block_rows)
+    shape = (n0, 4, 5)
+    grid = coupling.Grid3D((1e-7, -2e-7, 3e-7), (1.1e-7, 0.9e-7, 1.3e-7), shape)
+    comps = rng.normal(size=(3, *shape)) + 1j * rng.normal(size=(3, *shape))
+    w = coupling.ModeField(grid, comps, coupling.MECH, 1.0)
+    monkeypatch.setattr(coupling, "CSV_BLOCK_ROWS", block_rows)
+    slabs = list(coupling._x_slabs(grid))
+    assert [xs.stop - xs.start for xs in slabs[:-1]] == [planes] * (len(slabs) - 1)
+    assert slabs[0].start == 0 and slabs[-1].stop == n0 and 0 < slabs[-1].stop - slabs[-1].start
+    got = np.concatenate([coupling._pair_sums(w, xs) for xs in slabs], axis=1)
+    np.testing.assert_array_equal(got, _strain_pair_sums(coupling.strain_field(w)))
+
+
+@pytest.mark.parametrize("planes", [1, 2, 3, 8])
+def test_rates_match_the_rank_tensor_einsum_oracle(monkeypatch, planes):
+    # 8 x-planes: slabs of 3 leave a slab of 2
+    rng = np.random.default_rng(20 + planes)
+    e, w = _random_pair(rng, shape=(8, 5, 4))
+    comps = e.components.copy()
+    comps[0] = 0.0  # every overlap of the unknown h_15 (h_113, h_131) is zero
+    e = coupling.ModeField(e.grid, comps, e.kind, e.frequency)
+    h = rng.normal(size=(3, 6))
+    h[0, 4] = math.nan
+    p = rng.normal(size=(6, 6))  # not symmetric
+    mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, h=h, p=p)
+    monkeypatch.setattr(coupling, "CSV_BLOCK_ROWS", planes * 5 * 4)
+    strain = coupling.strain_field(w)
+    v_em = coupling.em_mode_volume(e, mat.eta_eff)
+    v_mech = coupling.mech_mode_volume(w)
+
+    h3 = np.nan_to_num(coupling.rank3_from_voigt(h))
+    piezo_sum = complex(coupling.trapezoid_3d(
+        np.einsum("ijk,i...,jk...->...", h3, e.components, strain), e.grid))
+    piezo_prefactor = 1j * math.sqrt(e.frequency / w.frequency) / 4 / math.sqrt(
+        v_em * v_mech * mat.eta_eff * mat.rho)
+    piezo = coupling.piezo_coupling_total(e, w, mat)
+    assert abs(piezo - piezo_prefactor * piezo_sum) <= 1e-12 * abs(piezo_prefactor * piezo_sum)
+
+    om_sum = complex(coupling.trapezoid_3d(np.einsum(
+        "ijkl,i...,j...,kl...->...", coupling.rank4_from_voigt(p), e.components,
+        np.conj(e.components), strain), e.grid))
+    om_prefactor = math.sqrt(HBAR / (
+        32 * mat.rho * v_mech * EPSILON_0**2 * mat.eta_eff**2 * v_em**2 * w.frequency))
+    assert coupling.optomech_coupling(e, w, mat) == pytest.approx(
+        om_prefactor * abs(om_sum), rel=1e-12)
+
+    # one gradient at a time: the same bits as the full-gradient overlap
+    for i, j, k in np.ndindex(3, 3, 3):
+        assert coupling._overlap(e, w, i, j, k) == coupling.overlap_integral(
+            e, strain, j + 1, k + 1, component=i + 1)
+
+
+@pytest.mark.parametrize("rate, args", [
+    (coupling.piezo_coupling, ((3, 3, 3),)),
+    (coupling.piezo_coupling_total, ()),
+    (coupling.optomech_coupling, ()),
+])
+def test_rate_peak_memory_stays_below_its_two_fields(rate, args):
+    # a cached full-grid strain alone took 1.5 times the two fields
+    e, w = _random_pair(np.random.default_rng(6), shape=(48, 48, 48))
+    tracemalloc.start()
+    try:
+        rate(e, w, simple_material(), *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < e.components.nbytes + w.components.nbytes
 
 
 # --- tensor file loading and component indices -------------------------------------------

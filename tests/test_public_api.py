@@ -30,6 +30,8 @@ UNREACHED_BY_DESIGN = {
         "writes the mode-field files the coupling command reads; ROADMAP item 5 extends it",
     "sfg.graph_determinant": "oracle: the transducer graph's determinant is Eq. 3's denominator",
     "sfg.all_source_gains": "oracle: criterion 9 sums its port powers against passivity",
+    "coupling.overlap_integral":
+        "oracle: criterion 7's full-gradient overlap; the rates integrate slab by slab",
 }
 
 
