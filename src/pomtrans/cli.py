@@ -214,10 +214,12 @@ def _cmd_contour(args):
     g_grid = TWO_PI * np.logspace(math.log10(g_start), math.log10(g_stop), n_g)
     k_grid = TWO_PI * np.logspace(math.log10(k_start), math.log10(k_stop), n_k)
     eta = analysis.max_efficiency_contour(p, g_grid, k_grid)
+    # the axes broadcast against eta's (n_g, n_k) grid, so a block formats each axis value
+    # once, not once per row
     table = SweepResult(columns={
-        "log10_gEM_hz": np.repeat(np.log10(g_grid / TWO_PI), n_k),
-        "log10_kex2_hz": np.tile(np.log10(k_grid / TWO_PI), n_g),
-        "max_efficiency": eta.ravel(),
+        "log10_gEM_hz": np.log10(g_grid / TWO_PI)[:, None],
+        "log10_kex2_hz": np.log10(k_grid / TWO_PI),
+        "max_efficiency": eta,
     })
     return "contour", {
         ".csv": table.csv_chunks(),

@@ -602,11 +602,10 @@ def save_mode_field(path, f: ModeField) -> None:
         "# origin={0},{1},{2} spacing={3},{4},{5} counts={6},{7},{8} "
         "kind={9} frequency={10!r}"
     ).format(*g.origin, *g.spacing, *g.counts, f.kind, f.frequency)
-    x, y, z = g.meshgrid()
-    cols = [x.ravel(), y.ravel(), z.ravel()]
+    # the axes broadcast against the grid, and each block materializes only its own rows
+    cols = [g.axis(0)[:, None, None], g.axis(1)[:, None], g.axis(2)]
     for c in range(3):
-        cols.append(f.components[c].real.ravel())
-        cols.append(f.components[c].imag.ravel())
+        cols += [f.components[c].real, f.components[c].imag]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header_meta + "\n")
         fh.write("x,y,z,Re_fx,Im_fx,Re_fy,Im_fy,Re_fz,Im_fz\n")

@@ -1207,6 +1207,8 @@ EDGE_COMPONENTS = [complex(-0.0, 5e-324), complex(-5e-324, 2.2250738585072009e-3
 @pytest.mark.parametrize("counts", [
     (1, 1, 1), (1, 1, CSV_BLOCK_ROWS - 1), (1, 1, CSV_BLOCK_ROWS), (1, 1, CSV_BLOCK_ROWS + 1),
     (4, 3, 5),
+    # two blocks; the first ends partway through an x slab and a y row
+    (5, 37, 97),
 ])
 def test_save_mode_field_writes_the_per_row_writers_bytes(tmp_path, counts):
     grid = coupling.Grid3D((-1e-6, -0.0, 2.5e-7), (1.3e-8, 7e-9, 1e-8), counts)
@@ -1219,6 +1221,22 @@ def test_save_mode_field_writes_the_per_row_writers_bytes(tmp_path, counts):
         path = tmp_path / f"{kind}.csv"
         coupling.save_mode_field(path, f)
         assert path.read_bytes() == reference_mode_field_text(f).encode()
+
+
+def test_save_mode_field_holds_no_coordinate_grid(tmp_path):
+    # the axes broadcast and the components are read in place; meshgrid coordinates
+    # and raveled component copies would hold 72 B per voxel, a 17 MB peak at 48^3
+    grid = coupling.Grid3D((-1e-6, 2e-7, 3e-7), (1e-8, 1.1e-8, 1.2e-8), (48, 48, 48))
+    rng = np.random.default_rng(4)
+    comps = rng.normal(size=(3, *grid.shape)) + 1j * rng.normal(size=(3, *grid.shape))
+    f = coupling.ModeField(grid, comps, coupling.EM, TWO_PI * 3.2e9)
+    tracemalloc.start()
+    try:
+        coupling.save_mode_field(tmp_path / "f.csv", f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 @pytest.mark.parametrize("name", ["rho", "eps_rf", "eps_ir"])

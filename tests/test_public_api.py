@@ -3,6 +3,7 @@ library example runs as written."""
 
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,8 @@ UNREACHED_BY_DESIGN = {
     "sfg.all_source_gains": "oracle: criterion 9 sums its port powers against passivity",
     "coupling.overlap_integral":
         "oracle: criterion 7's full-gradient overlap; the rates integrate slab by slab",
+    "sfg.SignalFlowGraph.nodes": "oracle input: test_sfg builds its networkx graph from it",
+    "sfg.SignalFlowGraph.edges": "oracle input: test_sfg builds its networkx graph from it",
 }
 
 
@@ -52,6 +55,24 @@ def _docstrings(tree) -> set[int]:
             and isinstance(node.body[0].value.value, str)}
 
 
+def _strings(node, docstrings):
+    """The identifiers that ``node``'s strings spell, split at dots.
+
+    perfbench/spans.py names its targets as strings, some dotted: "sweep.SweepResult".
+    """
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                and id(sub) not in docstrings):
+            parts = sub.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                yield from parts
+
+
+def _attributes(node) -> Counter:
+    """How often ``node`` reads each attribute name, as in ``x.name``."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def _references(node, docstrings):
     """Every identifier ``node`` reads: names, attributes, imports and identifier strings."""
     for sub in ast.walk(node):
@@ -61,12 +82,15 @@ def _references(node, docstrings):
             yield sub.attr
         elif isinstance(sub, ast.alias):
             yield from sub.name.split(".")
-        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-              and id(sub) not in docstrings):
-            # perfbench/spans.py names its targets as strings, some dotted: "sweep.SweepResult"
-            parts = sub.value.split(".")
-            if all(part.isidentifier() for part in parts):
-                yield from parts
+    yield from _strings(node, docstrings)
+
+
+def _methods(module, tree) -> dict[str, ast.AST]:
+    """``module.Class.name``: the definition of each public method and property of a public class."""
+    return {f"{module}.{cls.name}.{fn.name}": fn for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not fn.name.startswith("_")}
 
 
 def _defined(statement) -> list[str]:
@@ -78,25 +102,36 @@ def _defined(statement) -> list[str]:
 
 
 def _unreached_names() -> set[str]:
-    """``module.name`` of each public top-level name in ``SRC`` that nothing reaches.
+    """``module.name`` of each public top-level name in ``SRC`` that nothing reaches, and
+    ``module.Class.name`` of each such public method or property of a public class.
 
-    A reference reaches a name from another top-level statement of ``SRC`` (the
-    name's own definition does not count) or from anywhere in ``PERFBENCH``.
+    A reference reaches a top-level name from another top-level statement of ``SRC`` (the
+    name's own definition does not count) or from anywhere in ``PERFBENCH``.  A method
+    is reached only by an attribute read (``x.name``) in ``SRC`` outside its own body or
+    in ``PERFBENCH``, or by a ``PERFBENCH`` string: a local variable of its name is not.
     """
     statements = []  # (module, names defined, identifiers read) per top-level statement
+    attributes, methods = Counter(), {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         docstrings = _docstrings(tree)
         statements += [(path.stem, _defined(statement), set(_references(statement, docstrings)))
                        for statement in tree.body]
-    reached = set()
+        attributes += _attributes(tree)
+        methods.update(_methods(path.stem, tree))
+    reached, strings = set(), set()
     for path in PERFBENCH.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         reached.update(_references(tree, _docstrings(tree)))
-    return {f"{module}.{name}"
-            for k, (module, names, _) in enumerate(statements) for name in names
-            if not name.startswith("_") and name not in reached
-            and not any(name in read for j, (_, _, read) in enumerate(statements) if j != k)}
+        strings.update(_strings(tree, _docstrings(tree)))
+        attributes += _attributes(tree)
+    names = {f"{module}.{name}"
+             for k, (module, names, _) in enumerate(statements) for name in names
+             if not name.startswith("_") and name not in reached
+             and not any(name in read for j, (_, _, read) in enumerate(statements) if j != k)}
+    return names | {qualified for qualified, definition in methods.items()
+                    if (name := qualified.rsplit(".", 1)[1]) not in strings
+                    and attributes[name] == _attributes(definition)[name]}
 
 
 def test_every_public_name_is_reached():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -199,13 +200,13 @@ def test_fast_path_upper_bound_sits_below_three_digit_exponents():
 
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--grid-points", "40001"],
-    ["contour", "--grid-points", "101"],
+    ["contour", "--grid-points", "201", "131"],
     ["efficiency-curve"],
     ["rings", "--grid-points", "3001"],
 ])
 def test_cli_tables_take_the_fast_path(tmp_path, monkeypatch, argv):
-    blocks = []
-    fast = sweep._e11_block
+    blocks, formatted = [], []
+    fast, records = sweep._e11_block, sweep._records
 
     def spy(block):
         text = fast(block)
@@ -213,7 +214,118 @@ def test_cli_tables_take_the_fast_path(tmp_path, monkeypatch, argv):
         blocks.append(len(block))
         return text
 
+    def count(values):
+        rec = records(values)
+        assert rec is not None  # no value a block reaches sends it to '%'
+        formatted.append(values.size)
+        return rec
+
     monkeypatch.setattr(sweep, "_e11_block", spy)
+    monkeypatch.setattr(sweep, "_records", count)
     assert cli.main([*argv, "--out", str(tmp_path / "t")]) == 0
     rows = len((tmp_path / "t.csv").read_text("utf-8").splitlines()) - 1
-    assert sum(blocks) == rows > 0
+    if argv[0] != "contour":
+        assert sum(blocks) == rows > 0
+        return
+    # the axes broadcast over the (n_g, n_k) grid: each block formats its
+    # efficiencies and at most n_g + n_k axis values, not one of each per row
+    n_g, n_k = 201, 131
+    chunks = -(-rows // CSV_BLOCK_ROWS)
+    assert rows == n_g * n_k and chunks == 2
+    assert rows < sum(formatted) <= rows + chunks * (n_g + n_k)
+
+
+# --- tables whose columns broadcast ---------------------------------------------
+
+#: table shapes: 1-D, 2-D and 3-D, with size-1 axes, an inner size above, equal
+#: to and below CSV_BLOCK_ROWS, and blocks that end partway through a leading row
+BROADCAST_SHAPES = [
+    (5,), (CSV_BLOCK_ROWS + 1,), (1, 7), (7, 1), (2, CSV_BLOCK_ROWS + 3),
+    (3, CSV_BLOCK_ROWS), (3, CSV_BLOCK_ROWS - 1), (5, 4000), (1, 1, CSV_BLOCK_ROWS + 1),
+    (4, 5, 1), (3, 5, 1100), (2, 3, 3000), (3, 1, 7000),
+]
+
+
+@st.composite
+def broadcast_tables(draw):
+    """(columns, shape, conversion): columns that broadcast to ``shape``, some odd values among them."""
+    shape = draw(st.sampled_from(BROADCAST_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["real", "int"]), min_size=1, max_size=4)):
+        own = tuple(n if draw(st.booleans()) else 1 for n in shape)
+        while len(own) > 1 and own[0] == 1 and draw(st.booleans()):
+            own = own[1:]  # a column may leave out leading size-1 axes
+        if kind == "int":
+            col = rng.integers(0, 2**63 - 1, own, dtype=np.int64, endpoint=True)
+        else:
+            col = 10 ** rng.uniform(-99, 99, own)
+        if draw(st.booleans()):
+            # sends the blocks that reach it to '%'
+            odd = [-1, -2**63] if kind == "int" else EDGE_FLOATS + [-1.5, 1e100]
+            col.flat[rng.integers(col.size)] = draw(st.sampled_from(odd))
+        columns.append(col)
+    full = np.broadcast_shapes(*(c.shape for c in columns))
+    return columns, full, draw(st.sampled_from(["%.11e", "%r"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(broadcast_tables())
+def test_broadcast_columns_write_the_materialized_tables_bytes(table):
+    columns, shape, conversion = table
+    materialized = [np.broadcast_to(c, shape).ravel() for c in columns]
+    chunks = list(sweep.csv_blocks(columns, conversion))
+    expected = list(sweep.csv_blocks(materialized, conversion))
+    assert len(chunks) == len(expected) == -(-math.prod(shape) // CSV_BLOCK_ROWS)
+    for got, want in zip(chunks, expected):
+        assert got.split("\n") == want.split("\n")
+
+
+@pytest.mark.parametrize("shape", BROADCAST_SHAPES, ids=str)
+def test_every_broadcast_pattern_writes_the_materialized_tables_bytes(shape):
+    # one column per choice of broadcast axes, plus an int column: all fast-path values
+    rng = np.random.default_rng(len(shape))
+    columns = [10 ** rng.uniform(-99, 99, own) for own in itertools.product(*[(1, n) for n in shape])]
+    columns.append(rng.integers(0, 10**15, shape[-1:]))
+    materialized = [np.broadcast_to(c, shape).ravel() for c in columns]
+    assert list(sweep.csv_blocks(columns, "%.11e")) == list(sweep.csv_blocks(materialized, "%.11e"))
+
+
+def test_broadcast_blocks_take_the_fast_path_where_their_values_allow(monkeypatch):
+    # one odd axis value sends only the blocks that reach it to '%'
+    n_g, n_k = 7, 5000
+    g = np.geomspace(1.0, 2.0, n_g)[:, None]
+    g[4] = -1.0
+    eta = np.linspace(0.1, 0.9, n_g * n_k).reshape(n_g, n_k)
+    fast, records = [], sweep._records
+
+    def spy(values):
+        rec = records(values)
+        fast.append(rec is not None)
+        return rec
+
+    monkeypatch.setattr(sweep, "_records", spy)
+    table = SweepResult(columns={"g": g, "k": np.arange(n_k), "eta": eta})
+    assert table.to_csv().split("\n") == reference_csv(SweepResult(columns={
+        name: np.broadcast_to(c, table.shape).ravel() for name, c in table.columns.items()})).split("\n")
+    # rows 20000-24999 hold g[4]: the second of three blocks
+    assert fast == [True, False, True]
+
+
+def test_2d_table_chunks_are_the_header_then_one_per_block():
+    n_g, n_k = 5, 7000
+    table = SweepResult(columns={"g": np.arange(1.0, n_g + 1)[:, None], "k": np.linspace(1, 2, n_k),
+                                 "eta": np.full((n_g, n_k), 0.5)})
+    assert table.shape == (n_g, n_k) and len(table) == n_g * n_k
+    chunks = list(table.csv_chunks())
+    assert chunks[0] == "g,k,eta\n"
+    assert [len(c.splitlines()) for c in chunks[1:]] == [
+        min(CSV_BLOCK_ROWS, len(table) - start) for start in range(0, len(table), CSV_BLOCK_ROWS)]
+
+
+def test_column_shapes_that_do_not_broadcast_are_rejected():
+    with pytest.raises(ValueError, match=r"^column shapes do not broadcast: "
+                                         r"\{'a': \(2, 3\), 'b': \(2,\)\}$"):
+        SweepResult(columns={"a": np.ones((2, 3)), "b": np.ones(2)})
+    with pytest.raises(ValueError, match="column 'z' is complex; tables are real-valued"):
+        SweepResult(columns={"a": np.ones((2, 3)), "z": np.ones(3) * 1j})
