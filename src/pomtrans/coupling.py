@@ -194,13 +194,14 @@ def strain_field(w: ModeField) -> np.ndarray:
     return out
 
 
-def _intensity(f: ModeField) -> np.ndarray:
-    return np.sum(np.abs(f.components) ** 2, axis=0)
+def _intensity(f: ModeField, xs: slice) -> np.ndarray:
+    """sum_i |f_i|^2 on the x-planes ``xs``."""
+    return np.sum(np.abs(f.components[:, xs]) ** 2, axis=0)
 
 
-def _intensity_integral(density: np.ndarray, f: ModeField) -> float:
-    """trapezoid_3d of an intensity ``density`` of ``f``, rejecting a zero integral."""
-    total = float(trapezoid_3d(density, f.grid))
+def _intensity_integral(density, f: ModeField) -> float:
+    """:func:`_slab_integral` of an intensity ``density(xs)`` of ``f``, rejecting a zero integral."""
+    total = float(_slab_integral(f.grid, density))
     if total == 0:
         if np.any(f.components):
             raise ParameterError(
@@ -229,14 +230,15 @@ def mech_mode_volume(w: ModeField) -> float:
     """Effective mechanical mode volume.
 
     Inverse of the integrated square of the normalized intensity density
-    sum_i |w_i|^2; independent of any rescaling of the field.
+    sum_i |w_i|^2; independent of any rescaling of the field.  The grid is
+    walked twice, slab by slab: for the total intensity, then for the square of
+    the normalized density.
     """
     if w.kind != MECH:
         raise ParameterError("expected a mechanical displacement field")
     with _intensity_overflow_named(w):
-        intensity = _intensity(w)
-        density = intensity / _intensity_integral(intensity, w)
-        return 1.0 / _intensity_integral(density**2, w)
+        total = _intensity_integral(lambda xs: _intensity(w, xs), w)
+        return 1.0 / _intensity_integral(lambda xs: (_intensity(w, xs) / total)**2, w)
 
 
 def em_mode_volume(e: ModeField, eta_eff: float) -> float:
@@ -247,13 +249,14 @@ def em_mode_volume(e: ModeField, eta_eff: float) -> float:
     """
     if e.kind != EM:
         raise ParameterError("expected an electromagnetic field")
+    eta_eff = float(eta_eff)
     with _intensity_overflow_named(e):
-        density = float(eta_eff) * _intensity(e)
-        return _intensity_integral(density, e)**2 / _intensity_integral(density**2, e)
+        return (_intensity_integral(lambda xs: eta_eff * _intensity(e, xs), e)**2
+                / _intensity_integral(lambda xs: (eta_eff * _intensity(e, xs))**2, e))
 
 
 def _scaled_to_volume(f: ModeField, v_eff: float) -> ModeField:
-    return f.scaled(math.sqrt(v_eff / float(trapezoid_3d(_intensity(f), f.grid))))
+    return f.scaled(math.sqrt(v_eff / float(_slab_integral(f.grid, lambda xs: _intensity(f, xs)))))
 
 
 def normalize_mech(w: ModeField) -> ModeField:
@@ -432,10 +435,11 @@ def overlap_integral(e: ModeField, gradients: np.ndarray, j: int, k: int,
     return complex(trapezoid_3d(integrand, e.grid))
 
 
-# The rates walk the grid in x-slabs of at most CSV_BLOCK_ROWS voxels, so
-# beside the two fields they hold only a few slab-sized arrays, never a
-# full-grid gradient.  Each slab is integrated over z, then y, and the
-# x-planes last: the same operations, in the same order, as trapezoid_3d.
+# The rates and the mode volumes walk the grid in x-slabs of at most
+# CSV_BLOCK_ROWS voxels, so beside the two fields they hold only a few
+# slab-sized arrays, never a full-grid gradient or intensity.  Each slab is
+# integrated over z, then y, and the x-planes last: the same operations, in
+# the same order, as trapezoid_3d.
 
 #: 0-based index pair (a, b) of each Voigt index 1..6, in Voigt order
 _VOIGT_PAIRS = [(i - 1, j - 1) for _, (i, j) in sorted(_PAIR_OF_VOIGT.items())]
@@ -469,20 +473,27 @@ def _pair_sums(w: ModeField, xs: slice) -> np.ndarray:
     return np.stack([g[a][a] if a == b else g[a][b] + g[b][a] for a, b in _VOIGT_PAIRS])
 
 
-def _slab_integral(e: ModeField, w: ModeField, integrand) -> complex:
-    """trapezoid_3d of the samples ``integrand(xs)`` returns for each x-slab ``xs``."""
-    _require_differentiable(w)
-    grid = e.grid
-    planes = np.empty(grid.counts[0], dtype=complex)
-    for xs in _x_slabs(grid):
-        planes[xs] = np.trapezoid(np.trapezoid(integrand(xs), dx=grid.spacing[2], axis=2),
-                                  dx=grid.spacing[1], axis=1)
-    return complex(np.trapezoid(planes, dx=grid.spacing[0]))
+def _slab_integral(grid: Grid3D, integrand):
+    """trapezoid_3d of the samples ``integrand(xs)`` returns for each x-slab ``xs``.
+
+    A one-point axis is taken as its sample, as trapezoid_3d squeezes it, and the
+    x-planes keep the integrand's dtype.
+    """
+    def planes(xs):
+        out = integrand(xs)
+        for k in (2, 1):
+            out = (np.trapezoid(out, dx=grid.spacing[k], axis=k) if grid.counts[k] > 1
+                   else np.squeeze(out, axis=k))
+        return out
+
+    out = np.concatenate([planes(xs) for xs in _x_slabs(grid)])
+    return np.trapezoid(out, dx=grid.spacing[0]) if grid.counts[0] > 1 else out[0]
 
 
 def _overlap(e: ModeField, w: ModeField, i: int, j: int, k: int) -> complex:
     """integral of E_i dw_j/dr_k (0-based), differentiating only that one gradient."""
-    return _slab_integral(e, w, lambda xs: e.components[i, xs] * _slab_gradient(w, xs, j, k))
+    _require_differentiable(w)
+    return complex(_slab_integral(e.grid, lambda xs: e.components[i, xs] * _slab_gradient(w, xs, j, k)))
 
 
 def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
@@ -529,7 +540,9 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> 
         weights = np.tensordot(known, e.components[:, xs], axes=(0, 0))  # sum_i h_iJ E_i
         return np.einsum("J...,J...->...", weights, _pair_sums(w, xs))
 
-    return _piezo_prefactor(e, w, mat) * _slab_integral(e, w, integrand)
+    prefactor = _piezo_prefactor(e, w, mat)
+    _require_differentiable(w)
+    return prefactor * complex(_slab_integral(e.grid, integrand))
 
 
 def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> float:
@@ -560,7 +573,8 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
         weights = np.tensordot(mat.p, products, axes=(0, 0))  # sum_I p_IJ A_I
         return np.einsum("J...,J...->...", weights, _pair_sums(w, xs))
 
-    total = _slab_integral(e, w, integrand)
+    _require_differentiable(w)
+    total = complex(_slab_integral(e.grid, integrand))
     v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
     denominator = _in_range(
         32 * mat.rho * v_mech * EPSILON_0**2 * mat.eta_eff**2 * v_em**2 * w.frequency,
@@ -612,24 +626,27 @@ def save_mode_field(path, f: ModeField) -> None:
         fh.writelines(csv_blocks(cols, "%r"))
 
 
-def _malformed_row(path) -> str:
+def _malformed_row(lines: list[str], start: int, width: int | None) -> str:
     """The first data row of a mode field file that is not 9 numbers, and what is wrong.
 
-    Rows are numbered from 1 like ``np.loadtxt``'s rows: after the two header
-    lines, skipping blank lines and ``#`` comments.  A decode error that
-    ``np.loadtxt`` hit is raised again here.
+    ``lines`` is the block ``np.loadtxt`` rejected, after ``start`` data rows of
+    ``width`` cells each (None if there were none), so the first of them is
+    wrong unless ``width`` is 9.  Rows are numbered from 1 like ``np.loadtxt``'s
+    rows: after the two header lines, skipping blank lines and ``#`` comments.
+    The file is not read again: a pipe could not be.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = (line.split("#", 1)[0] for line in itertools.islice(fh, 2, None))
-        for n, line in enumerate((line for line in lines if line.strip()), start=1):
-            cells = line.split(",")
-            if len(cells) != 9:
-                return f"data row {n} has {len(cells)} cells, expected 9"
-            for c, cell in enumerate(cells, start=1):
-                try:
-                    float(cell)
-                except ValueError:
-                    return f"data row {n} cell {c} is not a number: {cell.strip()!r}"
+    if width not in (None, 9):
+        return f"data row 1 has {width} cells, expected 9"
+    lines = (line.split("#", 1)[0] for line in lines)
+    for n, line in enumerate((line for line in lines if line.strip()), start=start + 1):
+        cells = line.split(",")
+        if len(cells) != 9:
+            return f"data row {n} has {len(cells)} cells, expected 9"
+        for c, cell in enumerate(cells, start=1):
+            try:
+                float(cell)
+            except ValueError:
+                return f"data row {n} cell {c} is not a number: {cell.strip()!r}"
     # a cell that float() reads and np.loadtxt does not, such as '1_0'
     return "a data row is not 9 comma-separated numbers"
 
@@ -651,7 +668,7 @@ def load_mode_field(path) -> ModeField:
         raise ParameterError(f"mode field {path}: {exc}") from exc
 
 
-def _data_blocks(fh, path):
+def _data_blocks(fh):
     """``(first data row, rows)`` per block of ``CSV_BLOCK_ROWS`` lines of ``fh``.
 
     ``rows`` is the block's data rows as a float array; a block of only blank
@@ -661,18 +678,18 @@ def _data_blocks(fh, path):
     """
     start, width = 0, None
     while True:
+        lines = list(itertools.islice(fh, CSV_BLOCK_ROWS))
+        if not lines:
+            return
         try:
-            lines = list(itertools.islice(fh, CSV_BLOCK_ROWS))
-            if not lines:
-                return
             with warnings.catch_warnings():
                 # a block without rows would also print a warning
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 rows = np.loadtxt(lines, delimiter=",", ndmin=2)
             if len(rows) and width not in (None, rows.shape[1]):
                 raise ValueError("column count changed")
-        except ValueError as exc:  # a decode error too: _malformed_row raises it again
-            raise ParameterError(_malformed_row(path)) from exc
+        except ValueError as exc:
+            raise ParameterError(_malformed_row(lines, start, width)) from exc
         if len(rows):
             width = rows.shape[1]
             yield start, rows
@@ -700,7 +717,7 @@ def _read_mode_field(path) -> ModeField:
         try:
             grid = Grid3D(origin, spacing, counts)
         except ParameterError:
-            for _ in _data_blocks(fh, path):  # a malformed row is named first
+            for _ in _data_blocks(fh):  # a malformed row is named first
                 pass
             raise
         expected = math.prod(counts)
@@ -709,7 +726,7 @@ def _read_mode_field(path) -> ModeField:
         fits = not fh.seekable() or expected <= (os.fstat(fh.fileno()).st_size + 1) // 18
         comps = np.empty((3, expected), dtype=complex) if fits else None
         n_rows, width, off_grid = 0, 1, None
-        for start, rows in _data_blocks(fh, path):
+        for start, rows in _data_blocks(fh):
             n_rows, width = start + len(rows), rows.shape[1]
             if comps is None or width != 9 or n_rows > expected or off_grid is not None:
                 continue  # the shape or an earlier row is already wrong: only count

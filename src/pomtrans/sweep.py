@@ -14,16 +14,17 @@ a two-digit exponent ``e``.  Entries whose mantissa fraction lies within
 product), so its fraction can be off by about 2.5e-4.  The +0.0 entries are
 re-formatted with them.  Any other block (-0.0, a negative, a subnormal,
 NaN/inf or a 3-digit exponent) and any other conversion take the ``%`` line,
-which materializes only the block's own rows.
+which materializes only the block's own box.
 
 A table is the C-order broadcast of its columns, which may have any shapes
 that broadcast together: a grid's axes can be passed at shapes ``(n, 1)`` and
-``(m,)`` beside an ``(n, m)`` column.  Each block formats the values it
-reaches once.  A column at the table's shape is formatted row by row, in
-place; a broadcast column formats only the values its rows reach, when they
-are fewer than its rows, and its 18-byte records are broadcast into the
-block.  So a contour table formats each axis value once per block rather than
-once per row.
+``(m,)`` beside an ``(n, m)`` column.  A block is a box of the table: a run
+of whole leading-axis rows when one such row fits in ``CSV_BLOCK_ROWS``,
+otherwise one leading index and a box of the remaining axes.  A column's
+values in a box are a plain slice of it, and each block formats them once: a
+column that repeats within the box formats only its own values, and its
+18-byte records are broadcast into the block.  So a contour table formats
+each axis value once per block rather than once per row.
 """
 
 from __future__ import annotations
@@ -129,117 +130,79 @@ def _e11_block(block: np.ndarray) -> str | None:
     return None if rec is None else _text(rec)
 
 
-def _hull(shape: tuple[int, ...], start: int, stop: int) -> tuple[list[slice], int]:
-    """The box of a ``shape`` table that holds its C-order rows ``start:stop``, and its first row.
+def _boxes(shape: tuple[int, ...]):
+    """The boxes a table of ``shape``, of at least one row, is cut into, in C order.
 
-    Its leading axes keep one index each, the next axis the range the rows reach and
-    the trailing axes all of theirs, so the box's own C-order rows are the table's
-    rows from the first on, and rows ``start:stop`` are a slice of them.
+    A box is a tuple of one slice per axis.  It is a run of whole rows of the
+    leading axis when one such row fits in ``CSV_BLOCK_ROWS``; otherwise it is one
+    index of the leading axis, followed by the boxes of the remaining axes.  So a
+    box holds at most ``CSV_BLOCK_ROWS`` rows, and they are a run of the table's
+    C-order rows.
     """
-    hull, first, inner, spread = [], 0, math.prod(shape), False
-    for n in shape:
-        inner //= n
-        if spread:
-            hull.append(slice(0, n))
-            continue
-        a, b = start // inner % n, (stop - 1) // inner % n
-        hull.append(slice(a, b + 1))
-        first += a * inner
-        spread = b > a
-    return hull, first
-
-
-def _copy_rows(a: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
-    """Write ``a.ravel()[start:stop]`` into the 1-D ``out``, copying only those elements.
-
-    ``a`` may be a broadcast view: no more of it than the rows is materialized.
-    """
-    while a.ndim > 1:
-        inner = math.prod(a.shape[1:])
-        (i0, r0), (i1, r1) = divmod(start, inner), divmod(stop, inner)
-        if i0 == i1:
-            a, start, stop = a[i0], r0, r1
-            continue
-        if r0:
-            _copy_rows(a[i0], r0, inner, out[:inner - r0])
-            out, i0 = out[inner - r0:], i0 + 1
-        if r1:
-            _copy_rows(a[i1], 0, r1, out[len(out) - r1:])
-            out = out[:len(out) - r1]
-        np.reshape(out, a[i0:i1].shape, copy=False)[...] = a[i0:i1]
+    inner = math.prod(shape[1:])
+    if inner > CSV_BLOCK_ROWS:
+        for i in range(shape[0]):
+            for box in _boxes(shape[1:]):
+                yield (slice(i, i + 1), *box)
         return
-    out[...] = a[start:stop]
+    step, rest = CSV_BLOCK_ROWS // inner, [slice(0, m) for m in shape[1:]]
+    for a in range(0, shape[0], step):
+        yield (slice(a, min(a + step, shape[0])), *rest)
 
 
-def _rows(views: list[np.ndarray], start: int, stop: int) -> np.ndarray:
-    """Rows ``start:stop`` of a table of full-shape column views, as one float block."""
-    block = np.empty((stop - start, len(views)))
-    for j, view in enumerate(views):
-        _copy_rows(view, start, stop, block[:, j])
-    return block
+def _box_text(values: list[np.ndarray], shape: tuple[int, ...], conversion: str) -> str:
+    """The CSV rows of a box of ``shape``, given each column's ``values`` in the box.
 
-
-def _e11_rows(views: list[np.ndarray], broadcast: dict[int, np.ndarray], start: int,
-              stop: int) -> str | None:
-    """``'%.11e'`` CSV rows ``start:stop`` of a table, or None if a value they reach is out of range.
-
-    ``views`` are the columns at the table's shape, and ``broadcast`` maps the index
-    of each column given at a smaller shape to that array.  Such a column, if its
-    rows reach fewer values than there are rows, formats those values once, over
-    the box of :func:`_hull`, and its records are broadcast into the block.  The
-    other columns are formatted row by row.  One call formats them all.
+    A column's values broadcast to the box.  When none repeats within it, a
+    ``'%.11e'`` block is formatted row by row in one :func:`_e11_block` call.
+    Otherwise each column formats only its own values, and their records are
+    broadcast into the block.  A block with a value out of the fast path's range,
+    and any other conversion, is materialized and takes the ``%`` line.
     """
-    rows, reached = stop - start, {}
-    if broadcast:
-        hull, first = _hull(views[0].shape, start, stop)
-        for j, col in broadcast.items():
-            values = col[tuple(s if m > 1 else slice(None) for s, m in zip(hull, col.shape))]
-            if values.size < rows:
-                reached[j] = values
-    if not reached:
-        return _e11_block(_rows(views, start, stop))
-    direct = [j for j in range(len(views)) if j not in reached]
-    block = _rows([views[j] for j in direct], start, stop)
-    formatted = _records(np.concatenate([block.ravel()] + [v.ravel() for v in reached.values()]))
-    if formatted is None:
-        return None
-    formatted = formatted.view(_BYTES)
-    rec = np.empty((rows, len(views)), _RECORD)
-    items = rec.view(_BYTES)
-    items[:, direct] = formatted[:block.size].reshape(block.shape)
-    box = tuple(s.stop - s.start for s in hull)
-    at = block.size
-    for j, values in reached.items():
-        records = formatted[at:at + values.size].reshape(values.shape)
-        _copy_rows(np.broadcast_to(records, box), start - first, stop - first, items[:, j])
-        at += values.size
-    return _text(rec)
+    rows = math.prod(shape)
+    repeats = min([v.size for v in values]) < rows
+    if repeats and conversion == "%.11e":
+        formatted = _records(np.concatenate([v.ravel() for v in values], dtype=float))
+        if formatted is not None:
+            formatted = formatted.view(_BYTES)
+            rec = np.empty((*shape, len(values)), _RECORD)
+            items, at = rec.view(_BYTES), 0
+            for j, v in enumerate(values):
+                items[..., j] = formatted[at:at + v.size].reshape(v.shape)
+                at += v.size
+            return _text(rec.reshape(rows, -1))
+    block = np.empty((*shape, len(values)))
+    for j, v in enumerate(values):
+        block[..., j] = v
+    block = block.reshape(rows, -1)
+    text = _e11_block(block) if not repeats and conversion == "%.11e" else None
+    if text is None:
+        text = ((",".join([conversion] * len(values)) + "\n") * rows) % tuple(block.ravel().tolist())
+    return text
 
 
 def csv_blocks(columns: list[np.ndarray], conversion: str):
-    """CSV rows of a table of real array columns, ``CSV_BLOCK_ROWS`` rows per string.
+    """CSV rows of a table of real array columns, one string per box of at most ``CSV_BLOCK_ROWS`` rows.
 
     The columns broadcast together, and the rows are their broadcast shape in C
-    order.  A ``'%.11e'`` block takes the vectorized fast path when the values it
-    reaches allow it; any other block materializes its own rows and formats them
-    with one C-level ``conversion`` ``%``.
+    order, cut into the boxes of :func:`_boxes`.  A column's values in a box are
+    ``c[box]``, its size-1 axes kept whole.  A ``'%.11e'`` block takes the
+    vectorized fast path when the values it reaches allow it; any other block
+    materializes its own box and formats it with one C-level ``conversion`` ``%``.
     """
     if not columns:
         return
     shapes = {c.shape for c in columns}
     shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
-    columns = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in columns]
-    views = [c if c.shape == shape else np.broadcast_to(c, shape) for c in columns]
-    broadcast = {j: c for j, c in enumerate(columns) if c.shape != shape}
-    row_fmt = ",".join([conversion] * len(columns)) + "\n"
-    rows = math.prod(shape)
-    for start in range(0, rows, CSV_BLOCK_ROWS):
-        stop = min(start + CSV_BLOCK_ROWS, rows)
-        text = _e11_rows(views, broadcast, start, stop) if conversion == "%.11e" else None
-        if text is None:
-            block = _rows(views, start, stop)
-            text = (row_fmt * len(block)) % tuple(block.ravel().tolist())
-        yield text
+    if not math.prod(shape):
+        return
+    columns = [c if c.ndim == len(shape) else c.reshape((1,) * (len(shape) - c.ndim) + c.shape)
+               for c in columns]
+    for box in _boxes(shape):
+        values = [c[box] if c.shape == shape else
+                  c[tuple([s if m > 1 else slice(None) for s, m in zip(box, c.shape)])]
+                  for c in columns]
+        yield _box_text(values, tuple([s.stop - s.start for s in box]), conversion)
 
 
 @dataclass
@@ -248,8 +211,9 @@ class SweepResult:
 
     A table is the C-order broadcast of its columns: a column may be any array
     that broadcasts to the table's :attr:`shape`, such as a grid axis held at
-    shape ``(n, 1)``, and each block formats the values it reaches once.  In a
-    table of 1-D columns, the columns must have equal lengths.
+    shape ``(n, 1)``.  Its text comes in blocks, one per box of the table of at
+    most ``CSV_BLOCK_ROWS`` rows, and each block formats the values it reaches
+    once.  In a table of 1-D columns, the columns must have equal lengths.
 
     :meth:`csv_chunks` yields its CSV text piece by piece, so a writer never
     holds the whole table as text; :meth:`to_csv` joins those pieces.
@@ -282,7 +246,7 @@ class SweepResult:
         return math.prod(self.shape)
 
     def csv_chunks(self):
-        """The CSV text: the header line, then one string per ``CSV_BLOCK_ROWS`` rows."""
+        """The CSV text: the header line, then one string per box, of at most ``CSV_BLOCK_ROWS`` rows."""
         yield ",".join(self.columns) + "\n"
         yield from csv_blocks(list(self.columns.values()), "%.11e")
 

@@ -235,6 +235,52 @@ def test_overflowing_field_intensity_rejected_by_kind(kind, factor, volume):
         volume(field)
 
 
+def _whole_grid_volumes(f, eta_eff):
+    """The mode volumes from whole-grid intensities and trapezoid_3d, the slab walk's oracle."""
+    intensity = np.sum(np.abs(f.components) ** 2, axis=0)
+    density = intensity / float(coupling.trapezoid_3d(intensity, f.grid))
+    mech = 1.0 / float(coupling.trapezoid_3d(density**2, f.grid))
+    weighted = eta_eff * intensity
+    em = (float(coupling.trapezoid_3d(weighted, f.grid))**2
+          / float(coupling.trapezoid_3d(weighted**2, f.grid)))
+    return mech, em
+
+
+@pytest.mark.parametrize("block_rows", [7, CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("counts", [(1, 1, 2), (1, 7, 9), (3, 1, 5), (130, 3, 1), (2, 200, 100),
+                                    (9, 4, 6)], ids=str)
+def test_mode_volumes_walk_the_slabs_to_trapezoid_3d_bits(monkeypatch, block_rows, counts):
+    # one-point axes are taken as their samples, and the x-planes of many slabs add up alike
+    rng = np.random.default_rng(sum(counts))
+    grid = coupling.Grid3D((0.0, -1e-7, 2e-7), (1e-8, 2e-8, 3e-8), counts)
+    comps = (rng.normal(size=(3, *counts)) * 10 ** rng.uniform(-3, 3, (3, *counts))
+             + 1j * rng.normal(size=(3, *counts)))
+    monkeypatch.setattr(coupling, "CSV_BLOCK_ROWS", block_rows)
+    mech = coupling.mech_mode_volume(coupling.ModeField(grid, comps, coupling.MECH, 1.0))
+    em = coupling.em_mode_volume(coupling.ModeField(grid, comps, coupling.EM, 1.0), 0.37)
+    assert type(mech) is float and type(em) is float
+    assert (mech, em) == _whole_grid_volumes(coupling.ModeField(grid, comps, coupling.EM, 1.0), 0.37)
+    if block_rows == 7 and counts[0] > 1:
+        assert len(list(coupling._x_slabs(grid))) >= 2
+
+
+def test_mode_volume_peak_memory_is_a_few_slabs():
+    # whole-grid intensities and their squares took 32-33 B per voxel, 8.5 MB here
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1e-8, 1e-8, 1e-8), (64, 64, 64))
+    rng = np.random.default_rng(9)
+    comps = rng.normal(size=(3, *grid.shape)) + 1j * rng.normal(size=(3, *grid.shape))
+    w = coupling.ModeField(grid, comps, coupling.MECH, 1.0)
+    e = coupling.ModeField(grid, comps, coupling.EM, 1.0)
+    tracemalloc.start()
+    try:
+        coupling.mech_mode_volume(w)
+        coupling.em_mode_volume(e, 0.37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def test_normalization_convention():
     # after normalization the integrated intensity equals the mode volume
     grid = box_grid(17)
@@ -735,6 +781,12 @@ def _extra_row(rows):
     rows.append(list(rows[-1]))
 
 
+def _eight_cells_in_rows_1_to_20(rows):
+    # the first blocks read as 8 columns, and a later one as 9
+    for row in rows[:20]:
+        del row[-1]
+
+
 @pytest.mark.parametrize("block_rows", [2, 3, 16, CSV_BLOCK_ROWS])
 @pytest.mark.parametrize("edit, message", [
     (_cut_row_21, lambda f, at: "data row 21 has 5 cells, expected 9"),
@@ -744,7 +796,9 @@ def _extra_row(rows):
                                   f"{_grid_point(f.grid, 20)}"),
     (_comments_across_a_block_boundary, lambda f, at: "data row 21 has 5 cells, expected 9"),
     (_extra_row, lambda f, at: "mode field file has shape (61, 9), expected (60, 9)"),
-], ids=["malformed", "off-grid", "nan-coordinate", "comments-at-boundary", "extra-row"])
+    (_eight_cells_in_rows_1_to_20, lambda f, at: "data row 1 has 8 cells, expected 9"),
+], ids=["malformed", "off-grid", "nan-coordinate", "comments-at-boundary", "extra-row",
+        "eight-cells-first"])
 def test_mode_field_errors_in_a_later_block_read_as_one_block(field_file, monkeypatch,
                                                               block_rows, edit, message):
     # the file has 60 data rows: row 21 sits in the second block of 16 lines
@@ -780,6 +834,37 @@ def test_mode_field_reads_from_a_pipe(field_file, tmp_path):
     finally:
         writer.join()
     np.testing.assert_array_equal(loaded.components, f.components)
+
+
+def test_malformed_mode_field_row_from_a_pipe_is_named(tmp_path):
+    # naming the row must not open the file again: a second open of a pipe
+    # waits for a writer that has already gone
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1e-8, 1e-8, 1e-8), (1, 1, 2))
+    path = tmp_path / "field.csv"
+    coupling.save_mode_field(path, coupling.ModeField(grid, np.ones((3, 1, 1, 2)), coupling.EM, 1.0))
+    _rewrite_rows(path, lambda rows: rows[1].__setitem__(7, "zz"))
+    fifo = tmp_path / "field.fifo"
+    os.mkfifo(fifo)
+    raised = []
+
+    def load():
+        try:
+            coupling.load_mode_field(fifo)
+        except ParameterError as exc:
+            raised.append(exc)
+
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    reader = threading.Thread(target=load, daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=10)
+    hangs = reader.is_alive()
+    if hangs:  # a writer that opens and closes at once lets the reader see the end
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    writer.join(timeout=10)
+    assert not hangs, "load_mode_field still waits on the pipe after 10 s"
+    assert [str(exc) for exc in raised] == [
+        f"mode field {fifo}: data row 2 cell 8 is not a number: 'zz'"]
 
 
 def test_load_mode_field_peak_memory_is_its_components_and_a_block(tmp_path):

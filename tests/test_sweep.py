@@ -220,8 +220,16 @@ def test_cli_tables_take_the_fast_path(tmp_path, monkeypatch, argv):
         formatted.append(values.size)
         return rec
 
+    written, csv_blocks = [], sweep.csv_blocks
+
+    def record(columns, conversion):
+        for text in csv_blocks(columns, conversion):
+            written.append(text)
+            yield text
+
     monkeypatch.setattr(sweep, "_e11_block", spy)
     monkeypatch.setattr(sweep, "_records", count)
+    monkeypatch.setattr(sweep, "csv_blocks", record)
     assert cli.main([*argv, "--out", str(tmp_path / "t")]) == 0
     rows = len((tmp_path / "t.csv").read_text("utf-8").splitlines()) - 1
     if argv[0] != "contour":
@@ -230,15 +238,14 @@ def test_cli_tables_take_the_fast_path(tmp_path, monkeypatch, argv):
     # the axes broadcast over the (n_g, n_k) grid: each block formats its
     # efficiencies and at most n_g + n_k axis values, not one of each per row
     n_g, n_k = 201, 131
-    chunks = -(-rows // CSV_BLOCK_ROWS)
-    assert rows == n_g * n_k and chunks == 2
-    assert rows < sum(formatted) <= rows + chunks * (n_g + n_k)
+    assert rows == n_g * n_k and len(written) == 2
+    assert rows < sum(formatted) <= rows + len(written) * (n_g + n_k)
 
 
 # --- tables whose columns broadcast ---------------------------------------------
 
-#: table shapes: 1-D, 2-D and 3-D, with size-1 axes, an inner size above, equal
-#: to and below CSV_BLOCK_ROWS, and blocks that end partway through a leading row
+#: table shapes: 1-D, 2-D and 3-D, with size-1 axes, and an inner size above,
+#: equal to and below CSV_BLOCK_ROWS
 BROADCAST_SHAPES = [
     (5,), (CSV_BLOCK_ROWS + 1,), (1, 7), (7, 1), (2, CSV_BLOCK_ROWS + 3),
     (3, CSV_BLOCK_ROWS), (3, CSV_BLOCK_ROWS - 1), (5, 4000), (1, 1, CSV_BLOCK_ROWS + 1),
@@ -274,11 +281,8 @@ def broadcast_tables(draw):
 def test_broadcast_columns_write_the_materialized_tables_bytes(table):
     columns, shape, conversion = table
     materialized = [np.broadcast_to(c, shape).ravel() for c in columns]
-    chunks = list(sweep.csv_blocks(columns, conversion))
-    expected = list(sweep.csv_blocks(materialized, conversion))
-    assert len(chunks) == len(expected) == -(-math.prod(shape) // CSV_BLOCK_ROWS)
-    for got, want in zip(chunks, expected):
-        assert got.split("\n") == want.split("\n")
+    got = "".join(sweep.csv_blocks(columns, conversion))
+    assert got.split("\n") == "".join(sweep.csv_blocks(materialized, conversion)).split("\n")
 
 
 @pytest.mark.parametrize("shape", BROADCAST_SHAPES, ids=str)
@@ -288,7 +292,7 @@ def test_every_broadcast_pattern_writes_the_materialized_tables_bytes(shape):
     columns = [10 ** rng.uniform(-99, 99, own) for own in itertools.product(*[(1, n) for n in shape])]
     columns.append(rng.integers(0, 10**15, shape[-1:]))
     materialized = [np.broadcast_to(c, shape).ravel() for c in columns]
-    assert list(sweep.csv_blocks(columns, "%.11e")) == list(sweep.csv_blocks(materialized, "%.11e"))
+    assert "".join(sweep.csv_blocks(columns, "%.11e")) == "".join(sweep.csv_blocks(materialized, "%.11e"))
 
 
 def test_broadcast_blocks_take_the_fast_path_where_their_values_allow(monkeypatch):
@@ -313,14 +317,34 @@ def test_broadcast_blocks_take_the_fast_path_where_their_values_allow(monkeypatc
 
 
 def test_2d_table_chunks_are_the_header_then_one_per_block():
+    # a chunk is a box: as many whole g-rows of 7000 cells as fit in CSV_BLOCK_ROWS
     n_g, n_k = 5, 7000
     table = SweepResult(columns={"g": np.arange(1.0, n_g + 1)[:, None], "k": np.linspace(1, 2, n_k),
                                  "eta": np.full((n_g, n_k), 0.5)})
     assert table.shape == (n_g, n_k) and len(table) == n_g * n_k
     chunks = list(table.csv_chunks())
     assert chunks[0] == "g,k,eta\n"
-    assert [len(c.splitlines()) for c in chunks[1:]] == [
-        min(CSV_BLOCK_ROWS, len(table) - start) for start in range(0, len(table), CSV_BLOCK_ROWS)]
+    assert [len(c.splitlines()) for c in chunks[1:]] == [14_000, 14_000, 7_000]
+
+
+@pytest.mark.parametrize("shape", BROADCAST_SHAPES + [(0, 3), (3, 0), (40_000, 1), (2, 3, 6000)],
+                         ids=str)
+def test_every_chunk_is_one_box(shape):
+    # the table's value at a row is its C-order index, so a chunk names the rows it holds
+    table = np.arange(math.prod(shape), dtype=float).reshape(shape)
+    chunks = [np.array([float(v) for v in c.splitlines()], dtype=int)
+              for c in sweep.csv_blocks([table], "%r")]
+    assert np.array_equal(np.concatenate(chunks or [np.zeros(0, int)]), np.arange(table.size))
+    inner = math.prod(shape[1:])
+    for rows in chunks:
+        assert 0 < len(rows) <= CSV_BLOCK_ROWS
+        # distinct cells that fill the box spanning them
+        index = np.unravel_index(rows, shape)
+        assert math.prod(int(np.ptp(i)) + 1 for i in index) == len(rows)
+        if inner <= CSV_BLOCK_ROWS:
+            assert rows[0] % inner == 0 and (rows[-1] + 1) % inner == 0
+        else:
+            assert np.all(index[0] == index[0][0])
 
 
 def test_column_shapes_that_do_not_broadcast_are_rejected():
