@@ -240,7 +240,8 @@ def _cmd_efficiency_curve(args):
         offset_hz = offset / TWO_PI
     else:
         # report the flag as given, not after its round trip through rad/s
-        offset, offset_hz = TWO_PI * args.pump_offset_hz, args.pump_offset_hz
+        offset = dynamics._rad_s("--pump-offset-hz", args.pump_offset_hz)
+        offset_hz = args.pump_offset_hz
     photons, eta = analysis.power_curve(p, powers, pump_offset=offset)
     table = SweepResult(columns={"power_w": powers, "intra_ring_photons": photons,
                                  "efficiency": eta})
@@ -256,7 +257,7 @@ def _cmd_efficiency_curve(args):
 
 
 def _cmd_rings(args):
-    rp = rings.RingPair(T=args.round_trip_time, J=TWO_PI * args.ring_j_hz,
+    rp = rings.RingPair(T=args.round_trip_time, J=dynamics._rad_s("--ring-j-hz", args.ring_j_hz),
                         loss=args.ring_loss, bus_coupling=args.bus_coupling)
     default_stop = 3 * (1.0 / args.round_trip_time)
     if not args.grid_stop and not default_stop < math.inf:
@@ -400,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mech-field", required=True, help="mechanical mode field CSV")
     sp.add_argument("--tensors", required=True, help="material tensor JSON")
     sp.add_argument("--component", type=int, nargs=3, metavar=("I", "J", "K"),
-                    help="also evaluate a single piezoelectric component (1-based)")
+                    help="also evaluate the term of one piezoelectric tensor element h_ijk "
+                         "(1-based); a shear Voigt entry adds two such terms to the total")
 
     return parser
 

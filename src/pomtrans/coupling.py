@@ -416,16 +416,11 @@ def _in_range(value: float, what: str, mat: MaterialTensorSet) -> float:
     return value
 
 
-def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet,
-                     h: float | None = None) -> complex:
-    """i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho)), times |h| if given."""
+def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> complex:
+    """i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho))."""
     v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
     scale = 1j * math.sqrt(e.frequency / w.frequency) / (4 * math.sqrt(v_em * v_mech))
-    eta_rho = _in_range(mat.eta_eff * mat.rho, "eta_eff rho", mat)
-    if h is None:
-        return scale / math.sqrt(eta_rho)
-    # sqrt(h^2 / (eta_eff rho)) as piezo_coupling documents it; |h| / sqrt(...) rounds differently
-    return scale * math.sqrt(h**2 / eta_rho)
+    return scale / math.sqrt(_in_range(mat.eta_eff * mat.rho, "eta_eff rho", mat))
 
 
 def overlap_integral(e: ModeField, gradients: np.ndarray, j: int, k: int,
@@ -500,30 +495,26 @@ def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
                    component: tuple[int, int, int]) -> complex:
     """Single-component piezoelectric coupling rate g_ijk between two modes.
 
-    i sqrt(omega_em/omega_mech) / (4 V_mn) * sqrt(h_ijk^2 / (eta_eff rho)) *
+    |h_ijk| i sqrt(omega_em/omega_mech) / (4 V_mn sqrt(eta_eff rho)) *
     integral of E_i dw_j/dr_k, with V_mn the geometric mean of the two mode
     volumes (:func:`em_mode_volume` at eta_eff and :func:`mech_mode_volume`).
-    ``component`` is the 1-based (i, j, k) selection.
+    ``component`` is the 1-based (i, j, k) selection of one tensor element.
     """
     require_matching(e, w)
     i, j, k = component
     h = mat.h_element(i, j, k)
-    # the prefactor squares h; a square that over- or underflows would raise or give 0
-    if h != 0 and not 0 < h * h < math.inf:
-        raise MaterialDataError(
-            f"piezoelectric element h_{i}{j}{k} = {h} has a square out of range (0, inf)")
-    integral = _overlap(e, w, i - 1, j - 1, k - 1)
-    return _piezo_prefactor(e, w, mat, h) * integral
+    return abs(h) * _piezo_prefactor(e, w, mat) * _overlap(e, w, i - 1, j - 1, k - 1)
 
 
 def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> complex:
     """Full-tensor piezoelectric coupling: signed sum of h_ijk-weighted overlaps.
 
-    Reduces to :func:`piezo_coupling` (up to the sign of h_ijk) when a single
-    tensor element is nonzero.  Unknown (NaN) elements raise only when the
-    corresponding overlap would contribute.  The known elements contract in
-    Voigt form, sum_J (sum_i h_iJ E_i) B_J with B_J the gradient pair sums,
-    into one integrand, integrated once.
+    It is the sum over all 27 tensor elements of sign(h_ijk) times
+    :func:`piezo_coupling` of (i, j, k); a shear Voigt entry h_iJ (J = 4..6)
+    sets two of them, h_iab and h_iba, and so adds two terms.  Unknown (NaN)
+    elements raise only when the corresponding overlap would contribute.
+    The known elements contract in Voigt form, sum_J (sum_i h_iJ E_i) B_J
+    with B_J the gradient pair sums, into one integrand, integrated once.
     """
     require_matching(e, w)
     if mat.h is None:

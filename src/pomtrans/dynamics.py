@@ -32,6 +32,7 @@ _GAMMA_M_CHECK_RTOL = 0.02
 #: (kappa_1 + kappa_02 + kappa_ex2)^2 and 16 J^2 stay finite.
 _SQUARED_RATE_MAX = math.sqrt(sys.float_info.max) / 4
 _SQUARED_RATE_CONDITION = "must be <= {rate:.4g} {unit} so that its square stays finite"
+_RAD_S_CONDITION = "must have magnitude <= {rate:.4g} {unit} so that its rad/s value stays finite"
 # Gamma_0 is not squared, but listing it names it before the Gamma >= Gamma_0 check
 _SQUARED_RATES = ("Gamma_0", "Gamma", "g_em", "J", "kappa_1", "kappa_02", "kappa_ex2", "g_om")
 
@@ -156,11 +157,14 @@ def _require(ok, name: str, value, condition: str, rate=None) -> None:
                           None if rate is None else _first(bad, rate))
 
 
-def _require_finite_result(value, what: str) -> None:
-    """Raise :class:`ModelViolationError` naming ``what`` unless ``value`` is finite everywhere."""
-    if not np.all(np.isfinite(value)):
+def _require_passive(eta, what: str) -> None:
+    """Raise ``ModelViolationError`` naming ``what`` unless ``eta`` is finite and <= 1 + 1e-9."""
+    if not _holds(eta <= 1 + 1e-9):  # false for NaN too
+        if not np.all(np.isfinite(eta)):
+            raise ModelViolationError(
+                f"{what} is not finite; a rate is too small or too large to evaluate")
         raise ModelViolationError(
-            f"{what} is not finite; a rate is too small or too large to evaluate")
+            f"{what} exceeded unity (max {float(np.max(eta)):.12g}); parameter set is unphysical")
 
 
 @dataclass(frozen=True)
@@ -212,30 +216,17 @@ def with_derived_gamma_ex(p: TransducerParams) -> TransducerParams:
     return replace(p, gamma_ex=None, gamma_m_supplied=None)
 
 
-@dataclass(frozen=True)
-class Susceptibility:
-    """Complex Lorentzian response 1 / (-i (omega - center) + halfwidth)."""
+def susceptibilities(p: TransducerParams, omega):
+    """``(chi_01, chi_02, chi_m)``, each 1 / (-i (omega - centre) + halfwidth), at ``omega``.
 
-    center: float
-    halfwidth: float
-
-    def __post_init__(self):
-        _require(self.halfwidth > 0, "susceptibility halfwidth", self.halfwidth, "must be > 0")
-
-    def __call__(self, omega):
-        return 1.0 / (-1j * (np.asarray(omega) - self.center) + self.halfwidth)
-
-
-def chi_m(p: TransducerParams) -> Susceptibility:
-    return Susceptibility(p.omega_m, derived_rates(p).gamma_m / 2)
-
-
-def chi_01(p: TransducerParams) -> Susceptibility:
-    return Susceptibility(p.delta_1, p.kappa_1 / 2)
-
-
-def chi_02(p: TransducerParams) -> Susceptibility:
-    return Susceptibility(p.delta_2, derived_rates(p).kappa_2 / 2)
+    The rings sit at delta_1 and delta_2 with halfwidths kappa_1/2 and
+    kappa_2/2, the mechanics at omega_m with gamma_m/2.  ``omega`` and the
+    parameter fields broadcast.
+    """
+    r = derived_rates(p)
+    w = np.asarray(omega)
+    return tuple(1.0 / (-1j * (w - centre) + halfwidth) for centre, halfwidth in (
+        (p.delta_1, p.kappa_1 / 2), (p.delta_2, r.kappa_2 / 2), (p.omega_m, r.gamma_m / 2)))
 
 
 @dataclass(frozen=True)
@@ -279,9 +270,7 @@ def transduction_amplitude(op: OperatingPoint, omega):
     """
     p = op.params
     r = derived_rates(p)
-    c_m = chi_m(p)(omega)
-    c01 = chi_01(p)(omega)
-    c02 = chi_02(p)(omega)
+    c01, c02, c_m = susceptibilities(p, omega)
     loop_om = p.g_om**2 * op.intra_ring_photons * c01 * c_m
     loop_12 = p.J**2 * c01 * c02
     delta = 1 + loop_om + loop_12
@@ -304,9 +293,7 @@ def transducer_graph(op: OperatingPoint) -> sfg.SignalFlowGraph:
     """
     p = op.params
     r = derived_rates(p)
-    xm = chi_m(p)
-    x01 = chi_01(p)
-    x02 = chi_02(p)
+    x01, x02, xm = (lambda w, k=k: susceptibilities(p, w)[k] for k in range(3))
     a1 = op.a1
 
     edges = [
@@ -333,11 +320,7 @@ def efficiency(op: OperatingPoint, omega):
     nothing is clamped.
     """
     eta = np.abs(transduction_amplitude(op, omega)) ** 2
-    if not np.all(eta <= 1 + 1e-9):  # false for NaN too
-        _require_finite_result(eta, "efficiency")
-        raise ModelViolationError(
-            f"efficiency exceeded unity (max {float(np.max(eta)):.12g}); parameter set is unphysical"
-        )
+    _require_passive(eta, "efficiency")
     return float(eta) if np.ndim(eta) == 0 else eta
 
 
@@ -348,8 +331,7 @@ def intra_ring_gain(p: TransducerParams, omega):
     magnitude (units of seconds) converts input photon flux to intra-ring
     photon number.
     """
-    c01 = chi_01(p)(omega)
-    c02 = chi_02(p)(omega)
+    c01, c02, _ = susceptibilities(p, omega)
     loop = p.J**2 * c01 * c02
     delta = 1 + loop
     _check_denominator(delta, (loop,), omega, "ring-pair")
@@ -450,6 +432,20 @@ _REQUIRED_KEYS = tuple(key for key, (name, _) in _PARAM_KEYS.items()
                        if TransducerParams.__dataclass_fields__[name].default is MISSING)
 
 
+def _rad_s(name: str, hz: float, squared: bool = False) -> float:
+    """``hz`` in rad/s; a finite ``hz`` that overflows there is named as ``name`` with its Hz bound.
+
+    A positive ``squared`` rate gets the bound of the rates the closed forms square.
+    """
+    rad_s = TWO_PI * hz
+    if abs(rad_s) == math.inf and abs(hz) < math.inf:
+        condition, bound = ((_SQUARED_RATE_CONDITION, _SQUARED_RATE_MAX) if squared and hz > 0
+                            else (_RAD_S_CONDITION, sys.float_info.max))
+        raise ParameterError(f"{name} {condition.format(rate=bound / TWO_PI, unit='Hz')}, "
+                             f"got {hz}")
+    return rad_s
+
+
 def params_from_dict(data: Mapping) -> TransducerParams:
     """Build a parameter record from a flat mapping with ``*_hz`` keys (Hz)."""
     unknown = sorted(set(data) - set(_PARAM_KEYS))
@@ -468,17 +464,7 @@ def params_from_dict(data: Mapping) -> TransducerParams:
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"parameter {key} is not a number: {raw!r}") from exc
         if kind == "freq":
-            rad_s = TWO_PI * value
-            if abs(rad_s) == math.inf and abs(value) < math.inf:
-                # named here, in Hz: the record would only see an inf
-                squared = field_name in _SQUARED_RATES and value > 0
-                condition = (_SQUARED_RATE_CONDITION if squared else
-                             "must have magnitude <= {rate:.4g} {unit} so that its rad/s "
-                             "value stays finite")
-                bound = (_SQUARED_RATE_MAX if squared else sys.float_info.max) / TWO_PI
-                raise ParameterError(f"{key} {condition.format(rate=bound, unit='Hz')}, "
-                                     f"got {value}")
-            value = rad_s
+            value = _rad_s(key, value, squared=field_name in _SQUARED_RATES)
         kwargs[field_name] = value
     try:
         return TransducerParams(**kwargs)

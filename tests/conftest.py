@@ -99,16 +99,23 @@ def random_graph(rng: np.random.Generator, n_nodes: int | None = None,
     return sfg.SignalFlowGraph(edges.values()), src, dst
 
 
-def coupling_input_fields():
-    """The small analytic ``(EM, mechanical)`` field pair of :func:`write_coupling_inputs`."""
+def coupling_input_fields(piezo: bool = False):
+    """The small analytic ``(EM, mechanical)`` field pair of :func:`write_coupling_inputs`.
+
+    By default E is x-polarized, so h33's overlap, the integral of
+    E_z dw_z/dz, is exactly 0; w_z is a half period of a sine along z, which
+    would integrate to 0 only up to roundoff against a z-polarized E.  With
+    ``piezo`` E is z-polarized and w_z is a quarter period, so that overlap
+    is the rise of w_z over the grid, 1e-4, times the x-y cross-section.
+    """
     from pomtrans import coupling
 
     grid = coupling.Grid3D((0, 0, 0), (1e-7, 1e-7, 0.25e-7), (5, 5, 41))
     z = grid.meshgrid()[2]
     e_comps = np.zeros((3, *grid.shape), dtype=complex)
-    e_comps[0] = 1.0
+    e_comps[2 if piezo else 0] = 1.0
     w_comps = np.zeros((3, *grid.shape), dtype=complex)
-    w_comps[2] = 1e-4 * np.sin(math.pi * z / 1e-6)
+    w_comps[2] = 1e-4 * np.sin(math.pi * z / (2e-6 if piezo else 1e-6))
     return (coupling.ModeField(grid, e_comps, coupling.EM, TWO_PI * 1.935e14),
             coupling.ModeField(grid, w_comps, coupling.MECH, TWO_PI * 3.285e9))
 
@@ -128,15 +135,17 @@ def top_hat(grid, kind, frequency, amplitude, polarization, lo, hi):
     return coupling.ModeField(grid, comps, kind, frequency)
 
 
-def write_coupling_inputs(directory) -> list[str]:
+def write_coupling_inputs(directory, piezo: bool = False) -> list[str]:
     """Small analytic EM/mechanical fields and a tensor file for ``coupling``.
 
     Writes ``e.csv``, ``w.csv`` and ``tensors.json`` into ``directory`` and
     returns the matching ``--em-field/--mech-field/--tensors`` arguments.
+    ``piezo`` selects the pair of :func:`coupling_input_fields` whose
+    piezoelectric rates are nonzero.
     """
     from pomtrans import coupling
 
-    e_field, w_field = coupling_input_fields()
+    e_field, w_field = coupling_input_fields(piezo)
     coupling.save_mode_field(directory / "e.csv", e_field)
     coupling.save_mode_field(directory / "w.csv", w_field)
     h = np.zeros((3, 6)); h[2, 2] = 0.145

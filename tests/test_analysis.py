@@ -199,17 +199,13 @@ def test_threshold_sign_matches_finite_difference():
 # --- spectrum extraction ---------------------------------------------------------------
 
 
-def synthetic_lorentzian_spectrum(center, halfwidth, span, points):
-    grid = np.linspace(center - span, center + span, points)
-    chi = dynamics.Susceptibility(center, halfwidth)
-    return grid, np.abs(chi(grid)) ** 2
-
-
 def test_fwhm_extraction_on_synthetic_lorentzian(nominal_params):
-    # run the extraction machinery against an exact Lorentzian of known width
+    # run the extraction machinery against an exact Lorentzian of known width: chi_01's
     center = nominal_params.omega_m
     halfwidth = TWO_PI * 2.0e6
-    grid, values = synthetic_lorentzian_spectrum(center, halfwidth, TWO_PI * 40e6, 40001)
+    p = replace(nominal_params, delta_1=center, kappa_1=2 * halfwidth)
+    grid = np.linspace(center - TWO_PI * 40e6, center + TWO_PI * 40e6, 40001)
+    values = np.abs(dynamics.susceptibilities(p, grid)[0]) ** 2
 
     half = values.max() / 2
     idx = np.flatnonzero(values >= half)
@@ -292,7 +288,7 @@ def test_singularity_in_later_blocks_names_every_omega(nominal_params, monkeypat
     p = nominal_params
     grid = p.omega_m + TWO_PI * np.linspace(-40e6, 40e6, 8 * BLOCK)
     n_pump = analysis.critical_photon_number(p)
-    c01, c02, cm = (chi(p)(grid) for chi in (dynamics.chi_01, dynamics.chi_02, dynamics.chi_m))
+    c01, c02, cm = dynamics.susceptibilities(p, grid)
     loops = (p.g_om**2 * n_pump * c01 * cm, p.J**2 * c01 * c02)
     margin = np.abs(1 + sum(loops)) / (1 + sum(map(np.abs, loops)))
     ordered = np.sort(margin)

@@ -1079,17 +1079,42 @@ def test_overflowing_photon_flux_names_power(outdir, capsys):
     assert list(outdir.iterdir()) == []
 
 
-@pytest.mark.parametrize("h33", [1e200, 1e-200], ids=["overflow", "underflow"])
-def test_piezo_element_whose_square_leaves_range_exits_2(outdir, tmp_path, capsys, h33):
-    # 1e200 used to end in an unnamed OverflowError; 1e-200 squared to 0, a zero coupling
+def test_piezo_component_scales_as_the_magnitude_of_its_element(outdir, tmp_path, capsys):
+    # on a pair whose h33 overlap is nonzero; a huge or tiny element is a finite rate,
+    # as it is in piezo_coupling_total, not a range error
     inputs = tmp_path / "inputs"
     inputs.mkdir()
-    argv = ["coupling"] + write_coupling_inputs(inputs) + ["--component", "3", "3", "3"]
+    argv = (["coupling"] + write_coupling_inputs(inputs, piezo=True)
+            + ["--component", "3", "3", "3", "--out", "g"])
     data = json.loads((inputs / "tensors.json").read_text())
-    data["h"][2][2] = h33
-    (inputs / "tensors.json").write_text(json.dumps(data))
-    assert run(argv) == 2
+    rates = {}
+    for h33 in (data["h"][2][2], 1e200, -1e200, 1e-200):
+        data["h"][2][2] = h33
+        (inputs / "tensors.json").write_text(json.dumps(data))
+        assert run(argv) == 0
+        component = json.loads((outdir / "g.json").read_text())["piezo_coupling_component"]
+        rates[h33] = complex(component["re"], component["im"])
+    base_h33, base = next(iter(rates.items()))
+    assert base != 0
+    for h33, rate in rates.items():
+        assert abs(rate / abs(h33) - base / base_h33) <= 1e-12 * abs(base / base_h33)
+
+
+@pytest.mark.parametrize("command, flag", [("efficiency-curve", "--pump-offset-hz"),
+                                           ("rings", "--ring-j-hz")])
+@pytest.mark.parametrize("hz", ["1e308", "-1e308"])
+def test_hz_flag_whose_rad_s_value_overflows_named(outdir, capsys, command, flag, hz):
+    # used to blame a value the user never set: "intra_ring_photons must be >= 0, got nan"
+    # for --pump-offset-hz, "inter-ring coupling J must be finite, got inf" for --ring-j-hz
+    assert run([command, flag, hz, "--out", "x"]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: material-data: piezoelectric element h_333 = {h33} has a square out of "
-        "range (0, inf)"]
-    assert not (outdir / "coupling.json").exists()
+        f"error: validation: {flag} must have magnitude <= 2.861e+307 Hz so that its rad/s "
+        f"value stays finite, got {float(hz)}"]
+    assert list(outdir.iterdir()) == []
+
+
+def test_pump_offset_just_below_the_rad_s_bound_writes(outdir, capsys):
+    assert run(["efficiency-curve", "--pump-offset-hz", "2.8e307", "--out", "x"]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == ["x.csv", "x.json"]
+    payload = json.loads((outdir / "x.json").read_text())
+    assert payload["metadata"]["pump_offset_hz"] == 2.8e307

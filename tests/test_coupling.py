@@ -439,6 +439,25 @@ def test_piezo_purely_imaginary_for_real_fields():
     assert g.real == pytest.approx(0.0, abs=1e-20 * max(abs(g), 1.0))
 
 
+def test_piezo_total_is_the_signed_sum_of_the_element_terms():
+    # a shear Voigt entry h_iJ sets two tensor elements, h_iab and h_iba, so it adds two
+    # piezo_coupling terms to the total, not one
+    grid = box_grid(9)
+    shape = (3, *grid.shape)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        e = coupling.ModeField(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                               coupling.EM, TWO_PI * 1e10)
+        w = coupling.ModeField(grid, 1e-3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape)),
+                               coupling.MECH, TWO_PI * 3e9)
+        mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0,
+                                         h=rng.normal(size=(3, 6)))
+        h = coupling.rank3_from_voigt(mat.h)
+        terms = sum(np.sign(h[i, j, k]) * coupling.piezo_coupling(e, w, mat, (i + 1, j + 1, k + 1))
+                    for i, j, k in np.ndindex(3, 3, 3))
+        total = coupling.piezo_coupling_total(e, w, mat)
+        assert abs(terms - total) <= 1e-12 * abs(total)
+
 def test_piezo_unknown_element_raises():
     grid = box_grid(9)
     h = np.zeros((3, 6))

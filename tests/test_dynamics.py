@@ -155,21 +155,16 @@ def test_missing_json_key_rejected(tmp_path):
 # --- susceptibilities -----------------------------------------------------------
 
 
-def test_susceptibility_peak_and_fwhm():
-    chi = dynamics.Susceptibility(center=5.0, halfwidth=0.25)
+def test_susceptibility_peak_and_fwhm(nominal_params):
+    p = replace(nominal_params, delta_1=5.0, kappa_1=0.5)
     grid = np.linspace(3.0, 7.0, 20001)
-    mag = np.abs(chi(grid))
+    mag = np.abs(dynamics.susceptibilities(p, grid)[0])
     assert grid[np.argmax(mag)] == pytest.approx(5.0, abs=grid[1] - grid[0])
     assert np.max(mag) == pytest.approx(1 / 0.25, rel=1e-6)
     # FWHM of |chi|^2 equals twice the halfwidth
     power = mag**2
     above = grid[power >= power.max() / 2]
     assert above[-1] - above[0] == pytest.approx(0.5, rel=1e-3)
-
-
-def test_susceptibility_requires_positive_halfwidth():
-    with pytest.raises(ParameterError):
-        dynamics.Susceptibility(center=0.0, halfwidth=0.0)
 
 
 # --- closed-form transduction amplitude -------------------------------------------
@@ -226,9 +221,7 @@ def test_graph_determinant_is_eq3_denominator(nominal_params):
     op = dynamics.OperatingPoint(p, 3.3e11)
     g = dynamics.transducer_graph(op)
     w = p.omega_m + TWO_PI * 7e6
-    c01 = dynamics.chi_01(p)(w)
-    c02 = dynamics.chi_02(p)(w)
-    cm = dynamics.chi_m(p)(w)
+    c01, c02, cm = dynamics.susceptibilities(p, w)
     expected = 1 + p.g_om**2 * op.intra_ring_photons * c01 * cm + p.J**2 * c01 * c02
     assert sfg.graph_determinant(g, w) == pytest.approx(expected, rel=1e-12)
 
@@ -387,7 +380,8 @@ def test_ring_pair_singularity_reports_only_the_offending_frequencies(nominal_pa
                                                                       monkeypatch):
     p = nominal_params
     omegas = p.delta_1 + TWO_PI * np.array([0.0, 1e9, 3e10])
-    loop = p.J**2 * dynamics.chi_01(p)(omegas) * dynamics.chi_02(p)(omegas)
+    c01, c02, _ = dynamics.susceptibilities(p, omegas)
+    loop = p.J**2 * c01 * c02
     margin = np.abs(1 + loop) / (1 + np.abs(loop))
     monkeypatch.setattr(dynamics, "_SINGULARITY_RTOL", float(np.median(margin)))
     with pytest.raises(sfg.SingularityError, match="ring-pair denominator vanished") as info:

@@ -7,6 +7,7 @@ last digit differently, in which case re-record them on a reference commit.
 """
 
 import hashlib
+import json
 
 import pytest
 from conftest import write_coupling_inputs
@@ -52,9 +53,15 @@ GOLDEN = {
     }),
 }
 
-# the field and tensor arguments come from write_coupling_inputs
+# the field and tensor arguments come from write_coupling_inputs; its default pair
+# has an x-polarized E, so with only h33 set both piezoelectric rates are exactly 0
 COUPLING_333 = (["coupling", "--component", "3", "3", "3"], {
     "json": "fd54478316fc6d289029dd902bf14ac99ffd483773f47516885b2d9f2824ee98",
+})
+# the same arguments on its piezo pair, a z-polarized E against a quarter period of w_z,
+# whose h33 overlap is nonzero, so these bytes pin both piezoelectric rates
+COUPLING_333_PIEZO = (COUPLING_333[0], {
+    "json": "ef77812cf441502e2b06409f1f6f90d4b540f510ee1267f26770e8de1e92f2fd",
 })
 
 # the artifact base each subcommand writes when --out is not given
@@ -93,6 +100,14 @@ def test_artifact_bytes_match_golden_hashes(tmp_path, capsys, name):
 def test_coupling_component_bytes_match_golden_hash(tmp_path, capsys):
     argv, expected = _argv("coupling-333", tmp_path)
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert _hashes([tmp_path / "out.json"]) == {"out.json": expected["json"]}
+
+
+def test_nonzero_piezo_rate_bytes_match_golden_hash(tmp_path, capsys):
+    argv, expected = COUPLING_333_PIEZO
+    argv = argv + write_coupling_inputs(tmp_path, piezo=True)
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out.json").read_text())["piezo_coupling_rad_s"]["abs"] > 0
     assert _hashes([tmp_path / "out.json"]) == {"out.json": expected["json"]}
 
 
