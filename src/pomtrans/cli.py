@@ -148,6 +148,13 @@ def _log_axis(args, i, start, stop, points, what):
     return start, stop, points
 
 
+def _hz_axis(start, stop, points):
+    """An axis of :func:`_axis` in Hz, once both ends are known to stay finite in rad/s."""
+    dynamics._rad_s("--grid-start", start)
+    dynamics._rad_s("--grid-stop", stop)
+    return start, stop, points
+
+
 def _require_finite(args) -> None:
     """Reject a NaN or infinite value of any float flag, naming the flag."""
     for dest, value in vars(args).items():
@@ -171,7 +178,7 @@ def _cmd_spectrum(args):
                  f"distinct frequencies at omega_m_hz={f_m:g}; pass --grid-start/--grid-stop")
     if default_window and not stop > start:
         raise ParameterError(collapsed)
-    start, stop, points = _axis(args, 0, start, stop, 500_001, "spectrum grid")
+    start, stop, points = _hz_axis(*_axis(args, 0, start, stop, 500_001, "spectrum grid"))
     grid = TWO_PI * np.linspace(start, stop, points)
     if default_window and not np.all(grid[1:] > grid[:-1]):
         raise ParameterError(collapsed)
@@ -209,8 +216,8 @@ def _cmd_optimize(args):
 
 def _cmd_contour(args):
     p = _load_params(args)
-    g_start, g_stop, n_g = _log_axis(args, 0, 1e7, 1e10, 41, "g_em axis")
-    k_start, k_stop, n_k = _log_axis(args, 1, 1e7, 1e10, 41, "kappa_ex2 axis")
+    g_start, g_stop, n_g = _hz_axis(*_log_axis(args, 0, 1e7, 1e10, 41, "g_em axis"))
+    k_start, k_stop, n_k = _hz_axis(*_log_axis(args, 1, 1e7, 1e10, 41, "kappa_ex2 axis"))
     g_grid = TWO_PI * np.logspace(math.log10(g_start), math.log10(g_stop), n_g)
     k_grid = TWO_PI * np.logspace(math.log10(k_start), math.log10(k_stop), n_k)
     eta = analysis.max_efficiency_contour(p, g_grid, k_grid)
@@ -264,7 +271,7 @@ def _cmd_rings(args):
         raise ParameterError(
             f"frequency grid: the default stop 3/T overflows at round-trip time "
             f"T={args.round_trip_time:g}; pass --grid-stop")
-    start, stop, points = _axis(args, 0, 0.0, default_stop, 30_001, "frequency grid")
+    start, stop, points = _hz_axis(*_axis(args, 0, 0.0, default_stop, 30_001, "frequency grid"))
     if start < 0:
         raise ParameterError("frequency grid: start must be >= 0")
     # orders 0..max(1, ceil(stop T)) are listed; more orders than grid points is rejected

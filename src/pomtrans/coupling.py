@@ -14,6 +14,7 @@ photoelastic tensor ``p`` is the 6x6 Voigt matrix (NOT assumed symmetric),
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import functools
 import itertools
@@ -491,6 +492,38 @@ def _overlap(e: ModeField, w: ModeField, i: int, j: int, k: int) -> complex:
     return complex(_slab_integral(e.grid, lambda xs: e.components[i, xs] * _slab_gradient(w, xs, j, k)))
 
 
+def _too_large(tensor: str, which: str, value: float) -> MaterialDataError:
+    """The error naming element ``which`` of tensor ``h`` or ``p``, too large for a finite rate."""
+    kind = "piezoelectric" if tensor == "h" else "photoelastic"
+    return MaterialDataError(
+        f"{kind} tensor {tensor}: the coupling rate overflows at its {which} = {value}")
+
+
+def _tensor_integral(grid: Grid3D, integrand, tensor: str, matrix: np.ndarray) -> complex:
+    """The :func:`_slab_integral` of ``integrand(matrix, xs)``, linear in the Voigt ``matrix``.
+
+    It is evaluated with numpy's floating-point errors ignored.  When
+    it is not finite but the integral of ``matrix`` scaled to a largest element
+    of magnitude 1 is, the tensor's size is at fault: :class:`MaterialDataError`
+    names its largest element.  Otherwise the fields are, and the integral is
+    evaluated again in the caller's error state.
+    """
+    def total(m):
+        return complex(_slab_integral(grid, lambda xs: integrand(m, xs)))
+
+    with np.errstate(all="ignore"):
+        value = total(matrix)
+        if cmath.isfinite(value):
+            return value
+        at = np.unravel_index(np.argmax(np.abs(matrix)), matrix.shape)
+        scale_at_fault = cmath.isfinite(total(matrix / abs(matrix[at])))
+    if scale_at_fault:
+        first = (at[0],) if tensor == "h" else _VOIGT_PAIRS[at[0]]
+        indices = "".join(str(n + 1) for n in (*first, *_VOIGT_PAIRS[at[1]]))
+        raise _too_large(tensor, f"largest element {tensor}_{indices}", matrix[at])
+    return total(matrix)
+
+
 def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
                    component: tuple[int, int, int]) -> complex:
     """Single-component piezoelectric coupling rate g_ijk between two modes.
@@ -503,7 +536,11 @@ def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
     require_matching(e, w)
     i, j, k = component
     h = mat.h_element(i, j, k)
-    return abs(h) * _piezo_prefactor(e, w, mat) * _overlap(e, w, i - 1, j - 1, k - 1)
+    prefactor, overlap = _piezo_prefactor(e, w, mat), _overlap(e, w, i - 1, j - 1, k - 1)
+    rate = abs(h) * prefactor * overlap
+    if not cmath.isfinite(rate) and cmath.isfinite(prefactor * overlap):
+        raise _too_large("h", f"element h_{i}{j}{k}", h)
+    return rate
 
 
 def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> complex:
@@ -527,13 +564,13 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> 
             )
     known = np.where(np.isnan(mat.h), 0.0, mat.h)
 
-    def integrand(xs):
-        weights = np.tensordot(known, e.components[:, xs], axes=(0, 0))  # sum_i h_iJ E_i
+    def integrand(h, xs):
+        weights = np.tensordot(h, e.components[:, xs], axes=(0, 0))  # sum_i h_iJ E_i
         return np.einsum("J...,J...->...", weights, _pair_sums(w, xs))
 
     prefactor = _piezo_prefactor(e, w, mat)
     _require_differentiable(w)
-    return prefactor * complex(_slab_integral(e.grid, integrand))
+    return prefactor * _tensor_integral(e.grid, integrand, "h", known)
 
 
 def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> float:
@@ -556,16 +593,16 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
         i, j, k, l = unknown[0] + 1
         raise MaterialDataError(f"photoelastic element p_{i}{j}{k}{l} is unknown")
 
-    def integrand(xs):
+    def integrand(p, xs):
         field = e.components[:, xs]
         # |E_a|^2 for a = b, else E_a E_b* + E_b E_a* = 2 Re(E_a E_b*)
         products = np.stack([(field[a] * field[b].conj()).real * (1 if a == b else 2)
                              for a, b in _VOIGT_PAIRS])
-        weights = np.tensordot(mat.p, products, axes=(0, 0))  # sum_I p_IJ A_I
+        weights = np.tensordot(p, products, axes=(0, 0))  # sum_I p_IJ A_I
         return np.einsum("J...,J...->...", weights, _pair_sums(w, xs))
 
     _require_differentiable(w)
-    total = complex(_slab_integral(e.grid, integrand))
+    total = _tensor_integral(e.grid, integrand, "p", mat.p)
     v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
     denominator = _in_range(
         32 * mat.rho * v_mech * EPSILON_0**2 * mat.eta_eff**2 * v_em**2 * w.frequency,

@@ -5,9 +5,11 @@ with the pump laser: the pump sits at zero, the transduced signal appears
 near the mechanical resonance, and the ring detunings ``delta_1``/``delta_2``
 locate the bare optical resonances relative to the pump.
 
-The closed-form responses here are algebraically identical to solving the
-signal-flow graph built by :func:`transducer_graph`; both routes are exposed
-and cross-checked in the test suite.
+The couplings of the three-mode equations of motion are written once, as
+data, by :func:`linear_model`, and :func:`transducer_graph` generates the
+signal-flow graph from them.  The closed-form responses here are
+algebraically identical to solving that graph; both routes are exposed and
+cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -283,32 +285,46 @@ def transduction_amplitude(op: OperatingPoint, omega):
     return complex(out) if np.ndim(out) == 0 else out
 
 
+def linear_model(op: OperatingPoint) -> tuple[dict, dict]:
+    """The linearized equations of motion at ``op`` as data: ``(C, D)``.
+
+    Mode v of (a1, a2, b) obeys x_v = chi_v(omega) sum_u C[u, v] x_u, and the bus
+    output is a_out = sum_u D[u] x_u.  So M(omega) x = B s with M(omega) =
+    diag(1/chi(omega)) - C over the modes and B = C from the ports c_in, a_in, f_*.
+    """
+    p, a1 = op.params, op.a1
+    couplings = {  # the equations of b, then a1, then a2
+        ("c_in", "b"): math.sqrt(derived_rates(p).gamma_ex), ("f_m", "b"): math.sqrt(p.gamma_0),
+        ("a1", "b"): 1j * p.g_om * np.conj(a1), ("b", "a1"): 1j * p.g_om * a1,
+        ("a2", "a1"): 1j * p.J, ("f_01", "a1"): math.sqrt(p.kappa_1), ("a1", "a2"): 1j * p.J,
+        ("f_02", "a2"): math.sqrt(p.kappa_02), ("a_in", "a2"): math.sqrt(p.kappa_ex2),
+    }
+    return couplings, {"a2": math.sqrt(p.kappa_ex2), "a_in": -1.0}
+
+
 def transducer_graph(op: OperatingPoint) -> sfg.SignalFlowGraph:
-    """Signal-flow graph of the linearized transducer.
+    """Signal-flow graph of :func:`linear_model`: gain C[u, v] chi_v(omega) into mode v, D[u] out.
 
     Sources are the microwave input ``c_in``, the optical bus input ``a_in``
     and the intrinsic noise ports ``f_m``, ``f_01``, ``f_02``; the sink is the
-    bus output ``a_out``.  Edge gains are closures over angular frequency, so
-    one graph serves all frequencies.
+    bus output ``a_out``.  The gains are closures over angular frequency that
+    share one :func:`susceptibilities` call per frequency.
     """
     p = op.params
-    r = derived_rates(p)
-    x01, x02, xm = (lambda w, k=k: susceptibilities(p, w)[k] for k in range(3))
-    a1 = op.a1
+    couplings, outputs = linear_model(op)
+    last = None  # (key, omega, chi), replaced whole so that concurrent calls never mix two
 
-    edges = [
-        sfg.SfgEdge("c_in", "b", lambda w: math.sqrt(r.gamma_ex) * xm(w)),
-        sfg.SfgEdge("f_m", "b", lambda w: math.sqrt(p.gamma_0) * xm(w)),
-        sfg.SfgEdge("a1", "b", lambda w: 1j * p.g_om * np.conj(a1) * xm(w)),
-        sfg.SfgEdge("b", "a1", lambda w: 1j * p.g_om * a1 * x01(w)),
-        sfg.SfgEdge("a2", "a1", lambda w: 1j * p.J * x01(w)),
-        sfg.SfgEdge("f_01", "a1", lambda w: math.sqrt(p.kappa_1) * x01(w)),
-        sfg.SfgEdge("a1", "a2", lambda w: 1j * p.J * x02(w)),
-        sfg.SfgEdge("f_02", "a2", lambda w: math.sqrt(p.kappa_02) * x02(w)),
-        sfg.SfgEdge("a_in", "a2", lambda w: math.sqrt(p.kappa_ex2) * x02(w)),
-        sfg.SfgEdge("a2", "a_out", lambda w: math.sqrt(p.kappa_ex2)),
-        sfg.SfgEdge("a_in", "a_out", lambda w: -1.0),
-    ]
+    def chi(omega):
+        nonlocal last
+        w = np.asarray(omega)  # kept in the entry: an object array's key holds pointers
+        key, hit = (w.dtype.str, w.shape, w.tobytes()), last
+        if hit is None or hit[0] != key:
+            hit = last = (key, w, susceptibilities(p, w))
+        return hit[2]
+
+    edges = [sfg.SfgEdge(u, v, lambda w, c=c, k=("a1", "a2", "b").index(v): c * chi(w)[k])
+             for (u, v), c in couplings.items()]
+    edges += [sfg.SfgEdge(u, "a_out", lambda w, d=d: d) for u, d in outputs.items()]
     return sfg.SignalFlowGraph(edges)
 
 

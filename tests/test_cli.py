@@ -1100,6 +1100,26 @@ def test_piezo_component_scales_as_the_magnitude_of_its_element(outdir, tmp_path
         assert abs(rate / abs(h33) - base / base_h33) <= 1e-12 * abs(base / base_h33)
 
 
+@pytest.mark.parametrize("tensor, row, col, message", [
+    ("h", 2, 2, "piezoelectric tensor h: the coupling rate overflows at its largest element "
+                "h_333 = 1e+308"),
+    ("p", 2, 2, "photoelastic tensor p: the coupling rate overflows at its largest element "
+                "p_3333 = 1e+308"),
+])
+def test_tensor_element_whose_rate_overflows_exits_2(outdir, tmp_path, capsys,
+                                                     tensor, row, col, message):
+    # each used to exit with "error: arithmetic: ... invalid value encountered in multiply"
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs, piezo=True) + ["--out", "g"]
+    data = json.loads((inputs / "tensors.json").read_text())
+    data[tensor][row][col] = 1e308
+    (inputs / "tensors.json").write_text(json.dumps(data))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: material-data: {message}"]
+    assert not (outdir / "g.json").exists()
+
+
 @pytest.mark.parametrize("command, flag", [("efficiency-curve", "--pump-offset-hz"),
                                            ("rings", "--ring-j-hz")])
 @pytest.mark.parametrize("hz", ["1e308", "-1e308"])
@@ -1110,6 +1130,23 @@ def test_hz_flag_whose_rad_s_value_overflows_named(outdir, capsys, command, flag
     assert capsys.readouterr().err.splitlines() == [
         f"error: validation: {flag} must have magnitude <= 2.861e+307 Hz so that its rad/s "
         f"value stays finite, got {float(hz)}"]
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flag, hz", [
+    (["spectrum", "--grid-start", "1e307", "--grid-stop", "1e308"], "--grid-stop", 1e308),
+    (["spectrum", "--grid-start", "-1e308", "--grid-stop", "1e307"], "--grid-start", -1e308),
+    (["contour", "--grid-start", "1e307", "--grid-stop", "1e308"], "--grid-stop", 1e308),
+    (["contour", "--grid-start", "1e7", "1e307", "--grid-stop", "1e10", "1e308"],
+     "--grid-stop", 1e308),
+    (["rings", "--round-trip-time", "1e-305", "--grid-stop", "1e308"], "--grid-stop", 1e308),
+], ids=["spectrum-stop", "spectrum-start", "contour", "contour-second-axis", "rings"])
+def test_grid_end_whose_rad_s_value_overflows_named(outdir, capsys, argv, flag, hz):
+    # used to exit with "error: arithmetic: FloatingPointError: overflow encountered in multiply"
+    assert run([*argv, "--grid-points", "10001", "--out", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: {flag} must have magnitude <= 2.861e+307 Hz so that its rad/s "
+        f"value stays finite, got {hz}"]
     assert list(outdir.iterdir()) == []
 
 

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import threading
 import tracemalloc
 
@@ -1350,3 +1351,75 @@ def test_tensor_set_non_finite_scalar_rejected_by_name(name, value):
     with pytest.raises(MaterialDataError,
                        match=rf"^{prefix} must be positive and finite, got {name} = {value}$"):
         coupling.MaterialTensorSet(**{**SCALARS, name: value})
+
+
+# --- a tensor element too large for a finite rate ---------------------------------
+
+
+def _piezo_pair_material(entries=None):
+    """The conftest piezo pair's tensors, each 1-based Voigt entry ``(tensor, I, J)`` of ``entries`` set."""
+    h, p = np.zeros((3, 6)), np.zeros((6, 6))
+    h[2, 2], p[0, 2] = 0.145, 0.239
+    for (tensor, i, j), value in (entries or {}).items():
+        {"h": h, "p": p}[tensor][i - 1, j - 1] = value
+    return coupling.MaterialTensorSet(rho=3255.0, eps_rf=9.5, eps_ir=3.67, h=h, p=p)
+
+
+@pytest.mark.parametrize("errors", ["warn", "raise"])
+@pytest.mark.parametrize("rate, entry, message", [
+    (coupling.piezo_coupling_total, ("h", 3, 3),
+     "piezoelectric tensor h: the coupling rate overflows at its largest element h_333 = 1e+308"),
+    (lambda e, w, mat: coupling.piezo_coupling(e, w, mat, (3, 3, 3)), ("h", 3, 3),
+     "piezoelectric tensor h: the coupling rate overflows at its element h_333 = 1e+308"),
+    (coupling.optomech_coupling, ("p", 3, 3),
+     "photoelastic tensor p: the coupling rate overflows at its largest element p_3333 = 1e+308"),
+], ids=["piezo-total", "piezo-component", "optomech"])
+def test_tensor_element_whose_rate_overflows_named(rate, entry, message, errors):
+    # each used to end in "arithmetic: FloatingPointError: invalid value encountered in multiply"
+    e, w = coupling_input_fields(piezo=True)
+    with np.errstate(all=errors):
+        with pytest.raises(MaterialDataError, match=f"^{re.escape(message)}$"):
+            rate(e, w, _piezo_pair_material({entry: 1e308}))
+
+
+@pytest.mark.parametrize("tensor, voigt, value, name", [
+    ("h", (0, 4), 1e308, "h_113 = 1e+308"), ("p", (3, 5), -1e308, "p_2312 = -1e+308")])
+def test_overflow_names_the_largest_element_by_its_tensor_indices(tensor, voigt, value, name):
+    e, _ = coupling_input_fields(piezo=True)
+    matrix = np.zeros((3, 6) if tensor == "h" else (6, 6))
+    matrix[voigt] = value
+    matrix[0, 0] = 1.0
+
+    def integrand(m, xs):
+        return np.full(e.components[0, xs].shape, 10 * m.sum())
+
+    with pytest.raises(MaterialDataError, match=f"its largest element {re.escape(name)}$"):
+        coupling._tensor_integral(e.grid, integrand, tensor, matrix)
+
+
+def test_finite_rates_keep_their_bits_beside_the_overflow_check():
+    e, w = coupling_input_fields(piezo=True)
+    mat = _piezo_pair_material({("h", 3, 3): 1e300, ("p", 3, 3): 1e300})
+    with np.errstate(all="raise"):
+        total = coupling.piezo_coupling_total(e, w, mat)
+        assert coupling.optomech_coupling(e, w, mat) > 0
+    # the total is the integral the check evaluates, as it was written before the check
+    integral = coupling._slab_integral(e.grid, lambda xs: np.einsum(
+        "J...,J...->...", np.tensordot(mat.h, e.components[:, xs], axes=(0, 0)),
+        coupling._pair_sums(w, xs)))
+    assert total == coupling._piezo_prefactor(e, w, mat) * complex(integral) != 0
+
+
+def test_overflowing_fields_are_not_blamed_on_the_tensor():
+    # the integrand overflows at a unit tensor too: the caller's error state decides
+    e, _ = coupling_input_fields(piezo=True)
+    matrix = np.zeros((3, 6))
+    matrix[2, 2] = 1e308
+
+    def integrand(m, xs):
+        return np.full(e.components[0, xs].shape, 1e308) * 10 + m.sum()
+
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        coupling._tensor_integral(e.grid, integrand, "h", matrix)
+    with np.errstate(all="ignore"):
+        assert coupling._tensor_integral(e.grid, integrand, "h", matrix) == math.inf

@@ -1,6 +1,8 @@
+import concurrent.futures
 import json
 import math
 import re
+import sys
 from dataclasses import replace
 from importlib import resources
 
@@ -214,6 +216,82 @@ def test_transducer_graph_structure(nominal_params):
     assert sfg.enumerate_loops(g) == [("a1", "a2"), ("a1", "b")]
     gains = sfg.all_source_gains(g, "a_out", nominal_params.omega_m)
     assert len(gains.gains) == 5
+
+
+def test_graph_edges_are_the_linear_models_couplings(nominal_params):
+    op = dynamics.OperatingPoint(nominal_params, 2e11, pump_phase=0.4)
+    couplings, outputs = dynamics.linear_model(op)
+    assert len(couplings) == 9 and len(outputs) == 2
+    g = dynamics.transducer_graph(op)
+    assert {(e.src, e.dst) for e in g.edges} == set(couplings) | {(u, "a_out") for u in outputs}
+    w = nominal_params.omega_m + TWO_PI * 3e6
+    chi = dict(zip(("a1", "a2", "b"), dynamics.susceptibilities(nominal_params, w)))
+    for (u, v), c in couplings.items():
+        assert g.edge(u, v).evaluate(w) == c * chi[v]
+    for u, d in outputs.items():
+        assert g.edge(u, "a_out").evaluate(w) == d
+
+
+def test_graph_calls_susceptibilities_once_per_frequency(nominal_params, monkeypatch):
+    calls, susceptibilities = [], dynamics.susceptibilities
+
+    def count(p, omega):
+        calls.append(omega)
+        return susceptibilities(p, omega)
+
+    monkeypatch.setattr(dynamics, "susceptibilities", count)
+    g = dynamics.transducer_graph(dynamics.OperatingPoint(nominal_params, 1e11))
+    w = nominal_params.omega_m + TWO_PI * 2e6
+    for solve in (sfg.mason_gain, sfg.linear_solve_gain):
+        calls.clear()
+        solve(g, "c_in", "a_out", w)
+        solve(g, "c_in", "a_out", w + 1.0)
+        assert len(calls) == 2, solve
+    calls.clear()
+    sfg.all_source_gains(g, "a_out", w)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("omega", [
+    lambda w: w, np.float64, np.array, lambda w: complex(w, 1e3), int],
+    ids=["float", "np.float64", "0-d array", "complex", "int"])
+def test_graph_gains_at_any_scalar_frequency_match_the_closed_form(nominal_params, omega):
+    op = dynamics.OperatingPoint(nominal_params, 1e11)
+    g = dynamics.transducer_graph(op)
+    w = omega(nominal_params.omega_m + TWO_PI * 2e6)
+    closed = dynamics.transduction_amplitude(op, w)
+    for solve in (sfg.mason_gain, sfg.linear_solve_gain):
+        assert abs(solve(g, "c_in", "a_out", w) - closed) <= 1e-10 * abs(closed)
+
+
+def test_graph_reads_a_0d_array_frequency_changed_in_place(nominal_params):
+    # the graph's cache keys on omega's value, not on the array object
+    op = dynamics.OperatingPoint(nominal_params, 1e11)
+    g = dynamics.transducer_graph(op)
+    w = np.array(nominal_params.omega_m)
+    sfg.mason_gain(g, "c_in", "a_out", w)
+    w[()] += TWO_PI * 2e6
+    closed = dynamics.transduction_amplitude(op, float(w))
+    assert abs(sfg.mason_gain(g, "c_in", "a_out", w) - closed) <= 1e-10 * abs(closed)
+
+
+def test_graph_gains_are_right_under_concurrent_calls(nominal_params):
+    # more threads than cores and than frequencies, switching often: a cache entry
+    # mixed from two frequencies would give some solve another frequency's gain
+    op = dynamics.OperatingPoint(nominal_params, 1e11)
+    g = dynamics.transducer_graph(op)
+    omegas = [nominal_params.omega_m + TWO_PI * df for df in (-2e6, 0.0, 3e6)]
+    expected = [sfg.mason_gain(g, "c_in", "a_out", w) for w in omegas]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(sfg.mason_gain, g, "c_in", "a_out", w)
+                       for _ in range(1000) for w in omegas]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected * 1000
 
 
 def test_graph_determinant_is_eq3_denominator(nominal_params):
