@@ -58,11 +58,11 @@ _ERRORS = (
 )
 
 
-def _write_all(files: dict[str, Iterable[str]]) -> None:
-    """Write each ``{path: text chunks}`` to a temp file beside it, then rename them all.
+def _write_all(files: dict[str, Iterable[bytes]]) -> None:
+    """Write each ``{path: byte chunks}`` to a temp file beside it, then rename them all.
 
-    The chunks are drawn as they are written, so a table never exists as one
-    string, and an error raised while rendering one counts as a failed write.
+    The bytes-like chunks are drawn as they are written, so a table never exists
+    whole, and an error raised while rendering one counts as a failed write.
 
     A target that is an existing directory is rejected before anything is
     written, so a failing rerun leaves the previous run's files in place.  On
@@ -82,7 +82,7 @@ def _write_all(files: dict[str, Iterable[str]]) -> None:
                                f".pomtrans-{os.urandom(8).hex()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             temps.append(tmp)
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            with os.fdopen(fd, "wb") as fh:
                 fh.writelines(chunks)
         for tmp, path in zip(temps, files):
             os.replace(tmp, path)
@@ -94,8 +94,8 @@ def _write_all(files: dict[str, Iterable[str]]) -> None:
         raise
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _dump_json(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 def _load_params(args) -> dynamics.TransducerParams:
@@ -103,8 +103,8 @@ def _load_params(args) -> dynamics.TransducerParams:
     return analysis.apply_preset(p, args.preset) if args.preset else p
 
 
-def _sidecar(args, p: dynamics.TransducerParams, payload: dict) -> str:
-    """JSON sidecar text: ``payload`` plus the preset and the resolved parameters."""
+def _sidecar(args, p: dynamics.TransducerParams, payload: dict) -> bytes:
+    """JSON sidecar bytes: ``payload`` plus the preset and the resolved parameters."""
     r = dynamics.derived_rates(p)
     discrepancy = r.gamma_ex_discrepancy
     resolved = {
@@ -119,10 +119,11 @@ def _sidecar(args, p: dynamics.TransducerParams, payload: dict) -> str:
     return _dump_json({**payload, "preset": args.preset or "nominal", "resolved_params": resolved})
 
 
-def _axis(args, i, start, stop, points, what):
+def _axis(args, i, start, stop, points, what, least=2):
     """(start, stop, points) of axis ``i`` from the --grid-* flags, else the defaults.
 
-    A flag given one value sets it for every axis; more values than axes are rejected.
+    A flag given one value sets it for every axis; more values than axes are rejected,
+    and so is an axis of fewer than ``least`` points.
     """
     def pick(flag, default):
         values = getattr(args, flag) or [default]
@@ -135,8 +136,8 @@ def _axis(args, i, start, stop, points, what):
                            pick("grid_points", points))
     if not stop > start:
         raise ParameterError(f"{what}: stop must exceed start")
-    if points < 2:
-        raise ParameterError(f"{what}: need at least 2 points")
+    if points < least:
+        raise ParameterError(f"{what}: --grid-points must be at least {least}, got {points}")
     return start, stop, points
 
 
@@ -155,6 +156,20 @@ def _hz_axis(start, stop, points):
     return start, stop, points
 
 
+def _linear_hz_grid(what, start, stop, points, collapsed=None):
+    """``2 pi linspace(start, stop, points)`` in rad/s, rejected unless its points are distinct.
+
+    A grid that is not strictly increasing is rejected with ``collapsed``, or else
+    with a message naming the flags that set it.
+    """
+    grid = TWO_PI * np.linspace(start, stop, points)
+    if not np.all(grid[1:] > grid[:-1]):
+        raise ParameterError(collapsed or (
+            f"{what}: --grid-start/--grid-stop/--grid-points {start!r}/{stop!r}/{points} hold "
+            f"too few distinct frequencies; widen the window or pass fewer points"))
+    return grid
+
+
 def _require_finite(args) -> None:
     """Reject a NaN or infinite value of any float flag, naming the flag."""
     for dest, value in vars(args).items():
@@ -164,7 +179,7 @@ def _require_finite(args) -> None:
 
 
 # --- subcommand implementations ----------------------------------------------
-# Each returns (default output base, {extension: text chunks}); main writes them.
+# Each returns (default output base, {extension: byte chunks}); main writes them.
 # A table is its lazy ``SweepResult.csv_chunks()``; a JSON text is a one-element list.
 
 
@@ -178,10 +193,9 @@ def _cmd_spectrum(args):
                  f"distinct frequencies at omega_m_hz={f_m:g}; pass --grid-start/--grid-stop")
     if default_window and not stop > start:
         raise ParameterError(collapsed)
-    start, stop, points = _hz_axis(*_axis(args, 0, start, stop, 500_001, "spectrum grid"))
-    grid = TWO_PI * np.linspace(start, stop, points)
-    if default_window and not np.all(grid[1:] > grid[:-1]):
-        raise ParameterError(collapsed)
+    # efficiency_spectrum interpolates its peak through three points
+    start, stop, points = _hz_axis(*_axis(args, 0, start, stop, 500_001, "spectrum grid", least=3))
+    grid = _linear_hz_grid("spectrum grid", start, stop, points, collapsed if default_window else None)
     spec = analysis.efficiency_spectrum(p, grid)
     table = SweepResult(columns={"frequency_hz": grid / TWO_PI, "efficiency": spec.efficiencies})
     return "spectrum", {
@@ -280,7 +294,7 @@ def _cmd_rings(args):
         raise ParameterError(
             f"frequency grid: stop {stop:g} Hz spans {fsrs:.6g} free spectral ranges, so the "
             f"critical frequencies listed would outnumber its {points} points")
-    grid = TWO_PI * np.linspace(start, stop, points)
+    grid = _linear_hz_grid("frequency grid", start, stop, points)
     table = SweepResult(columns={"frequency_hz": grid / TWO_PI,
                                  "transmission": rings.transmission_spectrum(rp, grid)})
     n_max = max(1, math.ceil(fsrs))
@@ -311,7 +325,7 @@ def _cmd_materials(args):
                              format_float(abs(fom.value)), "yes", "", rec.fab])
         else:
             writer.writerow([i, rec.name, "", "", "no", fom.reason, rec.fab])
-    return f"materials-{args.which}", {".csv": [text.getvalue()]}
+    return f"materials-{args.which}", {".csv": [text.getvalue().encode()]}
 
 
 def _cmd_coupling(args):

@@ -200,15 +200,19 @@ def _intensity(f: ModeField, xs: slice) -> np.ndarray:
     return np.sum(np.abs(f.components[:, xs]) ** 2, axis=0)
 
 
-def _intensity_integral(density, f: ModeField) -> float:
-    """:func:`_slab_integral` of an intensity ``density(xs)`` of ``f``, rejecting a zero integral."""
-    total = float(_slab_integral(f.grid, density))
-    if total == 0:
+def _intensity_integral(density, f: ModeField):
+    """:func:`_slab_integral` of an intensity ``density(xs)`` of ``f``, rejecting a zero integral.
+
+    A float, or a list of floats when ``density`` stacks several densities, each
+    of which is rejected if its integral is 0.
+    """
+    total = _slab_integral(f.grid, density)
+    if not np.all(total):
         if np.any(f.components):
             raise ParameterError(
                 "mode field intensity integral underflows to 0, though the field is not zero")
         raise ParameterError("mode field is identically zero")
-    return total
+    return total.tolist()
 
 
 @contextlib.contextmanager
@@ -246,14 +250,20 @@ def em_mode_volume(e: ModeField, eta_eff: float) -> float:
     """Electromagnetic mode volume with inverse-permittivity weighting.
 
     (integral of eta_eff |E|^2)^2 / integral of (eta_eff |E|^2)^2, at the
-    scalar effective inverse relative permittivity ``eta_eff``.
+    scalar effective inverse relative permittivity ``eta_eff``.  Both integrals
+    are taken in one walk of the grid, slab by slab.
     """
     if e.kind != EM:
         raise ParameterError("expected an electromagnetic field")
     eta_eff = float(eta_eff)
+
+    def density(xs):
+        weighted = eta_eff * _intensity(e, xs)
+        return np.stack([weighted, weighted**2])
+
     with _intensity_overflow_named(e):
-        return (_intensity_integral(lambda xs: eta_eff * _intensity(e, xs), e)**2
-                / _intensity_integral(lambda xs: (eta_eff * _intensity(e, xs))**2, e))
+        total, square = _intensity_integral(density, e)
+        return total**2 / square
 
 
 def _scaled_to_volume(f: ModeField, v_eff: float) -> ModeField:
@@ -472,18 +482,20 @@ def _pair_sums(w: ModeField, xs: slice) -> np.ndarray:
 def _slab_integral(grid: Grid3D, integrand):
     """trapezoid_3d of the samples ``integrand(xs)`` returns for each x-slab ``xs``.
 
-    A one-point axis is taken as its sample, as trapezoid_3d squeezes it, and the
-    x-planes keep the integrand's dtype.
+    The samples' last three axes are x, y and z; leading axes stack several
+    integrands, each integrated alone.  Each step reduces the last axis: z, y,
+    then the x-planes of all slabs.  A one-point axis is taken as its sample, as
+    trapezoid_3d squeezes it, and the x-planes keep the integrand's dtype.
     """
     def planes(xs):
         out = integrand(xs)
         for k in (2, 1):
-            out = (np.trapezoid(out, dx=grid.spacing[k], axis=k) if grid.counts[k] > 1
-                   else np.squeeze(out, axis=k))
+            out = (np.trapezoid(out, dx=grid.spacing[k]) if grid.counts[k] > 1
+                   else np.squeeze(out, axis=-1))
         return out
 
-    out = np.concatenate([planes(xs) for xs in _x_slabs(grid)])
-    return np.trapezoid(out, dx=grid.spacing[0]) if grid.counts[0] > 1 else out[0]
+    out = np.concatenate([planes(xs) for xs in _x_slabs(grid)], axis=-1)
+    return np.trapezoid(out, dx=grid.spacing[0]) if grid.counts[0] > 1 else out[..., 0]
 
 
 def _overlap(e: ModeField, w: ModeField, i: int, j: int, k: int) -> complex:
@@ -648,9 +660,8 @@ def save_mode_field(path, f: ModeField) -> None:
     cols = [g.axis(0)[:, None, None], g.axis(1)[:, None], g.axis(2)]
     for c in range(3):
         cols += [f.components[c].real, f.components[c].imag]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header_meta + "\n")
-        fh.write("x,y,z,Re_fx,Im_fx,Re_fy,Im_fy,Re_fz,Im_fz\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{header_meta}\nx,y,z,Re_fx,Im_fx,Re_fy,Im_fy,Re_fz,Im_fz\n".encode())
         fh.writelines(csv_blocks(cols, "%r"))
 
 

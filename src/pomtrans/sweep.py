@@ -25,6 +25,10 @@ values in a box are a plain slice of it, and each block formats them once: a
 column that repeats within the box formats only its own values, and its
 18-byte records are broadcast into the block.  So a contour table formats
 each axis value once per block rather than once per row.
+
+The text is bytes from the formatter to the file: each block is one
+bytes-like chunk, and a fast-path chunk is a view of the block's records,
+never decoded to ``str``.
 """
 
 from __future__ import annotations
@@ -116,15 +120,14 @@ def _records(x: np.ndarray) -> np.ndarray | None:
     return flat.reshape(shape)
 
 
-def _text(rec: np.ndarray) -> str:
-    """The CSV rows of a 2-D record array: its separators set, its bytes decoded."""
+def _text(rec: np.ndarray) -> memoryview:
+    """The CSV rows of a 2-D record array: its separators set, a view of its bytes, not a copy."""
     rec["sep"] = b","
     rec["sep"][:, -1] = b"\n"
-    # str() decodes straight from the buffer; tobytes() would copy it first
-    return str(rec.reshape(-1).view(np.uint8).data, "ascii")
+    return rec.reshape(-1).view(np.uint8).data
 
 
-def _e11_block(block: np.ndarray) -> str | None:
+def _e11_block(block: np.ndarray) -> memoryview | None:
     """``'%.11e'`` CSV rows of a 2-D float block, or None if a value is out of range."""
     rec = _records(block)
     return None if rec is None else _text(rec)
@@ -150,7 +153,7 @@ def _boxes(shape: tuple[int, ...]):
         yield (slice(a, min(a + step, shape[0])), *rest)
 
 
-def _box_text(values: list[np.ndarray], shape: tuple[int, ...], conversion: str) -> str:
+def _box_text(values: list[np.ndarray], shape: tuple[int, ...], conversion: str) -> bytes | memoryview:
     """The CSV rows of a box of ``shape``, given each column's ``values`` in the box.
 
     A column's values broadcast to the box.  When none repeats within it, a
@@ -177,12 +180,13 @@ def _box_text(values: list[np.ndarray], shape: tuple[int, ...], conversion: str)
     block = block.reshape(rows, -1)
     text = _e11_block(block) if not repeats and conversion == "%.11e" else None
     if text is None:
-        text = ((",".join([conversion] * len(values)) + "\n") * rows) % tuple(block.ravel().tolist())
+        row = ",".join([conversion] * len(values)) + "\n"
+        text = (row * rows % tuple(block.ravel().tolist())).encode()
     return text
 
 
 def csv_blocks(columns: list[np.ndarray], conversion: str):
-    """CSV rows of a table of real array columns, one string per box of at most ``CSV_BLOCK_ROWS`` rows.
+    """CSV bytes of a table of real array columns, one chunk per box of at most ``CSV_BLOCK_ROWS`` rows.
 
     The columns broadcast together, and the rows are their broadcast shape in C
     order, cut into the boxes of :func:`_boxes`.  A column's values in a box are
@@ -215,8 +219,8 @@ class SweepResult:
     most ``CSV_BLOCK_ROWS`` rows, and each block formats the values it reaches
     once.  In a table of 1-D columns, the columns must have equal lengths.
 
-    :meth:`csv_chunks` yields its CSV text piece by piece, so a writer never
-    holds the whole table as text; :meth:`to_csv` joins those pieces.
+    :meth:`csv_chunks` yields its CSV bytes piece by piece, so a writer
+    never holds the whole table at once; :meth:`to_csv` joins those pieces.
     """
 
     columns: dict[str, np.ndarray]
@@ -246,9 +250,9 @@ class SweepResult:
         return math.prod(self.shape)
 
     def csv_chunks(self):
-        """The CSV text: the header line, then one string per box, of at most ``CSV_BLOCK_ROWS`` rows."""
-        yield ",".join(self.columns) + "\n"
+        """The CSV bytes: the header line, then one chunk per box, of at most ``CSV_BLOCK_ROWS`` rows."""
+        yield (",".join(self.columns) + "\n").encode()
         yield from csv_blocks(list(self.columns.values()), "%.11e")
 
-    def to_csv(self) -> str:
-        return "".join(self.csv_chunks())
+    def to_csv(self) -> bytes:
+        return b"".join(self.csv_chunks())

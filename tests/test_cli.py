@@ -719,6 +719,43 @@ def test_materials_name_with_comma_is_quoted(outdir, tmp_path):
     assert rows[1][1] == "AlN, wurtzite"
 
 
+def test_materials_name_outside_ascii_is_written_as_its_utf8_bytes(outdir, tmp_path):
+    name = "AlN (wurtzite ε∞; 窒化アルミニウム)"
+    text = resources.files("pomtrans.data").joinpath("materials.csv").read_text("utf-8")
+    path = tmp_path / "materials.csv"
+    path.write_bytes(text.replace("\nAlN,", f"\n{name},", 1).encode("utf-8"))
+    assert run(["materials", "--which", "em", "--materials-file", str(path), "--out", "m"]) == 0
+    assert (outdir / "m.csv").read_bytes().split(b"\n")[1].split(b",")[1] == name.encode("utf-8")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "optimize", "contour", "efficiency-curve", "rings",
+                                     "materials", "coupling"])
+def test_every_artifact_chunk_is_bytes(outdir, tmp_path, monkeypatch, command):
+    # the text of an artifact is encoded where it is rendered, and no chunk is a str
+    flags = {"spectrum": ["--grid-points", "4001"], "contour": ["--grid-points", "11"],
+             "rings": ["--grid-points", "301"]}.get(command, [])
+    if command == "coupling":
+        (tmp_path / "inputs").mkdir()
+        flags = write_coupling_inputs(tmp_path / "inputs", piezo=True)
+    chunks, write_all = {}, cli._write_all
+
+    def record(path, drawn):
+        for chunk in drawn:
+            chunks[path].append(chunk)
+            yield chunk
+
+    def spy(files):
+        chunks.update({path: [] for path in files})
+        write_all({path: record(path, drawn) for path, drawn in files.items()})
+
+    monkeypatch.setattr(cli, "_write_all", spy)
+    assert run([command, *flags, "--out", "a"]) == 0
+    assert chunks and all(chunks.values())
+    for path, drawn in chunks.items():
+        assert not any(isinstance(chunk, str) for chunk in drawn)
+        assert (outdir / path).read_bytes() == b"".join(drawn)
+
+
 # --- exit contract: one error line, all artifacts or none ----------------------------------
 
 
@@ -1060,6 +1097,31 @@ def test_collapsed_default_spectrum_window_names_omega_m(outdir, tmp_path, capsy
         "error: validation: spectrum grid: the default window omega_m_hz +- 2.5e8 Hz holds too "
         f"few distinct frequencies at omega_m_hz={omega_m_hz:g}; pass --grid-start/--grid-stop"]
     assert [p.name for p in outdir.iterdir()] == ["inputs"]
+
+
+@pytest.mark.parametrize("command, what", [("spectrum", "spectrum grid"), ("rings", "frequency grid")])
+def test_collapsed_explicit_window_names_its_flags(outdir, capsys, command, what):
+    # 100 000 points in 1 kHz at 1e15 Hz: the rad/s doubles there are 1 apart, so few are distinct
+    assert run([command, "--grid-start", "1e15", "--grid-stop", "1.000000000001e15",
+                "--grid-points", "100000", "--out", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: {what}: --grid-start/--grid-stop/--grid-points "
+        "1000000000000000.0/1000000000001000.0/100000 hold too few distinct frequencies; "
+        "widen the window or pass fewer points"]
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, points, line", [
+    ("spectrum", "2", "spectrum grid: --grid-points must be at least 3, got 2"),
+    ("spectrum", "1", "spectrum grid: --grid-points must be at least 3, got 1"),
+    ("rings", "1", "frequency grid: --grid-points must be at least 2, got 1"),
+    ("contour", "1", "g_em axis: --grid-points must be at least 2, got 1"),
+    ("efficiency-curve", "1", "power grid: --grid-points must be at least 2, got 1"),
+])
+def test_too_few_grid_points_name_the_flag(outdir, capsys, command, points, line):
+    assert run([command, "--grid-points", points, "--out", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: validation: " + line]
+    assert list(outdir.iterdir()) == []
 
 
 def test_contour_axis_whose_square_overflows_names_g_em(outdir, capsys):

@@ -222,6 +222,30 @@ def test_underflowing_mechanical_volume_integral_rejected():
         coupling.mech_mode_volume(w)
 
 
+@pytest.mark.parametrize("amplitude, message", [
+    (0.0, "^mode field is identically zero$"),
+    # eta_eff |E|^2 ~ 1e-201 integrates to about 1e-219, but its square underflows to 0
+    (1e-100, "^mode field intensity integral underflows to 0, though the field is not zero$"),
+    # |E|^2 underflows already, so both integrals are 0
+    (1e-170, "^mode field intensity integral underflows to 0, though the field is not zero$"),
+])
+def test_each_em_volume_integral_rejects_zero(monkeypatch, amplitude, message):
+    grid = box_grid(9)
+    comps = np.zeros((3, *grid.shape), dtype=complex)
+    comps[0] = amplitude
+    walks, walk = [], coupling._slab_integral
+
+    def spy(grid, integrand):
+        walks.append(grid)
+        return walk(grid, integrand)
+
+    monkeypatch.setattr(coupling, "_slab_integral", spy)
+    with pytest.raises(ParameterError, match=message):
+        coupling.em_mode_volume(coupling.ModeField(grid, comps, coupling.EM, 1.0), 1 / 9.5)
+    # both integrals are taken in one walk of the grid
+    assert len(walks) == 1
+
+
 @pytest.mark.parametrize("kind, factor, volume", [
     (coupling.MECH, 1e200, coupling.mech_mode_volume),
     (coupling.EM, 1e100, lambda e: coupling.em_mode_volume(e, 1 / 9.5)),

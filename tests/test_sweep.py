@@ -23,7 +23,7 @@ def test_csv_round_trip(tmp_path):
         "y": np.array([0.1, 0.25, 1e-12]),
     })
     path = tmp_path / "out.csv"
-    path.write_text(r.to_csv(), encoding="utf-8")
+    path.write_bytes(r.to_csv())
     back = read_table(path)
     np.testing.assert_array_equal(back["x"], r.columns["x"])
     np.testing.assert_array_equal(back["y"], r.columns["y"])
@@ -44,8 +44,8 @@ def test_csv_chunks_are_the_header_then_one_per_block(rows):
     # a writer holds one block of text at a time, never the table
     r = SweepResult(columns={"a": np.linspace(1, 2, rows), "b": np.ones(rows)})
     chunks = list(r.csv_chunks())
-    assert chunks[0] == "a,b\n"
-    assert [len(c.splitlines()) for c in chunks[1:]] == [
+    assert chunks[0] == b"a,b\n"
+    assert [len(bytes(c).splitlines()) for c in chunks[1:]] == [
         min(CSV_BLOCK_ROWS, rows - start) for start in range(0, rows, CSV_BLOCK_ROWS)]
 
 
@@ -54,13 +54,13 @@ def test_column_length_mismatch_rejected():
         SweepResult(columns={"a": np.array([1.0]), "b": np.array([1.0, 2.0])})
 
 
-def reference_csv(result: SweepResult) -> str:
+def reference_csv(result: SweepResult) -> bytes:
     """The per-element writer ``to_csv`` replaced, kept as its oracle."""
     cols = list(result.columns.values())
     lines = [",".join(result.columns)]
     lines.extend(",".join(FLOAT_FORMAT.format(float(c[i])) for c in cols)
                  for i in range(len(result)))
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -90,7 +90,7 @@ def sweep_results(draw):
 @given(sweep_results())
 def test_bulk_writer_matches_per_element_reference(result):
     # compare lines: a failing diff of two whole 16k-row strings takes minutes
-    assert result.to_csv().split("\n") == reference_csv(result).split("\n")
+    assert result.to_csv().split(b"\n") == reference_csv(result).split(b"\n")
 
 
 def test_bulk_writer_edge_values_and_empty_table():
@@ -98,7 +98,7 @@ def test_bulk_writer_edge_values_and_empty_table():
     ints = np.array([0, -1, 2**53 + 1, 2**63 - 1, -2**63] * 2)
     r = SweepResult(columns={"x": values, "z_re": values[::-1], "z_im": values, "n": ints})
     assert r.to_csv() == reference_csv(r)
-    assert SweepResult(columns={}).to_csv() == reference_csv(SweepResult(columns={})) == "\n"
+    assert SweepResult(columns={}).to_csv() == reference_csv(SweepResult(columns={})) == b"\n"
 
 
 # --- the vectorized '%.11e' fast path -----------------------------------------
@@ -106,10 +106,10 @@ def test_bulk_writer_edge_values_and_empty_table():
 FAST_MIN, FAST_MAX = 1e-99, 9.9e99
 
 
-def percent_block(block: np.ndarray) -> str:
+def percent_block(block: np.ndarray) -> bytes:
     """The ``%`` line the fast path stands in for."""
     row = ",".join(["%.11e"] * block.shape[1]) + "\n"
-    return (row * len(block)) % tuple(block.ravel().tolist())
+    return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
 
 
 @st.composite
@@ -129,7 +129,7 @@ def fast_path_results(draw):
 @settings(max_examples=30, deadline=None)
 @given(fast_path_results())
 def test_fast_path_matches_per_element_reference(result):
-    assert result.to_csv().split("\n") == reference_csv(result).split("\n")
+    assert result.to_csv().split(b"\n") == reference_csv(result).split(b"\n")
 
 
 def _ulps_around(x: float) -> list[float]:
@@ -156,9 +156,9 @@ def test_fast_path_edge_values_match_percent():
     block = FAST_EDGES.reshape(-1, 1)
     text = sweep._e11_block(block)
     assert text is not None
-    assert text.split("\n") == percent_block(block).split("\n")
+    assert bytes(text).split(b"\n") == percent_block(block).split(b"\n")
     table = SweepResult(columns={"a": FAST_EDGES, "b": FAST_EDGES[::-1]})
-    assert table.to_csv().split("\n") == reference_csv(table).split("\n")
+    assert table.to_csv().split(b"\n") == reference_csv(table).split(b"\n")
 
 
 @pytest.mark.parametrize("shift", [-0.75, 0.75])
@@ -167,7 +167,7 @@ def test_fast_path_fixes_an_exponent_estimate_one_off(monkeypatch, shift):
     log10 = np.log10
     monkeypatch.setattr(sweep.np, "log10", lambda x: log10(x) + shift)
     block = np.column_stack([FAST_EDGES, FAST_EDGES[::-1]])
-    assert sweep._e11_block(block).split("\n") == percent_block(block).split("\n")
+    assert bytes(sweep._e11_block(block)).split(b"\n") == percent_block(block).split(b"\n")
 
 
 @pytest.mark.parametrize("odd", [
@@ -186,15 +186,16 @@ def test_positive_zero_takes_the_fast_path():
     block = np.column_stack([FAST_EDGES, FAST_EDGES[::-1]])
     block[0] = 0.0
     block[len(block) // 2, 1] = 0.0
-    assert sweep._e11_block(block).split("\n") == percent_block(block).split("\n")
-    assert sweep._e11_block(np.zeros((3, 2))) == "0.00000000000e+00,0.00000000000e+00\n" * 3
+    assert bytes(sweep._e11_block(block)).split(b"\n") == percent_block(block).split(b"\n")
+    assert sweep._e11_block(np.zeros((3, 2))) == b"0.00000000000e+00,0.00000000000e+00\n" * 3
 
 
 def test_fast_path_upper_bound_sits_below_three_digit_exponents():
     bound = 9.999999999995e99
     assert format_float(np.nextafter(bound, math.inf)) == "1.00000000000e+100"
     below = np.nextafter(bound, 0.0)
-    assert sweep._e11_block(np.array([[below]])) == format_float(below) + "\n" == "9.99999999999e+99\n"
+    assert (sweep._e11_block(np.array([[below]])) == (format_float(below) + "\n").encode()
+            == b"9.99999999999e+99\n")
     assert sweep._e11_block(np.array([[bound]])) is None
 
 
@@ -281,8 +282,8 @@ def broadcast_tables(draw):
 def test_broadcast_columns_write_the_materialized_tables_bytes(table):
     columns, shape, conversion = table
     materialized = [np.broadcast_to(c, shape).ravel() for c in columns]
-    got = "".join(sweep.csv_blocks(columns, conversion))
-    assert got.split("\n") == "".join(sweep.csv_blocks(materialized, conversion)).split("\n")
+    got = b"".join(sweep.csv_blocks(columns, conversion))
+    assert got.split(b"\n") == b"".join(sweep.csv_blocks(materialized, conversion)).split(b"\n")
 
 
 @pytest.mark.parametrize("shape", BROADCAST_SHAPES, ids=str)
@@ -292,7 +293,7 @@ def test_every_broadcast_pattern_writes_the_materialized_tables_bytes(shape):
     columns = [10 ** rng.uniform(-99, 99, own) for own in itertools.product(*[(1, n) for n in shape])]
     columns.append(rng.integers(0, 10**15, shape[-1:]))
     materialized = [np.broadcast_to(c, shape).ravel() for c in columns]
-    assert "".join(sweep.csv_blocks(columns, "%.11e")) == "".join(sweep.csv_blocks(materialized, "%.11e"))
+    assert b"".join(sweep.csv_blocks(columns, "%.11e")) == b"".join(sweep.csv_blocks(materialized, "%.11e"))
 
 
 def test_broadcast_blocks_take_the_fast_path_where_their_values_allow(monkeypatch):
@@ -310,8 +311,8 @@ def test_broadcast_blocks_take_the_fast_path_where_their_values_allow(monkeypatc
 
     monkeypatch.setattr(sweep, "_records", spy)
     table = SweepResult(columns={"g": g, "k": np.arange(n_k), "eta": eta})
-    assert table.to_csv().split("\n") == reference_csv(SweepResult(columns={
-        name: np.broadcast_to(c, table.shape).ravel() for name, c in table.columns.items()})).split("\n")
+    assert table.to_csv().split(b"\n") == reference_csv(SweepResult(columns={
+        name: np.broadcast_to(c, table.shape).ravel() for name, c in table.columns.items()})).split(b"\n")
     # rows 20000-24999 hold g[4]: the second of three blocks
     assert fast == [True, False, True]
 
@@ -323,8 +324,8 @@ def test_2d_table_chunks_are_the_header_then_one_per_block():
                                  "eta": np.full((n_g, n_k), 0.5)})
     assert table.shape == (n_g, n_k) and len(table) == n_g * n_k
     chunks = list(table.csv_chunks())
-    assert chunks[0] == "g,k,eta\n"
-    assert [len(c.splitlines()) for c in chunks[1:]] == [14_000, 14_000, 7_000]
+    assert chunks[0] == b"g,k,eta\n"
+    assert [len(bytes(c).splitlines()) for c in chunks[1:]] == [14_000, 14_000, 7_000]
 
 
 @pytest.mark.parametrize("shape", BROADCAST_SHAPES + [(0, 3), (3, 0), (40_000, 1), (2, 3, 6000)],
@@ -332,7 +333,7 @@ def test_2d_table_chunks_are_the_header_then_one_per_block():
 def test_every_chunk_is_one_box(shape):
     # the table's value at a row is its C-order index, so a chunk names the rows it holds
     table = np.arange(math.prod(shape), dtype=float).reshape(shape)
-    chunks = [np.array([float(v) for v in c.splitlines()], dtype=int)
+    chunks = [np.array([float(v) for v in bytes(c).splitlines()], dtype=int)
               for c in sweep.csv_blocks([table], "%r")]
     assert np.array_equal(np.concatenate(chunks or [np.zeros(0, int)]), np.arange(table.size))
     inner = math.prod(shape[1:])
