@@ -119,11 +119,16 @@ def _sidecar(args, p: dynamics.TransducerParams, payload: dict) -> bytes:
     return _dump_json({**payload, "preset": args.preset or "nominal", "resolved_params": resolved})
 
 
-def _axis(args, i, start, stop, points, what, least=2):
-    """(start, stop, points) of axis ``i`` from the --grid-* flags, else the defaults.
+def _grid(args, i, what, start, stop, points, least=2, log=False, hz=False, collapsed=None):
+    """``(start, stop, points, values)`` of axis ``i`` from the --grid-* flags, else the defaults.
 
-    A flag given one value sets it for every axis; more values than axes are rejected,
-    and so is an axis of fewer than ``least`` points.
+    A flag given one value sets it for every axis; more values than axes are
+    rejected.  So is an axis whose stop does not exceed its start, of fewer than
+    ``least`` points, a ``log`` axis that does not start above 0, and an ``hz``
+    axis with an end whose rad/s value overflows.  ``values`` are ``points``
+    linearly or, for ``log``, logarithmically spaced values, in rad/s for an
+    ``hz`` axis.  Unless they strictly increase, the axis is rejected with
+    ``collapsed``, or else with a message naming the flags that set it.
     """
     def pick(flag, default):
         values = getattr(args, flag) or [default]
@@ -138,36 +143,21 @@ def _axis(args, i, start, stop, points, what, least=2):
         raise ParameterError(f"{what}: stop must exceed start")
     if points < least:
         raise ParameterError(f"{what}: --grid-points must be at least {least}, got {points}")
-    return start, stop, points
-
-
-def _log_axis(args, i, start, stop, points, what):
-    """:func:`_axis` for a logarithmically spaced axis, which must start above 0."""
-    start, stop, points = _axis(args, i, start, stop, points, what)
-    if not start > 0:
+    if log and not start > 0:
         raise ParameterError(f"{what}: start must be > 0")
-    return start, stop, points
-
-
-def _hz_axis(start, stop, points):
-    """An axis of :func:`_axis` in Hz, once both ends are known to stay finite in rad/s."""
-    dynamics._rad_s("--grid-start", start)
-    dynamics._rad_s("--grid-stop", stop)
-    return start, stop, points
-
-
-def _linear_hz_grid(what, start, stop, points, collapsed=None):
-    """``2 pi linspace(start, stop, points)`` in rad/s, rejected unless its points are distinct.
-
-    A grid that is not strictly increasing is rejected with ``collapsed``, or else
-    with a message naming the flags that set it.
-    """
-    grid = TWO_PI * np.linspace(start, stop, points)
-    if not np.all(grid[1:] > grid[:-1]):
+    if hz:
+        dynamics._rad_s("--grid-start", start)
+        dynamics._rad_s("--grid-stop", stop)
+    values = (np.logspace(math.log10(start), math.log10(stop), points) if log
+              else np.linspace(start, stop, points))
+    if hz:
+        values = TWO_PI * values
+    if not np.all(values[1:] > values[:-1]):
         raise ParameterError(collapsed or (
             f"{what}: --grid-start/--grid-stop/--grid-points {start!r}/{stop!r}/{points} hold "
-            f"too few distinct frequencies; widen the window or pass fewer points"))
-    return grid
+            f"too few distinct {'frequencies' if hz else 'values'}; widen the window or pass "
+            f"fewer points"))
+    return start, stop, points, values
 
 
 def _require_finite(args) -> None:
@@ -194,8 +184,8 @@ def _cmd_spectrum(args):
     if default_window and not stop > start:
         raise ParameterError(collapsed)
     # efficiency_spectrum interpolates its peak through three points
-    start, stop, points = _hz_axis(*_axis(args, 0, start, stop, 500_001, "spectrum grid", least=3))
-    grid = _linear_hz_grid("spectrum grid", start, stop, points, collapsed if default_window else None)
+    *_, grid = _grid(args, 0, "spectrum grid", start, stop, 500_001, least=3, hz=True,
+                     collapsed=collapsed if default_window else None)
     spec = analysis.efficiency_spectrum(p, grid)
     table = SweepResult(columns={"frequency_hz": grid / TWO_PI, "efficiency": spec.efficiencies})
     return "spectrum", {
@@ -230,10 +220,9 @@ def _cmd_optimize(args):
 
 def _cmd_contour(args):
     p = _load_params(args)
-    g_start, g_stop, n_g = _hz_axis(*_log_axis(args, 0, 1e7, 1e10, 41, "g_em axis"))
-    k_start, k_stop, n_k = _hz_axis(*_log_axis(args, 1, 1e7, 1e10, 41, "kappa_ex2 axis"))
-    g_grid = TWO_PI * np.logspace(math.log10(g_start), math.log10(g_stop), n_g)
-    k_grid = TWO_PI * np.logspace(math.log10(k_start), math.log10(k_stop), n_k)
+    g_start, g_stop, n_g, g_grid = _grid(args, 0, "g_em axis", 1e7, 1e10, 41, log=True, hz=True)
+    k_start, k_stop, n_k, k_grid = _grid(args, 1, "kappa_ex2 axis", 1e7, 1e10, 41, log=True,
+                                         hz=True)
     eta = analysis.max_efficiency_contour(p, g_grid, k_grid)
     # the axes broadcast against eta's (n_g, n_k) grid, so a block formats each axis value
     # once, not once per row
@@ -254,8 +243,7 @@ def _cmd_contour(args):
 
 def _cmd_efficiency_curve(args):
     p = _load_params(args)
-    start, stop, points = _log_axis(args, 0, 1e-6, 100.0, 601, "power grid")
-    powers = np.logspace(math.log10(start), math.log10(stop), points)
+    *_, powers = _grid(args, 0, "power grid", 1e-6, 100.0, 601, log=True)
     if args.pump_offset_hz is None:
         offset = dynamics.enhancement_resonances(p).lower
         offset_hz = offset / TWO_PI
@@ -285,7 +273,7 @@ def _cmd_rings(args):
         raise ParameterError(
             f"frequency grid: the default stop 3/T overflows at round-trip time "
             f"T={args.round_trip_time:g}; pass --grid-stop")
-    start, stop, points = _hz_axis(*_axis(args, 0, 0.0, default_stop, 30_001, "frequency grid"))
+    start, stop, points, grid = _grid(args, 0, "frequency grid", 0.0, default_stop, 30_001, hz=True)
     if start < 0:
         raise ParameterError("frequency grid: start must be >= 0")
     # orders 0..max(1, ceil(stop T)) are listed; more orders than grid points is rejected
@@ -294,7 +282,6 @@ def _cmd_rings(args):
         raise ParameterError(
             f"frequency grid: stop {stop:g} Hz spans {fsrs:.6g} free spectral ranges, so the "
             f"critical frequencies listed would outnumber its {points} points")
-    grid = _linear_hz_grid("frequency grid", start, stop, points)
     table = SweepResult(columns={"frequency_hz": grid / TWO_PI,
                                  "transmission": rings.transmission_spectrum(rp, grid)})
     n_max = max(1, math.ceil(fsrs))

@@ -498,10 +498,35 @@ def _slab_integral(grid: Grid3D, integrand):
     return np.trapezoid(out, dx=grid.spacing[0]) if grid.counts[0] > 1 else out[..., 0]
 
 
-def _overlap(e: ModeField, w: ModeField, i: int, j: int, k: int) -> complex:
-    """integral of E_i dw_j/dr_k (0-based), differentiating only that one gradient."""
+def _overlaps(e: ModeField, w: ModeField, elements) -> list[complex]:
+    """integral of E_i dw_j/dr_k for each 0-based ``(i, j, k)`` of ``elements``, in one walk.
+
+    Each slab differentiates only the gradients the elements need, each once.
+    """
     _require_differentiable(w)
-    return complex(_slab_integral(e.grid, lambda xs: e.components[i, xs] * _slab_gradient(w, xs, j, k)))
+
+    def integrand(xs):
+        grads = {jk: _slab_gradient(w, xs, *jk) for jk in {(j, k) for _, j, k in elements}}
+        return np.stack([e.components[i, xs] * grads[j, k] for i, j, k in elements])
+
+    return _slab_integral(e.grid, integrand).tolist()
+
+
+def _voigt_sum(matrix: np.ndarray, rows, pair_sums: np.ndarray):
+    """sum_J (sum_K matrix[K, J] rows[K]) pair_sums[J], from elementwise products.
+
+    The products are summed in index order, with no BLAS call, so the result
+    depends neither on the thread count nor on the kernel chosen for the CPU.
+    """
+    # one buffer for every product: allocating a slab-sized array per term was slower
+    product = np.empty(rows[0].shape, np.result_type(matrix, rows[0]))
+    total = 0
+    for J in range(matrix.shape[1]):
+        weight = matrix[0, J] * rows[0]
+        for K in range(1, matrix.shape[0]):
+            weight += np.multiply(matrix[K, J], rows[K], out=product)
+        total += weight * pair_sums[J]
+    return total
 
 
 def _too_large(tensor: str, which: str, value: float) -> MaterialDataError:
@@ -548,7 +573,7 @@ def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
     require_matching(e, w)
     i, j, k = component
     h = mat.h_element(i, j, k)
-    prefactor, overlap = _piezo_prefactor(e, w, mat), _overlap(e, w, i - 1, j - 1, k - 1)
+    prefactor, (overlap,) = _piezo_prefactor(e, w, mat), _overlaps(e, w, [(i - 1, j - 1, k - 1)])
     rate = abs(h) * prefactor * overlap
     if not cmath.isfinite(rate) and cmath.isfinite(prefactor * overlap):
         raise _too_large("h", f"element h_{i}{j}{k}", h)
@@ -561,15 +586,17 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> 
     It is the sum over all 27 tensor elements of sign(h_ijk) times
     :func:`piezo_coupling` of (i, j, k); a shear Voigt entry h_iJ (J = 4..6)
     sets two of them, h_iab and h_iba, and so adds two terms.  Unknown (NaN)
-    elements raise only when the corresponding overlap would contribute.
-    The known elements contract in Voigt form, sum_J (sum_i h_iJ E_i) B_J
-    with B_J the gradient pair sums, into one integrand, integrated once.
+    elements raise only when the corresponding overlap would contribute; their
+    overlaps are taken together in one walk.  The known elements contract in
+    Voigt form, sum_J (sum_i h_iJ E_i) B_J with B_J the gradient pair sums,
+    into one integrand, integrated once.
     """
     require_matching(e, w)
     if mat.h is None:
         raise MaterialDataError("piezoelectric tensor h is not set")
-    for i, j, k in np.argwhere(np.isnan(rank3_from_voigt(mat.h))):
-        if _overlap(e, w, i, j, k) != 0:
+    unknown = np.argwhere(np.isnan(rank3_from_voigt(mat.h))).tolist()
+    for (i, j, k), overlap in zip(unknown, _overlaps(e, w, unknown) if unknown else []):
+        if overlap != 0:
             raise MaterialDataError(
                 f"piezoelectric element h_{i + 1}{j + 1}{k + 1} is unknown but its "
                 "overlap integral is nonzero"
@@ -577,8 +604,7 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> 
     known = np.where(np.isnan(mat.h), 0.0, mat.h)
 
     def integrand(h, xs):
-        weights = np.tensordot(h, e.components[:, xs], axes=(0, 0))  # sum_i h_iJ E_i
-        return np.einsum("J...,J...->...", weights, _pair_sums(w, xs))
+        return _voigt_sum(h, e.components[:, xs], _pair_sums(w, xs))
 
     prefactor = _piezo_prefactor(e, w, mat)
     _require_differentiable(w)
@@ -608,10 +634,9 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     def integrand(p, xs):
         field = e.components[:, xs]
         # |E_a|^2 for a = b, else E_a E_b* + E_b E_a* = 2 Re(E_a E_b*)
-        products = np.stack([(field[a] * field[b].conj()).real * (1 if a == b else 2)
-                             for a, b in _VOIGT_PAIRS])
-        weights = np.tensordot(p, products, axes=(0, 0))  # sum_I p_IJ A_I
-        return np.einsum("J...,J...->...", weights, _pair_sums(w, xs))
+        products = [(field[a] * field[b].conj()).real * (1 if a == b else 2)
+                    for a, b in _VOIGT_PAIRS]
+        return _voigt_sum(p, products, _pair_sums(w, xs))
 
     _require_differentiable(w)
     total = _tensor_integral(e.grid, integrand, "p", mat.p)

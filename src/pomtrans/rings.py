@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TWO_PI
-from .errors import ParameterError
+from .errors import GridError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,15 @@ def transmission_spectrum(rp: RingPair, omega_grid) -> np.ndarray:
     element.  The spectrum is periodic in 2 pi / T and its minima converge to
     the split-resonance critical frequencies as the bus coupling goes to zero.
     Setting J = 0 recovers the single-ring comb.
+
+    Raises :class:`GridError` when the grid is not 1-D with at least 2 points
+    or not strictly increasing.
     """
     w = np.asarray(omega_grid, dtype=float)
     if w.ndim != 1 or len(w) < 2:
-        raise ParameterError("omega grid must be a 1-D array with at least 2 points")
+        raise GridError("omega grid must be a 1-D array with at least 2 points")
     if np.any(w[1:] <= w[:-1]):
-        raise ParameterError("omega grid must be strictly increasing")
+        raise GridError("omega grid must be strictly increasing")
     phase = np.exp(1j * w * rp.T)
     t_bus = math.sqrt(1 - rp.bus_coupling**2)
     loop = rp.loss * _inner_ring_response(rp, phase) * phase

@@ -5,6 +5,8 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from importlib import resources
@@ -887,6 +889,32 @@ def test_coupling_json_is_the_same_in_any_block_size(outdir, tmp_path, monkeypat
     assert (outdir / "blocked.json").read_bytes() == (outdir / "whole.json").read_bytes()
 
 
+def test_coupling_json_is_the_same_at_any_blas_thread_count(tmp_path):
+    # the rates contract their tensors without BLAS, whose sums depend on its thread count
+    rng = np.random.default_rng(13)
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1.1e-7, 0.9e-7, 1.3e-7), (24, 24, 24))
+    for name, kind in (("e", coupling.EM), ("w", coupling.MECH)):
+        comps = rng.normal(size=(3, *grid.shape)) + 1j * rng.normal(size=(3, *grid.shape))
+        coupling.save_mode_field(tmp_path / f"{name}.csv",
+                                 coupling.ModeField(grid, comps, kind, TWO_PI * 3e9))
+    (tmp_path / "tensors.json").write_text(json.dumps({
+        "rho": 3255.0, "eps_rf": 9.5, "eps_ir": 3.67,
+        "h": rng.uniform(-1, 1, (3, 6)).tolist(), "p": rng.uniform(-0.3, 0.3, (6, 6)).tolist()}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = tmp_path / f"out{len(outputs)}"
+        subprocess.run([sys.executable, "-m", "pomtrans.cli", "coupling",
+                        "--em-field", "e.csv", "--mech-field", "w.csv", "--tensors", "tensors.json",
+                        "--out", str(out)], cwd=tmp_path, env={**env, **threads}, check=True,
+                       capture_output=True, timeout=300)
+        outputs.append(out.with_suffix(".json").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["optomech_coupling_rad_s"] > 0
+
+
 def test_mode_field_too_short_for_its_header_grid_exits_2_without_its_array(outdir, tmp_path,
                                                                              capsys):
     # a 4000^3 grid would need 3 TB of components; two rows cannot fill it
@@ -1108,6 +1136,31 @@ def test_collapsed_explicit_window_names_its_flags(outdir, capsys, command, what
         f"error: validation: {what}: --grid-start/--grid-stop/--grid-points "
         "1000000000000000.0/1000000000001000.0/100000 hold too few distinct frequencies; "
         "widen the window or pass fewer points"]
+    assert list(outdir.iterdir()) == []
+
+
+_COLLAPSED_G = "1000000000.0/1000000000.0001/50 hold too few distinct frequencies"
+
+
+@pytest.mark.parametrize("argv, line", [
+    # each used to exit 0 with one distinct value in its axis column
+    (["contour", "--grid-start", "1e9", "--grid-stop", "1.0000000000001e9", "--grid-points", "50"],
+     f"g_em axis: --grid-start/--grid-stop/--grid-points {_COLLAPSED_G}"),
+    (["contour", "--grid-start", "1e9", "1e7", "--grid-stop", "1.0000000000001e9", "1e10",
+      "--grid-points", "50", "41"],
+     f"g_em axis: --grid-start/--grid-stop/--grid-points {_COLLAPSED_G}"),
+    (["contour", "--grid-start", "1e7", "1e9", "--grid-stop", "1e10", "1.0000000000001e9",
+      "--grid-points", "41", "50"],
+     f"kappa_ex2 axis: --grid-start/--grid-stop/--grid-points {_COLLAPSED_G}"),
+    (["efficiency-curve", "--grid-start", "1e-3", "--grid-stop", "1.0000000000000002e-3",
+      "--grid-points", "50"],
+     "power grid: --grid-start/--grid-stop/--grid-points 0.001/0.0010000000000000002/50 hold "
+     "too few distinct values"),
+], ids=["contour-both", "contour-g_em", "contour-kappa_ex2", "efficiency-curve"])
+def test_collapsed_log_axis_names_its_flags(outdir, capsys, argv, line):
+    assert run(argv + ["--out", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: {line}; widen the window or pass fewer points"]
     assert list(outdir.iterdir()) == []
 
 

@@ -1102,10 +1102,51 @@ def test_rates_match_the_rank_tensor_einsum_oracle(monkeypatch, planes):
     assert coupling.optomech_coupling(e, w, mat) == pytest.approx(
         om_prefactor * abs(om_sum), rel=1e-12)
 
-    # one gradient at a time: the same bits as the full-gradient overlap
-    for i, j, k in np.ndindex(3, 3, 3):
-        assert coupling._overlap(e, w, i, j, k) == coupling.overlap_integral(
+    # one element or all 27 in one walk: the same bits as the full-gradient overlap
+    elements = list(np.ndindex(3, 3, 3))
+    for (i, j, k), overlap in zip(elements, coupling._overlaps(e, w, elements)):
+        assert overlap == coupling._overlaps(e, w, [(i, j, k)])[0] == coupling.overlap_integral(
             e, strain, j + 1, k + 1, component=i + 1)
+
+
+def test_rates_and_volumes_make_no_blas_call(monkeypatch):
+    # a BLAS kernel's sum order depends on the thread count and on the CPU
+    rng = np.random.default_rng(31)
+    e, w = _random_pair(rng)
+    mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0,
+                                     h=rng.normal(size=(3, 6)), p=rng.normal(size=(6, 6)))
+
+    def blas(*args, **kwargs):
+        raise AssertionError("a coupling rate or mode volume called BLAS")
+
+    for name in ("tensordot", "dot", "matmul", "einsum"):
+        monkeypatch.setattr(np, name, blas)
+    assert coupling.em_mode_volume(e, mat.eta_eff) > 0
+    assert coupling.mech_mode_volume(w) > 0
+    assert coupling.piezo_coupling(e, w, mat, (1, 2, 3)) != 0
+    assert coupling.piezo_coupling_total(e, w, mat) != 0
+    assert coupling.optomech_coupling(e, w, mat) > 0
+
+
+def test_unknown_piezo_elements_take_one_walk(monkeypatch):
+    # the 22 unknown elements, whose overlaps vanish on this pair, take one walk beside the
+    # three of the two volumes and the one of the total; h_331 and h_332 (Voigt h_35 and
+    # h_34) stay known, since roundoff makes their overlaps nonzero
+    e, w = coupling_input_fields(piezo=True)
+    h = np.full((3, 6), math.nan)
+    h[2, 2:5] = 0.145, 0.0, 0.0
+    mat = coupling.MaterialTensorSet(rho=3255.0, eps_rf=9.5, eps_ir=3.67, h=h)
+    walks = []
+    slab_integral = coupling._slab_integral
+    monkeypatch.setattr(coupling, "_slab_integral",
+                        lambda grid, integrand: walks.append(1) or slab_integral(grid, integrand))
+    total = coupling.piezo_coupling_total(e, w, mat)
+    assert len(walks) == 5
+    assert total == coupling.piezo_coupling_total(e, w, _piezo_pair_material()) != 0
+
+    h[2, 2] = math.nan
+    with pytest.raises(MaterialDataError, match="^piezoelectric element h_333 is unknown but"):
+        coupling.piezo_coupling_total(e, w, dataclasses.replace(mat, h=h))
 
 
 @pytest.mark.parametrize("rate, args", [

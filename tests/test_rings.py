@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pomtrans import rings
-from pomtrans.errors import ParameterError
+from pomtrans.errors import GridError, ParameterError
 
 TWO_PI = 2 * math.pi
 
@@ -127,7 +127,7 @@ def test_transmission_periodicity():
     (np.array([2.0, 1.0]), "omega grid must be strictly increasing"),
 ])
 def test_transmission_spectrum_rejects_a_bad_grid(grid, message):
-    with pytest.raises(ParameterError, match=f"^{message}$"):
+    with pytest.raises(GridError, match=f"^{message}$"):
         rings.transmission_spectrum(make_pair(), grid)
 
 
