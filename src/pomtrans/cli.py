@@ -329,11 +329,11 @@ def _cmd_coupling(args):
     if mat.h is not None:
         g = coupling.piezo_coupling_total(e_field, w_field, mat)
         payload["piezo_coupling_rad_s"] = {"re": g.real, "im": g.imag, "abs": abs(g)}
-        if args.component:
-            g1 = coupling.piezo_coupling(e_field, w_field, mat, tuple(args.component))
-            payload["piezo_coupling_component"] = {
-                "ijk": args.component, "re": g1.real, "im": g1.imag, "abs": abs(g1),
-            }
+    if args.component:  # without h, this names the missing tensor
+        g1 = coupling.piezo_coupling(e_field, w_field, mat, tuple(args.component))
+        payload["piezo_coupling_component"] = {
+            "ijk": args.component, "re": g1.real, "im": g1.imag, "abs": abs(g1),
+        }
     if mat.p is not None:
         payload["optomech_coupling_rad_s"] = coupling.optomech_coupling(e_field, w_field, mat)
     return "coupling", {".json": [_dump_json(payload)]}

@@ -5,6 +5,15 @@ rectilinear grids; overlap integrals use the trapezoid rule (second-order
 accurate on smooth fields, verified by refinement in the tests) and strain is
 the displacement gradient, valid in the absence of rigid-body rotation.
 
+An unknown (NaN) Voigt entry M_rJ of ``h`` or ``p`` multiplies one overlap, of
+R_r B_J (:func:`_contraction`), and is read as 0 if that overlap is at most
+_UNKNOWN_RTOL = 1e-10 of its finite Cauchy-Schwarz bound, sqrt(integral
+|R_r|^2 integral sum_J |B_J|^2); else it raises.  That covers np.gradient's
+roundoff, far below 1e-6: a gradient that vanishes analytically sums stencil
+terms of weight 4/d at most in all (the edge stencil (-3/2, 2, -1/2)/d; central
+differences of equal samples are exact), so it is off by about 4 eps max|w|/d,
+against max|w|/(N d) over N points: 4 eps N, 9e-12 at N = 10^4 (eps 2.2e-16).
+
 Unit conventions follow the materials literature this feeds on: the
 piezoelectric tensor ``h`` is stored in its stress-voltage Voigt form, the
 photoelastic tensor ``p`` is the 6x6 Voigt matrix (NOT assumed symmetric),
@@ -441,14 +450,13 @@ def overlap_integral(e: ModeField, gradients: np.ndarray, j: int, k: int,
     return complex(trapezoid_3d(integrand, e.grid))
 
 
-# The rates and the mode volumes walk the grid in x-slabs of at most
-# CSV_BLOCK_ROWS voxels, so beside the two fields they hold only a few
-# slab-sized arrays, never a full-grid gradient or intensity.  Each slab is
-# integrated over z, then y, and the x-planes last: the same operations, in
-# the same order, as trapezoid_3d.
+# The rates and the mode volumes walk the grid in x-slabs, so beside the two fields
+# they hold only a few slab-sized arrays, never a full-grid gradient or intensity.
 
 #: 0-based index pair (a, b) of each Voigt index 1..6, in Voigt order
 _VOIGT_PAIRS = [(i - 1, j - 1) for _, (i, j) in sorted(_PAIR_OF_VOIGT.items())]
+#: roundoff's largest share of an unknown Voigt entry's overlap bound (see the module docstring)
+_UNKNOWN_RTOL = 1e-10
 
 
 def _x_slabs(grid: Grid3D):
@@ -483,33 +491,28 @@ def _slab_integral(grid: Grid3D, integrand):
     """trapezoid_3d of the samples ``integrand(xs)`` returns for each x-slab ``xs``.
 
     The samples' last three axes are x, y and z; leading axes stack several
-    integrands, each integrated alone.  Each step reduces the last axis: z, y,
-    then the x-planes of all slabs.  A one-point axis is taken as its sample, as
-    trapezoid_3d squeezes it, and the x-planes keep the integrand's dtype.
+    integrands, each integrated alone; so does a generator of sample arrays,
+    whose arrays are reduced one at a time.  Each step reduces the last axis: z,
+    y, then the x-planes of all slabs.  A one-point axis is taken as its sample,
+    as trapezoid_3d squeezes it, and the x-planes keep the integrand's dtype.
     """
-    def planes(xs):
-        out = integrand(xs)
+    def planes(out):
+        if not isinstance(out, np.ndarray):
+            return np.stack([planes(o) for o in out])
         for k in (2, 1):
             out = (np.trapezoid(out, dx=grid.spacing[k]) if grid.counts[k] > 1
                    else np.squeeze(out, axis=-1))
         return out
 
-    out = np.concatenate([planes(xs) for xs in _x_slabs(grid)], axis=-1)
+    out = np.concatenate([planes(integrand(xs)) for xs in _x_slabs(grid)], axis=-1)
     return np.trapezoid(out, dx=grid.spacing[0]) if grid.counts[0] > 1 else out[..., 0]
 
 
-def _overlaps(e: ModeField, w: ModeField, elements) -> list[complex]:
-    """integral of E_i dw_j/dr_k for each 0-based ``(i, j, k)`` of ``elements``, in one walk.
-
-    Each slab differentiates only the gradients the elements need, each once.
-    """
+def _overlap(e: ModeField, w: ModeField, i: int, j: int, k: int) -> complex:
+    """integral of E_i dw_j/dr_k (0-based), differentiating only that one gradient."""
     _require_differentiable(w)
-
-    def integrand(xs):
-        grads = {jk: _slab_gradient(w, xs, *jk) for jk in {(j, k) for _, j, k in elements}}
-        return np.stack([e.components[i, xs] * grads[j, k] for i, j, k in elements])
-
-    return _slab_integral(e.grid, integrand).tolist()
+    return complex(_slab_integral(
+        e.grid, lambda xs: e.components[i, xs] * _slab_gradient(w, xs, j, k)))
 
 
 def _voigt_sum(matrix: np.ndarray, rows, pair_sums: np.ndarray):
@@ -536,17 +539,55 @@ def _too_large(tensor: str, which: str, value: float) -> MaterialDataError:
         f"{kind} tensor {tensor}: the coupling rate overflows at its {which} = {value}")
 
 
-def _tensor_integral(grid: Grid3D, integrand, tensor: str, matrix: np.ndarray) -> complex:
-    """The :func:`_slab_integral` of ``integrand(matrix, xs)``, linear in the Voigt ``matrix``.
+def _element_name(tensor: str, r: int, J: int) -> str:
+    """``h_ijk`` or ``p_ijkl`` of Voigt entry (r, J) by its a <= b image; sorts in index order."""
+    first = (r,) if tensor == "h" else _VOIGT_PAIRS[r]
+    return f"{tensor}_" + "".join(str(n + 1) for n in (*first, *_VOIGT_PAIRS[J]))
 
-    It is evaluated with numpy's floating-point errors ignored.  When
-    it is not finite but the integral of ``matrix`` scaled to a largest element
-    of magnitude 1 is, the tensor's size is at fault: :class:`MaterialDataError`
-    names its largest element.  Otherwise the fields are, and the integral is
-    evaluated again in the caller's error state.
+
+def _contraction(e: ModeField, w: ModeField, mat: MaterialTensorSet, tensor: str) -> complex:
+    """sum_rJ M_rJ integral of R_r B_J, M the Voigt matrix of ``tensor``, ``"h"`` or ``"p"``.
+
+    B_J sums dw_a/dr_b over both orders of Voigt pair J; R_r is E_i for ``h``,
+    and A_I, E_a E_b* summed likewise, for ``p``.  One walk checks every unknown
+    entry by the module's rule.  If the known entries' integral is not finite
+    but is with the tensor scaled to a largest element of magnitude 1, that
+    element is named; else it is evaluated again in the caller's error state.
     """
+    require_matching(e, w)
+    kind, matrix = ("piezoelectric" if tensor == "h" else "photoelastic"), getattr(mat, tensor)
+    if matrix is None:
+        raise MaterialDataError(f"{kind} tensor {tensor} is not set")
+    _require_differentiable(w)
+
+    def rows(xs):
+        field = e.components[:, xs]
+        if tensor == "h":
+            return field
+        # |E_a|^2 for a = b, else E_a E_b* + E_b E_a* = 2 Re(E_a E_b*)
+        return [(field[a] * field[b].conj()).real * (1 if a == b else 2) for a, b in _VOIGT_PAIRS]
+
+    unknown = sorted(np.argwhere(np.isnan(matrix)).tolist(),
+                     key=lambda entry: _element_name(tensor, *entry))
+    if unknown:
+        def integrand(xs):
+            r_rows, pair_sums = rows(xs), _pair_sums(w, xs)
+            yield from (r_rows[r] * pair_sums[J] for r, J in unknown)
+            yield from (np.abs(row)**2 for row in r_rows)
+            yield np.sum(np.abs(pair_sums)**2, axis=0)
+
+        *values, b_square = _slab_integral(e.grid, integrand).tolist()
+        r_squares = values[len(unknown):]
+        for (r, J), overlap in zip(unknown, values):
+            bound = math.sqrt(r_squares[r].real * b_square.real)
+            if not abs(overlap) <= _UNKNOWN_RTOL * bound < math.inf:
+                raise MaterialDataError(f"{kind} element {_element_name(tensor, r, J)} is "
+                                        "unknown but its overlap integral is nonzero")
+        matrix = np.where(np.isnan(matrix), 0.0, matrix)
+
     def total(m):
-        return complex(_slab_integral(grid, lambda xs: integrand(m, xs)))
+        return complex(_slab_integral(
+            e.grid, lambda xs: _voigt_sum(m, rows(xs), _pair_sums(w, xs))))
 
     with np.errstate(all="ignore"):
         value = total(matrix)
@@ -555,9 +596,7 @@ def _tensor_integral(grid: Grid3D, integrand, tensor: str, matrix: np.ndarray) -
         at = np.unravel_index(np.argmax(np.abs(matrix)), matrix.shape)
         scale_at_fault = cmath.isfinite(total(matrix / abs(matrix[at])))
     if scale_at_fault:
-        first = (at[0],) if tensor == "h" else _VOIGT_PAIRS[at[0]]
-        indices = "".join(str(n + 1) for n in (*first, *_VOIGT_PAIRS[at[1]]))
-        raise _too_large(tensor, f"largest element {tensor}_{indices}", matrix[at])
+        raise _too_large(tensor, f"largest element {_element_name(tensor, *at)}", matrix[at])
     return total(matrix)
 
 
@@ -573,7 +612,7 @@ def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
     require_matching(e, w)
     i, j, k = component
     h = mat.h_element(i, j, k)
-    prefactor, (overlap,) = _piezo_prefactor(e, w, mat), _overlaps(e, w, [(i - 1, j - 1, k - 1)])
+    prefactor, overlap = _piezo_prefactor(e, w, mat), _overlap(e, w, i - 1, j - 1, k - 1)
     rate = abs(h) * prefactor * overlap
     if not cmath.isfinite(rate) and cmath.isfinite(prefactor * overlap):
         raise _too_large("h", f"element h_{i}{j}{k}", h)
@@ -584,31 +623,10 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> 
     """Full-tensor piezoelectric coupling: signed sum of h_ijk-weighted overlaps.
 
     It is the sum over all 27 tensor elements of sign(h_ijk) times
-    :func:`piezo_coupling` of (i, j, k); a shear Voigt entry h_iJ (J = 4..6)
-    sets two of them, h_iab and h_iba, and so adds two terms.  Unknown (NaN)
-    elements raise only when the corresponding overlap would contribute; their
-    overlaps are taken together in one walk.  The known elements contract in
-    Voigt form, sum_J (sum_i h_iJ E_i) B_J with B_J the gradient pair sums,
-    into one integrand, integrated once.
+    :func:`piezo_coupling` of (i, j, k), in which a shear Voigt entry h_iJ
+    (J = 4..6) sets two, h_iab and h_iba: the :func:`_contraction` of ``h``.
     """
-    require_matching(e, w)
-    if mat.h is None:
-        raise MaterialDataError("piezoelectric tensor h is not set")
-    unknown = np.argwhere(np.isnan(rank3_from_voigt(mat.h))).tolist()
-    for (i, j, k), overlap in zip(unknown, _overlaps(e, w, unknown) if unknown else []):
-        if overlap != 0:
-            raise MaterialDataError(
-                f"piezoelectric element h_{i + 1}{j + 1}{k + 1} is unknown but its "
-                "overlap integral is nonzero"
-            )
-    known = np.where(np.isnan(mat.h), 0.0, mat.h)
-
-    def integrand(h, xs):
-        return _voigt_sum(h, e.components[:, xs], _pair_sums(w, xs))
-
-    prefactor = _piezo_prefactor(e, w, mat)
-    _require_differentiable(w)
-    return prefactor * _tensor_integral(e.grid, integrand, "h", known)
+    return _contraction(e, w, mat, "h") * _piezo_prefactor(e, w, mat)
 
 
 def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> float:
@@ -618,28 +636,9 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     photoelastic overlap sum p_ijkl integral of E_i E_j* dw_k/dr_l, with
     omega_mech the frequency of ``w``.  The optical field enters as E E*, so
     the result is independent of its global phase; the magnitude of the
-    (generally complex) overlap sum is returned.  The sum is taken in Voigt
-    form, sum_IJ p_IJ A_I B_J, exact for a non-symmetric p: A_I sums
-    E_a E_b* over both orders of pair I, which is real, and B_J sums the
-    gradients likewise.  It is one integrand, integrated once.
+    (generally complex) overlap sum, the :func:`_contraction` of ``p``, is returned.
     """
-    require_matching(e, w)
-    if mat.p is None:
-        raise MaterialDataError("photoelastic tensor p is not set")
-    unknown = np.argwhere(np.isnan(rank4_from_voigt(mat.p)))
-    if len(unknown):
-        i, j, k, l = unknown[0] + 1
-        raise MaterialDataError(f"photoelastic element p_{i}{j}{k}{l} is unknown")
-
-    def integrand(p, xs):
-        field = e.components[:, xs]
-        # |E_a|^2 for a = b, else E_a E_b* + E_b E_a* = 2 Re(E_a E_b*)
-        products = [(field[a] * field[b].conj()).real * (1 if a == b else 2)
-                    for a, b in _VOIGT_PAIRS]
-        return _voigt_sum(p, products, _pair_sums(w, xs))
-
-    _require_differentiable(w)
-    total = _tensor_integral(e.grid, integrand, "p", mat.p)
+    total = _contraction(e, w, mat, "p")
     v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
     denominator = _in_range(
         32 * mat.rho * v_mech * EPSILON_0**2 * mat.eta_eff**2 * v_em**2 * w.frequency,

@@ -386,6 +386,21 @@ def test_component_row_index_out_of_range_exits_2(outdir, tmp_path, capsys, comp
     assert not (outdir / "coupling.json").exists()
 
 
+@pytest.mark.parametrize("component", [["3", "3", "3"], ["9", "9", "9"]])
+def test_component_without_h_exits_2(outdir, tmp_path, capsys, component):
+    # both used to exit 0 and write a JSON with no component entry
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling", "--component", *component] + write_coupling_inputs(inputs)
+    tensors = json.loads((inputs / "tensors.json").read_text())
+    del tensors["h"]
+    (inputs / "tensors.json").write_text(json.dumps(tensors))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: material-data: piezoelectric tensor h is not set"]
+    assert sorted(p.name for p in outdir.iterdir()) == ["inputs"]
+
+
 def test_tensor_file_without_object_exits_2(outdir, tmp_path, capsys):
     inputs = tmp_path / "inputs"
     inputs.mkdir()

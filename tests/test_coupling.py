@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import inspect
 import json
@@ -866,6 +867,20 @@ def test_mode_field_reads_the_same_in_any_block_size(field_file, monkeypatch, bl
     np.testing.assert_array_equal(coupling.load_mode_field(path).components, f.components)
 
 
+def _comment_and_blank_line_after_row_16(rows):
+    rows[16:16] = [["# note"], [""]]
+
+
+@pytest.mark.parametrize("block_rows", [1, 2])
+def test_mode_field_block_of_only_a_comment_and_a_blank_line_reads_without_a_warning(
+        field_file, monkeypatch, block_rows):
+    # np.loadtxt warns on a block without rows; the test settings make a UserWarning an error
+    path, f = field_file
+    _rewrite_rows(path, _comment_and_blank_line_after_row_16)
+    monkeypatch.setattr(coupling, "CSV_BLOCK_ROWS", block_rows)
+    np.testing.assert_array_equal(coupling.load_mode_field(path).components, f.components)
+
+
 def test_mode_field_reads_from_a_pipe(field_file, tmp_path):
     # a pipe has no size to bound the rows by: the loader reads it like a file
     path, f = field_file
@@ -1038,7 +1053,8 @@ def test_optomech_unknown_element_named_in_index_order():
     p[3, 0] = math.nan  # p_41: p_2311 and its images
     p[5, 5] = math.nan  # p_66: first met as p_1212
     mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, p=p)
-    with pytest.raises(MaterialDataError, match="p_1212 is unknown"):
+    with pytest.raises(MaterialDataError, match=(
+            "^photoelastic element p_1212 is unknown but its overlap integral is nonzero$")):
         coupling.optomech_coupling(e, w, mat)
 
 
@@ -1102,10 +1118,9 @@ def test_rates_match_the_rank_tensor_einsum_oracle(monkeypatch, planes):
     assert coupling.optomech_coupling(e, w, mat) == pytest.approx(
         om_prefactor * abs(om_sum), rel=1e-12)
 
-    # one element or all 27 in one walk: the same bits as the full-gradient overlap
-    elements = list(np.ndindex(3, 3, 3))
-    for (i, j, k), overlap in zip(elements, coupling._overlaps(e, w, elements)):
-        assert overlap == coupling._overlaps(e, w, [(i, j, k)])[0] == coupling.overlap_integral(
+    # each element's slab-wise overlap has the bits of the full-gradient overlap
+    for i, j, k in np.ndindex(3, 3, 3):
+        assert coupling._overlap(e, w, i, j, k) == coupling.overlap_integral(
             e, strain, j + 1, k + 1, component=i + 1)
 
 
@@ -1129,9 +1144,8 @@ def test_rates_and_volumes_make_no_blas_call(monkeypatch):
 
 
 def test_unknown_piezo_elements_take_one_walk(monkeypatch):
-    # the 22 unknown elements, whose overlaps vanish on this pair, take one walk beside the
-    # three of the two volumes and the one of the total; h_331 and h_332 (Voigt h_35 and
-    # h_34) stay known, since roundoff makes their overlaps nonzero
+    # the 15 unknown Voigt entries, whose overlaps vanish on this pair, take one walk beside
+    # the three of the two volumes and the one of the total
     e, w = coupling_input_fields(piezo=True)
     h = np.full((3, 6), math.nan)
     h[2, 2:5] = 0.145, 0.0, 0.0
@@ -1149,17 +1163,88 @@ def test_unknown_piezo_elements_take_one_walk(monkeypatch):
         coupling.piezo_coupling_total(e, w, dataclasses.replace(mat, h=h))
 
 
-@pytest.mark.parametrize("rate, args", [
-    (coupling.piezo_coupling, ((3, 3, 3),)),
-    (coupling.piezo_coupling_total, ()),
-    (coupling.optomech_coupling, ()),
+@pytest.mark.parametrize("tensor, value, rate, expected", [
+    ("h", 0.145, coupling.piezo_coupling_total, 58.19),
+    ("p", 0.1, coupling.optomech_coupling, 0.007273),
 ])
-def test_rate_peak_memory_stays_below_its_two_fields(rate, args):
+def test_only_the_33_element_known_gives_the_rate_of_the_unknowns_as_0(tensor, value, rate,
+                                                                     expected):
+    # on the piezo pair only the 33 element contributes analytically; roundoff leaves the
+    # overlaps of Voigt entries 34 and 35 at 2.4e-18 of their bound, which a comparison with
+    # exactly 0 rejects
+    e, w = coupling_input_fields(piezo=True)
+    matrix = np.full((3, 6) if tensor == "h" else (6, 6), math.nan)
+    matrix[2, 2] = value
+    unknown = coupling.MaterialTensorSet(rho=3255.0, eps_rf=9.5, eps_ir=3.67, **{tensor: matrix})
+    as_0 = dataclasses.replace(unknown, **{tensor: np.nan_to_num(matrix)})
+    assert rate(e, w, unknown) == rate(e, w, as_0)
+    assert abs(rate(e, w, unknown)) == pytest.approx(expected, rel=1e-3)
+
+
+def test_unknown_entry_that_a_rigid_rotation_cancels_is_read_as_0():
+    # dw_x/dy = -3 and dw_y/dx = 3 cancel exactly in B_6, so the unknown h_16 multiplies
+    # nothing, though the overlaps of h_112 and h_121 alone are nonzero
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (5, 6, 7))
+    x, y, z = grid.meshgrid()
+    e = coupling.ModeField(grid, np.stack([1 + x, 0 * x, 1 + 0 * x]), coupling.EM, TWO_PI * 1e10)
+    w = coupling.ModeField(grid, np.stack([-3 * y, 3 * x, z**2]), coupling.MECH, TWO_PI * 3e9)
+    h = np.zeros((3, 6))
+    h[2, 2] = 1.0
+    known = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, h=h)
+    h[0, 5] = math.nan
+    total = coupling.piezo_coupling_total(e, w, dataclasses.replace(known, h=h))
+    assert total == coupling.piezo_coupling_total(e, w, known) != 0
+
+
+@pytest.mark.parametrize("tensor, rate, name", [
+    ("h", coupling.piezo_coupling_total, "piezoelectric element h_313"),
+    ("p", coupling.optomech_coupling, "photoelastic element p_3313"),
+])
+def test_unknown_entry_at_a_millionth_of_its_bound_is_rejected_by_name(tensor, rate, name):
+    # w_x = c z adds c to B_5 on the piezo pair, where R_3 = E_z = 1 and A_3 = |E_z|^2 = 1:
+    # c is set so the overlap of Voigt entry 35 is 1e-6 of its Cauchy-Schwarz bound
+    e, w = coupling_input_fields(piezo=True)
+    volume = coupling.trapezoid_3d(np.ones(e.grid.shape), e.grid)
+    b_square = coupling.trapezoid_3d(np.abs(coupling.strain_field(w)[2, 2])**2, e.grid)
+    comps = w.components.copy()
+    comps[0] = 1e-6 * math.sqrt(b_square / volume) * e.grid.meshgrid()[2]
+    w = coupling.ModeField(w.grid, comps, w.kind, w.frequency)
+    pair_sums = _strain_pair_sums(coupling.strain_field(w))
+    b_square = coupling.trapezoid_3d(np.sum(np.abs(pair_sums)**2, axis=0), e.grid)
+    ratio = abs(coupling.trapezoid_3d(pair_sums[4], e.grid)) / math.sqrt(volume * b_square)
+    assert ratio == pytest.approx(1e-6, rel=1e-6)
+    matrix = np.full((3, 6) if tensor == "h" else (6, 6), math.nan)
+    matrix[2, 2] = 0.1
+    mat = coupling.MaterialTensorSet(rho=3255.0, eps_rf=9.5, eps_ir=3.67, **{tensor: matrix})
+    message = f"^{name} is unknown but its overlap integral is nonzero$"
+    with pytest.raises(MaterialDataError, match=message):
+        rate(e, w, mat)
+
+
+@pytest.mark.parametrize("rate, args, unknown", [
+    (coupling.piezo_coupling, ((3, 3, 3),), False),
+    (coupling.piezo_coupling_total, (), False),
+    (coupling.optomech_coupling, (), False),
+    (coupling.piezo_coupling_total, (), True),
+    (coupling.optomech_coupling, (), True),
+])
+def test_rate_peak_memory_stays_below_its_two_fields(rate, args, unknown):
     # a cached full-grid strain alone took 1.5 times the two fields
     e, w = _random_pair(np.random.default_rng(6), shape=(48, 48, 48))
+    mat = simple_material()
+    if unknown:
+        # no E_x: the 6 unknown h entries of row 1 and the 18 unknown p entries of rows 1, 5
+        # and 6 are read as 0, after one walk; stacked whole, their overlaps took 1.2 times
+        # the two fields
+        comps = e.components.copy()
+        comps[0] = 0.0
+        e = coupling.ModeField(e.grid, comps, e.kind, e.frequency)
+        h, p = mat.h.copy(), mat.p.copy()
+        h[0] = p[[0, 4, 5]] = math.nan
+        mat = dataclasses.replace(mat, h=h, p=p)
     tracemalloc.start()
     try:
-        rate(e, w, simple_material(), *args)
+        rate(e, w, mat, *args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1450,16 +1535,13 @@ def test_tensor_element_whose_rate_overflows_named(rate, entry, message, errors)
 @pytest.mark.parametrize("tensor, voigt, value, name", [
     ("h", (0, 4), 1e308, "h_113 = 1e+308"), ("p", (3, 5), -1e308, "p_2312 = -1e+308")])
 def test_overflow_names_the_largest_element_by_its_tensor_indices(tensor, voigt, value, name):
-    e, _ = coupling_input_fields(piezo=True)
+    e, w = _random_pair(np.random.default_rng(12))
     matrix = np.zeros((3, 6) if tensor == "h" else (6, 6))
     matrix[voigt] = value
     matrix[0, 0] = 1.0
-
-    def integrand(m, xs):
-        return np.full(e.components[0, xs].shape, 10 * m.sum())
-
+    mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, **{tensor: matrix})
     with pytest.raises(MaterialDataError, match=f"its largest element {re.escape(name)}$"):
-        coupling._tensor_integral(e.grid, integrand, tensor, matrix)
+        coupling._contraction(e, w, mat, tensor)
 
 
 def test_finite_rates_keep_their_bits_beside_the_overflow_check():
@@ -1476,15 +1558,13 @@ def test_finite_rates_keep_their_bits_beside_the_overflow_check():
 
 
 def test_overflowing_fields_are_not_blamed_on_the_tensor():
-    # the integrand overflows at a unit tensor too: the caller's error state decides
-    e, _ = coupling_input_fields(piezo=True)
-    matrix = np.zeros((3, 6))
-    matrix[2, 2] = 1e308
-
-    def integrand(m, xs):
-        return np.full(e.components[0, xs].shape, 1e308) * 10 + m.sum()
-
+    # the contraction overflows at a unit tensor too: the caller's error state decides
+    e, w = _random_pair(np.random.default_rng(13))
+    h = np.zeros((3, 6))
+    h[2, 2] = 1e308
+    mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, h=h)
+    e = e.scaled(1e306)
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        coupling._tensor_integral(e.grid, integrand, "h", matrix)
+        coupling._contraction(e, w, mat, "h")
     with np.errstate(all="ignore"):
-        assert coupling._tensor_integral(e.grid, integrand, "h", matrix) == math.inf
+        assert not cmath.isfinite(coupling._contraction(e, w, mat, "h"))
