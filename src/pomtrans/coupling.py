@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import EPSILON_0, HBAR
-from .errors import GridError, MaterialDataError, ParameterError
+from .errors import GridError, MaterialDataError, ParameterError, is_number
 from .sweep import CSV_BLOCK_ROWS, csv_blocks
 
 # --- Voigt notation ---------------------------------------------------------
@@ -90,7 +90,7 @@ class Grid3D:
             raise ParameterError("origin, spacing and counts must have 3 entries each")
         if any(s <= 0 for s in self.spacing):
             raise ParameterError(f"grid spacing must be positive, got {self.spacing}")
-        if any(int(c) < 1 or int(c) != c for c in self.counts):
+        if not all(is_number(c) and c >= 1 and float(c).is_integer() for c in self.counts):
             raise ParameterError(f"grid counts must be positive integers, got {self.counts}")
         for name in ("origin", "spacing"):
             if not all(math.isfinite(v) for v in getattr(self, name)):
@@ -317,8 +317,9 @@ class MaterialTensorSet:
     permittivity, 3x3 symmetric positive definite.  ``rho``: kg/m^3.
 
     Every value is checked here, however the record is built: a scalar must
-    be a number, not a boolean, and a matrix entry a finite number, not a
-    boolean (NaN is allowed in ``h`` and ``p`` only).
+    be a number and a matrix entry a finite number, by
+    :func:`~pomtrans.errors.is_number` (so not a boolean or a string); NaN is
+    allowed in ``h`` and ``p`` only.
     """
 
     rho: float
@@ -333,23 +334,21 @@ class MaterialTensorSet:
     def __post_init__(self):
         for name in _TENSOR_SCALARS:
             value = getattr(self, name)
-            try:
-                if isinstance(value, (bool, np.bool_)):  # float(True) would read as 1
-                    raise TypeError(value)
-                object.__setattr__(self, name, float(value))
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"tensor scalar {name} is not a number: {value!r}") from exc
+            if not is_number(value):
+                raise ParameterError(f"tensor scalar {name} is not a number: {value!r}")
+            object.__setattr__(self, name, float(value))
         for name in _TENSOR_MATRICES:
             value = getattr(self, name)
             if value is None:
                 continue
-            try:
-                matrix = np.asarray(value, dtype=float)
-                entries = np.asarray(value, dtype=object).flat
-                if any(isinstance(v, (bool, np.bool_)) for v in entries):
-                    raise TypeError("booleans are not numbers")
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"tensor {name} is not a numeric matrix: {exc}") from exc
+            # a ragged matrix has lists among its entries, which are not numbers either
+            entries = np.asarray(value, dtype=object)
+            bad = [v for v in entries.flat if not is_number(v)]
+            if bad:
+                reason = ("booleans are not numbers" if isinstance(bad[0], (bool, np.bool_))
+                          else f"{bad[0]!r} is not a number")
+                raise ParameterError(f"tensor {name} is not a numeric matrix: {reason}")
+            matrix = entries.astype(float)
             # NaN marks an unknown element of h and p
             ok = np.isfinite(matrix) | (np.isnan(matrix) if name in ("h", "p") else False)
             if not np.all(ok):
@@ -439,7 +438,9 @@ def _in_range(value: float, what: str, mat: MaterialTensorSet) -> float:
 def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> complex:
     """i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho))."""
     v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
-    scale = 1j * math.sqrt(e.frequency / w.frequency) / (4 * math.sqrt(v_em * v_mech))
+    ratio = _in_range(e.frequency / w.frequency, "omega_em/omega_mech", mat)
+    volumes = _in_range(v_em * v_mech, "V_em V_mech", mat)
+    scale = 1j * math.sqrt(ratio) / (4 * math.sqrt(volumes))
     return scale / math.sqrt(_in_range(mat.eta_eff * mat.rho, "eta_eff rho", mat))
 
 
@@ -824,11 +825,12 @@ def load_tensor_set(path) -> MaterialTensorSet:
     The file is one JSON object with the required scalars ``rho``, ``eps_rf``
     and ``eps_ir`` and the optional Voigt matrices ``h``, ``e``, ``p``, ``c``
     and ``eta`` (SI units).  Unknown keys and a missing scalar are rejected
-    by name; :class:`MaterialTensorSet` checks the values.
+    by name; :class:`MaterialTensorSet` checks the values.  Every JSON number
+    is read as a float, so an integer literal beyond float range reads as inf.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=float)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"invalid tensor JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import sfg
 from .constants import HBAR, SPEED_OF_LIGHT, TWO_PI
-from .errors import ModelViolationError, ParameterError, SingularityError
+from .errors import ModelViolationError, ParameterError, SingularityError, is_number
 
 _SINGULARITY_RTOL = 1e-14
 _GAMMA_M_CHECK_RTOL = 0.02
@@ -76,9 +76,7 @@ class TransducerParams:
             if type(value) is not float:
                 if value is None and field.default is None:
                     continue
-                # a list is not an array, and kind "b" is a boolean, which would read as 0 or 1
-                if (not isinstance(value, (int, float, np.number, np.ndarray))
-                        or np.asarray(value).dtype.kind not in "iuf"):
+                if not is_number(value, arrays=True):
                     raise ParameterError(f"{name} is not a number: {value!r}")
             # abs(x) < inf is false exactly for NaN and +-inf
             _require(abs(value) < math.inf, name, value, "must be finite")
@@ -473,12 +471,9 @@ def params_from_dict(data: Mapping) -> TransducerParams:
     kwargs = {}
     for key, raw in data.items():
         field_name, kind = _PARAM_KEYS[key]
-        try:
-            if isinstance(raw, bool):  # float(True) would read as 1 Hz
-                raise TypeError(raw)
-            value = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"parameter {key} is not a number: {raw!r}") from exc
+        if not is_number(raw):
+            raise ParameterError(f"parameter {key} is not a number: {raw!r}")
+        value = float(raw)
         if kind == "freq":
             value = _rad_s(key, value, squared=field_name in _SQUARED_RATES)
         kwargs[field_name] = value
@@ -510,14 +505,16 @@ def params_to_dict(p: TransducerParams) -> dict:
 def load_params(path=None) -> TransducerParams:
     """Read a parameter JSON file (flat object, unknown keys rejected).
 
-    Without a path, the bundled nominal parameter set.
+    Without a path, the bundled nominal parameter set.  Every JSON number is
+    read as a float, so an integer literal beyond float range reads as inf.
     """
     if path is None:
         return params_from_dict(json.loads(
-            resources.files("pomtrans.data").joinpath("nominal_params.json").read_text("utf-8")))
+            resources.files("pomtrans.data").joinpath("nominal_params.json").read_text("utf-8"),
+            parse_int=float))
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=float)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):

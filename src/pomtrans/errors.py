@@ -1,4 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for what is a number."""
+
+import sys
+
+
+def is_number(value, arrays: bool = False) -> bool:
+    """Whether ``value`` is a real number: a float, an int within float range or a
+    numpy real scalar; with ``arrays``, also a numpy array of ints or floats.
+
+    A boolean (which would read as 0 or 1), a string, a list, a complex value
+    and an int too large for a float are not numbers.  The JSON readers parse
+    integers as floats, so an integer literal beyond float range reads as inf.
+    """
+    if type(value) is float:
+        return True
+    dtype = getattr(value, "dtype", None)
+    if dtype is not None:
+        return dtype.kind in "iuf" and (arrays or value.ndim == 0)
+    return type(value) is int and abs(value) <= sys.float_info.max
 
 
 class PomtransError(Exception):

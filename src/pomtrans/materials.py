@@ -17,7 +17,8 @@ magnitudes match the source tabulation):
 * optomechanical:    eps33_ir p33 / sqrt(rho)
 
 Undefined inputs make the figure undefined-with-reason; ranking treats
-undefined entries as trailing.
+undefined entries as trailing.  Defined inputs whose figure is not finite
+(a subnormal density, say) are rejected by the material's name.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def em_fom(r: MaterialRecord) -> FomValue:
         reasons.append("density unknown")
     if reasons:
         return FomValue(None, "; ".join(reasons))
-    return FomValue(r.h33 * sqrt(r.eps33_rf / r.rho_gcc))
+    return _finite(r, "electromechanical", r.h33 * sqrt(r.eps33_rf / r.rho_gcc))
 
 
 def om_fom(r: MaterialRecord) -> FomValue:
@@ -125,7 +126,18 @@ def om_fom(r: MaterialRecord) -> FomValue:
         reasons.append("density unknown")
     if reasons:
         return FomValue(None, "; ".join(reasons))
-    return FomValue(r.eps33_ir * r.p33 / sqrt(r.rho_gcc))
+    return _finite(r, "optomechanical", r.eps33_ir * r.p33 / sqrt(r.rho_gcc))
+
+
+def _finite(r: MaterialRecord, which: str, value: float) -> FomValue:
+    """``value`` as a figure of merit of ``r``, unless its inputs over- or underflowed it.
+
+    Finite inputs can still give inf (a subnormal density) or NaN (0 times inf),
+    which would rank first or anywhere; such a figure is rejected by name.
+    """
+    if not isfinite(value):
+        raise MaterialDataError(f"{r.name}: {which} figure of merit must be finite, got {value}")
+    return FomValue(value)
 
 
 def rank(records, which: str, fab_filter: str | None = None):

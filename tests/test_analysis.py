@@ -255,6 +255,12 @@ def test_efficiency_spectrum_grid_errors(nominal_params):
             p, p.omega_m + TWO_PI * np.linspace(-200e6, 200e6, 41))
 
 
+@pytest.mark.parametrize("grid", [np.zeros((3, 3)), np.array([1.0, 2.0])], ids=["2-D", "2-points"])
+def test_efficiency_spectrum_rejects_a_grid_of_bad_shape(nominal_params, grid):
+    with pytest.raises(GridError, match="^omega grid must be a 1-D array with at least 3 points$"):
+        analysis.efficiency_spectrum(nominal_params, grid)
+
+
 def test_efficiency_spectrum_boundary_sets_broad_flag(nominal_params):
     p = nominal_params
     # window much narrower than the bandwidth: the 50% band hits the edges

@@ -338,6 +338,22 @@ def test_non_finite_and_boolean_parameters_exit_2(outdir, tmp_path, capsys, key,
     assert not (outdir / "opt.json").exists()
 
 
+@pytest.mark.parametrize("literal, expected", [
+    pytest.param("1" + "0" * 400, "g_em must be finite, got inf", id="400-digit-integer"),
+    pytest.param("1" + "0" * 5001, "g_em must be finite, got inf", id="5001-digit-integer"),
+    pytest.param('"1_0"', "parameter g_em_hz is not a number: '1_0'", id="numeric-string"),
+])
+def test_over_long_integer_and_numeric_string_parameters_exit_2(outdir, tmp_path, capsys,
+                                                                literal, expected):
+    # the integers used to end in "arithmetic: OverflowError" or in Python's digit-limit
+    # advice, without the key; the string used to read as 10 Hz
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_nominal_payload(), "g_em_hz": "@"}).replace('"@"', literal))
+    assert run(["optimize", "--params", str(path), "--out", "opt"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: validation: {expected}"]
+    assert not (outdir / "opt.json").exists()
+
+
 def test_artifacts_honour_umask(outdir):
     old = os.umask(0o022)
     try:
@@ -556,6 +572,10 @@ def _rewrite_header(path, key, value):
     ("frequency", "inf", "mode frequency must be finite, got inf"),
     # 0 used to pass the load and fail at the rate, without naming the file
     ("frequency", "0", "mode frequency must be > 0, got 0.0"),
+    # this used to end in "arithmetic: OverflowError", without naming the file
+    pytest.param("counts", f"5,5,{10**400}",
+                 f"grid counts must be positive integers, got (5, 5, {10**400})",
+                 id="counts-400-digit-integer"),
 ])
 def test_non_finite_mode_field_header_exits_2(outdir, tmp_path, capsys, key, value, message):
     inputs = tmp_path / "inputs"
@@ -602,18 +622,39 @@ def test_mode_field_without_rows_exits_2_without_a_warning(outdir, tmp_path, cap
 @pytest.mark.parametrize("column, value", [
     ("h33", "nan"), ("eps33_rf", "inf"), ("rho_gcc", "inf"), ("p33", "-inf")])
 def test_non_finite_materials_cell_exits_2(outdir, tmp_path, capsys, column, value):
-    text = resources.files("pomtrans.data").joinpath("materials.csv").read_text("utf-8")
-    rows = [line.split(",") for line in text.splitlines()]
-    aln = next(row for row in rows if row[0] == "AlN")
-    aln[rows[0].index(column)] = value
-    path = tmp_path / "materials.csv"
-    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
-    line_no = rows.index(aln) + 1
+    path, line_no = _materials_file_with_aln(tmp_path, {column: value})
     assert run(["materials", "--which", "em", "--materials-file", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: material-data: row {line_no}: AlN: {column} must be finite, "
         f"got {float(value)}"]
     assert not (outdir / "materials-em.csv").exists()
+
+
+def _materials_file_with_aln(tmp_path, cells):
+    """The bundled materials CSV with AlN's ``cells`` replaced: its path and AlN's line."""
+    text = resources.files("pomtrans.data").joinpath("materials.csv").read_text("utf-8")
+    rows = [line.split(",") for line in text.splitlines()]
+    aln = next(row for row in rows if row[0] == "AlN")
+    for column, value in cells.items():
+        aln[rows[0].index(column)] = value
+    path = tmp_path / "materials.csv"
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    return path, rows.index(aln) + 1
+
+
+@pytest.mark.parametrize("which, cells, figure", [
+    # an infinite figure used to rank first
+    ("em", {"rho_gcc": "1e-320"}, "electromechanical figure of merit must be finite, got inf"),
+    ("em", {"rho_gcc": "1e-320", "h33": "0"},
+     "electromechanical figure of merit must be finite, got nan"),
+    ("om", {"eps33_ir": "1e200", "p33": "1e200"},
+     "optomechanical figure of merit must be finite, got inf"),
+], ids=["em-inf", "em-nan", "om-inf"])
+def test_non_finite_figure_of_merit_exits_2(outdir, tmp_path, capsys, which, cells, figure):
+    path, _ = _materials_file_with_aln(tmp_path, cells)
+    assert run(["materials", "--which", which, "--materials-file", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: material-data: AlN: {figure}"]
+    assert not (outdir / f"materials-{which}.csv").exists()
 
 
 @pytest.mark.parametrize("key, entry, message", [
@@ -634,6 +675,27 @@ def test_non_numeric_tensor_matrix_entry_exits_2(outdir, tmp_path, capsys, key, 
     (inputs / "tensors.json").write_text(json.dumps(data))
     assert run(argv) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: validation: {message}"]
+    assert not (outdir / "coupling.json").exists()
+
+
+@pytest.mark.parametrize("key, literal, expected", [
+    pytest.param("rho", "1" + "0" * 400,
+                 "material-data: density must be positive and finite, got rho = inf",
+                 id="rho-400-digit-integer"),
+    ("eps_rf", '"9.5"', "validation: tensor scalar eps_rf is not a number: '9.5'"),
+    ("h", '[["1_0", 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]',
+     "validation: tensor h is not a numeric matrix: '1_0' is not a number"),
+])
+def test_over_long_integer_and_numeric_string_tensor_values_exit_2(outdir, tmp_path, capsys,
+                                                                   key, literal, expected):
+    # the integer used to end in "arithmetic: OverflowError"; the strings read as numbers
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    data = json.loads((inputs / "tensors.json").read_text())
+    (inputs / "tensors.json").write_text(json.dumps({**data, key: "@"}).replace('"@"', literal))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
     assert not (outdir / "coupling.json").exists()
 
 
@@ -670,6 +732,26 @@ def test_out_of_range_coupling_prefactor_exits_2(outdir, tmp_path, capsys, scala
     assert capsys.readouterr().err.splitlines() == [
         f"error: material-data: coupling prefactor term {term} is out of range (0, inf) "
         f"at rho = {data['rho']}, eps_rf = {data['eps_rf']}"]
+    assert not (outdir / "coupling.json").exists()
+
+
+@pytest.mark.parametrize("em, mech, ratio", [
+    ("1e-300", "1e+300", "0.0"),  # the piezoelectric coupling used to read 0.0
+    ("1e+300", "1e-300", "inf"),  # it used to be nan, which failed the JSON writer
+], ids=["underflow", "overflow"])
+def test_out_of_range_piezo_frequency_ratio_exits_2(outdir, tmp_path, capsys, em, mech, ratio):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs, piezo=True)
+    _rewrite_header(inputs / "e.csv", "frequency", em)
+    _rewrite_header(inputs / "w.csv", "frequency", mech)
+    data = json.loads((inputs / "tensors.json").read_text())
+    del data["p"]  # the optomechanical prefactor would fail first
+    (inputs / "tensors.json").write_text(json.dumps(data))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: material-data: coupling prefactor term omega_em/omega_mech = {ratio} "
+        f"is out of range (0, inf) at rho = {data['rho']}, eps_rf = {data['eps_rf']}"]
     assert not (outdir / "coupling.json").exists()
 
 

@@ -1333,6 +1333,11 @@ def test_grid_rejects_non_finite_origin_and_spacing(origin, spacing, name):
     ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, 0, 3), "grid counts must be positive integers, got (3, 0, 3)"),
     ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, 3, 2.5),
      "grid counts must be positive integers, got (3, 3, 2.5)"),
+    # True used to read as a count of 1
+    ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, True, 3),
+     "grid counts must be positive integers, got (3, True, 3)"),
+    ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, 3, math.inf),
+     "grid counts must be positive integers, got (3, 3, inf)"),
 ])
 def test_grid_rejects_wrong_lengths_and_counts(origin, spacing, counts, message):
     with pytest.raises(ParameterError) as info:
@@ -1400,6 +1405,11 @@ def _matrix_with(key, entry):
      "tensor eta is not a numeric matrix: booleans are not numbers"),
     ({"rho": "x"}, "tensor scalar rho is not a number: 'x'"),
     ({"eps_ir": np.True_}, "tensor scalar eps_ir is not a number: np.True_"),
+    # numpy reads a numeric string as a float, and Python's float() reads "1_0" as 10
+    ({"rho": "3255"}, "tensor scalar rho is not a number: '3255'"),
+    ({"p": _matrix_with("p", "1.5")}, "tensor p is not a numeric matrix: '1.5' is not a number"),
+    ({"h": [[0.0] * 6] * 2 + [[0.0] * 5]},
+     "tensor h is not a numeric matrix: [0.0, 0.0, 0.0, 0.0, 0.0, 0.0] is not a number"),
 ])
 def test_tensor_set_built_in_python_checks_values_like_the_loader(values, message):
     # an infinite p or h used to give a nan coupling rather than an error

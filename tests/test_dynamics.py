@@ -102,9 +102,9 @@ def test_negative_rate_rejected(nominal_params):
 
 @pytest.mark.parametrize("name, value", [
     ("J", True), ("J", np.True_), ("g_om", "400"), ("g_om", None), ("J", 1j),
-    ("J", np.array([True, False])), ("gamma_ex", True), ("J", [1.0]),
+    ("J", np.array([True, False])), ("gamma_ex", True), ("J", [1.0]), ("J", 10**400),
 ], ids=["bool", "numpy-bool", "string", "none-required", "complex", "bool-array",
-        "bool-optional", "list"])
+        "bool-optional", "list", "int-beyond-float-range"])
 def test_non_number_rejected_by_name(nominal_params, name, value):
     # True used to read as 1 rad/s; "400" and None ended in a bare TypeError
     expected = f"{name} is not a number: {value!r}"

@@ -205,6 +205,12 @@ def test_singularity_detected():
         sfg.linear_solve_gain(g, "s", "t", 0.0)
 
 
+def test_linear_solve_rejects_a_non_finite_solution():
+    g = graph_from({("s", "a"): math.inf, ("a", "t"): 1.0})
+    with pytest.raises(SingularityError, match=r"\(non-finite solution\)$"):
+        sfg.linear_solve_gain(g, "s", "t", 0.0)
+
+
 def test_edge_gain_failure_carries_edge_identity():
     def bad_gain(w):
         raise FloatingPointError("boom")
