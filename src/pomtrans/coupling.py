@@ -37,7 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .constants import EPSILON_0, HBAR
-from .errors import GridError, MaterialDataError, ParameterError, is_number
+from .errors import (GridError, MaterialDataError, ParameterError, is_number, parse_number,
+                     require_number, shown)
 from .sweep import CSV_BLOCK_ROWS, csv_blocks
 
 # --- Voigt notation ---------------------------------------------------------
@@ -88,10 +89,14 @@ class Grid3D:
     def __post_init__(self):
         if len(self.origin) != 3 or len(self.spacing) != 3 or len(self.counts) != 3:
             raise ParameterError("origin, spacing and counts must have 3 entries each")
+        for name in ("origin", "spacing"):
+            if not all(map(is_number, getattr(self, name))):
+                raise ParameterError(f"grid {name} is not 3 numbers: {shown(getattr(self, name))}")
         if any(s <= 0 for s in self.spacing):
             raise ParameterError(f"grid spacing must be positive, got {self.spacing}")
         if not all(is_number(c) and c >= 1 and float(c).is_integer() for c in self.counts):
-            raise ParameterError(f"grid counts must be positive integers, got {self.counts}")
+            raise ParameterError(
+                f"grid counts must be positive integers, got {shown(self.counts)}")
         for name in ("origin", "spacing"):
             if not all(math.isfinite(v) for v in getattr(self, name)):
                 raise ParameterError(f"grid {name} must be finite, got {getattr(self, name)}")
@@ -122,7 +127,7 @@ class ModeField:
 
     ``components`` is stored read-only, so the cached mode volumes cannot go
     stale.  A complex array is stored without a copy: the caller's array is
-    frozen too.  ``frequency`` must be finite and > 0, so the rates may
+    frozen too.  ``frequency`` must be a finite number > 0, so the rates may
     divide by it.
     """
 
@@ -141,6 +146,7 @@ class ModeField:
             raise ParameterError("mode field contains non-finite values")
         if self.kind not in (EM, MECH):
             raise ParameterError(f"kind must be '{EM}' or '{MECH}'")
+        require_number(self.frequency, "mode frequency")
         if not math.isfinite(self.frequency):
             raise ParameterError(f"mode frequency must be finite, got {self.frequency}")
         if not self.frequency > 0:
@@ -334,8 +340,7 @@ class MaterialTensorSet:
     def __post_init__(self):
         for name in _TENSOR_SCALARS:
             value = getattr(self, name)
-            if not is_number(value):
-                raise ParameterError(f"tensor scalar {name} is not a number: {value!r}")
+            require_number(value, f"tensor scalar {name}")
             object.__setattr__(self, name, float(value))
         for name in _TENSOR_MATRICES:
             value = getattr(self, name)
@@ -346,7 +351,7 @@ class MaterialTensorSet:
             bad = [v for v in entries.flat if not is_number(v)]
             if bad:
                 reason = ("booleans are not numbers" if isinstance(bad[0], (bool, np.bool_))
-                          else f"{bad[0]!r} is not a number")
+                          else f"{shown(bad[0])} is not a number")
                 raise ParameterError(f"tensor {name} is not a numeric matrix: {reason}")
             matrix = entries.astype(float)
             # NaN marks an unknown element of h and p
@@ -426,22 +431,30 @@ def require_matching(e: ModeField, w: ModeField):
         raise ParameterError("expected (EM field, mechanical field)")
 
 
-def _in_range(value: float, what: str, mat: MaterialTensorSet) -> float:
-    """``value`` of a prefactor term under a square root, unless it over- or underflowed."""
+def _in_range(value: float, what: str, error=MaterialDataError, **parts) -> float:
+    """``value`` of a prefactor term under a square root, unless it over- or underflowed.
+
+    Else ``error`` is raised, naming the values ``parts`` the term is made of.
+    """
     if not 0 < value < math.inf:
-        raise MaterialDataError(
-            f"coupling prefactor term {what} = {value} is out of range (0, inf) "
-            f"at rho = {mat.rho}, eps_rf = {mat.eps_rf}")
+        at = ", ".join(f"{name} = {part}" for name, part in parts.items())
+        raise error(f"coupling prefactor term {what} = {value} is out of range (0, inf) at {at}")
     return value
 
 
 def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> complex:
-    """i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho))."""
+    """i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho)).
+
+    Only ``eta_eff rho`` holds a material value; a fault in the other two
+    terms is the fields', a :class:`ParameterError`.
+    """
     v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
-    ratio = _in_range(e.frequency / w.frequency, "omega_em/omega_mech", mat)
-    volumes = _in_range(v_em * v_mech, "V_em V_mech", mat)
+    ratio = _in_range(e.frequency / w.frequency, "omega_em/omega_mech", ParameterError,
+                      omega_em=e.frequency, omega_mech=w.frequency)
+    volumes = _in_range(v_em * v_mech, "V_em V_mech", ParameterError, V_em=v_em, V_mech=v_mech)
     scale = 1j * math.sqrt(ratio) / (4 * math.sqrt(volumes))
-    return scale / math.sqrt(_in_range(mat.eta_eff * mat.rho, "eta_eff rho", mat))
+    return scale / math.sqrt(_in_range(mat.eta_eff * mat.rho, "eta_eff rho",
+                                       rho=mat.rho, eps_rf=mat.eps_rf))
 
 
 def overlap_integral(e: ModeField, gradients: np.ndarray, j: int, k: int,
@@ -643,8 +656,9 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
     denominator = _in_range(
         32 * mat.rho * v_mech * EPSILON_0**2 * mat.eta_eff**2 * v_em**2 * w.frequency,
-        "32 rho V_mech eps0^2 eta_eff^2 V_em^2 omega_mech", mat)
-    prefactor = math.sqrt(_in_range(HBAR / denominator, "hbar / (32 rho ... omega_mech)", mat))
+        "32 rho V_mech eps0^2 eta_eff^2 V_em^2 omega_mech", rho=mat.rho, eps_rf=mat.eps_rf)
+    prefactor = math.sqrt(_in_range(HBAR / denominator, "hbar / (32 rho ... omega_mech)",
+                                    rho=mat.rho, eps_rf=mat.eps_rf))
     return prefactor * abs(total)
 
 
@@ -770,11 +784,12 @@ def _read_mode_field(path) -> ModeField:
             key, _, raw = token.partition("=")
             meta[key] = raw
         try:
-            origin = tuple(float(v) for v in meta["origin"].split(","))
-            spacing = tuple(float(v) for v in meta["spacing"].split(","))
-            counts = tuple(int(v) for v in meta["counts"].split(","))
+            # read like the data rows: np.loadtxt reads no '1_0' and no non-ASCII digit
+            origin = tuple(parse_number(v) for v in meta["origin"].split(","))
+            spacing = tuple(parse_number(v) for v in meta["spacing"].split(","))
+            counts = tuple(parse_number(v, int) for v in meta["counts"].split(","))
             kind = meta["kind"]
-            frequency = float(meta["frequency"])
+            frequency = parse_number(meta["frequency"])
         except (KeyError, ValueError) as exc:
             raise ParameterError(f"malformed mode field header: {meta_line!r}") from exc
         fh.readline()  # column header

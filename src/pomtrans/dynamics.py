@@ -5,9 +5,9 @@ with the pump laser: the pump sits at zero, the transduced signal appears
 near the mechanical resonance, and the ring detunings ``delta_1``/``delta_2``
 locate the bare optical resonances relative to the pump.
 
-The couplings of the three-mode equations of motion are written once, as
-data, by :func:`linear_model`, and :func:`transducer_graph` generates the
-signal-flow graph from them.  The closed-form responses here are
+The modes and couplings of the three-mode equations of motion are written
+once, as data, by :func:`linear_model`, and :func:`transducer_graph` generates
+the signal-flow graph from them.  The closed-form responses here are
 algebraically identical to solving that graph; both routes are exposed and
 cross-checked in the test suite.
 """
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import sfg
 from .constants import HBAR, SPEED_OF_LIGHT, TWO_PI
-from .errors import ModelViolationError, ParameterError, SingularityError, is_number
+from .errors import ModelViolationError, ParameterError, SingularityError, require_number
 
 _SINGULARITY_RTOL = 1e-14
 _GAMMA_M_CHECK_RTOL = 0.02
@@ -76,8 +76,7 @@ class TransducerParams:
             if type(value) is not float:
                 if value is None and field.default is None:
                     continue
-                if not is_number(value, arrays=True):
-                    raise ParameterError(f"{name} is not a number: {value!r}")
+                require_number(value, name, arrays=True)
             # abs(x) < inf is false exactly for NaN and +-inf
             _require(abs(value) < math.inf, name, value, "must be finite")
         for name in ("gamma_0", "Gamma_0", "Gamma", "g_em", "J", "kappa_1",
@@ -216,17 +215,23 @@ def with_derived_gamma_ex(p: TransducerParams) -> TransducerParams:
     return replace(p, gamma_ex=None, gamma_m_supplied=None)
 
 
-def susceptibilities(p: TransducerParams, omega):
-    """``(chi_01, chi_02, chi_m)``, each 1 / (-i (omega - centre) + halfwidth), at ``omega``.
+def _susceptibility(omega, centre, halfwidth):
+    """1 / (-i (omega - centre) + halfwidth): the Lorentzian response of one mode."""
+    return 1.0 / (-1j * (omega - centre) + halfwidth)
 
-    The rings sit at delta_1 and delta_2 with halfwidths kappa_1/2 and
-    kappa_2/2, the mechanics at omega_m with gamma_m/2.  ``omega`` and the
-    parameter fields broadcast.
-    """
-    r = derived_rates(p)
+
+def _modes(p: TransducerParams) -> dict:
+    """``{mode: (centre, halfwidth)}``: the rings a1 and a2 at delta_1 and delta_2 with
+    kappa_1/2 and kappa_2/2, the mechanics b at omega_m with gamma_m/2."""
+    gamma_m, _, kappa_2 = _mechanical_rates(p)
+    return {"a1": (p.delta_1, p.kappa_1 / 2), "a2": (p.delta_2, kappa_2 / 2),
+            "b": (p.omega_m, gamma_m / 2)}
+
+
+def susceptibilities(p: TransducerParams, omega):
+    """``(chi_01, chi_02, chi_m)``, :func:`_susceptibility` of a1, a2, b; ``omega`` broadcasts."""
     w = np.asarray(omega)
-    return tuple(1.0 / (-1j * (w - centre) + halfwidth) for centre, halfwidth in (
-        (p.delta_1, p.kappa_1 / 2), (p.delta_2, r.kappa_2 / 2), (p.omega_m, r.gamma_m / 2)))
+    return tuple(_susceptibility(w, *mode) for mode in _modes(p).values())
 
 
 @dataclass(frozen=True)
@@ -243,6 +248,8 @@ class OperatingPoint:
     pump_phase: float = 0.0
 
     def __post_init__(self):
+        require_number(self.intra_ring_photons, "intra_ring_photons", arrays=True)
+        require_number(self.pump_phase, "pump_phase", arrays=True)
         _require(self.intra_ring_photons >= 0, "intra_ring_photons", self.intra_ring_photons,
                  "must be >= 0")
 
@@ -283,11 +290,12 @@ def transduction_amplitude(op: OperatingPoint, omega):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def linear_model(op: OperatingPoint) -> tuple[dict, dict]:
-    """The linearized equations of motion at ``op`` as data: ``(C, D)``.
+def linear_model(op: OperatingPoint) -> tuple[dict, dict, dict]:
+    """The linearized equations of motion at ``op`` as data: ``(modes, C, D)``.
 
-    Mode v of (a1, a2, b) obeys x_v = chi_v(omega) sum_u C[u, v] x_u, and the bus
-    output is a_out = sum_u D[u] x_u.  So M(omega) x = B s with M(omega) =
+    Mode v of (a1, a2, b) obeys x_v = chi_v(omega) sum_u C[u, v] x_u, chi_v the
+    :func:`_susceptibility` at modes[v] = (centre, halfwidth), and the bus output
+    is a_out = sum_u D[u] x_u.  So M(omega) x = B s with M(omega) =
     diag(1/chi(omega)) - C over the modes and B = C from the ports c_in, a_in, f_*.
     """
     p, a1 = op.params, op.a1
@@ -297,7 +305,7 @@ def linear_model(op: OperatingPoint) -> tuple[dict, dict]:
         ("a2", "a1"): 1j * p.J, ("f_01", "a1"): math.sqrt(p.kappa_1), ("a1", "a2"): 1j * p.J,
         ("f_02", "a2"): math.sqrt(p.kappa_02), ("a_in", "a2"): math.sqrt(p.kappa_ex2),
     }
-    return couplings, {"a2": math.sqrt(p.kappa_ex2), "a_in": -1.0}
+    return _modes(p), couplings, {"a2": math.sqrt(p.kappa_ex2), "a_in": -1.0}
 
 
 def transducer_graph(op: OperatingPoint) -> sfg.SignalFlowGraph:
@@ -305,22 +313,11 @@ def transducer_graph(op: OperatingPoint) -> sfg.SignalFlowGraph:
 
     Sources are the microwave input ``c_in``, the optical bus input ``a_in``
     and the intrinsic noise ports ``f_m``, ``f_01``, ``f_02``; the sink is the
-    bus output ``a_out``.  The gains are closures over angular frequency that
-    share one :func:`susceptibilities` call per frequency.
+    bus output ``a_out``.  Each edge into mode v evaluates chi_v from v's
+    (centre, halfwidth) in the mode table at the frequency it is given.
     """
-    p = op.params
-    couplings, outputs = linear_model(op)
-    last = None  # (key, omega, chi), replaced whole so that concurrent calls never mix two
-
-    def chi(omega):
-        nonlocal last
-        w = np.asarray(omega)  # kept in the entry: an object array's key holds pointers
-        key, hit = (w.dtype.str, w.shape, w.tobytes()), last
-        if hit is None or hit[0] != key:
-            hit = last = (key, w, susceptibilities(p, w))
-        return hit[2]
-
-    edges = [sfg.SfgEdge(u, v, lambda w, c=c, k=("a1", "a2", "b").index(v): c * chi(w)[k])
+    modes, couplings, outputs = linear_model(op)
+    edges = [sfg.SfgEdge(u, v, lambda w, c=c, mode=modes[v]: c * _susceptibility(w, *mode))
              for (u, v), c in couplings.items()]
     edges += [sfg.SfgEdge(u, "a_out", lambda w, d=d: d) for u, d in outputs.items()]
     return sfg.SignalFlowGraph(edges)
@@ -471,8 +468,7 @@ def params_from_dict(data: Mapping) -> TransducerParams:
     kwargs = {}
     for key, raw in data.items():
         field_name, kind = _PARAM_KEYS[key]
-        if not is_number(raw):
-            raise ParameterError(f"parameter {key} is not a number: {raw!r}")
+        require_number(raw, f"parameter {key}")
         value = float(raw)
         if kind == "freq":
             value = _rad_s(key, value, squared=field_name in _SQUARED_RATES)

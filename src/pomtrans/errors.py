@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one rule for what is a number."""
+"""Exception types shared across the package, and the one rule for what is a number:
+in a record, in a message and in a cell of a text file."""
 
 import sys
 
@@ -17,6 +18,38 @@ def is_number(value, arrays: bool = False) -> bool:
     if dtype is not None:
         return dtype.kind in "iuf" and (arrays or value.ndim == 0)
     return type(value) is int and abs(value) <= sys.float_info.max
+
+
+def shown(value) -> str:
+    """``repr(value)``, except that an int with more decimal digits than Python converts
+    (``sys.get_int_max_str_digits()``), alone or in a tuple or list, is shown by its bit count."""
+    limit = sys.get_int_max_str_digits()
+    if isinstance(value, int) and limit and abs(value) >= 10**limit:
+        return f"<int of {value.bit_length()} bits>"
+    if type(value) is list:
+        return f"[{', '.join(map(shown, value))}]"
+    if type(value) is tuple:
+        return f"({', '.join(map(shown, value))}{',' if len(value) == 1 else ''})"
+    return repr(value)
+
+
+def parse_number(text: str, convert=float):
+    """``convert(text)`` of a text-file cell, read by the rule ``np.loadtxt`` reads rows by.
+
+    Whitespace around the cell is dropped; a cell with an underscore or a
+    non-ASCII character, which ``float()`` and ``int()`` would read (``'1_0'``
+    as 10), raises ``ValueError``, as any other malformed cell does.
+    """
+    text = text.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a number: {text!r}")
+    return convert(text)
+
+
+def require_number(value, what: str, arrays: bool = False) -> None:
+    """Raise :class:`ParameterError` naming ``what`` unless :func:`is_number` holds."""
+    if not is_number(value, arrays):
+        raise ParameterError(f"{what} is not a number: {shown(value)}")
 
 
 class PomtransError(Exception):

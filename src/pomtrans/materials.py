@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from math import isfinite, sqrt
 
-from .errors import MaterialDataError
+from .errors import MaterialDataError, is_number, parse_number, shown
 
 H33_FLAGS = ("value", "zero-centrosymmetric", "zero-piezo-class", "unknown")
 IR_FLAGS = ("value", "unknown", "opaque")
@@ -65,6 +65,10 @@ class MaterialRecord:
         for column in ("h33", "eps33_ir", "p33"):
             if (getattr(self, column) is None) == (getattr(self, f"{column}_flag") == "value"):
                 raise MaterialDataError(f"{self.name}: {column} value and flag are inconsistent")
+        for column in _NUMERIC:
+            value = getattr(self, column)
+            if value is not None and not is_number(value):
+                raise MaterialDataError(f"{self.name}: {column} is not a number: {shown(value)}")
         if self.rho_gcc is not None and self.rho_gcc <= 0:
             raise MaterialDataError(f"{self.name}: density must be positive")
         for column in _NUMERIC:
@@ -172,7 +176,7 @@ def _parse_float(name: str, column: str, raw: str) -> float | None:
     if raw == "":
         return None
     try:
-        return float(raw)
+        return parse_number(raw)
     except ValueError as exc:
         raise MaterialDataError(
             f"row {name!r}, column {column!r}: not a number: {raw!r}"

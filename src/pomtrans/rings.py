@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TWO_PI
-from .errors import GridError, ParameterError
+from .errors import GridError, ParameterError, require_number
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,8 @@ class RingPair:
     bus_coupling: float
 
     def __post_init__(self):
+        for name in ("T", "J", "loss", "bus_coupling"):
+            require_number(getattr(self, name), name)
         if not 0 < self.T < math.inf:
             raise ParameterError(f"round-trip time T must be > 0 and finite, got {self.T}")
         if not 1 / self.T < math.inf:
@@ -135,6 +137,8 @@ class CouplerGeometry:
     interaction_length: float = 0.0  # m
 
     def __post_init__(self):
+        for name in ("wavelength", "n_eff_sym", "n_eff_asym", "interaction_length"):
+            require_number(getattr(self, name), name)
         if not 0 < self.wavelength < math.inf:
             raise ParameterError(f"wavelength must be > 0 and finite, got {self.wavelength}")
         for name in ("n_eff_sym", "n_eff_asym", "interaction_length"):

@@ -5,11 +5,13 @@ import errno
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +194,35 @@ def test_coupling_command(outdir, tmp_path):
         rho=3255.0, eps_rf=9.5, eps_ir=3.67, h=h, p=p))
     assert payload["optomech_coupling_rad_s"] == pytest.approx(g, rel=1e-12)
     assert payload["piezo_coupling_component"]["ijk"] == [3, 3, 3]
+
+
+def _readme_command_lines():
+    """The ``pomtrans ...`` lines of the first ``sh`` block under README's "Command line"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("pomtrans ")]
+
+
+#: the extensions of the artifacts each subcommand writes beside its --out base
+_ARTIFACTS = {"optimize": (".json",), "spectrum": (".csv", ".json"), "contour": (".csv", ".json"),
+              "efficiency-curve": (".csv", ".json"), "rings": (".csv", ".json"),
+              "materials": (".csv",), "coupling": (".json",)}
+
+
+@pytest.mark.parametrize("line", _readme_command_lines(), ids=lambda line: line.split()[1])
+def test_readme_command_line_example_runs(outdir, line):
+    argv = shlex.split(line)[1:]
+    if argv[0] == "coupling":
+        write_coupling_inputs(outdir)  # e.csv, w.csv and tensors.json, as the line names them
+    before = set(os.listdir(outdir))
+    assert run(argv) == 0
+    out = argv[argv.index("--out") + 1]
+    assert set(os.listdir(outdir)) - before == {out + ext for ext in _ARTIFACTS[argv[0]]}
+
+
+def test_readme_lists_one_command_line_example_per_subcommand():
+    assert sorted(line.split()[1] for line in _readme_command_lines()) == sorted(_ARTIFACTS)
 
 
 def test_outputs_are_deterministic(outdir):
@@ -588,6 +619,27 @@ def test_non_finite_mode_field_header_exits_2(outdir, tmp_path, capsys, key, val
     assert not (outdir / "coupling.json").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("origin", "0.0,0.0,\u0660"),  # an Arabic-Indic zero
+    ("spacing", "1e-07,1e-07,2.5e-0_8"),
+    ("counts", "5,5,4_1"),
+    ("frequency", "20_640_263_734.08494"),  # float() reads the frequency the file holds
+], ids=["origin", "spacing", "counts", "frequency"])
+def test_mode_field_header_number_that_np_loadtxt_rejects_exits_2(outdir, tmp_path, capsys,
+                                                                   key, value):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs)
+    _rewrite_header(inputs / "w.csv", key, value)
+    header = (inputs / "w.csv").read_text().split("\n")[0]
+    before = set(os.listdir(outdir))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validation: mode field {inputs / 'w.csv'}: "
+        f"malformed mode field header: {header!r}"]
+    assert set(os.listdir(outdir)) == before
+
+
 @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
 def test_non_finite_mode_field_cell_exits_2(outdir, tmp_path, capsys, cell):
     # an infinite cell used to end in "arithmetic: FloatingPointError: invalid value"
@@ -640,6 +692,20 @@ def _materials_file_with_aln(tmp_path, cells):
     path = tmp_path / "materials.csv"
     path.write_text("\n".join(",".join(row) for row in rows) + "\n")
     return path, rows.index(aln) + 1
+
+
+@pytest.mark.parametrize("column, value", [
+    ("rho_gcc", "3_2"),  # read as 32
+    ("h33", "\u0661.\u0665"),  # Arabic-Indic digits, read as 1.5
+], ids=["underscore", "arabic-indic-digits"])
+def test_materials_cell_that_np_loadtxt_rejects_exits_2(outdir, tmp_path, capsys, column, value):
+    path, line_no = _materials_file_with_aln(tmp_path, {column: value})
+    before = set(os.listdir(outdir))
+    assert run(["materials", "--which", "em", "--materials-file", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: material-data: row {line_no}: row 'AlN', column {column!r}: "
+        f"not a number: {value!r}"]
+    assert set(os.listdir(outdir)) == before
 
 
 @pytest.mark.parametrize("which, cells, figure", [
@@ -749,9 +815,10 @@ def test_out_of_range_piezo_frequency_ratio_exits_2(outdir, tmp_path, capsys, em
     del data["p"]  # the optomechanical prefactor would fail first
     (inputs / "tensors.json").write_text(json.dumps(data))
     assert run(argv) == 2
+    # no material value enters the ratio, so the fault is the fields' and names their frequencies
     assert capsys.readouterr().err.splitlines() == [
-        f"error: material-data: coupling prefactor term omega_em/omega_mech = {ratio} "
-        f"is out of range (0, inf) at rho = {data['rho']}, eps_rf = {data['eps_rf']}"]
+        f"error: validation: coupling prefactor term omega_em/omega_mech = {ratio} "
+        f"is out of range (0, inf) at omega_em = {float(em)}, omega_mech = {float(mech)}"]
     assert not (outdir / "coupling.json").exists()
 
 

@@ -574,6 +574,19 @@ def test_optomech_linear_in_photoelastic_element():
     assert g1 == pytest.approx(prefactor * 0.239 * length**2 * amp * math.pi / 4, rel=5e-3)
 
 
+def test_piezo_volume_fault_is_the_fields_and_names_the_volumes():
+    # the frequency ratio is covered through the CLI; here the cached volumes are set to a
+    # product that overflows, without a field that large
+    mat = coupling.MaterialTensorSet(rho=3255.0, eps_rf=9.5, eps_ir=3.67)
+    e, w = coupling_input_fields(piezo=True)
+    w.__dict__["mech_volume"] = 1e200
+    e.__dict__["_em_volumes"] = {mat.eta_eff: 1e200}
+    with pytest.raises(ParameterError, match=re.escape(
+            "coupling prefactor term V_em V_mech = inf is out of range (0, inf) "
+            "at V_em = 1e+200, V_mech = 1e+200")):
+        coupling._piezo_prefactor(e, w, mat)
+
+
 def test_optomech_hand_prefactor():
     # |E_x|^2 is unity everywhere, so the overlap is the volume integral of
     # dw_z/dz alone: area * (w_z(L) - w_z(0)) = area * amp for a quarter wave

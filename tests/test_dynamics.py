@@ -220,7 +220,7 @@ def test_transducer_graph_structure(nominal_params):
 
 def test_graph_edges_are_the_linear_models_couplings(nominal_params):
     op = dynamics.OperatingPoint(nominal_params, 2e11, pump_phase=0.4)
-    couplings, outputs = dynamics.linear_model(op)
+    _, couplings, outputs = dynamics.linear_model(op)
     assert len(couplings) == 9 and len(outputs) == 2
     g = dynamics.transducer_graph(op)
     assert {(e.src, e.dst) for e in g.edges} == set(couplings) | {(u, "a_out") for u in outputs}
@@ -232,24 +232,18 @@ def test_graph_edges_are_the_linear_models_couplings(nominal_params):
         assert g.edge(u, "a_out").evaluate(w) == d
 
 
-def test_graph_calls_susceptibilities_once_per_frequency(nominal_params, monkeypatch):
-    calls, susceptibilities = [], dynamics.susceptibilities
-
-    def count(p, omega):
-        calls.append(omega)
-        return susceptibilities(p, omega)
-
-    monkeypatch.setattr(dynamics, "susceptibilities", count)
+def test_graph_solves_call_neither_derived_rates_nor_susceptibilities(nominal_params,
+                                                                       monkeypatch):
+    # each edge reads its mode's (centre, halfwidth) from the table the graph was built with
     g = dynamics.transducer_graph(dynamics.OperatingPoint(nominal_params, 1e11))
+    calls = []
+    for name in ("derived_rates", "susceptibilities"):
+        monkeypatch.setattr(dynamics, name, lambda *args, name=name: calls.append(name))
     w = nominal_params.omega_m + TWO_PI * 2e6
-    for solve in (sfg.mason_gain, sfg.linear_solve_gain):
-        calls.clear()
-        solve(g, "c_in", "a_out", w)
-        solve(g, "c_in", "a_out", w + 1.0)
-        assert len(calls) == 2, solve
-    calls.clear()
+    sfg.mason_gain(g, "c_in", "a_out", w)
+    sfg.linear_solve_gain(g, "c_in", "a_out", w)
     sfg.all_source_gains(g, "a_out", w)
-    assert len(calls) == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("omega", [
@@ -265,7 +259,7 @@ def test_graph_gains_at_any_scalar_frequency_match_the_closed_form(nominal_param
 
 
 def test_graph_reads_a_0d_array_frequency_changed_in_place(nominal_params):
-    # the graph's cache keys on omega's value, not on the array object
+    # each solve reads omega's value when it runs, not when the array was first seen
     op = dynamics.OperatingPoint(nominal_params, 1e11)
     g = dynamics.transducer_graph(op)
     w = np.array(nominal_params.omega_m)
@@ -276,8 +270,8 @@ def test_graph_reads_a_0d_array_frequency_changed_in_place(nominal_params):
 
 
 def test_graph_gains_are_right_under_concurrent_calls(nominal_params):
-    # more threads than cores and than frequencies, switching often: a cache entry
-    # mixed from two frequencies would give some solve another frequency's gain
+    # more threads than cores and than frequencies, switching often: a gain shared
+    # between calls would give some solve another frequency's gain
     op = dynamics.OperatingPoint(nominal_params, 1e11)
     g = dynamics.transducer_graph(op)
     omegas = [nominal_params.omega_m + TWO_PI * df for df in (-2e6, 0.0, 3e6)]
