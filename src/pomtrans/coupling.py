@@ -6,13 +6,15 @@ accurate on smooth fields, verified by refinement in the tests) and strain is
 the displacement gradient, valid in the absence of rigid-body rotation.
 
 An unknown (NaN) Voigt entry M_rJ of ``h`` or ``p`` multiplies one overlap, of
-R_r B_J (:func:`_contraction`), and is read as 0 if that overlap is at most
-_UNKNOWN_RTOL = 1e-10 of its finite Cauchy-Schwarz bound, sqrt(integral
-|R_r|^2 integral sum_J |B_J|^2); else it raises.  That covers np.gradient's
-roundoff, far below 1e-6: a gradient that vanishes analytically sums stencil
-terms of weight 4/d at most in all (the edge stencil (-3/2, 2, -1/2)/d; central
-differences of equal samples are exact), so it is off by about 4 eps max|w|/d,
-against max|w|/(N d) over N points: 4 eps N, 9e-12 at N = 10^4 (eps 2.2e-16).
+R_r B_J, taken in the rate's one walk (:func:`_contraction`), and is read as 0
+if it is at most _UNKNOWN_RTOL = 1e-10 of its finite Cauchy-Schwarz bound,
+sqrt(integral |R_r|^2 integral sum_J |B_J|^2); else it raises.  That covers
+np.gradient's roundoff, far below 1e-6: a gradient that vanishes analytically
+sums stencil terms of weight 4/d at most in all (the edge stencil (-3/2, 2,
+-1/2)/d; central differences of equal samples are exact), so it is off by
+about 4 eps max|w|/d, against max|w|/(N d) over N points: 4 eps N, 9e-12 at
+N = 10^4 (eps 2.2e-16).  A rate that is not finite names its tensor's element
+(:func:`_rate`) only if the same rate without the tensor's scale is finite.
 
 Unit conventions follow the materials literature this feeds on: the
 piezoelectric tensor ``h`` is stored in its stress-voltage Voigt form, the
@@ -87,16 +89,17 @@ class Grid3D:
     counts: tuple[int, int, int]
 
     def __post_init__(self):
-        if len(self.origin) != 3 or len(self.spacing) != 3 or len(self.counts) != 3:
-            raise ParameterError("origin, spacing and counts must have 3 entries each")
         for name in ("origin", "spacing"):
-            if not all(map(is_number, getattr(self, name))):
-                raise ParameterError(f"grid {name} is not 3 numbers: {shown(getattr(self, name))}")
+            value = getattr(self, name)
+            if is_number(value) or not all(map(is_number, value)):
+                raise ParameterError(f"grid {name} is not 3 numbers: {shown(value)}")
         if any(s <= 0 for s in self.spacing):
             raise ParameterError(f"grid spacing must be positive, got {self.spacing}")
-        if not all(is_number(c) and c >= 1 and float(c).is_integer() for c in self.counts):
-            raise ParameterError(
-                f"grid counts must be positive integers, got {shown(self.counts)}")
+        if is_number(self.counts) or not all(
+                is_number(c) and c >= 1 and float(c).is_integer() for c in self.counts):
+            raise ParameterError(f"grid counts must be positive integers, got {shown(self.counts)}")
+        if len(self.origin) != 3 or len(self.spacing) != 3 or len(self.counts) != 3:
+            raise ParameterError("origin, spacing and counts must have 3 entries each")
         for name in ("origin", "spacing"):
             if not all(math.isfinite(v) for v in getattr(self, name)):
                 raise ParameterError(f"grid {name} must be finite, got {getattr(self, name)}")
@@ -373,14 +376,11 @@ class MaterialTensorSet:
             if not np.finfo(float).smallest_normal <= 1 / value < math.inf:
                 raise MaterialDataError(
                     f"1/{name} must be finite and not subnormal, got {name} = {value}")
-        for name, shape in (("h", (3, 6)), ("e", (3, 6)), ("p", (6, 6))):
+        for name, shape in (("h", (3, 6)), ("e", (3, 6)), ("p", (6, 6)), ("c", (6, 6))):
             if getattr(self, name) is not None and getattr(self, name).shape != shape:
                 raise MaterialDataError(f"{name} must be a {shape[0]}x{shape[1]} Voigt matrix")
-        if self.c is not None:
-            if self.c.shape != (6, 6):
-                raise MaterialDataError("c must be a 6x6 Voigt matrix")
-            if not np.allclose(self.c, self.c.T, rtol=1e-9, atol=0):
-                raise MaterialDataError("elasticity matrix must be symmetric")
+        if self.c is not None and not np.allclose(self.c, self.c.T, rtol=1e-9, atol=0):
+            raise MaterialDataError("elasticity matrix must be symmetric")
         if self.eta is not None:
             if self.eta.shape != (3, 3):
                 raise MaterialDataError("eta must be 3x3")
@@ -546,27 +546,21 @@ def _voigt_sum(matrix: np.ndarray, rows, pair_sums: np.ndarray):
     return total
 
 
-def _too_large(tensor: str, which: str, value: float) -> MaterialDataError:
-    """The error naming element ``which`` of tensor ``h`` or ``p``, too large for a finite rate."""
-    kind = "piezoelectric" if tensor == "h" else "photoelastic"
-    return MaterialDataError(
-        f"{kind} tensor {tensor}: the coupling rate overflows at its {which} = {value}")
-
-
 def _element_name(tensor: str, r: int, J: int) -> str:
     """``h_ijk`` or ``p_ijkl`` of Voigt entry (r, J) by its a <= b image; sorts in index order."""
     first = (r,) if tensor == "h" else _VOIGT_PAIRS[r]
     return f"{tensor}_" + "".join(str(n + 1) for n in (*first, *_VOIGT_PAIRS[J]))
 
 
-def _contraction(e: ModeField, w: ModeField, mat: MaterialTensorSet, tensor: str) -> complex:
-    """sum_rJ M_rJ integral of R_r B_J, M the Voigt matrix of ``tensor``, ``"h"`` or ``"p"``.
+def _contraction(e: ModeField, w: ModeField, mat: MaterialTensorSet, tensor: str) -> tuple:
+    """``(sum, scale, largest)``: sum_rJ M_rJ integral of R_r B_J is ``sum * scale``.
 
-    B_J sums dw_a/dr_b over both orders of Voigt pair J; R_r is E_i for ``h``,
-    and A_I, E_a E_b* summed likewise, for ``p``.  One walk checks every unknown
-    entry by the module's rule.  If the known entries' integral is not finite
-    but is with the tensor scaled to a largest element of magnitude 1, that
-    element is named; else it is evaluated again in the caller's error state.
+    M is the Voigt matrix of ``tensor``, ``"h"`` or ``"p"``; B_J sums dw_a/dr_b over
+    both orders of Voigt pair J; R_r is E_i for ``h``, and A_I, E_a E_b* summed
+    likewise, for ``p``.  The power of two ``scale`` puts M's largest known entry,
+    ``largest``, in [1, 2), or is 1.  A first walk, under numpy's ignore state, with a
+    value that is not finite is followed by a second on M / scale in the caller's
+    error state; else the sum is its contraction over ``scale``, exact while normal.
     """
     require_matching(e, w)
     kind, matrix = ("piezoelectric" if tensor == "h" else "photoelastic"), getattr(mat, tensor)
@@ -583,35 +577,44 @@ def _contraction(e: ModeField, w: ModeField, mat: MaterialTensorSet, tensor: str
 
     unknown = sorted(np.argwhere(np.isnan(matrix)).tolist(),
                      key=lambda entry: _element_name(tensor, *entry))
-    if unknown:
-        def integrand(xs):
-            r_rows, pair_sums = rows(xs), _pair_sums(w, xs)
+    known = np.where(np.isnan(matrix), 0.0, matrix)
+    at = np.unravel_index(np.argmax(np.abs(known)), known.shape)
+    scale = max(1.0, math.ldexp(1.0, math.frexp(known[at])[1] - 1))
+
+    def integrand(xs):
+        r_rows, pair_sums = rows(xs), _pair_sums(w, xs)
+        yield _voigt_sum(known, r_rows, pair_sums)
+        if unknown:
             yield from (r_rows[r] * pair_sums[J] for r, J in unknown)
             yield from (np.abs(row)**2 for row in r_rows)
             yield np.sum(np.abs(pair_sums)**2, axis=0)
 
-        *values, b_square = _slab_integral(e.grid, integrand).tolist()
-        r_squares = values[len(unknown):]
-        for (r, J), overlap in zip(unknown, values):
-            bound = math.sqrt(r_squares[r].real * b_square.real)
-            if not abs(overlap) <= _UNKNOWN_RTOL * bound < math.inf:
-                raise MaterialDataError(f"{kind} element {_element_name(tensor, r, J)} is "
-                                        "unknown but its overlap integral is nonzero")
-        matrix = np.where(np.isnan(matrix), 0.0, matrix)
-
-    def total(m):
-        return complex(_slab_integral(
-            e.grid, lambda xs: _voigt_sum(m, rows(xs), _pair_sums(w, xs))))
-
     with np.errstate(all="ignore"):
-        value = total(matrix)
-        if cmath.isfinite(value):
-            return value
-        at = np.unravel_index(np.argmax(np.abs(matrix)), matrix.shape)
-        scale_at_fault = cmath.isfinite(total(matrix / abs(matrix[at])))
-    if scale_at_fault:
-        raise _too_large(tensor, f"largest element {_element_name(tensor, *at)}", matrix[at])
-    return total(matrix)
+        total, *values = _slab_integral(e.grid, integrand).tolist()
+    if all(map(cmath.isfinite, (total, *values))):
+        total = complex(total.real / scale, total.imag / scale)
+    else:
+        with np.errstate(under="ignore"):  # entries far below the largest scale to subnormals
+            scaled = known / scale
+            total = complex(_slab_integral(
+                e.grid, lambda xs: _voigt_sum(scaled, rows(xs), _pair_sums(w, xs))))
+    for (r, J), overlap in zip(unknown, values):  # then the squares of each R_r and of B
+        bound = math.sqrt(values[len(unknown) + r].real * values[-1].real)
+        if not abs(overlap) <= _UNKNOWN_RTOL * bound < math.inf:
+            raise MaterialDataError(f"{kind} element {_element_name(tensor, r, J)} is "
+                                    "unknown but its overlap integral is nonzero")
+    return total, scale, f"largest element {_element_name(tensor, *at)} = {known[at]}"
+
+
+def _rate(rate_at, scale: float, tensor: str, element: str):
+    """``rate_at(scale)``, a coupling rate at the scale of its tensor ``tensor``, unless
+    only ``rate_at(1.0)``, without that scale, is finite: then ``element`` is named."""
+    rate = rate_at(scale)
+    if not cmath.isfinite(rate) and cmath.isfinite(rate_at(1.0)):
+        kind = "piezoelectric" if tensor == "h" else "photoelastic"
+        raise MaterialDataError(
+            f"{kind} tensor {tensor}: the coupling rate overflows at its {element}")
+    return rate
 
 
 def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
@@ -627,10 +630,7 @@ def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
     i, j, k = component
     h = mat.h_element(i, j, k)
     prefactor, overlap = _piezo_prefactor(e, w, mat), _overlap(e, w, i - 1, j - 1, k - 1)
-    rate = abs(h) * prefactor * overlap
-    if not cmath.isfinite(rate) and cmath.isfinite(prefactor * overlap):
-        raise _too_large("h", f"element h_{i}{j}{k}", h)
-    return rate
+    return _rate(lambda s: s * prefactor * overlap, abs(h), "h", f"element h_{i}{j}{k} = {h}")
 
 
 def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> complex:
@@ -640,7 +640,10 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> 
     :func:`piezo_coupling` of (i, j, k), in which a shear Voigt entry h_iJ
     (J = 4..6) sets two, h_iab and h_iba: the :func:`_contraction` of ``h``.
     """
-    return _contraction(e, w, mat, "h") * _piezo_prefactor(e, w, mat)
+    total, scale, largest = _contraction(e, w, mat, "h")
+    rate = total * _piezo_prefactor(e, w, mat)
+    # each part scaled alone: a complex-by-float product can turn a real part of -0.0 into 0.0
+    return _rate(lambda s: complex(rate.real * s, rate.imag * s), scale, "h", largest)
 
 
 def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> float:
@@ -652,14 +655,14 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     the result is independent of its global phase; the magnitude of the
     (generally complex) overlap sum, the :func:`_contraction` of ``p``, is returned.
     """
-    total = _contraction(e, w, mat, "p")
+    total, scale, largest = _contraction(e, w, mat, "p")
     v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
     denominator = _in_range(
         32 * mat.rho * v_mech * EPSILON_0**2 * mat.eta_eff**2 * v_em**2 * w.frequency,
         "32 rho V_mech eps0^2 eta_eff^2 V_em^2 omega_mech", rho=mat.rho, eps_rf=mat.eps_rf)
     prefactor = math.sqrt(_in_range(HBAR / denominator, "hbar / (32 rho ... omega_mech)",
                                     rho=mat.rho, eps_rf=mat.eps_rf))
-    return prefactor * abs(total)
+    return _rate(lambda s: prefactor * abs(total) * s, scale, "p", largest)
 
 
 # --- analytic mode library -----------------------------------------------------
@@ -722,10 +725,9 @@ def _malformed_row(lines: list[str], start: int, width: int | None) -> str:
             return f"data row {n} has {len(cells)} cells, expected 9"
         for c, cell in enumerate(cells, start=1):
             try:
-                float(cell)
+                parse_number(cell)
             except ValueError:
                 return f"data row {n} cell {c} is not a number: {cell.strip()!r}"
-    # a cell that float() reads and np.loadtxt does not, such as '1_0'
     return "a data row is not 9 comma-separated numbers"
 
 
@@ -779,10 +781,7 @@ def _read_mode_field(path) -> ModeField:
         meta_line = fh.readline().strip()
         if not meta_line.startswith("#"):
             raise ParameterError("mode field file must start with a '# origin=...' header")
-        meta = {}
-        for token in meta_line.lstrip("#").split():
-            key, _, raw = token.partition("=")
-            meta[key] = raw
+        meta = dict(token.partition("=")[::2] for token in meta_line.lstrip("#").split())
         try:
             # read like the data rows: np.loadtxt reads no '1_0' and no non-ASCII digit
             origin = tuple(parse_number(v) for v in meta["origin"].split(","))

@@ -239,8 +239,9 @@ class OperatingPoint:
     """Parameter set plus the linearization point of the pump field.
 
     ``intra_ring_photons`` is |a1|^2, the mean photon number of the pump in
-    the first ring; ``pump_phase`` is the phase of the mean field a1.  Either
-    may be an array broadcasting against the parameter fields.
+    the first ring; ``pump_phase`` is the phase of the mean field a1.  Both
+    must be finite, and either may be an array broadcasting against the
+    parameter fields.
     """
 
     params: TransducerParams
@@ -252,6 +253,9 @@ class OperatingPoint:
         require_number(self.pump_phase, "pump_phase", arrays=True)
         _require(self.intra_ring_photons >= 0, "intra_ring_photons", self.intra_ring_photons,
                  "must be >= 0")
+        for name in ("intra_ring_photons", "pump_phase"):
+            value = getattr(self, name)
+            _require(abs(value) < math.inf, name, value, "must be finite")
 
     @property
     def a1(self) -> complex:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import read_table, write_coupling_inputs
+from conftest import coupling_input_fields, read_table, write_coupling_inputs
 
 from pomtrans import analysis, cli, coupling, dynamics, rings, sweep
 from pomtrans.errors import SingularityError
@@ -1391,11 +1391,32 @@ def test_tensor_element_whose_rate_overflows_exits_2(outdir, tmp_path, capsys,
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     argv = ["coupling"] + write_coupling_inputs(inputs, piezo=True) + ["--out", "g"]
+    # both fields scaled by 1e3: without that, the optomechanical rate at p_3333 = 1e308 is a
+    # finite 7.3e306
+    for name, field in zip(("e.csv", "w.csv"), coupling_input_fields(piezo=True)):
+        coupling.save_mode_field(inputs / name, field.scaled(1e3))
     data = json.loads((inputs / "tensors.json").read_text())
     data[tensor][row][col] = 1e308
     (inputs / "tensors.json").write_text(json.dumps(data))
     assert run(argv) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: material-data: {message}"]
+    assert not (outdir / "g.json").exists()
+
+
+def test_tensor_element_whose_contraction_is_finite_but_rate_overflows_exits_2(outdir, tmp_path,
+                                                                               capsys):
+    # the contraction at h_333 = 5e305 is finite, and only its product with the prefactor,
+    # 2.5e19 on this pair, overflows; it used to fail in the JSON writer on an inf
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs, piezo=True) + ["--out", "g"]
+    data = json.loads((inputs / "tensors.json").read_text())
+    data["h"][2][2] = 5e305
+    (inputs / "tensors.json").write_text(json.dumps(data))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: material-data: piezoelectric tensor h: the coupling rate overflows at its "
+        "largest element h_333 = 5e+305"]
     assert not (outdir / "g.json").exists()
 
 

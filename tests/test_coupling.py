@@ -803,7 +803,7 @@ def _underscored_cell(rows):
     (_cut_row_3, "data row 3 has 5 cells, expected 9"),
     (_abc_cell, "data row 3 cell 4 is not a number: 'abc'"),
     (_comment_and_blank_before_cut, "data row 3 has 5 cells, expected 9"),
-    (_underscored_cell, "a data row is not 9 comma-separated numbers"),
+    (_underscored_cell, "data row 3 cell 4 is not a number: '1_0'"),
 ])
 def test_malformed_mode_field_row_named(field_file, edit, what):
     path, _ = field_file
@@ -1157,8 +1157,8 @@ def test_rates_and_volumes_make_no_blas_call(monkeypatch):
 
 
 def test_unknown_piezo_elements_take_one_walk(monkeypatch):
-    # the 15 unknown Voigt entries, whose overlaps vanish on this pair, take one walk beside
-    # the three of the two volumes and the one of the total
+    # the 15 unknown Voigt entries, whose overlaps vanish on this pair, are checked in the
+    # total's own walk, beside the three of the two volumes
     e, w = coupling_input_fields(piezo=True)
     h = np.full((3, 6), math.nan)
     h[2, 2:5] = 0.145, 0.0, 0.0
@@ -1168,7 +1168,7 @@ def test_unknown_piezo_elements_take_one_walk(monkeypatch):
     monkeypatch.setattr(coupling, "_slab_integral",
                         lambda grid, integrand: walks.append(1) or slab_integral(grid, integrand))
     total = coupling.piezo_coupling_total(e, w, mat)
-    assert len(walks) == 5
+    assert len(walks) == 4
     assert total == coupling.piezo_coupling_total(e, w, _piezo_pair_material()) != 0
 
     h[2, 2] = math.nan
@@ -1351,6 +1351,10 @@ def test_grid_rejects_non_finite_origin_and_spacing(origin, spacing, name):
      "grid counts must be positive integers, got (3, True, 3)"),
     ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, 3, math.inf),
      "grid counts must be positive integers, got (3, 3, inf)"),
+    # a scalar field used to raise a bare TypeError from len()
+    (5, (1.0, 1.0, 1.0), (3, 3, 3), "grid origin is not 3 numbers: 5"),
+    ((0.0, 0.0, 0.0), 1.0, (3, 3, 3), "grid spacing is not 3 numbers: 1.0"),
+    ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 3, "grid counts must be positive integers, got 3"),
 ])
 def test_grid_rejects_wrong_lengths_and_counts(origin, spacing, counts, message):
     with pytest.raises(ParameterError) as info:
@@ -1549,7 +1553,9 @@ def _piezo_pair_material(entries=None):
      "piezoelectric tensor h: the coupling rate overflows at its largest element h_333 = 1e+308"),
     (lambda e, w, mat: coupling.piezo_coupling(e, w, mat, (3, 3, 3)), ("h", 3, 3),
      "piezoelectric tensor h: the coupling rate overflows at its element h_333 = 1e+308"),
-    (coupling.optomech_coupling, ("p", 3, 3),
+    # the rate at p_3333 = 1e308 is 7.3e306 on the pair as it is, and 1e9 times that with
+    # both fields scaled by 1e3
+    (lambda e, w, mat: coupling.optomech_coupling(e.scaled(1e3), w.scaled(1e3), mat), ("p", 3, 3),
      "photoelastic tensor p: the coupling rate overflows at its largest element p_3333 = 1e+308"),
 ], ids=["piezo-total", "piezo-component", "optomech"])
 def test_tensor_element_whose_rate_overflows_named(rate, entry, message, errors):
@@ -1564,12 +1570,14 @@ def test_tensor_element_whose_rate_overflows_named(rate, entry, message, errors)
     ("h", (0, 4), 1e308, "h_113 = 1e+308"), ("p", (3, 5), -1e308, "p_2312 = -1e+308")])
 def test_overflow_names_the_largest_element_by_its_tensor_indices(tensor, voigt, value, name):
     e, w = _random_pair(np.random.default_rng(12))
+    w = w.scaled(10.0)  # the optomechanical rate at p_2312 = -1e308 is 6.1e307 without it
     matrix = np.zeros((3, 6) if tensor == "h" else (6, 6))
     matrix[voigt] = value
     matrix[0, 0] = 1.0
     mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, **{tensor: matrix})
+    rate = coupling.piezo_coupling_total if tensor == "h" else coupling.optomech_coupling
     with pytest.raises(MaterialDataError, match=f"its largest element {re.escape(name)}$"):
-        coupling._contraction(e, w, mat, tensor)
+        rate(e, w, mat)
 
 
 def test_finite_rates_keep_their_bits_beside_the_overflow_check():
@@ -1585,14 +1593,58 @@ def test_finite_rates_keep_their_bits_beside_the_overflow_check():
     assert total == coupling._piezo_prefactor(e, w, mat) * complex(integral) != 0
 
 
+def test_finite_rate_at_a_tensor_element_of_1e308_is_written():
+    # the first walk's products overflow, but the rate is 7.3e306; it used to be rejected by name
+    e, w = coupling_input_fields(piezo=True)
+    unit = coupling.optomech_coupling(e, w, _piezo_pair_material({("p", 3, 3): 1.0}))
+    with np.errstate(all="raise"):
+        rate = coupling.optomech_coupling(e, w, _piezo_pair_material({("p", 3, 3): 1e308}))
+    assert abs(rate / (1e308 * unit) - 1) <= 4e-16
+
+
+def test_entry_far_below_the_largest_does_not_underflow_in_a_raising_error_state():
+    # p_3333 = 1e308 makes the first walk overflow; over its scale 2^1023, p_1111 = 0.239 is
+    # subnormal, and its products in the second walk must not raise on underflow
+    e, w = _random_pair(np.random.default_rng(3))
+    p = np.zeros((6, 6))
+    p[2, 2] = 1.0
+    mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, p=p)
+    unit = coupling.optomech_coupling(e, w, mat)
+    p[2, 2], p[0, 0] = 1e308, 0.239
+    with np.errstate(all="raise"):
+        rate = coupling.optomech_coupling(e, w, dataclasses.replace(mat, p=p))
+    assert rate == pytest.approx(1e308 * unit, rel=1e-15)
+
+
+def test_tensor_element_is_named_only_where_the_rate_itself_overflows():
+    # with both fields scaled by 1e3 the rate at p_3333 = 1e300 is 7.3e307, and from 1e301 it
+    # overflows; 1e299 and 1e300 used to be rejected too
+    e, w = (f.scaled(1e3) for f in coupling_input_fields(piezo=True))
+    unit = coupling.optomech_coupling(e, w, _piezo_pair_material({("p", 3, 3): 1.0}))
+    for p33 in (1e299, 1e300):
+        rate = coupling.optomech_coupling(e, w, _piezo_pair_material({("p", 3, 3): p33}))
+        assert rate == pytest.approx(p33 * unit, rel=1e-15)
+    with pytest.raises(MaterialDataError, match=r"its largest element p_3333 = 1e\+301$"):
+        coupling.optomech_coupling(e, w, _piezo_pair_material({("p", 3, 3): 1e301}))
+
+
 def test_overflowing_fields_are_not_blamed_on_the_tensor():
-    # the contraction overflows at a unit tensor too: the caller's error state decides
-    e, w = _random_pair(np.random.default_rng(13))
+    # on an x-spacing of 1e-100, dw_x/dx is about 1e250 and E_x dw_x/dx overflows at a unit
+    # tensor, though both mode volumes, and so the prefactors, are finite: the rate overflows
+    # by the fields, and the caller's error state decides
+    rng = np.random.default_rng(13)
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1e-100, 1.0, 1.0), (5, 5, 5))
+
+    def field(kind, scale):
+        comps = scale * (rng.normal(size=(3, 5, 5, 5)) + 1j * rng.normal(size=(3, 5, 5, 5)))
+        return coupling.ModeField(grid, comps, kind, TWO_PI * 1e9)
+
+    e, w = field(coupling.EM, 1e70), field(coupling.MECH, 1e150)
     h = np.zeros((3, 6))
-    h[2, 2] = 1e308
-    mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, h=h)
-    e = e.scaled(1e306)
-    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        coupling._contraction(e, w, mat, "h")
-    with np.errstate(all="ignore"):
-        assert not cmath.isfinite(coupling._contraction(e, w, mat, "h"))
+    h[0, 0] = 1.0
+    mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, h=h, p=np.eye(6))
+    for rate in (coupling.piezo_coupling_total, coupling.optomech_coupling):
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            rate(e, w, mat)
+        with np.errstate(all="ignore"):
+            assert not cmath.isfinite(rate(e, w, mat))

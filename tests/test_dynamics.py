@@ -112,6 +112,19 @@ def test_non_number_rejected_by_name(nominal_params, name, value):
         replace(nominal_params, **{name: value})
 
 
+@pytest.mark.parametrize("name, value, shown", [
+    ("pump_phase", math.nan, "nan"), ("pump_phase", math.inf, "inf"),
+    ("pump_phase", np.array([0.3, -math.inf]), "-inf"),
+    ("intra_ring_photons", math.inf, "inf"),
+    ("intra_ring_photons", np.array([1e11, math.inf]), "inf"),
+], ids=["phase-nan", "phase-inf", "phase-array", "photons-inf", "photons-array"])
+def test_operating_point_rejects_a_non_finite_pump_by_name(nominal_params, name, value, shown):
+    # a NaN phase used to fail in efficiency as "a rate is too small or too large", an
+    # infinite one warned from exp, and an infinite photon number gave c_om = inf
+    with pytest.raises(ParameterError, match=f"^{name} must be finite, got {shown}$"):
+        dynamics.OperatingPoint(nominal_params, **{"intra_ring_photons": 1e11, name: value})
+
+
 @pytest.mark.parametrize("value", [3, np.float64(2.0), np.array([1e6, 2e6])],
                          ids=["int", "numpy-float", "float-array"])
 def test_real_numbers_and_arrays_accepted(nominal_params, value):
