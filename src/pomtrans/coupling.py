@@ -376,11 +376,14 @@ class MaterialTensorSet:
             if not np.finfo(float).smallest_normal <= 1 / value < math.inf:
                 raise MaterialDataError(
                     f"1/{name} must be finite and not subnormal, got {name} = {value}")
-        for name, shape in (("h", (3, 6)), ("e", (3, 6)), ("p", (6, 6)), ("c", (6, 6))):
+        for name, shape in (("h", (3, 6)), ("e", (3, 6)), ("p", (6, 6))):
             if getattr(self, name) is not None and getattr(self, name).shape != shape:
                 raise MaterialDataError(f"{name} must be a {shape[0]}x{shape[1]} Voigt matrix")
-        if self.c is not None and not np.allclose(self.c, self.c.T, rtol=1e-9, atol=0):
-            raise MaterialDataError("elasticity matrix must be symmetric")
+        if self.c is not None:
+            if self.c.shape != (6, 6):
+                raise MaterialDataError("c must be a 6x6 Voigt matrix")
+            if not np.allclose(self.c, self.c.T, rtol=1e-9, atol=0):
+                raise MaterialDataError("elasticity matrix must be symmetric")
         if self.eta is not None:
             if self.eta.shape != (3, 3):
                 raise MaterialDataError("eta must be 3x3")
@@ -553,14 +556,14 @@ def _element_name(tensor: str, r: int, J: int) -> str:
 
 
 def _contraction(e: ModeField, w: ModeField, mat: MaterialTensorSet, tensor: str) -> tuple:
-    """``(sum, scale, largest)``: sum_rJ M_rJ integral of R_r B_J is ``sum * scale``.
+    """``(total, scaled, scale, largest)``: sum_rJ M_rJ integral of R_r B_J, and of M / scale.
 
     M is the Voigt matrix of ``tensor``, ``"h"`` or ``"p"``; B_J sums dw_a/dr_b over
     both orders of Voigt pair J; R_r is E_i for ``h``, and A_I, E_a E_b* summed
     likewise, for ``p``.  The power of two ``scale`` puts M's largest known entry,
-    ``largest``, in [1, 2), or is 1.  A first walk, under numpy's ignore state, with a
-    value that is not finite is followed by a second on M / scale in the caller's
-    error state; else the sum is its contraction over ``scale``, exact while normal.
+    ``largest``, in [1, 2), or is 1.  One walk, under numpy's ignore state, takes
+    ``total``; a second, in the caller's error state, takes ``scaled`` only if a value
+    of the first is not finite: else ``scaled`` is ``total / scale``.
     """
     require_matching(e, w)
     kind, matrix = ("piezoelectric" if tensor == "h" else "photoelastic"), getattr(mat, tensor)
@@ -591,30 +594,30 @@ def _contraction(e: ModeField, w: ModeField, mat: MaterialTensorSet, tensor: str
 
     with np.errstate(all="ignore"):
         total, *values = _slab_integral(e.grid, integrand).tolist()
-    if all(map(cmath.isfinite, (total, *values))):
-        total = complex(total.real / scale, total.imag / scale)
-    else:
+    scaled = total / scale
+    if not all(map(cmath.isfinite, (total, *values))):
         with np.errstate(under="ignore"):  # entries far below the largest scale to subnormals
-            scaled = known / scale
-            total = complex(_slab_integral(
-                e.grid, lambda xs: _voigt_sum(scaled, rows(xs), _pair_sums(w, xs))))
+            scaled = complex(_slab_integral(
+                e.grid, lambda xs: _voigt_sum(known / scale, rows(xs), _pair_sums(w, xs))))
     for (r, J), overlap in zip(unknown, values):  # then the squares of each R_r and of B
         bound = math.sqrt(values[len(unknown) + r].real * values[-1].real)
         if not abs(overlap) <= _UNKNOWN_RTOL * bound < math.inf:
             raise MaterialDataError(f"{kind} element {_element_name(tensor, r, J)} is "
                                     "unknown but its overlap integral is nonzero")
-    return total, scale, f"largest element {_element_name(tensor, *at)} = {known[at]}"
+    return total, scaled, scale, f"largest element {_element_name(tensor, *at)} = {known[at]}"
 
 
-def _rate(rate_at, scale: float, tensor: str, element: str):
-    """``rate_at(scale)``, a coupling rate at the scale of its tensor ``tensor``, unless
-    only ``rate_at(1.0)``, without that scale, is finite: then ``element`` is named."""
-    rate = rate_at(scale)
-    if not cmath.isfinite(rate) and cmath.isfinite(rate_at(1.0)):
+def _rate(rate_of, tensor: str, total, scaled, scale: float, element: str):
+    """``rate_of(total)``, the coupling rate of a contraction ``total`` of ``tensor``, if finite;
+    else ``rate_of(scaled) * scale``, naming ``element`` if only ``rate_of(scaled)`` is finite."""
+    with contextlib.suppress(OverflowError):  # abs of a finite complex can overflow
+        if cmath.isfinite(rate := rate_of(total)):
+            return rate
+    if cmath.isfinite(rate := rate_of(scaled)) and not cmath.isfinite(rate * scale):
         kind = "piezoelectric" if tensor == "h" else "photoelastic"
         raise MaterialDataError(
             f"{kind} tensor {tensor}: the coupling rate overflows at its {element}")
-    return rate
+    return rate * scale
 
 
 def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
@@ -630,7 +633,8 @@ def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
     i, j, k = component
     h = mat.h_element(i, j, k)
     prefactor, overlap = _piezo_prefactor(e, w, mat), _overlap(e, w, i - 1, j - 1, k - 1)
-    return _rate(lambda s: s * prefactor * overlap, abs(h), "h", f"element h_{i}{j}{k} = {h}")
+    return _rate(lambda m: m * prefactor * overlap, "h", abs(h), 1.0, abs(h),
+                 f"element h_{i}{j}{k} = {h}")
 
 
 def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> complex:
@@ -640,10 +644,8 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> 
     :func:`piezo_coupling` of (i, j, k), in which a shear Voigt entry h_iJ
     (J = 4..6) sets two, h_iab and h_iba: the :func:`_contraction` of ``h``.
     """
-    total, scale, largest = _contraction(e, w, mat, "h")
-    rate = total * _piezo_prefactor(e, w, mat)
-    # each part scaled alone: a complex-by-float product can turn a real part of -0.0 into 0.0
-    return _rate(lambda s: complex(rate.real * s, rate.imag * s), scale, "h", largest)
+    contraction, prefactor = _contraction(e, w, mat, "h"), _piezo_prefactor(e, w, mat)
+    return _rate(lambda m: m * prefactor, "h", *contraction)
 
 
 def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> float:
@@ -655,14 +657,14 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     the result is independent of its global phase; the magnitude of the
     (generally complex) overlap sum, the :func:`_contraction` of ``p``, is returned.
     """
-    total, scale, largest = _contraction(e, w, mat, "p")
+    contraction = _contraction(e, w, mat, "p")
     v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
     denominator = _in_range(
         32 * mat.rho * v_mech * EPSILON_0**2 * mat.eta_eff**2 * v_em**2 * w.frequency,
         "32 rho V_mech eps0^2 eta_eff^2 V_em^2 omega_mech", rho=mat.rho, eps_rf=mat.eps_rf)
     prefactor = math.sqrt(_in_range(HBAR / denominator, "hbar / (32 rho ... omega_mech)",
                                     rho=mat.rho, eps_rf=mat.eps_rf))
-    return _rate(lambda s: prefactor * abs(total) * s, scale, "p", largest)
+    return _rate(lambda m: prefactor * abs(m), "p", *contraction)
 
 
 # --- analytic mode library -----------------------------------------------------
@@ -781,7 +783,10 @@ def _read_mode_field(path) -> ModeField:
         meta_line = fh.readline().strip()
         if not meta_line.startswith("#"):
             raise ParameterError("mode field file must start with a '# origin=...' header")
-        meta = dict(token.partition("=")[::2] for token in meta_line.lstrip("#").split())
+        meta = {}
+        for token in meta_line.lstrip("#").split():
+            key, _, raw = token.partition("=")
+            meta[key] = raw
         try:
             # read like the data rows: np.loadtxt reads no '1_0' and no non-ASCII digit
             origin = tuple(parse_number(v) for v in meta["origin"].split(","))

@@ -1628,10 +1628,44 @@ def test_tensor_element_is_named_only_where_the_rate_itself_overflows():
         coupling.optomech_coupling(e, w, _piezo_pair_material({("p", 3, 3): 1e301}))
 
 
+@pytest.mark.parametrize("tensor", ["h", "p"])
+def test_a_zero_overlap_at_the_largest_element_keeps_the_rate_exact(tensor):
+    # E_z = 0, so the entry of 1e307 at h_333 or p_3333 multiplies a zero overlap; the sum of
+    # the unit entry, about 3e-17, over the tensor's scale 2^1019 would be subnormal
+    e, w = _random_pair(np.random.default_rng(14))
+    e = coupling.ModeField(e.grid, e.components * [[[[1.0]]], [[[1.0]]], [[[0.0]]]], e.kind,
+                           e.frequency)
+    matrix = np.zeros((3, 6) if tensor == "h" else (6, 6))
+    matrix[0, 0] = 1.0
+    mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, **{tensor: matrix})
+    rate = coupling.piezo_coupling_total if tensor == "h" else coupling.optomech_coupling
+    unit = rate(e, w, mat)
+    matrix[2, 2] = 1e307
+    with np.errstate(all="raise"):
+        assert rate(e, w, dataclasses.replace(mat, **{tensor: matrix})) == unit != 0
+
+
+def test_finite_rate_whose_contraction_has_an_overflowing_magnitude_is_written():
+    # on a grid of 10 m cells the prefactor is 6e-21, and at p_3333 = 3.657e288 the sum is a
+    # finite 1.6e308 - 1.1e308j whose magnitude overflows: abs of it raised OverflowError
+    e, w = _random_pair(np.random.default_rng(0))
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (11.0, 9.0, 13.0), e.grid.counts)
+    e = coupling.ModeField(grid, 1e5 * e.components, e.kind, e.frequency)
+    w = coupling.ModeField(grid, 1e10 * w.components, w.kind, w.frequency)
+    p = np.zeros((6, 6))
+    p[2, 2] = 1.0
+    mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, p=p)
+    unit = coupling.optomech_coupling(e, w, mat)
+    p[2, 2] = 3.657e288
+    with np.errstate(all="raise"):
+        rate = coupling.optomech_coupling(e, w, dataclasses.replace(mat, p=p))
+    assert rate == pytest.approx(3.657e288 * unit, rel=1e-15)
+
+
 def test_overflowing_fields_are_not_blamed_on_the_tensor():
     # on an x-spacing of 1e-100, dw_x/dx is about 1e250 and E_x dw_x/dx overflows at a unit
     # tensor, though both mode volumes, and so the prefactors, are finite: the rate overflows
-    # by the fields, and the caller's error state decides
+    # by the fields, not by the tensor of 1e308, and the caller's error state decides
     rng = np.random.default_rng(13)
     grid = coupling.Grid3D((0.0, 0.0, 0.0), (1e-100, 1.0, 1.0), (5, 5, 5))
 
@@ -1641,8 +1675,8 @@ def test_overflowing_fields_are_not_blamed_on_the_tensor():
 
     e, w = field(coupling.EM, 1e70), field(coupling.MECH, 1e150)
     h = np.zeros((3, 6))
-    h[0, 0] = 1.0
-    mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, h=h, p=np.eye(6))
+    h[0, 0] = 1e308
+    mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, h=h, p=1e308 * np.eye(6))
     for rate in (coupling.piezo_coupling_total, coupling.optomech_coupling):
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             rate(e, w, mat)
