@@ -13,8 +13,8 @@ np.gradient's roundoff, far below 1e-6: a gradient that vanishes analytically
 sums stencil terms of weight 4/d at most in all (the edge stencil (-3/2, 2,
 -1/2)/d; central differences of equal samples are exact), so it is off by
 about 4 eps max|w|/d, against max|w|/(N d) over N points: 4 eps N, 9e-12 at
-N = 10^4 (eps 2.2e-16).  A rate that is not finite names its tensor's element
-(:func:`_rate`) only if the same rate without the tensor's scale is finite.
+N = 10^4 (eps 2.2e-16).  Every walk runs on numbers rescaled by powers of two, and a
+rate or mode volume is rejected only when it is no finite normal float (:func:`_decided`).
 
 Unit conventions follow the materials literature this feeds on: the
 piezoelectric tensor ``h`` is stored in its stress-voltage Voigt form, the
@@ -25,8 +25,6 @@ photoelastic tensor ``p`` is the 6x6 Voigt matrix (NOT assumed symmetric),
 
 from __future__ import annotations
 
-import cmath
-import contextlib
 import functools
 import itertools
 import json
@@ -201,7 +199,7 @@ def strain_field(w: ModeField) -> np.ndarray:
     the boundaries.  With rigid-body rotation excluded this gradient IS the
     strain.  Axes with fewer than 3 points cannot be differentiated.  The
     rates never hold this array: they differentiate slab by slab, to the same
-    bits (see :func:`_slab_gradient`).
+    bits up to a power of two (see :func:`_slab_gradient`).
     """
     _require_differentiable(w)
     out = np.empty((3, 3, *w.grid.shape), dtype=complex)
@@ -213,40 +211,45 @@ def strain_field(w: ModeField) -> np.ndarray:
     return out
 
 
-def _intensity(f: ModeField, xs: slice) -> np.ndarray:
-    """sum_i |f_i|^2 on the x-planes ``xs``."""
-    return np.sum(np.abs(f.components[:, xs]) ** 2, axis=0)
+def _exponent(values) -> int:
+    """The k >= -1023 bringing the largest real or imaginary part of ``values`` 2^-k into [1, 2)."""
+    parts = np.asarray(values, dtype=complex).reshape(-1).view(float)  # a view if contiguous
+    return max(math.frexp(max(parts.max(), -parts.min()))[1] - 1, -1023)
 
 
-def _intensity_integral(density, f: ModeField):
-    """:func:`_slab_integral` of an intensity ``density(xs)`` of ``f``, rejecting a zero integral.
+def _unit_cells(grid: Grid3D) -> tuple:
+    """``(cells, exponent)``: ``grid`` with each spacing times its own 2^-k in [1, 2), and the
+    sum of those k over the axes the trapezoid rule integrates."""
+    shifts = [_exponent(d) if n > 1 else 0 for d, n in zip(grid.spacing, grid.counts)]
+    spacing = tuple(math.ldexp(d, -k) for d, k in zip(grid.spacing, shifts))
+    return Grid3D(grid.origin, spacing, grid.counts), sum(shifts)
 
-    A float, or a list of floats when ``density`` stacks several densities, each
-    of which is rejected if its integral is 0.
+
+def _intensity_integral(f: ModeField, density=lambda intensity: intensity) -> tuple:
+    """``(integral, a, exponent)``: ``density`` of I = sum_i |f_i 2^-a|^2 (:func:`_exponent`) on
+    the :func:`_unit_cells` of exponent ``exponent``, a float or, stacked, a list of floats.
+
+    The largest part of f 2^-a, in [1, 2), adds 1/8 at least: only a zero field integrates to 0.
     """
-    total = _slab_integral(f.grid, density)
+    a, (cells, exponent) = _exponent(f.components), _unit_cells(f.grid)
+    total = _slab_integral(cells, lambda xs: density(
+        np.sum(np.abs(f.components[:, xs] * 2.0**-a) ** 2, axis=0)))
     if not np.all(total):
-        if np.any(f.components):
-            raise ParameterError(
-                "mode field intensity integral underflows to 0, though the field is not zero")
         raise ParameterError("mode field is identically zero")
-    return total.tolist()
+    return total.tolist(), a, exponent
 
 
-@contextlib.contextmanager
-def _intensity_overflow_named(f: ModeField):
-    """Raise :class:`ParameterError` naming ``f``'s kind if its intensity arithmetic overflows.
-
-    Numpy raises on overflow inside, whatever the caller's error state, and a
-    Python float square raises ``OverflowError``; neither warns.
-    """
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except (FloatingPointError, OverflowError):
-        raise ParameterError(
-            f"{f.kind} mode field intensity overflows to inf, though the field is finite"
-        ) from None
+def _decided(quantity: str, value, parts: dict):
+    """``value`` times 2 to the sum of ``parts``' exponents, unless it is no finite normal float
+    while ``value`` is nonzero: then the one error states each part's power of two, blaming none."""
+    exponent, (fraction, k) = sum(parts.values()), math.frexp(abs(value))
+    if fraction and not (math.isfinite(fraction) and -1021 <= k + exponent <= 1024):
+        at = ", ".join(f"{name} {power}" for name, power in parts.items())
+        raise ParameterError(f"{quantity} {2 * fraction:.6g} x 2^{k - 1 + exponent} is not a "
+                             f"finite normal float; the power-of-two exponents of its parts: {at}")
+    if isinstance(value, complex):
+        return complex(math.ldexp(value.real, exponent), math.ldexp(value.imag, exponent))
+    return math.ldexp(value, exponent)
 
 
 def mech_mode_volume(w: ModeField) -> float:
@@ -259,33 +262,39 @@ def mech_mode_volume(w: ModeField) -> float:
     """
     if w.kind != MECH:
         raise ParameterError("expected a mechanical displacement field")
-    with _intensity_overflow_named(w):
-        total = _intensity_integral(lambda xs: _intensity(w, xs), w)
-        return 1.0 / _intensity_integral(lambda xs: (_intensity(w, xs) / total)**2, w)
+    total, _, exponent = _intensity_integral(w)
+    square = _intensity_integral(w, lambda intensity: (intensity / total)**2)[0]
+    return _decided("mech mode volume", 1.0 / square, {"cells": exponent})
 
 
 def em_mode_volume(e: ModeField, eta_eff: float) -> float:
     """Electromagnetic mode volume with inverse-permittivity weighting.
 
     (integral of eta_eff |E|^2)^2 / integral of (eta_eff |E|^2)^2, at the
-    scalar effective inverse relative permittivity ``eta_eff``.  Both integrals
-    are taken in one walk of the grid, slab by slab.
+    scalar effective inverse relative permittivity ``eta_eff``, whose power of
+    two cancels.  Both integrals are taken in one walk of the grid, slab by slab.
     """
     if e.kind != EM:
         raise ParameterError("expected an electromagnetic field")
     eta_eff = float(eta_eff)
+    eta_eff = math.ldexp(eta_eff, -_exponent(eta_eff))
+    (total, square), _, exponent = _intensity_integral(
+        e, lambda intensity: np.stack([eta_eff * intensity, (eta_eff * intensity)**2]))
+    return _decided("em mode volume", total**2 / square, {"cells": exponent})
 
-    def density(xs):
-        weighted = eta_eff * _intensity(e, xs)
-        return np.stack([weighted, weighted**2])
 
-    with _intensity_overflow_named(e):
-        total, square = _intensity_integral(density, e)
-        return total**2 / square
+def _root(value: float, exponent: int) -> tuple:
+    """sqrt(value 2^exponent) as ``(mantissa, exponent)``, with the root's bits if it is normal."""
+    if exponent % 2:  # an even exponent halves exactly
+        value, exponent = 2 * value, exponent - 1
+    return math.sqrt(value), exponent // 2
 
 
 def _scaled_to_volume(f: ModeField, v_eff: float) -> ModeField:
-    return f.scaled(math.sqrt(v_eff / float(_slab_integral(f.grid, lambda xs: _intensity(f, xs)))))
+    """``f`` times sqrt(v_eff / integral of sum_i |f_i|^2), walked like the volumes' integrals."""
+    total, a, exponent = _intensity_integral(f)
+    volume, k = math.frexp(v_eff)
+    return f.scaled(math.ldexp(*_root(volume / total, k - 2 * a - exponent)))
 
 
 def normalize_mech(w: ModeField) -> ModeField:
@@ -434,30 +443,16 @@ def require_matching(e: ModeField, w: ModeField):
         raise ParameterError("expected (EM field, mechanical field)")
 
 
-def _in_range(value: float, what: str, error=MaterialDataError, **parts) -> float:
-    """``value`` of a prefactor term under a square root, unless it over- or underflowed.
-
-    Else ``error`` is raised, naming the values ``parts`` the term is made of.
-    """
-    if not 0 < value < math.inf:
-        at = ", ".join(f"{name} = {part}" for name, part in parts.items())
-        raise error(f"coupling prefactor term {what} = {value} is out of range (0, inf) at {at}")
-    return value
-
-
-def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> complex:
-    """i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho)).
-
-    Only ``eta_eff rho`` holds a material value; a fault in the other two
-    terms is the fields', a :class:`ParameterError`.
-    """
-    v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
-    ratio = _in_range(e.frequency / w.frequency, "omega_em/omega_mech", ParameterError,
-                      omega_em=e.frequency, omega_mech=w.frequency)
-    volumes = _in_range(v_em * v_mech, "V_em V_mech", ParameterError, V_em=v_em, V_mech=v_mech)
-    scale = 1j * math.sqrt(ratio) / (4 * math.sqrt(volumes))
-    return scale / math.sqrt(_in_range(mat.eta_eff * mat.rho, "eta_eff rho",
-                                       rho=mat.rho, eps_rf=mat.eps_rf))
+def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> tuple:
+    """``(mantissa, exponent)`` of i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho)),
+    each value split by ``frexp`` and each root taken by :func:`_root`: no term overflows."""
+    (ve, kve), (vm, kvm), (f_em, k_em), (f_mech, k_mech), (eta, keta), (rho, krho) = map(
+        math.frexp, (e.em_volume(mat.eta_eff), w.mech_volume, e.frequency, w.frequency,
+                     mat.eta_eff, mat.rho))
+    ratio, kr = _root(f_em / f_mech, k_em - k_mech)
+    volumes, kv = _root(ve * vm, kve + kvm)
+    density, kd = _root(eta * rho, keta + krho)
+    return 1j * ratio / (4 * volumes) / density, kr - kv - kd
 
 
 def overlap_integral(e: ModeField, gradients: np.ndarray, j: int, k: int,
@@ -474,6 +469,9 @@ def overlap_integral(e: ModeField, gradients: np.ndarray, j: int, k: int,
 _VOIGT_PAIRS = [(i - 1, j - 1) for _, (i, j) in sorted(_PAIR_OF_VOIGT.items())]
 #: roundoff's largest share of an unknown Voigt entry's overlap bound (see the module docstring)
 _UNKNOWN_RTOL = 1e-10
+#: a tensor is rescaled only by the power of two of its largest entry above this one, so that
+#: entries far below the largest stay normal
+_TENSOR_HEADROOM = 512
 
 
 def _x_slabs(grid: Grid3D):
@@ -483,25 +481,26 @@ def _x_slabs(grid: Grid3D):
         yield slice(start, min(start + step, grid.counts[0]))
 
 
-def _slab_gradient(w: ModeField, xs: slice, j: int, k: int) -> np.ndarray:
-    """d w_j / d r_k (0-based) on the x-planes ``xs``, bit-equal to :func:`strain_field`'s.
+def _slab_gradient(w: ModeField, xs: slice, j: int, k: int, b: int, spacing) -> np.ndarray:
+    """d (w_j 2^-b) / d r_k (0-based) on the x-planes ``xs`` at the grid ``spacing``.
 
+    At b = 0 and the grid's spacing it is bit-equal to :func:`strain_field`'s.
     Along x the slab is differentiated with two halo planes on each side,
     clipped at the grid's ends: every plane of ``xs`` then gets the stencil it
-    gets on the whole grid, and the halo always gives the 3 planes that the
-    one-sided second-order stencil needs.
+    gets on the whole grid, and the halo gives the 3 planes that the one-sided
+    second-order stencil needs.
     """
     if k != 0:
-        return np.gradient(w.components[j, xs], w.grid.spacing[k], axis=k, edge_order=2)
+        return np.gradient(w.components[j, xs] * 2.0**-b, spacing[k], axis=k, edge_order=2)
     lo, hi = max(xs.start - 2, 0), min(xs.stop + 2, w.grid.counts[0])
-    grad = np.gradient(w.components[j, lo:hi], w.grid.spacing[0], axis=0, edge_order=2)
+    grad = np.gradient(w.components[j, lo:hi] * 2.0**-b, spacing[0], axis=0, edge_order=2)
     return grad[xs.start - lo:xs.stop - lo]
 
 
-def _pair_sums(w: ModeField, xs: slice) -> np.ndarray:
-    """B_J: d w_a / d r_b summed over both orders of each Voigt pair J, on ``xs``; shape (6, ...)."""
-    g = [[_slab_gradient(w, xs, a, b) for b in range(3)] for a in range(3)]
-    return np.stack([g[a][a] if a == b else g[a][b] + g[b][a] for a, b in _VOIGT_PAIRS])
+def _pair_sums(w: ModeField, xs: slice, b: int, spacing) -> np.ndarray:
+    """B_J: the :func:`_slab_gradient` d w_m / d r_n summed over both orders of Voigt pair J."""
+    g = [[_slab_gradient(w, xs, m, n, b, spacing) for n in range(3)] for m in range(3)]
+    return np.stack([g[m][m] if m == n else g[m][n] + g[n][m] for m, n in _VOIGT_PAIRS])
 
 
 def _slab_integral(grid: Grid3D, integrand):
@@ -512,6 +511,7 @@ def _slab_integral(grid: Grid3D, integrand):
     whose arrays are reduced one at a time.  Each step reduces the last axis: z,
     y, then the x-planes of all slabs.  A one-point axis is taken as its sample,
     as trapezoid_3d squeezes it, and the x-planes keep the integrand's dtype.
+    The walk runs under numpy's ignore state: its caller decides on the result.
     """
     def planes(out):
         if not isinstance(out, np.ndarray):
@@ -521,15 +521,30 @@ def _slab_integral(grid: Grid3D, integrand):
                    else np.squeeze(out, axis=-1))
         return out
 
-    out = np.concatenate([planes(integrand(xs)) for xs in _x_slabs(grid)], axis=-1)
-    return np.trapezoid(out, dx=grid.spacing[0]) if grid.counts[0] > 1 else out[..., 0]
+    with np.errstate(all="ignore"):
+        out = np.concatenate([planes(integrand(xs)) for xs in _x_slabs(grid)], axis=-1)
+        return np.trapezoid(out, dx=grid.spacing[0]) if grid.counts[0] > 1 else out[..., 0]
 
 
-def _overlap(e: ModeField, w: ModeField, i: int, j: int, k: int) -> complex:
-    """integral of E_i dw_j/dr_k (0-based), differentiating only that one gradient."""
+def _rescaled(e: ModeField, w: ModeField) -> tuple:
+    """``(a, b, cells, spacing, parts)``: an overlap of E and a gradient of w walks E 2^-a and
+    w 2^-b (:func:`_exponent`) on the :func:`_unit_cells` ``cells``, differentiating at the
+    ``spacing`` times the 2^-s that brings the largest into [1, 2); ``parts`` holds the
+    overlap's powers of two, the grid's being the cells' exponent less s."""
+    require_matching(e, w)
     _require_differentiable(w)
-    return complex(_slab_integral(
-        e.grid, lambda xs: e.components[i, xs] * _slab_gradient(w, xs, j, k)))
+    (cells, exponent), s = _unit_cells(e.grid), _exponent(max(e.grid.spacing))
+    a, b = _exponent(e.components), _exponent(w.components)
+    spacing = tuple(math.ldexp(d, -s) for d in e.grid.spacing)
+    return a, b, cells, spacing, {"em field": a, "mech field": b, "grid": exponent - s}
+
+
+def _overlap(e: ModeField, w: ModeField, i: int, j: int, k: int) -> tuple:
+    """``(overlap, parts)``: integral of E_i dw_j/dr_k (0-based), differentiating only that one
+    gradient, is ``overlap`` times 2 to the sum of the exponents in ``parts``."""
+    a, b, cells, spacing, parts = _rescaled(e, w)
+    return complex(_slab_integral(cells, lambda xs: (
+        e.components[i, xs] * 2.0**-a * _slab_gradient(w, xs, j, k, b, spacing)))), parts
 
 
 def _voigt_sum(matrix: np.ndarray, rows, pair_sums: np.ndarray):
@@ -556,68 +571,48 @@ def _element_name(tensor: str, r: int, J: int) -> str:
 
 
 def _contraction(e: ModeField, w: ModeField, mat: MaterialTensorSet, tensor: str) -> tuple:
-    """``(total, scaled, scale, largest)``: sum_rJ M_rJ integral of R_r B_J, and of M / scale.
+    """``(total, parts)``: sum_rJ M_rJ integral of R_r B_J is ``total`` times 2 to the sum of
+    the exponents in ``parts``.
 
     M is the Voigt matrix of ``tensor``, ``"h"`` or ``"p"``; B_J sums dw_a/dr_b over
     both orders of Voigt pair J; R_r is E_i for ``h``, and A_I, E_a E_b* summed
-    likewise, for ``p``.  The power of two ``scale`` puts M's largest known entry,
-    ``largest``, in [1, 2), or is 1.  One walk, under numpy's ignore state, takes
-    ``total``; a second, in the caller's error state, takes ``scaled`` only if a value
-    of the first is not finite: else ``scaled`` is ``total / scale``.
-    """
-    require_matching(e, w)
+    likewise, for ``p``.  The one walk, under numpy's ignore state, reads E, w
+    and the grid as :func:`_rescaled` and M over its largest known entry's power
+    of two above 2^_TENSOR_HEADROOM: no sum overflows, in any error state."""
     kind, matrix = ("piezoelectric" if tensor == "h" else "photoelastic"), getattr(mat, tensor)
     if matrix is None:
         raise MaterialDataError(f"{kind} tensor {tensor} is not set")
-    _require_differentiable(w)
+    a, b, cells, spacing, parts = _rescaled(e, w)
 
     def rows(xs):
-        field = e.components[:, xs]
+        field = e.components[:, xs] * 2.0**-a
         if tensor == "h":
             return field
         # |E_a|^2 for a = b, else E_a E_b* + E_b E_a* = 2 Re(E_a E_b*)
-        return [(field[a] * field[b].conj()).real * (1 if a == b else 2) for a, b in _VOIGT_PAIRS]
+        return [(field[m] * field[n].conj()).real * (1 if m == n else 2) for m, n in _VOIGT_PAIRS]
 
     unknown = sorted(np.argwhere(np.isnan(matrix)).tolist(),
                      key=lambda entry: _element_name(tensor, *entry))
     known = np.where(np.isnan(matrix), 0.0, matrix)
-    at = np.unravel_index(np.argmax(np.abs(known)), known.shape)
-    scale = max(1.0, math.ldexp(1.0, math.frexp(known[at])[1] - 1))
+    t = max(0, _exponent(known) - _TENSOR_HEADROOM)
+    known = np.ldexp(known, -t)
 
     def integrand(xs):
-        r_rows, pair_sums = rows(xs), _pair_sums(w, xs)
+        r_rows, pair_sums = rows(xs), _pair_sums(w, xs, b, spacing)
         yield _voigt_sum(known, r_rows, pair_sums)
         if unknown:
             yield from (r_rows[r] * pair_sums[J] for r, J in unknown)
             yield from (np.abs(row)**2 for row in r_rows)
             yield np.sum(np.abs(pair_sums)**2, axis=0)
 
-    with np.errstate(all="ignore"):
-        total, *values = _slab_integral(e.grid, integrand).tolist()
-    scaled = total / scale
-    if not all(map(cmath.isfinite, (total, *values))):
-        with np.errstate(under="ignore"):  # entries far below the largest scale to subnormals
-            scaled = complex(_slab_integral(
-                e.grid, lambda xs: _voigt_sum(known / scale, rows(xs), _pair_sums(w, xs))))
+    total, *values = _slab_integral(cells, integrand).tolist()
+    # an overlap and its bound share one power of two, so both are compared as walked
     for (r, J), overlap in zip(unknown, values):  # then the squares of each R_r and of B
         bound = math.sqrt(values[len(unknown) + r].real * values[-1].real)
         if not abs(overlap) <= _UNKNOWN_RTOL * bound < math.inf:
             raise MaterialDataError(f"{kind} element {_element_name(tensor, r, J)} is "
                                     "unknown but its overlap integral is nonzero")
-    return total, scaled, scale, f"largest element {_element_name(tensor, *at)} = {known[at]}"
-
-
-def _rate(rate_of, tensor: str, total, scaled, scale: float, element: str):
-    """``rate_of(total)``, the coupling rate of a contraction ``total`` of ``tensor``, if finite;
-    else ``rate_of(scaled) * scale``, naming ``element`` if only ``rate_of(scaled)`` is finite."""
-    with contextlib.suppress(OverflowError):  # abs of a finite complex can overflow
-        if cmath.isfinite(rate := rate_of(total)):
-            return rate
-    if cmath.isfinite(rate := rate_of(scaled)) and not cmath.isfinite(rate * scale):
-        kind = "piezoelectric" if tensor == "h" else "photoelastic"
-        raise MaterialDataError(
-            f"{kind} tensor {tensor}: the coupling rate overflows at its {element}")
-    return rate * scale
+    return total, {f"tensor {tensor}": t, **parts, "em field": a if tensor == "h" else 2 * a}
 
 
 def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
@@ -631,10 +626,13 @@ def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
     """
     require_matching(e, w)
     i, j, k = component
-    h = mat.h_element(i, j, k)
-    prefactor, overlap = _piezo_prefactor(e, w, mat), _overlap(e, w, i - 1, j - 1, k - 1)
-    return _rate(lambda m: m * prefactor * overlap, "h", abs(h), 1.0, abs(h),
-                 f"element h_{i}{j}{k} = {h}")
+    h = abs(mat.h_element(i, j, k))
+    t = _exponent(h)
+    prefactor, p = _piezo_prefactor(e, w, mat)
+    overlap, parts = _overlap(e, w, i - 1, j - 1, k - 1)
+    return _decided(f"piezoelectric coupling rate g_{i}{j}{k}",
+                    math.ldexp(h, -t) * prefactor * overlap,
+                    {f"tensor h_{i}{j}{k}": t, **parts, "prefactor": p})
 
 
 def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> complex:
@@ -644,8 +642,9 @@ def piezo_coupling_total(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> 
     :func:`piezo_coupling` of (i, j, k), in which a shear Voigt entry h_iJ
     (J = 4..6) sets two, h_iab and h_iba: the :func:`_contraction` of ``h``.
     """
-    contraction, prefactor = _contraction(e, w, mat, "h"), _piezo_prefactor(e, w, mat)
-    return _rate(lambda m: m * prefactor, "h", *contraction)
+    total, parts = _contraction(e, w, mat, "h")
+    prefactor, p = _piezo_prefactor(e, w, mat)
+    return _decided("piezoelectric coupling rate", total * prefactor, {**parts, "prefactor": p})
 
 
 def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> float:
@@ -657,14 +656,14 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     the result is independent of its global phase; the magnitude of the
     (generally complex) overlap sum, the :func:`_contraction` of ``p``, is returned.
     """
-    contraction = _contraction(e, w, mat, "p")
-    v_em, v_mech = e.em_volume(mat.eta_eff), w.mech_volume
-    denominator = _in_range(
-        32 * mat.rho * v_mech * EPSILON_0**2 * mat.eta_eff**2 * v_em**2 * w.frequency,
-        "32 rho V_mech eps0^2 eta_eff^2 V_em^2 omega_mech", rho=mat.rho, eps_rf=mat.eps_rf)
-    prefactor = math.sqrt(_in_range(HBAR / denominator, "hbar / (32 rho ... omega_mech)",
-                                    rho=mat.rho, eps_rf=mat.eps_rf))
-    return _rate(lambda m: prefactor * abs(m), "p", *contraction)
+    total, parts = _contraction(e, w, mat, "p")
+    (ve, kve), (vm, kvm), (rho, kr), (eps0, ke0), (eta, ket), (om, kom), (hbar, kh) = map(
+        math.frexp, (e.em_volume(mat.eta_eff), w.mech_volume, mat.rho, EPSILON_0, mat.eta_eff,
+                     w.frequency, HBAR))
+    denominator = 32 * rho * vm * eps0**2 * eta**2 * ve**2 * om
+    prefactor, p = _root(hbar / denominator, kh - (kr + kvm + 2 * ke0 + 2 * ket + 2 * kve + kom))
+    return _decided("optomechanical coupling rate", prefactor * abs(total),
+                    {**parts, "prefactor": p})
 
 
 # --- analytic mode library -----------------------------------------------------

@@ -780,65 +780,100 @@ def test_tensor_scalar_with_out_of_range_reciprocal_exits_2(outdir, tmp_path, ca
     assert not (outdir / "coupling.json").exists()
 
 
-@pytest.mark.parametrize("scalars, term", [
-    # the optomechanical denominator overflows (the coupling used to read 0.0) ...
-    ({"rho": 1e307}, "32 rho V_mech eps0^2 eta_eff^2 V_em^2 omega_mech = inf"),
-    # ... or underflows (it used to end in ZeroDivisionError)
-    ({"rho": 1e-300}, "32 rho V_mech eps0^2 eta_eff^2 V_em^2 omega_mech = 0.0"),
-    # eta_eff rho overflows (the piezoelectric coupling used to read 0.0)
-    ({"rho": 1e300, "eps_rf": 1e-10}, "eta_eff rho = inf"),
+def _coupling_rates(argv, outdir):
+    """The piezoelectric and optomechanical rates ``coupling`` writes for ``argv``."""
+    assert run(argv) == 0
+    data = json.loads((outdir / "coupling.json").read_text())
+    piezo = data["piezo_coupling_rad_s"]
+    return complex(piezo["re"], piezo["im"]), data["optomech_coupling_rad_s"]
+
+
+@pytest.mark.parametrize("scalars", [
+    # the optomechanical denominator overflowed (the coupling used to read 0.0) ...
+    {"rho": 1e307},
+    # ... or underflowed (it used to end in ZeroDivisionError)
+    {"rho": 1e-300},
+    # eta_eff rho overflowed (the piezoelectric coupling used to read 0.0)
+    {"rho": 1e300, "eps_rf": 1e-10},
 ], ids=["optomech-overflow", "optomech-underflow", "piezo-overflow"])
-def test_out_of_range_coupling_prefactor_exits_2(outdir, tmp_path, capsys, scalars, term):
-    inputs = tmp_path / "inputs"
-    inputs.mkdir()
-    argv = ["coupling"] + write_coupling_inputs(inputs)
-    data = {**json.loads((inputs / "tensors.json").read_text()), **scalars}
-    (inputs / "tensors.json").write_text(json.dumps(data))
-    assert run(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: material-data: coupling prefactor term {term} is out of range (0, inf) "
-        f"at rho = {data['rho']}, eps_rf = {data['eps_rf']}"]
-    assert not (outdir / "coupling.json").exists()
-
-
-@pytest.mark.parametrize("em, mech, ratio", [
-    ("1e-300", "1e+300", "0.0"),  # the piezoelectric coupling used to read 0.0
-    ("1e+300", "1e-300", "inf"),  # it used to be nan, which failed the JSON writer
-], ids=["underflow", "overflow"])
-def test_out_of_range_piezo_frequency_ratio_exits_2(outdir, tmp_path, capsys, em, mech, ratio):
+def test_out_of_range_coupling_prefactor_exits_2(outdir, tmp_path, capsys, scalars):
+    # each term used to be rejected as out of range (0, inf); split into powers of two no term
+    # over- or underflows, and the rates written scale as 1/sqrt(eta_eff rho) and
+    # 1/(eta_eff sqrt(rho)), eta_eff = 1/eps_rf, from the pair's rates with only h33 and p33 set
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     argv = ["coupling"] + write_coupling_inputs(inputs, piezo=True)
+    data = json.loads((inputs / "tensors.json").read_text())
+    data["p"][2][2] = 0.1
+    (inputs / "tensors.json").write_text(json.dumps(data))
+    piezo, optomech = _coupling_rates(argv, outdir)
+    (inputs / "tensors.json").write_text(json.dumps({**data, **scalars}))
+    rho = scalars["rho"] / data["rho"]
+    eps_rf = scalars.get("eps_rf", data["eps_rf"]) / data["eps_rf"]
+    assert _coupling_rates(argv, outdir) == (
+        pytest.approx(piezo * math.sqrt(eps_rf / rho), rel=1e-12),
+        pytest.approx(optomech * eps_rf / math.sqrt(rho), rel=1e-12))
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("em, mech", [
+    ("1e-300", "1e+300"),  # the piezoelectric coupling used to read 0.0
+    ("1e+300", "1e-300"),  # it used to be nan, which failed the JSON writer
+], ids=["underflow", "overflow"])
+def test_out_of_range_piezo_frequency_ratio_exits_2(outdir, tmp_path, capsys, em, mech):
+    # the ratio 1e-600 or 1e600 used to be rejected as out of range (0, inf); split into powers
+    # of two, its square root gives the rate, which scales as sqrt(omega_em/omega_mech)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs, piezo=True)
+    data = json.loads((inputs / "tensors.json").read_text())
+    del data["p"]  # only the piezoelectric rate depends on the frequency ratio
+    (inputs / "tensors.json").write_text(json.dumps(data))
+    assert run(argv) == 0
+    nominal = json.loads((outdir / "coupling.json").read_text())["piezo_coupling_rad_s"]["im"]
     _rewrite_header(inputs / "e.csv", "frequency", em)
     _rewrite_header(inputs / "w.csv", "frequency", mech)
-    data = json.loads((inputs / "tensors.json").read_text())
-    del data["p"]  # the optomechanical prefactor would fail first
-    (inputs / "tensors.json").write_text(json.dumps(data))
-    assert run(argv) == 2
-    # no material value enters the ratio, so the fault is the fields' and names their frequencies
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: validation: coupling prefactor term omega_em/omega_mech = {ratio} "
-        f"is out of range (0, inf) at omega_em = {float(em)}, omega_mech = {float(mech)}"]
-    assert not (outdir / "coupling.json").exists()
+    assert run(argv) == 0
+    rate = json.loads((outdir / "coupling.json").read_text())["piezo_coupling_rad_s"]
+    assert rate["re"] == 0.0
+    # the pair's omega_em/omega_mech is 1.935e14/3.285e9
+    assert rate["im"] == pytest.approx(
+        nominal * math.sqrt(float(em)) / math.sqrt(float(mech)) / math.sqrt(1.935e14 / 3.285e9),
+        rel=1e-12)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("name", ["e.csv", "w.csv"])
 def test_underflowing_field_intensity_exits_2(outdir, tmp_path, capsys, name):
+    # |1e-170|^2 underflowed to 0, and the field was rejected though it is not zero; the
+    # rescaled walks give its volumes, and the rates scale as w and as E for the piezoelectric
+    # rate, as |E|^2 for the optomechanical one, which at 1e-340 times 0.0073 is no float
     inputs = tmp_path / "inputs"
     inputs.mkdir()
-    argv = ["coupling"] + write_coupling_inputs(inputs)
+    argv = ["coupling"] + write_coupling_inputs(inputs, piezo=True)
+    data = json.loads((inputs / "tensors.json").read_text())
+    data["p"][2][2] = 0.1
+    (inputs / "tensors.json").write_text(json.dumps(data))
+    piezo, optomech = _coupling_rates(argv, outdir)
     field = coupling.load_mode_field(inputs / name)
-    # |1e-170|^2 underflows to 0, so the field is nonzero but its intensity is not
     coupling.save_mode_field(inputs / name, field.scaled(1e-170))
+    if name == "w.csv":
+        assert _coupling_rates(argv, outdir) == (pytest.approx(piezo * 1e-170, rel=1e-12),
+                                                pytest.approx(optomech * 1e-170, rel=1e-12))
+        assert capsys.readouterr().err == ""
+        return
+    (outdir / "coupling.json").unlink()
     assert run(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: validation: mode field intensity integral underflows to 0, "
-        "though the field is not zero"]
+        "error: validation: optomechanical coupling rate 1.3578 x 2^-1137 is not a finite normal "
+        "float; the power-of-two exponents of its parts: tensor p 0, em field -1130, "
+        "mech field -14, grid -50, prefactor 53"]
     assert not (outdir / "coupling.json").exists()
 
 
 def test_underflowing_mechanical_volume_integral_exits_2(outdir, tmp_path, capsys):
-    # this used to end in "arithmetic: ZeroDivisionError: float division by zero"
+    # this used to end in "arithmetic: ZeroDivisionError: float division by zero", then was
+    # rejected as an underflowing integral; on rescaled cells both volumes are the box's
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     argv = ["coupling"] + write_coupling_inputs(inputs)
@@ -850,27 +885,37 @@ def test_underflowing_mechanical_volume_integral_exits_2(outdir, tmp_path, capsy
         grid, e_comps, coupling.EM, TWO_PI * 1.935e14))
     coupling.save_mode_field(inputs / "w.csv", coupling.ModeField(
         grid, np.ones((3, 5, 5, 5)), coupling.MECH, TWO_PI * 3.285e9))
-    assert run(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: validation: mode field intensity integral underflows to 0, "
-        "though the field is not zero"]
-    assert _names(outdir) == ["inputs"]
+    assert run(argv) == 0
+    data = json.loads((outdir / "coupling.json").read_text())
+    assert data["em_mode_volume_m3"] == pytest.approx(4e100**3, rel=1e-14)
+    assert data["mech_mode_volume_m3"] == pytest.approx(4e100**3, rel=1e-14)
+    # a flat w has no strain
+    assert data["optomech_coupling_rad_s"] == 0 and data["piezo_coupling_rad_s"]["abs"] == 0
 
 
 @pytest.mark.parametrize("name, factor, kind", [("w.csv", 1e200, "mech"), ("e.csv", 1e100, "em")])
 def test_overflowing_field_intensity_exits_2(outdir, tmp_path, capsys, name, factor, kind):
     # these used to end in "arithmetic: FloatingPointError: overflow encountered in square"
-    # and "arithmetic: OverflowError: (34, 'Numerical result out of range')"
+    # and "arithmetic: OverflowError: (34, 'Numerical result out of range')", then were
+    # rejected by kind; rescaled, the amplitude limits no field: the volumes stay and the
+    # rates scale as the field, and as |E|^2 for the optomechanical one
     inputs = tmp_path / "inputs"
     inputs.mkdir()
-    argv = ["coupling"] + write_coupling_inputs(inputs)
+    argv = ["coupling"] + write_coupling_inputs(inputs, piezo=True)
+    data = json.loads((inputs / "tensors.json").read_text())
+    data["p"][2][2] = 0.1
+    (inputs / "tensors.json").write_text(json.dumps(data))
+    piezo, optomech = _coupling_rates(argv, outdir)
+    volumes = json.loads((outdir / "coupling.json").read_text())
     field = coupling.load_mode_field(inputs / name)
     coupling.save_mode_field(inputs / name, field.scaled(factor))
-    assert run(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: validation: {kind} mode field intensity overflows to inf, "
-        "though the field is finite"]
-    assert _names(outdir) == ["inputs"]
+    optomech_factor = factor**2 if kind == "em" else factor
+    assert _coupling_rates(argv, outdir) == (pytest.approx(piezo * factor, rel=1e-12),
+                                            pytest.approx(optomech * optomech_factor, rel=1e-12))
+    scaled = json.loads((outdir / "coupling.json").read_text())
+    for key in ("em_mode_volume_m3", "mech_mode_volume_m3"):
+        assert scaled[key] == pytest.approx(volumes[key], rel=1e-12)
+    assert capsys.readouterr().err == ""
 
 
 def test_materials_name_with_comma_is_quoted(outdir, tmp_path):
@@ -1380,14 +1425,18 @@ def test_piezo_component_scales_as_the_magnitude_of_its_element(outdir, tmp_path
 
 
 @pytest.mark.parametrize("tensor, row, col, message", [
-    ("h", 2, 2, "piezoelectric tensor h: the coupling rate overflows at its largest element "
-                "h_333 = 1e+308"),
-    ("p", 2, 2, "photoelastic tensor p: the coupling rate overflows at its largest element "
-                "p_3333 = 1e+308"),
-])
+    ("h", 2, 2, "piezoelectric coupling rate 1.66325 x 2^1051 is not a finite normal float; the "
+                "power-of-two exponents of its parts: tensor h 511, em field 9, mech field -4, "
+                "grid -50, prefactor 67"),
+    ("p", 2, 2, "optomechanical coupling rate 1.20577 x 2^1049 is not a finite normal float; the "
+                "power-of-two exponents of its parts: tensor p 511, em field 18, mech field -4, "
+                "grid -50, prefactor 53"),
+], ids=["h", "p"])
 def test_tensor_element_whose_rate_overflows_exits_2(outdir, tmp_path, capsys,
                                                      tensor, row, col, message):
-    # each used to exit with "error: arithmetic: ... invalid value encountered in multiply"
+    # each used to exit with "error: arithmetic: ... invalid value encountered in multiply",
+    # and then with "error: material-data:" naming the largest element; the one message
+    # names no part
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     argv = ["coupling"] + write_coupling_inputs(inputs, piezo=True) + ["--out", "g"]
@@ -1399,14 +1448,15 @@ def test_tensor_element_whose_rate_overflows_exits_2(outdir, tmp_path, capsys,
     data[tensor][row][col] = 1e308
     (inputs / "tensors.json").write_text(json.dumps(data))
     assert run(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: material-data: {message}"]
+    assert capsys.readouterr().err.splitlines() == [f"error: validation: {message}"]
     assert not (outdir / "g.json").exists()
 
 
 def test_tensor_element_whose_contraction_is_finite_but_rate_overflows_exits_2(outdir, tmp_path,
                                                                                capsys):
     # the contraction at h_333 = 5e305 is finite, and only its product with the prefactor,
-    # 2.5e19 on this pair, overflows; it used to fail in the JSON writer on an inf
+    # 2.5e19 on this pair, overflows; it used to fail in the JSON writer on an inf, and then
+    # named the element
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     argv = ["coupling"] + write_coupling_inputs(inputs, piezo=True) + ["--out", "g"]
@@ -1415,9 +1465,34 @@ def test_tensor_element_whose_contraction_is_finite_but_rate_overflows_exits_2(o
     (inputs / "tensors.json").write_text(json.dumps(data))
     assert run(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: material-data: piezoelectric tensor h: the coupling rate overflows at its "
-        "largest element h_333 = 5e+305"]
+        "error: validation: piezoelectric coupling rate 1.11619 x 2^1024 is not a finite normal "
+        "float; the power-of-two exponents of its parts: tensor h 503, em field 0, "
+        "mech field -14, grid -50, prefactor 67"]
     assert not (outdir / "g.json").exists()
+
+
+def test_finite_rate_whose_magnitude_overflows_exits_2(outdir, tmp_path, capsys):
+    # the rate at this h_111 is a finite -1.48e308 - 1.79e308j, and the JSON writer's abs of it
+    # used to end in "arithmetic: OverflowError: absolute value too large"; the rate is decided
+    # on its magnitude, once, by the one message
+    rng = np.random.default_rng(12)
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1.1e-7, 0.9e-7, 1.3e-7), (7, 6, 5))
+    for name, kind, frequency, scale in (("e.csv", coupling.EM, 2e14, 1.0),
+                                         ("w.csv", coupling.MECH, 3e9, 1e-4)):
+        comps = scale * (rng.normal(size=(3, 7, 6, 5)) + 1j * rng.normal(size=(3, 7, 6, 5)))
+        coupling.save_mode_field(tmp_path / name, coupling.ModeField(grid, comps, kind,
+                                                                     TWO_PI * frequency))
+    h = np.zeros((3, 6))
+    h[0, 0] = 3.3945229621735804e+305  # 0.999 x 1.79e308 / |Im g| at h_111 = 1
+    (tmp_path / "t.json").write_text(json.dumps(
+        {"rho": 3000.0, "eps_rf": 9.0, "eps_ir": 4.0, "h": h.tolist()}))
+    assert run(["coupling", "--em-field", str(tmp_path / "e.csv"), "--mech-field",
+                str(tmp_path / "w.csv"), "--tensors", str(tmp_path / "t.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: piezoelectric coupling rate 1.28969 x 2^1024 is not a finite normal "
+        "float; the power-of-two exponents of its parts: tensor h 502, em field 1, "
+        "mech field -12, grid -48, prefactor 66"]
+    assert not (outdir / "coupling.json").exists()
 
 
 @pytest.mark.parametrize("command, flag", [("efficiency-curve", "--pump-offset-hz"),

@@ -215,20 +215,20 @@ def test_zero_field_mode_volume_rejected():
 
 
 def test_underflowing_mechanical_volume_integral_rejected():
-    # the normalized density squared underflows to 0; this used to raise ZeroDivisionError
+    # the normalized density squared underflowed to 0 on the unscaled grid, which raised
+    # ZeroDivisionError and then was rejected; on rescaled cells a flat field's volume is the box's
     grid = coupling.Grid3D((0.0, 0.0, 0.0), (1e100,) * 3, (5, 5, 5))
     w = coupling.ModeField(grid, np.ones((3, 5, 5, 5)), coupling.MECH, 1.0)
-    with pytest.raises(ParameterError, match="^mode field intensity integral underflows to 0, "
-                                             "though the field is not zero$"):
-        coupling.mech_mode_volume(w)
+    assert coupling.mech_mode_volume(w) == pytest.approx(box_volume(grid), rel=1e-14)
 
 
 @pytest.mark.parametrize("amplitude, message", [
     (0.0, "^mode field is identically zero$"),
-    # eta_eff |E|^2 ~ 1e-201 integrates to about 1e-219, but its square underflows to 0
-    (1e-100, "^mode field intensity integral underflows to 0, though the field is not zero$"),
-    # |E|^2 underflows already, so both integrals are 0
-    (1e-170, "^mode field intensity integral underflows to 0, though the field is not zero$"),
+    # unscaled, the square of eta_eff |E|^2 ~ 1e-201 underflowed to 0 and was rejected; rescaled
+    # to [1, 2), neither integral is 0 and the flat field's volume is the box's
+    (1e-100, None),
+    # unscaled, |E|^2 underflowed already, so both integrals were 0
+    (1e-170, None),
 ])
 def test_each_em_volume_integral_rejects_zero(monkeypatch, amplitude, message):
     grid = box_grid(9)
@@ -241,8 +241,12 @@ def test_each_em_volume_integral_rejects_zero(monkeypatch, amplitude, message):
         return walk(grid, integrand)
 
     monkeypatch.setattr(coupling, "_slab_integral", spy)
-    with pytest.raises(ParameterError, match=message):
-        coupling.em_mode_volume(coupling.ModeField(grid, comps, coupling.EM, 1.0), 1 / 9.5)
+    e = coupling.ModeField(grid, comps, coupling.EM, 1.0)
+    if message is None:
+        assert coupling.em_mode_volume(e, 1 / 9.5) == pytest.approx(box_volume(grid), rel=1e-14)
+    else:
+        with pytest.raises(ParameterError, match=message):
+            coupling.em_mode_volume(e, 1 / 9.5)
     # both integrals are taken in one walk of the grid
     assert len(walks) == 1
 
@@ -252,13 +256,11 @@ def test_each_em_volume_integral_rejects_zero(monkeypatch, amplitude, message):
     (coupling.EM, 1e100, lambda e: coupling.em_mode_volume(e, 1 / 9.5)),
 ])
 def test_overflowing_field_intensity_rejected_by_kind(kind, factor, volume):
-    # no caller error state: numpy would warn (an error under this suite's filter) or,
-    # for the Python-float square of the EM integral, raise OverflowError
+    # the unscaled intensity overflowed and was rejected by kind; rescaled, the volume does not
+    # depend on the amplitude, to roundoff for a factor that is not a power of two
     e, w = coupling_input_fields()
-    field = (e if kind == coupling.EM else w).scaled(factor)
-    with pytest.raises(ParameterError, match=rf"^{kind} mode field intensity overflows to inf, "
-                                             "though the field is finite$"):
-        volume(field)
+    field = e if kind == coupling.EM else w
+    assert volume(field.scaled(factor)) == pytest.approx(volume(field), rel=1e-12)
 
 
 def _whole_grid_volumes(f, eta_eff):
@@ -576,15 +578,20 @@ def test_optomech_linear_in_photoelastic_element():
 
 def test_piezo_volume_fault_is_the_fields_and_names_the_volumes():
     # the frequency ratio is covered through the CLI; here the cached volumes are set to a
-    # product that overflows, without a field that large
-    mat = coupling.MaterialTensorSet(rho=3255.0, eps_rf=9.5, eps_ir=3.67)
+    # product that overflows, without a field that large: V_em V_mech used to be rejected as
+    # out of range, and split into powers of two it gives the prefactor and the rate
+    mat = _piezo_pair_material()
     e, w = coupling_input_fields(piezo=True)
+    rate = coupling.piezo_coupling_total(e, w, mat)
+    volumes = e.em_volume(mat.eta_eff) * w.mech_volume
     w.__dict__["mech_volume"] = 1e200
     e.__dict__["_em_volumes"] = {mat.eta_eff: 1e200}
-    with pytest.raises(ParameterError, match=re.escape(
-            "coupling prefactor term V_em V_mech = inf is out of range (0, inf) "
-            "at V_em = 1e+200, V_mech = 1e+200")):
-        coupling._piezo_prefactor(e, w, mat)
+    prefactor, exponent = coupling._piezo_prefactor(e, w, mat)
+    expected = math.sqrt(e.frequency / w.frequency) / (4e200 * math.sqrt(mat.eta_eff * mat.rho))
+    assert prefactor.real == 0 and math.ldexp(prefactor.imag, exponent) == pytest.approx(
+        expected, rel=1e-15)
+    assert coupling.piezo_coupling_total(e, w, mat) == pytest.approx(
+        rate * math.sqrt(volumes) / 1e200, rel=1e-14)
 
 
 def test_optomech_hand_prefactor():
@@ -1094,7 +1101,7 @@ def test_slab_pair_sums_bit_equal_the_strain_field_pairs(monkeypatch, n0, block_
     slabs = list(coupling._x_slabs(grid))
     assert [xs.stop - xs.start for xs in slabs[:-1]] == [planes] * (len(slabs) - 1)
     assert slabs[0].start == 0 and slabs[-1].stop == n0 and 0 < slabs[-1].stop - slabs[-1].start
-    got = np.concatenate([coupling._pair_sums(w, xs) for xs in slabs], axis=1)
+    got = np.concatenate([coupling._pair_sums(w, xs, 0, grid.spacing) for xs in slabs], axis=1)
     np.testing.assert_array_equal(got, _strain_pair_sums(coupling.strain_field(w)))
 
 
@@ -1131,10 +1138,10 @@ def test_rates_match_the_rank_tensor_einsum_oracle(monkeypatch, planes):
     assert coupling.optomech_coupling(e, w, mat) == pytest.approx(
         om_prefactor * abs(om_sum), rel=1e-12)
 
-    # each element's slab-wise overlap has the bits of the full-gradient overlap
+    # each element's slab-wise overlap, scaled back, has the bits of the full-gradient overlap
     for i, j, k in np.ndindex(3, 3, 3):
-        assert coupling._overlap(e, w, i, j, k) == coupling.overlap_integral(
-            e, strain, j + 1, k + 1, component=i + 1)
+        overlap = coupling._decided("", *coupling._overlap(e, w, i, j, k))
+        assert overlap == coupling.overlap_integral(e, strain, j + 1, k + 1, component=i + 1)
 
 
 def test_rates_and_volumes_make_no_blas_call(monkeypatch):
@@ -1549,20 +1556,27 @@ def _piezo_pair_material(entries=None):
 
 @pytest.mark.parametrize("errors", ["warn", "raise"])
 @pytest.mark.parametrize("rate, entry, message", [
+    # 1e308 is 1.11 x 2^1023: the walk takes 2^511 of it out of the tensor
     (coupling.piezo_coupling_total, ("h", 3, 3),
-     "piezoelectric tensor h: the coupling rate overflows at its largest element h_333 = 1e+308"),
+     "piezoelectric coupling rate 1.74405 x 2^1031 is not a finite normal float; the power-of-two "
+     "exponents of its parts: tensor h 511, em field 0, mech field -14, grid -50, prefactor 67"),
     (lambda e, w, mat: coupling.piezo_coupling(e, w, mat, (3, 3, 3)), ("h", 3, 3),
-     "piezoelectric tensor h: the coupling rate overflows at its element h_333 = 1e+308"),
-    # the rate at p_3333 = 1e308 is 7.3e306 on the pair as it is, and 1e9 times that with
+     "piezoelectric coupling rate g_333 1.74405 x 2^1031 is not a finite normal float; the "
+     "power-of-two exponents of its parts: tensor h_333 1023, em field 0, mech field -14, "
+     "grid -50, prefactor 67"),
+    # the rate at p_3333 = 1e308 is 7.3e306 on the pair as it is, and 1e12 times that with
     # both fields scaled by 1e3
     (lambda e, w, mat: coupling.optomech_coupling(e.scaled(1e3), w.scaled(1e3), mat), ("p", 3, 3),
-     "photoelastic tensor p: the coupling rate overflows at its largest element p_3333 = 1e+308"),
+     "optomechanical coupling rate 1.20577 x 2^1049 is not a finite normal float; the power-of-two "
+     "exponents of its parts: tensor p 511, em field 18, mech field -4, grid -50, prefactor 53"),
 ], ids=["piezo-total", "piezo-component", "optomech"])
 def test_tensor_element_whose_rate_overflows_named(rate, entry, message, errors):
-    # each used to end in "arithmetic: FloatingPointError: invalid value encountered in multiply"
+    # each used to end in "arithmetic: FloatingPointError: invalid value encountered in multiply",
+    # and then named the element; the one message states every part's power of two instead,
+    # whatever the caller's error state
     e, w = coupling_input_fields(piezo=True)
     with np.errstate(all=errors):
-        with pytest.raises(MaterialDataError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             rate(e, w, _piezo_pair_material({entry: 1e308}))
 
 
@@ -1576,8 +1590,11 @@ def test_overflow_names_the_largest_element_by_its_tensor_indices(tensor, voigt,
     matrix[0, 0] = 1.0
     mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, **{tensor: matrix})
     rate = coupling.piezo_coupling_total if tensor == "h" else coupling.optomech_coupling
-    with pytest.raises(MaterialDataError, match=f"its largest element {re.escape(name)}$"):
+    # the message used to name the largest element; it now states the tensor's share of the
+    # power of two, 1e308's 1023 less the walk's headroom of 512, and names no element
+    with pytest.raises(ParameterError, match=f"of its parts: tensor {tensor} 511, ") as exc:
         rate(e, w, mat)
+    assert name.split(" = ")[0] not in str(exc.value)
 
 
 def test_finite_rates_keep_their_bits_beside_the_overflow_check():
@@ -1589,8 +1606,9 @@ def test_finite_rates_keep_their_bits_beside_the_overflow_check():
     # the total is the integral the check evaluates, as it was written before the check
     integral = coupling._slab_integral(e.grid, lambda xs: np.einsum(
         "J...,J...->...", np.tensordot(mat.h, e.components[:, xs], axes=(0, 0)),
-        coupling._pair_sums(w, xs)))
-    assert total == coupling._piezo_prefactor(e, w, mat) * complex(integral) != 0
+        coupling._pair_sums(w, xs, 0, e.grid.spacing)))
+    prefactor, exponent = coupling._piezo_prefactor(e, w, mat)
+    assert total == coupling._decided("", prefactor * complex(integral), {"": exponent}) != 0
 
 
 def test_finite_rate_at_a_tensor_element_of_1e308_is_written():
@@ -1624,7 +1642,8 @@ def test_tensor_element_is_named_only_where_the_rate_itself_overflows():
     for p33 in (1e299, 1e300):
         rate = coupling.optomech_coupling(e, w, _piezo_pair_material({("p", 3, 3): p33}))
         assert rate == pytest.approx(p33 * unit, rel=1e-15)
-    with pytest.raises(MaterialDataError, match=r"its largest element p_3333 = 1e\+301$"):
+    with pytest.raises(ParameterError, match=r"^optomechanical coupling rate 1\.01147 x 2\^1026 is "
+                                             r"not a finite normal float; .*: tensor p 487, "):
         coupling.optomech_coupling(e, w, _piezo_pair_material({("p", 3, 3): 1e301}))
 
 
@@ -1663,9 +1682,10 @@ def test_finite_rate_whose_contraction_has_an_overflowing_magnitude_is_written()
 
 
 def test_overflowing_fields_are_not_blamed_on_the_tensor():
-    # on an x-spacing of 1e-100, dw_x/dx is about 1e250 and E_x dw_x/dx overflows at a unit
+    # on an x-spacing of 1e-100, dw_x/dx is about 1e250 and E_x dw_x/dx overflowed at a unit
     # tensor, though both mode volumes, and so the prefactors, are finite: the rate overflows
-    # by the fields, not by the tensor of 1e308, and the caller's error state decides
+    # by the fields as much as by the tensor of 1e308, and in any error state the one message
+    # states the power of two of each part, blaming none
     rng = np.random.default_rng(13)
     grid = coupling.Grid3D((0.0, 0.0, 0.0), (1e-100, 1.0, 1.0), (5, 5, 5))
 
@@ -1677,8 +1697,97 @@ def test_overflowing_fields_are_not_blamed_on_the_tensor():
     h = np.zeros((3, 6))
     h[0, 0] = 1e308
     mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, h=h, p=1e308 * np.eye(6))
-    for rate in (coupling.piezo_coupling_total, coupling.optomech_coupling):
-        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            rate(e, w, mat)
-        with np.errstate(all="ignore"):
-            assert not cmath.isfinite(rate(e, w, mat))
+    for rate, parts in ((coupling.piezo_coupling_total,
+                         "tensor h 511, em field 234, mech field 500, grid -333, prefactor 322"),
+                        (coupling.optomech_coupling,
+                         "tensor p 511, em field 468, mech field 500, grid -333, prefactor 449")):
+        for errors in ("raise", "ignore"):
+            with np.errstate(all=errors), pytest.raises(ParameterError, match=(
+                    rf" is not a finite normal float; the power-of-two exponents of its parts: "
+                    rf"{parts}$")):
+                rate(e, w, mat)
+
+
+# --- power-of-two rescaling: the walks run on numbers near 1 ------------------------------
+
+
+def _random_tensor_set(rng):
+    return coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0,
+                                      h=rng.normal(size=(3, 6)), p=rng.normal(size=(6, 6)))
+
+
+def _exact_or_rejected(rate, value, power):
+    """``rate()`` is ``value`` 2^power, bit for bit, where that is a normal float, else rejected."""
+    if -1021 <= math.frexp(abs(value))[1] + power <= 1024:
+        parts = [math.ldexp(part, power) for part in (value.real, value.imag)]
+        assert rate() == (complex(*parts) if isinstance(value, complex) else parts[0])
+    else:
+        with pytest.raises(ParameterError, match=" is not a finite normal float; "):
+            rate()
+
+
+@pytest.mark.parametrize("k", [-600, -1, 1, 600])
+def test_power_of_two_rescale_moves_each_rate_and_volume_by_its_exponent(k):
+    # a power of two moves no bit: E 2^k gives the piezoelectric rate times 2^k and the
+    # optomechanical one times 2^(2k), w 2^k both times 2^k, and a spacing times 2^k each
+    # mode volume times 2^(3k) and the piezoelectric rate times 2^-k
+    rng = np.random.default_rng(40)
+    e, w = _random_pair(rng)
+    mat = _random_tensor_set(rng)
+    piezo = coupling.piezo_coupling_total(e, w, mat)
+    optomech = coupling.optomech_coupling(e, w, mat)
+    scale = 2.0**k
+    for (e_k, w_k), piezo_power, optomech_power in (((e.scaled(scale), w), k, 2 * k),
+                                                    ((e, w.scaled(scale)), k, k)):
+        _exact_or_rejected(lambda: coupling.piezo_coupling_total(e_k, w_k, mat), piezo, piezo_power)
+        _exact_or_rejected(lambda: coupling.optomech_coupling(e_k, w_k, mat), optomech,
+                           optomech_power)
+    grid = coupling.Grid3D(e.grid.origin, tuple(d * scale for d in e.grid.spacing), e.grid.counts)
+    e_k, w_k = (coupling.ModeField(grid, f.components, f.kind, f.frequency) for f in (e, w))
+    _exact_or_rejected(lambda: coupling.em_mode_volume(e_k, mat.eta_eff),
+                       coupling.em_mode_volume(e, mat.eta_eff), 3 * k)
+    _exact_or_rejected(lambda: coupling.mech_mode_volume(w_k), coupling.mech_mode_volume(w), 3 * k)
+    if abs(k) == 1:  # at 2^(3 * 600) the volumes, which the rate divides by, are no floats
+        _exact_or_rejected(lambda: coupling.piezo_coupling_total(e_k, w_k, mat), piezo, -k)
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_normalized_field_does_not_depend_on_a_power_of_two_amplitude(k):
+    # the intensity integral is taken rescaled, like the volumes': unscaled, 2^600 overflowed it
+    # and the field was "normalized" to zeros
+    e, w = _random_pair(np.random.default_rng(41))
+    np.testing.assert_array_equal(coupling.normalize_mech(w.scaled(2.0**k)).components,
+                                  coupling.normalize_mech(w).components)
+    np.testing.assert_array_equal(coupling.normalize_em(e.scaled(2.0**k), 1 / 9.5).components,
+                                  coupling.normalize_em(e, 1 / 9.5).components)
+
+
+def test_fields_whose_gradient_products_overflow_unscaled_give_a_finite_rate():
+    # on an x-spacing of 1e-150, E_x dw_x/dx of amplitudes 1e60 and 1e100 overflowed and ended in
+    # an unnamed "FloatingPointError: overflow encountered in multiply" under the CLI's error
+    # state; the rate is finite, 1e160 times that of the unit fields
+    rng = np.random.default_rng(13)
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1e-150, 1.0, 1.0), (5, 5, 5))
+    e, w = (coupling.ModeField(grid, rng.normal(size=(3, 5, 5, 5)) + 1j * rng.normal(
+        size=(3, 5, 5, 5)), kind, TWO_PI * 1e9) for kind in (coupling.EM, coupling.MECH))
+    h = np.zeros((3, 6))
+    h[0, 0] = 1.0
+    mat = coupling.MaterialTensorSet(rho=3000.0, eps_rf=9.0, eps_ir=4.0, h=h)
+    unit = coupling.piezo_coupling_total(e, w, mat)
+    with np.errstate(all="raise"):
+        rate = coupling.piezo_coupling_total(e.scaled(1e60), w.scaled(1e100), mat)
+    assert cmath.isfinite(rate) and abs(rate - 1e160 * unit) <= 1e-14 * abs(1e160 * unit)
+
+
+@pytest.mark.parametrize("errors", ["warn", "raise"])
+def test_unknown_entries_are_not_blamed_for_a_large_field(errors):
+    # |E_z|^2 of 1e160 overflowed the Cauchy-Schwarz bound of every unknown entry's overlap,
+    # which then blamed h_311 in every error state; rescaled, the rate is 1e160 times the unit one
+    e, w = coupling_input_fields(piezo=True)
+    h = np.full((3, 6), math.nan)
+    h[2, 2] = 0.145
+    mat = coupling.MaterialTensorSet(rho=3255.0, eps_rf=9.5, eps_ir=3.67, h=h)
+    unit = coupling.piezo_coupling_total(e, w, mat)
+    with np.errstate(all=errors):
+        rate = coupling.piezo_coupling_total(e.scaled(1e160), w, mat)
+    assert abs(rate - 1e160 * unit) <= 1e-14 * abs(1e160 * unit)
