@@ -321,8 +321,8 @@ def _cmd_coupling(args):
     coupling.require_matching(e_field, w_field)
     mat = coupling.load_tensor_set(args.tensors)
     payload = {
-        "em_mode_volume_m3": e_field.em_volume(mat.eta_eff),
-        "mech_mode_volume_m3": w_field.mech_volume,
+        "em_mode_volume_m3": coupling.em_mode_volume(e_field, mat.eta_eff),
+        "mech_mode_volume_m3": coupling.mech_mode_volume(w_field),
         "em_frequency_hz": e_field.frequency / TWO_PI,
         "mech_frequency_hz": w_field.frequency / TWO_PI,
     }

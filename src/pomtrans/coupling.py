@@ -13,8 +13,9 @@ np.gradient's roundoff, far below 1e-6: a gradient that vanishes analytically
 sums stencil terms of weight 4/d at most in all (the edge stencil (-3/2, 2,
 -1/2)/d; central differences of equal samples are exact), so it is off by
 about 4 eps max|w|/d, against max|w|/(N d) over N points: 4 eps N, 9e-12 at
-N = 10^4 (eps 2.2e-16).  Every walk runs on numbers rescaled by powers of two, and a
-rate or mode volume is rejected only when it is no finite normal float (:func:`_decided`).
+N = 10^4 (eps 2.2e-16).  Every walk reads a field rescaled by :meth:`ModeField._slab`, the
+rates read mode volumes undecided (:func:`_volume`), and a rate, mode volume or effective
+mass is rejected only when it is no finite normal float (:func:`_decided`).
 
 Unit conventions follow the materials literature this feeds on: the
 piezoelectric tensor ``h`` is stored in its stress-voltage Voigt form, the
@@ -25,7 +26,6 @@ photoelastic tensor ``p`` is the 6x6 Voigt matrix (NOT assumed symmetric),
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -126,10 +126,10 @@ MECH = "mech"
 class ModeField:
     """Complex vector field on a grid: an EM mode or a mechanical displacement mode.
 
-    ``components`` is stored read-only, so the cached mode volumes cannot go
-    stale.  A complex array is stored without a copy: the caller's array is
-    frozen too.  ``frequency`` must be a finite number > 0, so the rates may
-    divide by it.
+    ``components`` is stored read-only, so its cached power of two and mode
+    volumes cannot go stale.  A complex array is stored without a copy: the
+    caller's array is frozen too.  ``frequency`` must be a finite number > 0,
+    so the rates may divide by it.
     """
 
     grid: Grid3D
@@ -154,18 +154,12 @@ class ModeField:
             raise ParameterError(f"mode frequency must be > 0, got {self.frequency}")
         comps.flags.writeable = False
         object.__setattr__(self, "components", comps)
+        # the one scan for the power of two that every walk takes out of the components
+        object.__setattr__(self, "_power", _exponent(comps))
 
-    @functools.cached_property
-    def mech_volume(self) -> float:
-        """:func:`mech_mode_volume` of this field, computed on first use."""
-        return mech_mode_volume(self)
-
-    def em_volume(self, eta_eff: float) -> float:
-        """:func:`em_mode_volume` of this field at a scalar ``eta_eff``, computed once per value."""
-        volumes = self.__dict__.setdefault("_em_volumes", {})
-        if eta_eff not in volumes:
-            volumes[eta_eff] = em_mode_volume(self, eta_eff)
-        return volumes[eta_eff]
+    def _slab(self, xs: slice, i=slice(None)) -> np.ndarray:
+        """The x-planes ``xs`` of component(s) ``i`` (0-based) times 2^-``_power``."""
+        return self.components[i, xs] * 2.0**-self._power
 
     def scaled(self, factor: complex) -> "ModeField":
         return ModeField(self.grid, self.components * factor, self.kind, self.frequency)
@@ -199,7 +193,7 @@ def strain_field(w: ModeField) -> np.ndarray:
     the boundaries.  With rigid-body rotation excluded this gradient IS the
     strain.  Axes with fewer than 3 points cannot be differentiated.  The
     rates never hold this array: they differentiate slab by slab, to the same
-    bits up to a power of two (see :func:`_slab_gradient`).
+    bits up to a power of two (see :func:`_slab_gradients`).
     """
     _require_differentiable(w)
     out = np.empty((3, 3, *w.grid.shape), dtype=complex)
@@ -226,17 +220,17 @@ def _unit_cells(grid: Grid3D) -> tuple:
 
 
 def _intensity_integral(f: ModeField, density=lambda intensity: intensity) -> tuple:
-    """``(integral, a, exponent)``: ``density`` of I = sum_i |f_i 2^-a|^2 (:func:`_exponent`) on
+    """``(integral, exponent)``: ``density`` of I = sum_i |:meth:`~ModeField._slab` of f|^2 on
     the :func:`_unit_cells` of exponent ``exponent``, a float or, stacked, a list of floats.
 
-    The largest part of f 2^-a, in [1, 2), adds 1/8 at least: only a zero field integrates to 0.
+    The rescaled f's largest part, in [1, 2), adds 1/8 at least: only a zero field integrates to 0.
     """
-    a, (cells, exponent) = _exponent(f.components), _unit_cells(f.grid)
+    cells, exponent = _unit_cells(f.grid)
     total = _slab_integral(cells, lambda xs: density(
-        np.sum(np.abs(f.components[:, xs] * 2.0**-a) ** 2, axis=0)))
+        np.sum(np.abs(f._slab(xs)) ** 2, axis=0)))
     if not np.all(total):
         raise ParameterError("mode field is identically zero")
-    return total.tolist(), a, exponent
+    return total.tolist(), exponent
 
 
 def _decided(quantity: str, value, parts: dict):
@@ -262,9 +256,8 @@ def mech_mode_volume(w: ModeField) -> float:
     """
     if w.kind != MECH:
         raise ParameterError("expected a mechanical displacement field")
-    total, _, exponent = _intensity_integral(w)
-    square = _intensity_integral(w, lambda intensity: (intensity / total)**2)[0]
-    return _decided("mech mode volume", 1.0 / square, {"cells": exponent})
+    value, exponent = _volume(w)
+    return _decided("mech mode volume", value, {"cells": exponent})
 
 
 def em_mode_volume(e: ModeField, eta_eff: float) -> float:
@@ -276,11 +269,30 @@ def em_mode_volume(e: ModeField, eta_eff: float) -> float:
     """
     if e.kind != EM:
         raise ParameterError("expected an electromagnetic field")
-    eta_eff = float(eta_eff)
-    eta_eff = math.ldexp(eta_eff, -_exponent(eta_eff))
-    (total, square), _, exponent = _intensity_integral(
-        e, lambda intensity: np.stack([eta_eff * intensity, (eta_eff * intensity)**2]))
-    return _decided("em mode volume", total**2 / square, {"cells": exponent})
+    value, exponent = _volume(e, float(eta_eff))
+    return _decided("em mode volume", value, {"cells": exponent})
+
+
+def _volume(f: ModeField, eta_eff: float | None = None) -> tuple:
+    """``(value, exponent)``: the mode volume of ``f``, at ``eta_eff`` for an EM field, is
+    ``value`` 2^exponent; each is walked once per field and left undecided in its one cache."""
+    volumes = f.__dict__.setdefault("_volumes", {})
+    if eta_eff not in volumes and eta_eff is None:
+        total, exponent = _intensity_integral(f)
+        square = _intensity_integral(f, lambda intensity: (intensity / total)**2)[0]
+        volumes[None] = 1.0 / square, exponent
+    elif eta_eff not in volumes:
+        eta = math.ldexp(eta_eff, -_exponent(eta_eff))
+        (total, square), exponent = _intensity_integral(
+            f, lambda intensity: np.stack([eta * intensity, (eta * intensity)**2]))
+        volumes[eta_eff] = total**2 / square, exponent
+    return volumes[eta_eff]
+
+
+def _split(value: float, exponent: int) -> tuple:
+    """``frexp`` of value 2^exponent: its fraction in [0.5, 1) and its power of two."""
+    fraction, k = math.frexp(value)
+    return fraction, k + exponent
 
 
 def _root(value: float, exponent: int) -> tuple:
@@ -292,9 +304,9 @@ def _root(value: float, exponent: int) -> tuple:
 
 def _scaled_to_volume(f: ModeField, v_eff: float) -> ModeField:
     """``f`` times sqrt(v_eff / integral of sum_i |f_i|^2), walked like the volumes' integrals."""
-    total, a, exponent = _intensity_integral(f)
+    total, exponent = _intensity_integral(f)
     volume, k = math.frexp(v_eff)
-    return f.scaled(math.ldexp(*_root(volume / total, k - 2 * a - exponent)))
+    return f.scaled(math.ldexp(*_root(volume / total, k - 2 * f._power - exponent)))
 
 
 def normalize_mech(w: ModeField) -> ModeField:
@@ -316,9 +328,12 @@ def effective_mass(w_m: ModeField, w_n: ModeField, rho) -> complex:
     """
     if w_m.grid != w_n.grid:
         raise GridError("mode fields live on different grids")
-    overlap = np.sum(np.conj(w_m.components) * w_n.components, axis=0)
-    value = complex(trapezoid_3d(np.asarray(rho) * overlap, w_m.grid))
-    return value
+    r, (cells, exponent) = _exponent(rho), _unit_cells(w_m.grid)
+    rho = np.broadcast_to(np.asarray(rho) * 2.0**-r, w_m.grid.shape)
+    value = complex(_slab_integral(cells, lambda xs: rho[xs] * np.sum(
+        np.conj(w_m._slab(xs)) * w_n._slab(xs), axis=0)))
+    return _decided("effective mass", value,
+                    {"rho": r, "w_m": w_m._power, "w_n": w_n._power, "cells": exponent})
 
 
 # --- material tensor set -----------------------------------------------------
@@ -446,9 +461,9 @@ def require_matching(e: ModeField, w: ModeField):
 def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> tuple:
     """``(mantissa, exponent)`` of i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho)),
     each value split by ``frexp`` and each root taken by :func:`_root`: no term overflows."""
-    (ve, kve), (vm, kvm), (f_em, k_em), (f_mech, k_mech), (eta, keta), (rho, krho) = map(
-        math.frexp, (e.em_volume(mat.eta_eff), w.mech_volume, e.frequency, w.frequency,
-                     mat.eta_eff, mat.rho))
+    (ve, kve), (vm, kvm) = _split(*_volume(e, mat.eta_eff)), _split(*_volume(w))
+    (f_em, k_em), (f_mech, k_mech), (eta, keta), (rho, krho) = map(
+        math.frexp, (e.frequency, w.frequency, mat.eta_eff, mat.rho))
     ratio, kr = _root(f_em / f_mech, k_em - k_mech)
     volumes, kv = _root(ve * vm, kve + kvm)
     density, kd = _root(eta * rho, keta + krho)
@@ -481,26 +496,25 @@ def _x_slabs(grid: Grid3D):
         yield slice(start, min(start + step, grid.counts[0]))
 
 
-def _slab_gradient(w: ModeField, xs: slice, j: int, k: int, b: int, spacing) -> np.ndarray:
-    """d (w_j 2^-b) / d r_k (0-based) on the x-planes ``xs`` at the grid ``spacing``.
+def _slab_gradients(w: ModeField, xs: slice, spacing, j=slice(None), axes=(0, 1, 2)) -> list:
+    """d (w_j 2^-b) / d r_k (0-based) on the x-planes ``xs``, for each k of ``axes``.
 
-    At b = 0 and the grid's spacing it is bit-equal to :func:`strain_field`'s.
-    Along x the slab is differentiated with two halo planes on each side,
-    clipped at the grid's ends: every plane of ``xs`` then gets the stencil it
-    gets on the whole grid, and the halo gives the 3 planes that the one-sided
-    second-order stencil needs.
+    b is w's ``_power``: at the grid's ``spacing`` each is bit-equal to
+    :func:`strain_field`'s times 2^-b.  The slab is read once, by
+    :meth:`~ModeField._slab`, with two halo planes on each side, clipped at the
+    grid's ends: along x every plane of ``xs`` then gets the stencil it gets on the
+    whole grid, and the halo gives the 3 planes the one-sided second-order stencil needs.
     """
-    if k != 0:
-        return np.gradient(w.components[j, xs] * 2.0**-b, spacing[k], axis=k, edge_order=2)
     lo, hi = max(xs.start - 2, 0), min(xs.stop + 2, w.grid.counts[0])
-    grad = np.gradient(w.components[j, lo:hi] * 2.0**-b, spacing[0], axis=0, edge_order=2)
-    return grad[xs.start - lo:xs.stop - lo]
+    halo, core = w._slab(slice(lo, hi), j), slice(xs.start - lo, xs.stop - lo)
+    return [np.gradient(halo, spacing[0], axis=-3, edge_order=2)[..., core, :, :] if k == 0 else
+            np.gradient(halo[..., core, :, :], spacing[k], axis=k - 3, edge_order=2) for k in axes]
 
 
-def _pair_sums(w: ModeField, xs: slice, b: int, spacing) -> np.ndarray:
-    """B_J: the :func:`_slab_gradient` d w_m / d r_n summed over both orders of Voigt pair J."""
-    g = [[_slab_gradient(w, xs, m, n, b, spacing) for n in range(3)] for m in range(3)]
-    return np.stack([g[m][m] if m == n else g[m][n] + g[n][m] for m, n in _VOIGT_PAIRS])
+def _pair_sums(w: ModeField, xs: slice, spacing) -> np.ndarray:
+    """B_J: the :func:`_slab_gradients` d w_m / d r_n summed over both orders of Voigt pair J."""
+    g = _slab_gradients(w, xs, spacing)  # g[n][m] is d w_m / d r_n
+    return np.stack([g[m][m] if m == n else g[n][m] + g[m][n] for m, n in _VOIGT_PAIRS])
 
 
 def _slab_integral(grid: Grid3D, integrand):
@@ -527,24 +541,23 @@ def _slab_integral(grid: Grid3D, integrand):
 
 
 def _rescaled(e: ModeField, w: ModeField) -> tuple:
-    """``(a, b, cells, spacing, parts)``: an overlap of E and a gradient of w walks E 2^-a and
-    w 2^-b (:func:`_exponent`) on the :func:`_unit_cells` ``cells``, differentiating at the
-    ``spacing`` times the 2^-s that brings the largest into [1, 2); ``parts`` holds the
-    overlap's powers of two, the grid's being the cells' exponent less s."""
+    """``(cells, spacing, parts)``: an overlap of E and a gradient of w walks E 2^-a and w 2^-b
+    (each field's :meth:`~ModeField._slab`) on the :func:`_unit_cells` ``cells``,
+    differentiating at the ``spacing`` times the 2^-s that brings the largest into [1, 2);
+    ``parts`` holds the overlap's powers of two, the grid's being the cells' exponent less s."""
     require_matching(e, w)
     _require_differentiable(w)
     (cells, exponent), s = _unit_cells(e.grid), _exponent(max(e.grid.spacing))
-    a, b = _exponent(e.components), _exponent(w.components)
     spacing = tuple(math.ldexp(d, -s) for d in e.grid.spacing)
-    return a, b, cells, spacing, {"em field": a, "mech field": b, "grid": exponent - s}
+    return cells, spacing, {"em field": e._power, "mech field": w._power, "grid": exponent - s}
 
 
 def _overlap(e: ModeField, w: ModeField, i: int, j: int, k: int) -> tuple:
     """``(overlap, parts)``: integral of E_i dw_j/dr_k (0-based), differentiating only that one
     gradient, is ``overlap`` times 2 to the sum of the exponents in ``parts``."""
-    a, b, cells, spacing, parts = _rescaled(e, w)
+    cells, spacing, parts = _rescaled(e, w)
     return complex(_slab_integral(cells, lambda xs: (
-        e.components[i, xs] * 2.0**-a * _slab_gradient(w, xs, j, k, b, spacing)))), parts
+        e._slab(xs, i) * _slab_gradients(w, xs, spacing, j, [k])[0]))), parts
 
 
 def _voigt_sum(matrix: np.ndarray, rows, pair_sums: np.ndarray):
@@ -582,10 +595,10 @@ def _contraction(e: ModeField, w: ModeField, mat: MaterialTensorSet, tensor: str
     kind, matrix = ("piezoelectric" if tensor == "h" else "photoelastic"), getattr(mat, tensor)
     if matrix is None:
         raise MaterialDataError(f"{kind} tensor {tensor} is not set")
-    a, b, cells, spacing, parts = _rescaled(e, w)
+    cells, spacing, parts = _rescaled(e, w)
 
     def rows(xs):
-        field = e.components[:, xs] * 2.0**-a
+        field = e._slab(xs)
         if tensor == "h":
             return field
         # |E_a|^2 for a = b, else E_a E_b* + E_b E_a* = 2 Re(E_a E_b*)
@@ -598,7 +611,7 @@ def _contraction(e: ModeField, w: ModeField, mat: MaterialTensorSet, tensor: str
     known = np.ldexp(known, -t)
 
     def integrand(xs):
-        r_rows, pair_sums = rows(xs), _pair_sums(w, xs, b, spacing)
+        r_rows, pair_sums = rows(xs), _pair_sums(w, xs, spacing)
         yield _voigt_sum(known, r_rows, pair_sums)
         if unknown:
             yield from (r_rows[r] * pair_sums[J] for r, J in unknown)
@@ -612,7 +625,8 @@ def _contraction(e: ModeField, w: ModeField, mat: MaterialTensorSet, tensor: str
         if not abs(overlap) <= _UNKNOWN_RTOL * bound < math.inf:
             raise MaterialDataError(f"{kind} element {_element_name(tensor, r, J)} is "
                                     "unknown but its overlap integral is nonzero")
-    return total, {f"tensor {tensor}": t, **parts, "em field": a if tensor == "h" else 2 * a}
+    return total, {f"tensor {tensor}": t, **parts,
+                   "em field": e._power * (1 if tensor == "h" else 2)}
 
 
 def piezo_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet,
@@ -657,9 +671,9 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     (generally complex) overlap sum, the :func:`_contraction` of ``p``, is returned.
     """
     total, parts = _contraction(e, w, mat, "p")
-    (ve, kve), (vm, kvm), (rho, kr), (eps0, ke0), (eta, ket), (om, kom), (hbar, kh) = map(
-        math.frexp, (e.em_volume(mat.eta_eff), w.mech_volume, mat.rho, EPSILON_0, mat.eta_eff,
-                     w.frequency, HBAR))
+    (ve, kve), (vm, kvm) = _split(*_volume(e, mat.eta_eff)), _split(*_volume(w))
+    (rho, kr), (eps0, ke0), (eta, ket), (om, kom), (hbar, kh) = map(
+        math.frexp, (mat.rho, EPSILON_0, mat.eta_eff, w.frequency, HBAR))
     denominator = 32 * rho * vm * eps0**2 * eta**2 * ve**2 * om
     prefactor, p = _root(hbar / denominator, kh - (kr + kvm + 2 * ke0 + 2 * ket + 2 * kve + kom))
     return _decided("optomechanical coupling rate", prefactor * abs(total),

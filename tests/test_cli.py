@@ -1167,6 +1167,31 @@ def test_coupling_integrates_each_mode_volume_once(outdir, tmp_path, monkeypatch
         coupling.load_mode_field(inputs / "w.csv"))
 
 
+def test_coupling_scans_each_field_and_walks_each_volume_once(outdir, tmp_path, monkeypatch):
+    # each walk used to scan both fields for their power of two again, 7 scans in all
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    argv = ["coupling"] + write_coupling_inputs(inputs, piezo=True)
+    scans, walks = [], []
+    exponent, intensity_integral = coupling._exponent, coupling._intensity_integral
+
+    def scanning(values):
+        if np.ndim(values) == 4:  # a field's components, not a spacing, eta_eff or a tensor
+            scans.append(values.shape)
+        return exponent(values)
+
+    def walking(f, *args):
+        walks.append(f.kind)
+        return intensity_integral(f, *args)
+
+    monkeypatch.setattr(coupling, "_exponent", scanning)
+    monkeypatch.setattr(coupling, "_intensity_integral", walking)
+    assert run(argv) == 0
+    assert len(scans) == 2
+    # the mechanical volume takes the total intensity, then the square of the normalized one
+    assert sorted(walks) == [coupling.EM, coupling.MECH, coupling.MECH]
+
+
 @pytest.fixture()
 def subnormal_kappa_1(tmp_path):
     """A parameter file whose kappa_1 is positive but subnormal, so the closed forms overflow."""

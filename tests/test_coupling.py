@@ -353,6 +353,19 @@ def test_orthogonal_plane_waves_residual():
     assert abs(residual) <= 1e-10 * abs(m11)
 
 
+@pytest.mark.parametrize("rho", [3000.0, np.full((7, 6, 5), 3000.0)], ids=["scalar", "grid"])
+def test_effective_mass_of_large_fields_is_a_float(rho):
+    # the unscaled products of two fields of amplitude 1e160 overflowed, and the mass of about
+    # 2.8e297 came back as nan+nanj with "invalid value encountered in multiply"
+    _, w = _random_pair(np.random.default_rng(3))
+    unit = coupling.effective_mass(w, w, rho)
+    big = coupling.effective_mass(w.scaled(1e160), w.scaled(1e160), rho)
+    assert abs(big / 1e160 / 1e160 - unit) <= 1e-14 * abs(unit)
+    for k in (-500, 500):  # a power of two moves no bit, and 2^-1000 of the mass is no float
+        w_k = w.scaled(2.0**k)
+        _exact_or_rejected(lambda: coupling.effective_mass(w_k, w_k, rho), unit, 2 * k)
+
+
 def test_effective_mass_grid_mismatch():
     w1 = coupling.plane_wave(box_grid(9), coupling.MECH, 1.0, 1.0, (0, 0, 0), 0)
     w2 = coupling.plane_wave(box_grid(11), coupling.MECH, 1.0, 1.0, (0, 0, 0), 0)
@@ -583,9 +596,9 @@ def test_piezo_volume_fault_is_the_fields_and_names_the_volumes():
     mat = _piezo_pair_material()
     e, w = coupling_input_fields(piezo=True)
     rate = coupling.piezo_coupling_total(e, w, mat)
-    volumes = e.em_volume(mat.eta_eff) * w.mech_volume
-    w.__dict__["mech_volume"] = 1e200
-    e.__dict__["_em_volumes"] = {mat.eta_eff: 1e200}
+    volumes = coupling.em_mode_volume(e, mat.eta_eff) * coupling.mech_mode_volume(w)
+    w.__dict__["_volumes"] = {None: (1e200, 0)}
+    e.__dict__["_volumes"] = {mat.eta_eff: (1e200, 0)}
     prefactor, exponent = coupling._piezo_prefactor(e, w, mat)
     expected = math.sqrt(e.frequency / w.frequency) / (4e200 * math.sqrt(mat.eta_eff * mat.rho))
     assert prefactor.real == 0 and math.ldexp(prefactor.imag, exponent) == pytest.approx(
@@ -1101,8 +1114,10 @@ def test_slab_pair_sums_bit_equal_the_strain_field_pairs(monkeypatch, n0, block_
     slabs = list(coupling._x_slabs(grid))
     assert [xs.stop - xs.start for xs in slabs[:-1]] == [planes] * (len(slabs) - 1)
     assert slabs[0].start == 0 and slabs[-1].stop == n0 and 0 < slabs[-1].stop - slabs[-1].start
-    got = np.concatenate([coupling._pair_sums(w, xs, 0, grid.spacing) for xs in slabs], axis=1)
-    np.testing.assert_array_equal(got, _strain_pair_sums(coupling.strain_field(w)))
+    got = np.concatenate([coupling._pair_sums(w, xs, grid.spacing) for xs in slabs], axis=1)
+    # the slabs are read times the field's one power of two, which moves no bit
+    np.testing.assert_array_equal(
+        got, _strain_pair_sums(coupling.strain_field(w)) * 2.0**-w._power)
 
 
 @pytest.mark.parametrize("planes", [1, 2, 3, 8])
@@ -1606,9 +1621,11 @@ def test_finite_rates_keep_their_bits_beside_the_overflow_check():
     # the total is the integral the check evaluates, as it was written before the check
     integral = coupling._slab_integral(e.grid, lambda xs: np.einsum(
         "J...,J...->...", np.tensordot(mat.h, e.components[:, xs], axes=(0, 0)),
-        coupling._pair_sums(w, xs, 0, e.grid.spacing)))
+        coupling._pair_sums(w, xs, e.grid.spacing)))
     prefactor, exponent = coupling._piezo_prefactor(e, w, mat)
-    assert total == coupling._decided("", prefactor * complex(integral), {"": exponent}) != 0
+    # the pair sums are read times 2^-b, b the mechanical field's power of two
+    assert total == coupling._decided("", prefactor * complex(integral),
+                                      {"": exponent, "mech field": w._power}) != 0
 
 
 def test_finite_rate_at_a_tensor_element_of_1e308_is_written():
@@ -1730,7 +1747,8 @@ def _exact_or_rejected(rate, value, power):
 def test_power_of_two_rescale_moves_each_rate_and_volume_by_its_exponent(k):
     # a power of two moves no bit: E 2^k gives the piezoelectric rate times 2^k and the
     # optomechanical one times 2^(2k), w 2^k both times 2^k, and a spacing times 2^k each
-    # mode volume times 2^(3k) and the piezoelectric rate times 2^-k
+    # mode volume times 2^(3k) and the piezoelectric rate times 2^-k; at k = 600 that rate is
+    # a float though both volumes are not, and it was rejected by the EM volume's message
     rng = np.random.default_rng(40)
     e, w = _random_pair(rng)
     mat = _random_tensor_set(rng)
@@ -1747,8 +1765,7 @@ def test_power_of_two_rescale_moves_each_rate_and_volume_by_its_exponent(k):
     _exact_or_rejected(lambda: coupling.em_mode_volume(e_k, mat.eta_eff),
                        coupling.em_mode_volume(e, mat.eta_eff), 3 * k)
     _exact_or_rejected(lambda: coupling.mech_mode_volume(w_k), coupling.mech_mode_volume(w), 3 * k)
-    if abs(k) == 1:  # at 2^(3 * 600) the volumes, which the rate divides by, are no floats
-        _exact_or_rejected(lambda: coupling.piezo_coupling_total(e_k, w_k, mat), piezo, -k)
+    _exact_or_rejected(lambda: coupling.piezo_coupling_total(e_k, w_k, mat), piezo, -k)
 
 
 @pytest.mark.parametrize("k", [-600, 600])
