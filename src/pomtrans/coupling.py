@@ -254,9 +254,7 @@ def mech_mode_volume(w: ModeField) -> float:
     walked twice, slab by slab: for the total intensity, then for the square of
     the normalized density.
     """
-    if w.kind != MECH:
-        raise ParameterError("expected a mechanical displacement field")
-    value, exponent = _volume(w)
+    value, exponent, _ = _mech_volume(w)
     return _decided("mech mode volume", value, {"cells": exponent})
 
 
@@ -264,33 +262,53 @@ def em_mode_volume(e: ModeField, eta_eff: float) -> float:
     """Electromagnetic mode volume with inverse-permittivity weighting.
 
     (integral of eta_eff |E|^2)^2 / integral of (eta_eff |E|^2)^2, at the
-    scalar effective inverse relative permittivity ``eta_eff``, whose power of
-    two cancels.  Both integrals are taken in one walk of the grid, slab by slab.
+    scalar effective inverse relative permittivity ``eta_eff``, a finite number
+    > 0 whose power of two cancels.  Both integrals are taken in one walk of the
+    grid, slab by slab.
     """
-    if e.kind != EM:
-        raise ParameterError("expected an electromagnetic field")
-    value, exponent = _volume(e, float(eta_eff))
+    value, exponent, _ = _em_volume(e, eta_eff)
     return _decided("em mode volume", value, {"cells": exponent})
 
 
+def _mech_volume(w: ModeField) -> tuple:
+    """:func:`_volume` of the mechanical field ``w``."""
+    if w.kind != MECH:
+        raise ParameterError("expected a mechanical displacement field")
+    return _volume(w)
+
+
+def _em_volume(e: ModeField, eta_eff) -> tuple:
+    """:func:`_volume` of the EM field ``e`` at ``eta_eff``, rejected by name unless a finite
+    number > 0."""
+    if e.kind != EM:
+        raise ParameterError("expected an electromagnetic field")
+    require_number(eta_eff, "eta_eff")
+    if not 0 < eta_eff < math.inf:
+        raise ParameterError(f"eta_eff must be a finite number > 0, got {eta_eff}")
+    return _volume(e, float(eta_eff))
+
+
 def _volume(f: ModeField, eta_eff: float | None = None) -> tuple:
-    """``(value, exponent)``: the mode volume of ``f``, at ``eta_eff`` for an EM field, is
-    ``value`` 2^exponent; each is walked once per field and left undecided in its one cache."""
+    """``(value, exponent, intensity)``: the mode volume of ``f``, at ``eta_eff`` for an EM field,
+    is ``value`` 2^exponent and its integral of sum_i |f_i|^2 is ``intensity`` 2^(exponent + 2
+    ``_power``); each is walked once per field and left undecided in its one cache."""
     volumes = f.__dict__.setdefault("_volumes", {})
     if eta_eff not in volumes and eta_eff is None:
         total, exponent = _intensity_integral(f)
         square = _intensity_integral(f, lambda intensity: (intensity / total)**2)[0]
-        volumes[None] = 1.0 / square, exponent
+        volumes[None] = 1.0 / square, exponent, total
     elif eta_eff not in volumes:
         eta = math.ldexp(eta_eff, -_exponent(eta_eff))
         (total, square), exponent = _intensity_integral(
             f, lambda intensity: np.stack([eta * intensity, (eta * intensity)**2]))
-        volumes[eta_eff] = total**2 / square, exponent
+        volumes[eta_eff] = total**2 / square, exponent, total / eta
     return volumes[eta_eff]
 
 
-def _split(value: float, exponent: int) -> tuple:
-    """``frexp`` of value 2^exponent: its fraction in [0.5, 1) and its power of two."""
+def _split(f: ModeField, eta_eff: float | None = None) -> tuple:
+    """``frexp`` of :func:`_volume`'s value 2^exponent: its fraction in [0.5, 1) and its power
+    of two."""
+    value, exponent, _ = _volume(f, eta_eff)
     fraction, k = math.frexp(value)
     return fraction, k + exponent
 
@@ -302,21 +320,21 @@ def _root(value: float, exponent: int) -> tuple:
     return math.sqrt(value), exponent // 2
 
 
-def _scaled_to_volume(f: ModeField, v_eff: float) -> ModeField:
-    """``f`` times sqrt(v_eff / integral of sum_i |f_i|^2), walked like the volumes' integrals."""
-    total, exponent = _intensity_integral(f)
-    volume, k = math.frexp(v_eff)
-    return f.scaled(math.ldexp(*_root(volume / total, k - 2 * f._power - exponent)))
+def _scaled_to_volume(f: ModeField, volume: tuple) -> ModeField:
+    """``f`` times sqrt(V / integral of sum_i |f_i|^2), from its :func:`_volume` ``volume``
+    undecided: the cells' power of two cancels, so no volume need be a float."""
+    value, _, intensity = volume
+    return f.scaled(math.ldexp(*_root(value / intensity, -2 * f._power)))
 
 
 def normalize_mech(w: ModeField) -> ModeField:
     """Rescale so the integrated intensity equals the effective mode volume."""
-    return _scaled_to_volume(w, mech_mode_volume(w))
+    return _scaled_to_volume(w, _mech_volume(w))
 
 
 def normalize_em(e: ModeField, eta_eff: float) -> ModeField:
     """Rescale so integral of eta_eff |E|^2 equals eta_eff times the mode volume."""
-    return _scaled_to_volume(e, em_mode_volume(e, eta_eff))
+    return _scaled_to_volume(e, _em_volume(e, eta_eff))
 
 
 def effective_mass(w_m: ModeField, w_n: ModeField, rho) -> complex:
@@ -461,7 +479,7 @@ def require_matching(e: ModeField, w: ModeField):
 def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> tuple:
     """``(mantissa, exponent)`` of i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho)),
     each value split by ``frexp`` and each root taken by :func:`_root`: no term overflows."""
-    (ve, kve), (vm, kvm) = _split(*_volume(e, mat.eta_eff)), _split(*_volume(w))
+    (ve, kve), (vm, kvm) = _split(e, mat.eta_eff), _split(w)
     (f_em, k_em), (f_mech, k_mech), (eta, keta), (rho, krho) = map(
         math.frexp, (e.frequency, w.frequency, mat.eta_eff, mat.rho))
     ratio, kr = _root(f_em / f_mech, k_em - k_mech)
@@ -671,7 +689,7 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     (generally complex) overlap sum, the :func:`_contraction` of ``p``, is returned.
     """
     total, parts = _contraction(e, w, mat, "p")
-    (ve, kve), (vm, kvm) = _split(*_volume(e, mat.eta_eff)), _split(*_volume(w))
+    (ve, kve), (vm, kvm) = _split(e, mat.eta_eff), _split(w)
     (rho, kr), (eps0, ke0), (eta, ket), (om, kom), (hbar, kh) = map(
         math.frexp, (mat.rho, EPSILON_0, mat.eta_eff, w.frequency, HBAR))
     denominator = 32 * rho * vm * eps0**2 * eta**2 * ve**2 * om
@@ -756,6 +774,14 @@ def load_mode_field(path) -> ModeField:
     rows are read ``CSV_BLOCK_ROWS`` lines at a time straight into the
     component array, which is allocated only if the file is large enough to
     hold the header grid's rows.
+
+    A coordinate cell is converted only where its text differs from the cell
+    one grid step back on its axis (:func:`_coordinate_rows`).  The files
+    :func:`save_mode_field` writes spell each coordinate alike wherever it
+    recurs, so few cells are converted; a file whose coordinate text seldom
+    repeats is read as float rows after its first block, about 5% slower than
+    that read alone.  Either way the same files load, to the same bits, and
+    the rest fail with the same messages.
     """
     try:
         return _read_mode_field(path)
@@ -763,32 +789,104 @@ def load_mode_field(path) -> ModeField:
         raise ParameterError(f"mode field {path}: {exc}") from exc
 
 
-def _data_blocks(fh):
-    """``(first data row, rows)`` per block of ``CSV_BLOCK_ROWS`` lines of ``fh``.
+#: bytes a coordinate cell is read into by :func:`_coordinate_rows`: they hold the repr of any
+#: float but a negative one with 17 digits and a three-digit exponent, which fills them, and
+#: a multiple of 8 compares as whole words
+_CELL_BYTES = 24
+#: a data row as :func:`_coordinate_rows` reads it: three coordinate cells as text, six numbers
+_CELL_ROW = np.dtype([("xyz", f"S{_CELL_BYTES}", 3), ("f", float, 6)])
+#: a file whose first data block converts more than this share of its coordinate cells reads
+#: as float rows from there on: the float read of a block is faster above a share of 0.3-0.5
+_FLOAT_READ_SHARE = 0.25
 
-    ``rows`` is the block's data rows as a float array; a block of only blank
-    lines and comments is skipped.  A block that is not numbers, or whose
-    column count differs from the first block's, raises the
-    :func:`_malformed_row` message, as a whole-file ``np.loadtxt`` would.
+
+def _loadtxt(lines, dtype=float):
+    with warnings.catch_warnings():
+        # a block without rows would also print a warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", ndmin=2 if dtype is float else 1)
+
+
+def _coordinate_rows(lines: list[str], period: int):
+    """A block's ``(coordinates, components, share)``, with each coordinate cell converted
+    only where its text differs from the cell one grid step back along its axis, or None.
+
+    A step back is the row before for x and y and ``period`` rows before for z;
+    a repeated cell takes the value of the cell it repeats, and the converted
+    cells, a ``share`` of all, are read by :func:`~pomtrans.errors.parse_number`
+    in one cast.  None leaves the block to the float read: a block that is not
+    9-cell rows, has no rows, holds a NUL (a bytes cell drops a trailing one),
+    has a coordinate cell that fills its ``_CELL_BYTES`` (it may be cut short)
+    or one that is no number.
+    """
+    if "\x00" in "".join(lines):
+        return None
+    try:
+        rows = _loadtxt(lines, _CELL_ROW)
+    except ValueError:
+        return None
+    n, cells = len(rows), rows["xyz"]
+    if not n or cells.view(np.uint8)[:, _CELL_BYTES - 1::_CELL_BYTES].any():
+        return None
+    words = cells.view(np.uint64).reshape(n, 3, -1)
+    # a z period past the block's rows, which the header sets, leaves no cell a step back
+    steps = 1, 1, min(period, n)
+    changed = np.ones((n, 3), dtype=bool)
+    for k, step in enumerate(steps):
+        ahead, back = words[step:, k], words[:-step, k]
+        # word by word: a reduction along the short last axis is ten times slower
+        changed[step:, k] = np.logical_or.reduce(
+            [ahead[:, i] != back[:, i] for i in range(words.shape[2])])
+    try:
+        values = parse_number(cells[changed])
+    except ValueError:
+        return None
+    coordinates = np.empty((n, 3))
+    coordinates[changed] = values
+    for k, step in enumerate(steps):
+        # each row's last converted cell on its axis, in steps back: a running max per chain
+        last = np.zeros(-(-n // step) * step, dtype=np.intp)
+        last[:n] = np.where(changed[:, k], np.arange(n), 0)
+        last = np.maximum.accumulate(last.reshape(-1, step), axis=0).reshape(-1)[:n]
+        coordinates[:, k] = coordinates[last, k]
+    return coordinates, rows["f"], changed.mean()
+
+
+def _data_blocks(fh, period: int | None = None):
+    """``(first data row, coordinates, components)`` per ``CSV_BLOCK_ROWS`` lines of ``fh``.
+
+    These are float arrays of each data row's first three cells and of the rest;
+    a block of only blank lines and comments is skipped.  With ``period``, the
+    rows per z period of the header grid, a block is read by
+    :func:`_coordinate_rows`; a block it leaves, and every block without
+    ``period``, is read as float rows, which convert every cell.  If the first
+    block with rows converts more than ``_FLOAT_READ_SHARE`` of its coordinate
+    cells, their text seldom repeats, and the rest is read as float rows too.
+    A block that is not numbers, or whose column count differs from the first
+    block's, raises the :func:`_malformed_row` message, as a whole-file
+    ``np.loadtxt`` would.
     """
     start, width = 0, None
     while True:
         lines = list(itertools.islice(fh, CSV_BLOCK_ROWS))
         if not lines:
             return
-        try:
-            with warnings.catch_warnings():
-                # a block without rows would also print a warning
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                rows = np.loadtxt(lines, delimiter=",", ndmin=2)
-            if len(rows) and width not in (None, rows.shape[1]):
-                raise ValueError("column count changed")
-        except ValueError as exc:
-            raise ParameterError(_malformed_row(lines, start, width)) from exc
-        if len(rows):
-            width = rows.shape[1]
-            yield start, rows
-            start += len(rows)
+        block = _coordinate_rows(lines, period) if period and width in (None, 9) else None
+        if block is None:
+            try:
+                rows = _loadtxt(lines)
+                if len(rows) and width not in (None, rows.shape[1]):
+                    raise ValueError("column count changed")
+            except ValueError as exc:
+                raise ParameterError(_malformed_row(lines, start, width)) from exc
+            block = rows[:, :3], rows[:, 3:], 1.0
+        coordinates, components, share = block
+        if len(coordinates):
+            if width is None and share > _FLOAT_READ_SHARE:
+                period = None
+            width = coordinates.shape[1] + components.shape[1]
+            yield start, coordinates, components
+            start += len(coordinates)
 
 
 def _read_mode_field(path) -> ModeField:
@@ -822,24 +920,24 @@ def _read_mode_field(path) -> ModeField:
         fits = not fh.seekable() or expected <= (os.fstat(fh.fileno()).st_size + 1) // 18
         comps = np.empty((3, expected), dtype=complex) if fits else None
         n_rows, width, off_grid = 0, 1, None
-        for start, rows in _data_blocks(fh):
-            n_rows, width = start + len(rows), rows.shape[1]
+        for start, coordinates, values in _data_blocks(fh, counts[2]):
+            n_rows, width = start + len(values), coordinates.shape[1] + values.shape[1]
             if comps is None or width != 9 or n_rows > expected or off_grid is not None:
                 continue  # the shape or an earlier row is already wrong: only count
             index = np.unravel_index(np.arange(start, n_rows), counts)
-            off = np.zeros(len(rows), dtype=bool)
+            off = np.zeros(len(values), dtype=bool)
             for k in range(3):
                 # grid.axis(k)[index[k]], without an axis array; written as
                 # "not within" so a NaN coordinate is off the grid too
-                off |= ~(np.abs(rows[:, k] - (origin[k] + spacing[k] * index[k]))
+                off |= ~(np.abs(coordinates[:, k] - (origin[k] + spacing[k] * index[k]))
                          <= 1e-3 * spacing[k])
             if off.any():
                 first = int(off.argmax())
-                off_grid = start + first, tuple(rows[first, :3].tolist())
+                off_grid = start + first, tuple(coordinates[first].tolist())
                 continue
             # set apart, not as re + 1j * im: an infinite cell must reach ModeField's check
-            comps[:, start:n_rows].real = rows[:, 3::2].T
-            comps[:, start:n_rows].imag = rows[:, 4::2].T
+            comps[:, start:n_rows].real = values[:, 0::2].T
+            comps[:, start:n_rows].imag = values[:, 1::2].T
     if (n_rows, width) != (expected, 9):
         raise ParameterError(
             f"mode field file has shape {(n_rows, width)}, expected ({expected}, 9)"

@@ -3,6 +3,8 @@ in a record, in a message and in a cell of a text file."""
 
 import sys
 
+import numpy as np
+
 
 def is_number(value, arrays: bool = False) -> bool:
     """Whether ``value`` is a real number: a float, an int within float range or a
@@ -39,7 +41,21 @@ def parse_number(text: str, convert=float):
     Whitespace around the cell is dropped; a cell with an underscore or a
     non-ASCII character, which ``float()`` and ``int()`` would read (``'1_0'``
     as 10), raises ``ValueError``, as any other malformed cell does.
+
+    ``text`` may also be a numpy array of byte cells, each byte one latin-1
+    character as ``np.loadtxt`` stores a cell in a bytes field: it is read
+    cell by cell to a float array by the same rule, in one cast unless a cell
+    has an underscore or is refused by ``float()`` of bytes, which drops only
+    ASCII whitespace; then each cell is read as its text, in order.
     """
+    if isinstance(text, np.ndarray):
+        if not (np.strings.find(text, b"_") >= 0).any():
+            try:
+                return text.astype(float)
+            except ValueError:
+                pass
+        return np.array([parse_number(cell.decode("latin-1"))
+                         for cell in text.ravel().tolist()]).reshape(text.shape)
     text = text.strip()
     if "_" in text or not text.isascii():
         raise ValueError(f"not a number: {text!r}")

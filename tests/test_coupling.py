@@ -263,6 +263,23 @@ def test_overflowing_field_intensity_rejected_by_kind(kind, factor, volume):
     assert volume(field.scaled(factor)) == pytest.approx(volume(field), rel=1e-12)
 
 
+@pytest.mark.parametrize("eta_eff, message", [
+    (0.0, "eta_eff must be a finite number > 0, got 0.0"),
+    (-0.1, "eta_eff must be a finite number > 0, got -0.1"),
+    (math.nan, "eta_eff must be a finite number > 0, got nan"),
+    (math.inf, "eta_eff must be a finite number > 0, got inf"),
+    (True, "eta_eff is not a number: True"),
+], ids=["zero", "negative", "nan", "inf", "bool"])
+def test_em_volume_rejects_an_eta_eff_that_is_not_a_finite_number_above_zero(eta_eff, message):
+    # 0.0 was "mode field is identically zero", -0.1 gave a volume of 1.6e-19 and NaN a volume
+    # that is no finite normal float
+    e, _ = coupling_input_fields(piezo=True)
+    for call in (coupling.em_mode_volume, coupling.normalize_em):
+        with pytest.raises(ParameterError) as info:
+            call(e, eta_eff)
+        assert str(info.value) == message
+
+
 def _whole_grid_volumes(f, eta_eff):
     """The mode volumes from whole-grid intensities and trapezoid_3d, the slab walk's oracle."""
     intensity = np.sum(np.abs(f.components) ** 2, axis=0)
@@ -597,8 +614,8 @@ def test_piezo_volume_fault_is_the_fields_and_names_the_volumes():
     e, w = coupling_input_fields(piezo=True)
     rate = coupling.piezo_coupling_total(e, w, mat)
     volumes = coupling.em_mode_volume(e, mat.eta_eff) * coupling.mech_mode_volume(w)
-    w.__dict__["_volumes"] = {None: (1e200, 0)}
-    e.__dict__["_volumes"] = {mat.eta_eff: (1e200, 0)}
+    w.__dict__["_volumes"] = {None: (1e200, 0, 1.0)}
+    e.__dict__["_volumes"] = {mat.eta_eff: (1e200, 0, 1.0)}
     prefactor, exponent = coupling._piezo_prefactor(e, w, mat)
     expected = math.sqrt(e.frequency / w.frequency) / (4e200 * math.sqrt(mat.eta_eff * mat.rho))
     assert prefactor.real == 0 and math.ldexp(prefactor.imag, exponent) == pytest.approx(
@@ -900,6 +917,96 @@ def test_mode_field_reads_the_same_in_any_block_size(field_file, monkeypatch, bl
     np.testing.assert_array_equal(coupling.load_mode_field(path).components, f.components)
 
 
+#: spellings of one coordinate value, such as '1e-08', '1.0000000000000000e-08' and ' 1e-08',
+#: each at most 23 characters, and the middle one padded to 26 or 27, past the 24 bytes a
+#: coordinate cell is read into, so a cell cut short loses its exponent
+_SPELLINGS = {"short": (repr, "{:.16e}".format, " {!r}".format),
+              "past-24": (repr, "{:.16e}".format, "  {:.16e}  ".format)}
+
+
+@pytest.mark.parametrize("spellings", _SPELLINGS)
+@pytest.mark.parametrize("block_rows", [1, 7, 60, CSV_BLOCK_ROWS])
+def test_mode_field_whose_coordinate_spelling_changes_every_row_reads_the_same(
+        field_file, monkeypatch, block_rows, spellings):
+    # no coordinate cell repeats the text of the one a grid step back, so every cell is converted
+    path, base = field_file
+    rng = np.random.default_rng(block_rows)
+    f = coupling.ModeField(base.grid, rng.normal(size=(3, *base.grid.shape)) + 1j,
+                           coupling.EM, 1.0)
+    coupling.save_mode_field(path, f)
+    spell = _SPELLINGS[spellings]
+
+    def respell(rows):
+        for r, row in enumerate(rows):
+            row[:3] = [spell[(r + k) % 3](float(cell)) for k, cell in enumerate(row[:3])]
+
+    _rewrite_rows(path, respell)
+    assert "1.0000000000000000e-08," in path.read_text()
+    monkeypatch.setattr(coupling, "CSV_BLOCK_ROWS", block_rows)
+    np.testing.assert_array_equal(coupling.load_mode_field(path).components, f.components)
+
+
+@pytest.mark.parametrize("respelled", [False, True])
+def test_mode_field_whose_coordinate_text_seldom_repeats_is_read_as_float_rows(
+        field_file, monkeypatch, respelled):
+    # a first block that converts every coordinate cell leaves the other 2 blocks of 20 rows to
+    # the float read, which is faster at that share; in save_mode_field's file the first block
+    # converts 10 of its 60 cells, and every block is read as text
+    path, f = field_file
+    if respelled:
+        _rewrite_rows(path, lambda rows: [row.__setitem__(k, " " * (r % 2) + row[k])
+                                          for r, row in enumerate(rows) for k in range(3)])
+    text_reads = []
+    coordinate_rows = coupling._coordinate_rows
+    monkeypatch.setattr(coupling, "_coordinate_rows",
+                        lambda *args: text_reads.append(args) or coordinate_rows(*args))
+    monkeypatch.setattr(coupling, "CSV_BLOCK_ROWS", 20)
+    np.testing.assert_array_equal(coupling.load_mode_field(path).components, f.components)
+    assert len(text_reads) == (1 if respelled else 3)
+
+
+def test_mode_field_coordinates_that_differ_only_in_their_last_bytes_round_trip(tmp_path):
+    # x and y step by 2 ulp of 1: '1.0000000000000004' and '1.0000000000000009' differ first in
+    # their 18th character, so a compare of fewer bytes would take one for the other
+    d = 2 * np.spacing(1.0)
+    grid = coupling.Grid3D((1.0, -1.0, 1.0), (d, d, 4 * d), (3, 4, 5))
+    f = coupling.ModeField(grid, np.arange(3 * 60).reshape(3, *grid.shape) * (1 + 1j),
+                           coupling.MECH, 1.0)
+    path = tmp_path / "field.csv"
+    coupling.save_mode_field(path, f)
+    assert "1.0000000000000009," in path.read_text()
+    np.testing.assert_array_equal(coupling.load_mode_field(path).components, f.components)
+
+
+@pytest.mark.parametrize("offset, off_grid", [(0.0, False), (0.9e-3, False), (1.1e-3, True)])
+def test_mode_field_coordinate_cell_longer_than_a_float_repr_read_at_its_full_value(
+        field_file, offset, off_grid):
+    # 46 characters: a cell cut to fewer would lose its exponent and read as 2.6
+    path, f = field_file
+    z = 2e-7 + 2 * 3e-8 + offset * 3e-8  # data row 8 is z index 2 of y index 1 at x = 0
+    text = f"{z:.40e}"
+    _rewrite_rows(path, lambda rows: rows[7].__setitem__(2, text))
+    if not off_grid:
+        np.testing.assert_array_equal(coupling.load_mode_field(path).components, f.components)
+        return
+    with pytest.raises(ParameterError) as info:
+        coupling.load_mode_field(path)
+    assert str(info.value) == (f"mode field {path}: data row 8 at {(0.0, -8e-08, float(text))} "
+                               f"is off its header grid point {_grid_point(f.grid, 7)}")
+
+
+@pytest.mark.parametrize("cell", ["abc", "1_0", "2.6e-07\x00"])
+def test_malformed_z_cell_one_z_period_after_a_good_one_named(field_file, cell):
+    # counts (4, 3, 5): data row 8 is one z period after data row 3, whose z cell is a number;
+    # a cast that took each z cell for the one 5 rows back would miss it, and a bytes cell
+    # drops a trailing NUL
+    path, _ = field_file
+    _rewrite_rows(path, lambda rows: rows[7].__setitem__(2, cell))
+    with pytest.raises(ParameterError) as info:
+        coupling.load_mode_field(path)
+    assert str(info.value) == f"mode field {path}: data row 8 cell 3 is not a number: {cell!r}"
+
+
 def _comment_and_blank_line_after_row_16(rows):
     rows[16:16] = [["# note"], [""]]
 
@@ -974,6 +1081,24 @@ def test_load_mode_field_peak_memory_is_its_components_and_a_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak - f.components.nbytes < 10e6
+
+
+def test_mode_field_whose_header_claims_a_long_z_period_is_read_in_its_rows_memory(field_file):
+    # the header's z count is the step of the z cells' text compare: taken past a block's rows,
+    # it sized two 80 MB index arrays for this two-row file
+    path, _ = field_file
+    lines = path.read_text().split("\n")
+    lines[0] = re.sub(r"counts=\S+", "counts=1,1,10000000", lines[0])
+    path.write_text("\n".join(lines[:4]) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError) as info:
+            coupling.load_mode_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert str(info.value).endswith("mode field file has shape (2, 9), expected (10000000, 9)")
 
 
 # --- read-only components and the rates' signatures -------------------------------------
@@ -1777,6 +1902,20 @@ def test_normalized_field_does_not_depend_on_a_power_of_two_amplitude(k):
                                   coupling.normalize_mech(w).components)
     np.testing.assert_array_equal(coupling.normalize_em(e.scaled(2.0**k), 1 / 9.5).components,
                                   coupling.normalize_em(e, 1 / 9.5).components)
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_normalized_field_does_not_depend_on_a_power_of_two_spacing(k):
+    # spacings times 2^k move each mode volume and intensity integral by 2^(3k), and no bit of
+    # the scale factor; at k = 600 the EM volume 1.07296 x 2^1737 is no float, and normalize_em
+    # was rejected by its message though the normalized field is the unscaled grid's
+    e, w = _random_pair(np.random.default_rng(40))
+    grid = coupling.Grid3D(e.grid.origin, tuple(d * 2.0**k for d in e.grid.spacing), e.grid.counts)
+    e_k, w_k = (coupling.ModeField(grid, f.components, f.kind, f.frequency) for f in (e, w))
+    np.testing.assert_array_equal(coupling.normalize_em(e_k, 1 / 9.5).components,
+                                  coupling.normalize_em(e, 1 / 9.5).components)
+    np.testing.assert_array_equal(coupling.normalize_mech(w_k).components,
+                                  coupling.normalize_mech(w).components)
 
 
 def test_fields_whose_gradient_products_overflow_unscaled_give_a_finite_rate():

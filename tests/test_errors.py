@@ -104,3 +104,23 @@ def test_text_cell_read_as_np_loadtxt_reads_a_row_cell(cell):
     else:
         assert np.array_equal(errors.parse_number(cell), expected, equal_nan=True)
         assert np.signbit(errors.parse_number(cell)) == np.signbit(expected)
+
+
+@pytest.mark.parametrize("cell", [
+    " 1.5 ", "1_0", "nan", "-Infinity", "1e500", "1e-400", "0x10", "", "+1.",
+    "\t1\x0b", "\x1c7", "\xa01", "1\xb2",
+])
+def test_array_of_byte_cells_read_as_each_cell_is(cell):
+    # the mode-field loader casts many cells at once; float() of bytes reads '1_0' as 10 and
+    # refuses '\x1c7' and '\xa01', which the one rule reads as 7 and 1
+    cells = np.array([b"2.5", cell.encode("latin-1"), b"-0.0"])
+    try:
+        expected = [errors.parse_number(c.decode("latin-1")) for c in cells.tolist()]
+    except ValueError:
+        with pytest.raises(ValueError):
+            errors.parse_number(cells)
+        return
+    values = errors.parse_number(cells)
+    assert values.dtype == float and values.shape == (3,)
+    assert np.array_equal(values, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(values), np.signbit(expected))
