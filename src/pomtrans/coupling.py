@@ -779,9 +779,9 @@ def load_mode_field(path) -> ModeField:
     one grid step back on its axis (:func:`_coordinate_rows`).  The files
     :func:`save_mode_field` writes spell each coordinate alike wherever it
     recurs, so few cells are converted; a file whose coordinate text seldom
-    repeats is read as float rows after its first block, about 5% slower than
-    that read alone.  Either way the same files load, to the same bits, and
-    the rest fail with the same messages.
+    repeats converts most of them on top of the text read, and loads about
+    60% slower than with a float read.  Either way the same files load, to
+    the same bits, and the rest fail with the same messages.
     """
     try:
         return _read_mode_field(path)
@@ -795,9 +795,6 @@ def load_mode_field(path) -> ModeField:
 _CELL_BYTES = 24
 #: a data row as :func:`_coordinate_rows` reads it: three coordinate cells as text, six numbers
 _CELL_ROW = np.dtype([("xyz", f"S{_CELL_BYTES}", 3), ("f", float, 6)])
-#: a file whose first data block converts more than this share of its coordinate cells reads
-#: as float rows from there on: the float read of a block is faster above a share of 0.3-0.5
-_FLOAT_READ_SHARE = 0.25
 
 
 def _loadtxt(lines, dtype=float):
@@ -808,18 +805,18 @@ def _loadtxt(lines, dtype=float):
 
 
 def _coordinate_rows(lines: list[str], period: int):
-    """A block's ``(coordinates, components, share)``, with each coordinate cell converted
+    """A block's ``(coordinates, components)``, with each coordinate cell converted
     only where its text differs from the cell one grid step back along its axis, or None.
 
     A step back is the row before for x and y and ``period`` rows before for z;
     a repeated cell takes the value of the cell it repeats, and the converted
-    cells, a ``share`` of all, are read by :func:`~pomtrans.errors.parse_number`
-    in one cast.  None leaves the block to the float read: a block that is not
-    9-cell rows, has no rows, holds a NUL (a bytes cell drops a trailing one),
-    has a coordinate cell that fills its ``_CELL_BYTES`` (it may be cut short)
-    or one that is no number.
+    cells are read by :func:`~pomtrans.errors.parse_number` in one cast.  None
+    leaves the block to the float read: a block that is not 9-cell rows, has no
+    rows, holds a NUL (a bytes cell drops a trailing one), has a coordinate
+    cell that fills its ``_CELL_BYTES`` (it may be cut short) or one that is
+    no number.
     """
-    if "\x00" in "".join(lines):
+    if any("\x00" in line for line in lines):
         return None
     try:
         rows = _loadtxt(lines, _CELL_ROW)
@@ -849,7 +846,7 @@ def _coordinate_rows(lines: list[str], period: int):
         last[:n] = np.where(changed[:, k], np.arange(n), 0)
         last = np.maximum.accumulate(last.reshape(-1, step), axis=0).reshape(-1)[:n]
         coordinates[:, k] = coordinates[last, k]
-    return coordinates, rows["f"], changed.mean()
+    return coordinates, rows["f"]
 
 
 def _data_blocks(fh, period: int | None = None):
@@ -859,9 +856,7 @@ def _data_blocks(fh, period: int | None = None):
     a block of only blank lines and comments is skipped.  With ``period``, the
     rows per z period of the header grid, a block is read by
     :func:`_coordinate_rows`; a block it leaves, and every block without
-    ``period``, is read as float rows, which convert every cell.  If the first
-    block with rows converts more than ``_FLOAT_READ_SHARE`` of its coordinate
-    cells, their text seldom repeats, and the rest is read as float rows too.
+    ``period``, is read as float rows, which convert every cell.
     A block that is not numbers, or whose column count differs from the first
     block's, raises the :func:`_malformed_row` message, as a whole-file
     ``np.loadtxt`` would.
@@ -879,11 +874,9 @@ def _data_blocks(fh, period: int | None = None):
                     raise ValueError("column count changed")
             except ValueError as exc:
                 raise ParameterError(_malformed_row(lines, start, width)) from exc
-            block = rows[:, :3], rows[:, 3:], 1.0
-        coordinates, components, share = block
+            block = rows[:, :3], rows[:, 3:]
+        coordinates, components = block
         if len(coordinates):
-            if width is None and share > _FLOAT_READ_SHARE:
-                period = None
             width = coordinates.shape[1] + components.shape[1]
             yield start, coordinates, components
             start += len(coordinates)

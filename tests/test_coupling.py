@@ -946,25 +946,6 @@ def test_mode_field_whose_coordinate_spelling_changes_every_row_reads_the_same(
     np.testing.assert_array_equal(coupling.load_mode_field(path).components, f.components)
 
 
-@pytest.mark.parametrize("respelled", [False, True])
-def test_mode_field_whose_coordinate_text_seldom_repeats_is_read_as_float_rows(
-        field_file, monkeypatch, respelled):
-    # a first block that converts every coordinate cell leaves the other 2 blocks of 20 rows to
-    # the float read, which is faster at that share; in save_mode_field's file the first block
-    # converts 10 of its 60 cells, and every block is read as text
-    path, f = field_file
-    if respelled:
-        _rewrite_rows(path, lambda rows: [row.__setitem__(k, " " * (r % 2) + row[k])
-                                          for r, row in enumerate(rows) for k in range(3)])
-    text_reads = []
-    coordinate_rows = coupling._coordinate_rows
-    monkeypatch.setattr(coupling, "_coordinate_rows",
-                        lambda *args: text_reads.append(args) or coordinate_rows(*args))
-    monkeypatch.setattr(coupling, "CSV_BLOCK_ROWS", 20)
-    np.testing.assert_array_equal(coupling.load_mode_field(path).components, f.components)
-    assert len(text_reads) == (1 if respelled else 3)
-
-
 def test_mode_field_coordinates_that_differ_only_in_their_last_bytes_round_trip(tmp_path):
     # x and y step by 2 ulp of 1: '1.0000000000000004' and '1.0000000000000009' differ first in
     # their 18th character, so a compare of fewer bytes would take one for the other
