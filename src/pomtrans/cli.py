@@ -128,7 +128,8 @@ def _grid(args, i, what, start, stop, points, least=2, log=False, hz=False, coll
     axis with an end whose rad/s value overflows.  ``values`` are ``points``
     linearly or, for ``log``, logarithmically spaced values, in rad/s for an
     ``hz`` axis.  Unless they strictly increase, the axis is rejected with
-    ``collapsed``, or else with a message naming the flags that set it.
+    ``collapsed``, or else with a message naming the flags that set it;
+    ``collapsed`` is also the message for a stop that does not exceed its start.
     """
     def pick(flag, default):
         values = getattr(args, flag) or [default]
@@ -140,7 +141,7 @@ def _grid(args, i, what, start, stop, points, least=2, log=False, hz=False, coll
     start, stop, points = (pick("grid_start", start), pick("grid_stop", stop),
                            pick("grid_points", points))
     if not stop > start:
-        raise ParameterError(f"{what}: stop must exceed start")
+        raise ParameterError(collapsed or f"{what}: stop must exceed start")
     if points < least:
         raise ParameterError(f"{what}: --grid-points must be at least {least}, got {points}")
     if log and not start > 0:
@@ -181,8 +182,6 @@ def _cmd_spectrum(args):
     default_window = not (args.grid_start or args.grid_stop)
     collapsed = (f"spectrum grid: the default window omega_m_hz +- 2.5e8 Hz holds too few "
                  f"distinct frequencies at omega_m_hz={f_m:g}; pass --grid-start/--grid-stop")
-    if default_window and not stop > start:
-        raise ParameterError(collapsed)
     # efficiency_spectrum interpolates its peak through three points
     *_, grid = _grid(args, 0, "spectrum grid", start, stop, 500_001, least=3, hz=True,
                      collapsed=collapsed if default_window else None)

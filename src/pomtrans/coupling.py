@@ -13,9 +13,10 @@ np.gradient's roundoff, far below 1e-6: a gradient that vanishes analytically
 sums stencil terms of weight 4/d at most in all (the edge stencil (-3/2, 2,
 -1/2)/d; central differences of equal samples are exact), so it is off by
 about 4 eps max|w|/d, against max|w|/(N d) over N points: 4 eps N, 9e-12 at
-N = 10^4 (eps 2.2e-16).  Every walk reads a field rescaled by :meth:`ModeField._slab`, the
-rates read mode volumes undecided (:func:`_volume`), and a rate, mode volume or effective
-mass is rejected only when it is no finite normal float (:func:`_decided`).
+N = 10^4 (eps 2.2e-16).  Every walk reads a field rescaled by :meth:`ModeField._slab`; every
+mode volume is read by :func:`_volume`, whose cache keeps it undecided, as a fraction and a
+power of two; and a rate, mode volume or effective mass is rejected only when it is no finite
+normal float (:func:`_decided`).
 
 Unit conventions follow the materials literature this feeds on: the
 piezoelectric tensor ``h`` is stored in its stress-voltage Voigt form, the
@@ -51,8 +52,23 @@ _VOIGT_OF_INDICES = np.array(
     [[_VOIGT_OF_PAIR[(i, j)] - 1 for j in (1, 2, 3)] for i in (1, 2, 3)])
 
 
+def _is_index(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, which a boolean (a mask to numpy) is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_index(value, what: str, first: int = 0) -> None:
+    """Reject ``value`` by ``what`` unless it is an index (:func:`_is_index`) in first..first + 2."""
+    if not _is_index(value):
+        raise ParameterError(f"{what} must be an integer, got {shown(value)}")
+    if not first <= value <= first + 2:
+        raise ParameterError(f"{what} must be in {first}..{first + 2}, got {value}")
+
+
 def voigt_index(i: int, j: int) -> int:
     """Map a symmetric tensor index pair (1-based) to its Voigt index 1..6."""
+    if not (_is_index(i) and _is_index(j)):
+        raise ParameterError(f"tensor indices must be integers, got ({shown(i)}, {shown(j)})")
     try:
         return _VOIGT_OF_PAIR[(i, j)]
     except KeyError:
@@ -254,8 +270,8 @@ def mech_mode_volume(w: ModeField) -> float:
     walked twice, slab by slab: for the total intensity, then for the square of
     the normalized density.
     """
-    value, exponent, _ = _mech_volume(w)
-    return _decided("mech mode volume", value, {"cells": exponent})
+    (fraction, exponent, _), cells = _volume(w), _unit_cells(w.grid)[1]
+    return _decided("mech mode volume", math.ldexp(fraction, exponent - cells), {"cells": cells})
 
 
 def em_mode_volume(e: ModeField, eta_eff: float) -> float:
@@ -266,51 +282,46 @@ def em_mode_volume(e: ModeField, eta_eff: float) -> float:
     > 0 whose power of two cancels.  Both integrals are taken in one walk of the
     grid, slab by slab.
     """
-    value, exponent, _ = _em_volume(e, eta_eff)
-    return _decided("em mode volume", value, {"cells": exponent})
+    (fraction, exponent, _), cells = _volume(e, eta_eff), _unit_cells(e.grid)[1]
+    return _decided("em mode volume", math.ldexp(fraction, exponent - cells), {"cells": cells})
 
 
-def _mech_volume(w: ModeField) -> tuple:
-    """:func:`_volume` of the mechanical field ``w``."""
-    if w.kind != MECH:
-        raise ParameterError("expected a mechanical displacement field")
-    return _volume(w)
+#: the ``eta_eff`` that asks :func:`_volume` for a mechanical volume: no caller's argument is it
+_MECHANICAL = object()
 
 
-def _em_volume(e: ModeField, eta_eff) -> tuple:
-    """:func:`_volume` of the EM field ``e`` at ``eta_eff``, rejected by name unless a finite
-    number > 0."""
-    if e.kind != EM:
-        raise ParameterError("expected an electromagnetic field")
-    require_number(eta_eff, "eta_eff")
-    if not 0 < eta_eff < math.inf:
-        raise ParameterError(f"eta_eff must be a finite number > 0, got {eta_eff}")
-    return _volume(e, float(eta_eff))
+def _volume(f: ModeField, eta_eff=_MECHANICAL) -> tuple:
+    """``(fraction, exponent, intensity)``: the mode volume of ``f`` is ``fraction`` in [0.5, 1)
+    times 2^exponent and its integral of sum_i |f_i|^2 is ``intensity`` 2^(exponent + 2
+    ``_power``), walked once per field (per ``eta_eff`` of an EM field) into the one cache.
 
-
-def _volume(f: ModeField, eta_eff: float | None = None) -> tuple:
-    """``(value, exponent, intensity)``: the mode volume of ``f``, at ``eta_eff`` for an EM field,
-    is ``value`` 2^exponent and its integral of sum_i |f_i|^2 is ``intensity`` 2^(exponent + 2
-    ``_power``); each is walked once per field and left undecided in its one cache."""
+    Without ``eta_eff`` ``f`` must be mechanical, else electromagnetic with ``eta_eff`` a
+    finite number > 0: checked on each call, so no key equal to a cached one (True to 1.0)
+    gets past them."""
+    if eta_eff is _MECHANICAL:
+        if f.kind != MECH:
+            raise ParameterError("expected a mechanical displacement field")
+    else:
+        if f.kind != EM:
+            raise ParameterError("expected an electromagnetic field")
+        require_number(eta_eff, "eta_eff")
+        if not 0 < eta_eff < math.inf:
+            raise ParameterError(f"eta_eff must be a finite number > 0, got {eta_eff}")
+        eta_eff = float(eta_eff)
     volumes = f.__dict__.setdefault("_volumes", {})
-    if eta_eff not in volumes and eta_eff is None:
-        total, exponent = _intensity_integral(f)
-        square = _intensity_integral(f, lambda intensity: (intensity / total)**2)[0]
-        volumes[None] = 1.0 / square, exponent, total
-    elif eta_eff not in volumes:
-        eta = math.ldexp(eta_eff, -_exponent(eta_eff))
-        (total, square), exponent = _intensity_integral(
-            f, lambda intensity: np.stack([eta * intensity, (eta * intensity)**2]))
-        volumes[eta_eff] = total**2 / square, exponent, total / eta
+    if eta_eff not in volumes:
+        if eta_eff is _MECHANICAL:
+            total, exponent = _intensity_integral(f)
+            square = _intensity_integral(f, lambda intensity: (intensity / total)**2)[0]
+            value, intensity = 1.0 / square, total
+        else:
+            eta = math.ldexp(eta_eff, -_exponent(eta_eff))
+            (total, square), exponent = _intensity_integral(
+                f, lambda intensity: np.stack([eta * intensity, (eta * intensity)**2]))
+            value, intensity = total**2 / square, total / eta
+        fraction, k = math.frexp(value)
+        volumes[eta_eff] = fraction, k + exponent, math.ldexp(intensity, -k)
     return volumes[eta_eff]
-
-
-def _split(f: ModeField, eta_eff: float | None = None) -> tuple:
-    """``frexp`` of :func:`_volume`'s value 2^exponent: its fraction in [0.5, 1) and its power
-    of two."""
-    value, exponent, _ = _volume(f, eta_eff)
-    fraction, k = math.frexp(value)
-    return fraction, k + exponent
 
 
 def _root(value: float, exponent: int) -> tuple:
@@ -322,19 +333,19 @@ def _root(value: float, exponent: int) -> tuple:
 
 def _scaled_to_volume(f: ModeField, volume: tuple) -> ModeField:
     """``f`` times sqrt(V / integral of sum_i |f_i|^2), from its :func:`_volume` ``volume``
-    undecided: the cells' power of two cancels, so no volume need be a float."""
-    value, _, intensity = volume
-    return f.scaled(math.ldexp(*_root(value / intensity, -2 * f._power)))
+    undecided: the volume's power of two cancels, so no volume need be a float."""
+    fraction, _, intensity = volume
+    return f.scaled(math.ldexp(*_root(fraction / intensity, -2 * f._power)))
 
 
 def normalize_mech(w: ModeField) -> ModeField:
     """Rescale so the integrated intensity equals the effective mode volume."""
-    return _scaled_to_volume(w, _mech_volume(w))
+    return _scaled_to_volume(w, _volume(w))
 
 
 def normalize_em(e: ModeField, eta_eff: float) -> ModeField:
     """Rescale so integral of eta_eff |E|^2 equals eta_eff times the mode volume."""
-    return _scaled_to_volume(e, _em_volume(e, eta_eff))
+    return _scaled_to_volume(e, _volume(e, eta_eff))
 
 
 def effective_mass(w_m: ModeField, w_n: ModeField, rho) -> complex:
@@ -342,12 +353,26 @@ def effective_mass(w_m: ModeField, w_n: ModeField, rho) -> complex:
 
     For identical modes this is the (real, positive) effective mass; for
     distinct modes the return value is the orthogonality residual.
-    ``rho`` may be a scalar (kg/m^3) or a sample array on the grid.
+    ``rho`` may be a number (kg/m^3) or a real sample array that broadcasts to
+    the grid.  Each entry must be finite and >= 0, so a cell may be vacuum, but
+    not all of them.
     """
     if w_m.grid != w_n.grid:
         raise GridError("mode fields live on different grids")
+    require_number(rho, "rho", arrays=True)
+    rho = np.asarray(rho)
+    try:
+        np.broadcast_to(rho, w_m.grid.shape)
+    except ValueError:
+        raise ParameterError(f"rho of shape {rho.shape} does not broadcast to the grid "
+                             f"{w_m.grid.shape}") from None
+    bad = ~((rho >= 0) & (rho < math.inf))  # NaN is neither
+    if bad.any():
+        raise ParameterError(f"rho must be finite and >= 0, got {rho[bad][0]}")
+    if not rho.any():
+        raise ParameterError("rho is zero everywhere")
     r, (cells, exponent) = _exponent(rho), _unit_cells(w_m.grid)
-    rho = np.broadcast_to(np.asarray(rho) * 2.0**-r, w_m.grid.shape)
+    rho = np.broadcast_to(rho * 2.0**-r, w_m.grid.shape)
     value = complex(_slab_integral(cells, lambda xs: rho[xs] * np.sum(
         np.conj(w_m._slab(xs)) * w_n._slab(xs), axis=0)))
     return _decided("effective mass", value,
@@ -452,8 +477,7 @@ class MaterialTensorSet:
         """h_ijk (1-based tensor indices); raises when marked unknown."""
         if self.h is None:
             raise MaterialDataError("piezoelectric tensor h is not set")
-        if i not in (1, 2, 3):
-            raise ParameterError(f"tensor index i must be in 1..3, got {i}")
+        _require_index(i, "tensor index i", 1)
         value = float(self.h[i - 1, voigt_index(j, k) - 1])
         if math.isnan(value):
             raise MaterialDataError(f"piezoelectric element h_{i}{j}{k} is unknown")
@@ -478,8 +502,9 @@ def require_matching(e: ModeField, w: ModeField):
 
 def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> tuple:
     """``(mantissa, exponent)`` of i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho)),
-    each value split by ``frexp`` and each root taken by :func:`_root`: no term overflows."""
-    (ve, kve), (vm, kvm) = _split(e, mat.eta_eff), _split(w)
+    each value split by ``frexp``, each volume as :func:`_volume` keeps it, and each root taken by
+    :func:`_root`: no term overflows."""
+    (ve, kve, _), (vm, kvm, _) = _volume(e, mat.eta_eff), _volume(w)
     (f_em, k_em), (f_mech, k_mech), (eta, keta), (rho, krho) = map(
         math.frexp, (e.frequency, w.frequency, mat.eta_eff, mat.rho))
     ratio, kr = _root(f_em / f_mech, k_em - k_mech)
@@ -689,7 +714,7 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     (generally complex) overlap sum, the :func:`_contraction` of ``p``, is returned.
     """
     total, parts = _contraction(e, w, mat, "p")
-    (ve, kve), (vm, kvm) = _split(e, mat.eta_eff), _split(w)
+    (ve, kve, _), (vm, kvm, _) = _volume(e, mat.eta_eff), _volume(w)
     (rho, kr), (eps0, ke0), (eta, ket), (om, kom), (hbar, kh) = map(
         math.frexp, (mat.rho, EPSILON_0, mat.eta_eff, w.frequency, HBAR))
     denominator = 32 * rho * vm * eps0**2 * eta**2 * ve**2 * om
@@ -703,7 +728,11 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
 
 def plane_wave(grid: Grid3D, kind: str, frequency: float, amplitude: complex,
                wavevector: Sequence[float], polarization: int) -> ModeField:
-    """Single-polarization plane wave A e^{i q . r} along one Cartesian axis."""
+    """Single-polarization plane wave A e^{i q . r} along one Cartesian axis.
+
+    ``polarization`` is the 0-based axis of the field's one nonzero component.
+    """
+    _require_index(polarization, "polarization")
     x, y, z = grid.meshgrid()
     qx, qy, qz = wavevector
     phase = np.exp(1j * (qx * x + qy * y + qz * z))
@@ -714,7 +743,16 @@ def plane_wave(grid: Grid3D, kind: str, frequency: float, amplitude: complex,
 
 def gaussian_sheet(grid: Grid3D, kind: str, frequency: float, amplitude: complex,
                    polarization: int, axis: int, center: float, width: float) -> ModeField:
-    """Field concentrated in a Gaussian sheet transverse to one axis."""
+    """Field concentrated in a Gaussian sheet transverse to one axis.
+
+    ``polarization`` and ``axis`` are 0-based axes and ``width``, the 1/e
+    half-width along ``axis``, is a finite number > 0.
+    """
+    _require_index(polarization, "polarization")
+    _require_index(axis, "axis")
+    require_number(width, "width")
+    if not 0 < width < math.inf:
+        raise ParameterError(f"width must be a finite number > 0, got {width}")
     coords = grid.meshgrid()[axis]
     comps = np.zeros((3, *grid.shape), dtype=complex)
     comps[polarization] = amplitude * np.exp(-((coords - center) / width) ** 2)
@@ -849,14 +887,13 @@ def _coordinate_rows(lines: list[str], period: int):
     return coordinates, rows["f"]
 
 
-def _data_blocks(fh, period: int | None = None):
+def _data_blocks(fh, period: int):
     """``(first data row, coordinates, components)`` per ``CSV_BLOCK_ROWS`` lines of ``fh``.
 
     These are float arrays of each data row's first three cells and of the rest;
-    a block of only blank lines and comments is skipped.  With ``period``, the
-    rows per z period of the header grid, a block is read by
-    :func:`_coordinate_rows`; a block it leaves, and every block without
-    ``period``, is read as float rows, which convert every cell.
+    a block of only blank lines and comments is skipped.  Each block is read by
+    :func:`_coordinate_rows`, ``period`` the rows per z period of the header
+    grid; a block it leaves is read as float rows, which convert every cell.
     A block that is not numbers, or whose column count differs from the first
     block's, raises the :func:`_malformed_row` message, as a whole-file
     ``np.loadtxt`` would.
@@ -866,7 +903,7 @@ def _data_blocks(fh, period: int | None = None):
         lines = list(itertools.islice(fh, CSV_BLOCK_ROWS))
         if not lines:
             return
-        block = _coordinate_rows(lines, period) if period and width in (None, 9) else None
+        block = _coordinate_rows(lines, period) if width in (None, 9) else None
         if block is None:
             try:
                 rows = _loadtxt(lines)
@@ -904,7 +941,7 @@ def _read_mode_field(path) -> ModeField:
         try:
             grid = Grid3D(origin, spacing, counts)
         except ParameterError:
-            for _ in _data_blocks(fh):  # a malformed row is named first
+            for _ in _data_blocks(fh, 1):  # a malformed row is named first, at any counts
                 pass
             raise
         expected = math.prod(counts)

@@ -218,6 +218,16 @@ def test_fwhm_extraction_on_synthetic_lorentzian(nominal_params):
     assert fwhm == pytest.approx(2 * halfwidth, rel=1e-3)
 
 
+def test_flat_top_peak_is_its_sample():
+    # the first maximum is at index 1, and y0 - 2 y1 + y2 = -2^-54 rounds to a curvature of 0.0,
+    # through which the vertex formula would divide
+    x = np.array([0.0, 1.0, 2.0])
+    y = np.array([0.5 - 2.0**-54, 0.5, 0.5])
+    i = int(np.argmax(y))
+    assert i == 1 and y[0] - 2 * y[1] + y[2] == 0.0
+    assert analysis._quadratic_peak(x, y, i) == x[1]
+
+
 def test_efficiency_spectrum_basic(nominal_params):
     p = nominal_params
     grid = p.omega_m + TWO_PI * np.linspace(-40e6, 40e6, 20001)

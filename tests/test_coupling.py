@@ -70,6 +70,16 @@ def test_voigt_out_of_range():
         coupling.voigt_index(0, 1)
 
 
+@pytest.mark.parametrize("i, j", [(True, True), (1.0, 1), (2, np.True_), ("1", 1)],
+                         ids=["bools", "float", "numpy-bool", "str"])
+def test_voigt_index_rejects_an_index_that_is_no_integer(i, j):
+    # (True, True) and (1.0, 1) key the table as (1, 1) does, and returned 1
+    with pytest.raises(ParameterError) as info:
+        coupling.voigt_index(i, j)
+    assert str(info.value) == f"tensor indices must be integers, got ({i!r}, {j!r})"
+    assert coupling.voigt_index(np.int64(2), np.uint8(3)) == 4
+
+
 def test_rank3_expansion_places_elements():
     m = np.zeros((3, 6))
     m[0, 4] = 1.5  # h_15 <-> h_113 = h_131
@@ -280,6 +290,21 @@ def test_em_volume_rejects_an_eta_eff_that_is_not_a_finite_number_above_zero(eta
         assert str(info.value) == message
 
 
+def test_em_volume_checks_eta_eff_when_its_volume_is_cached():
+    # True and 1 + 0j key the cache as 1.0 does, and None is no mechanical volume of an EM call
+    e, w = coupling_input_fields(piezo=True)
+    coupling.em_mode_volume(e, 1.0)
+    coupling.mech_mode_volume(w)
+    for field, eta_eff, message in ((e, True, "eta_eff is not a number: True"),
+                                    (e, 1 + 0j, "eta_eff is not a number: (1+0j)"),
+                                    (e, None, "eta_eff is not a number: None"),
+                                    (w, None, "expected an electromagnetic field")):
+        for call in (coupling.em_mode_volume, coupling.normalize_em):
+            with pytest.raises(ParameterError) as info:
+                call(field, eta_eff)
+            assert str(info.value) == message
+
+
 def _whole_grid_volumes(f, eta_eff):
     """The mode volumes from whole-grid intensities and trapezoid_3d, the slab walk's oracle."""
     intensity = np.sum(np.abs(f.components) ** 2, axis=0)
@@ -388,6 +413,88 @@ def test_effective_mass_grid_mismatch():
     w2 = coupling.plane_wave(box_grid(11), coupling.MECH, 1.0, 1.0, (0, 0, 0), 0)
     with pytest.raises(GridError):
         coupling.effective_mass(w1, w2, 1000.0)
+
+
+@pytest.mark.parametrize("rho, message", [
+    # a negative density gave a negative mass, -2.604e-24
+    (-3255.0, "rho must be finite and >= 0, got -3255.0"),
+    (np.where(np.arange(41) < 20, 3255.0, -1.0), "rho must be finite and >= 0, got -1.0"),
+    # NaN and inf were blamed on the mass: "effective mass nan x 2^-104 is not a finite ..."
+    (math.nan, "rho must be finite and >= 0, got nan"),
+    (np.full((5, 5, 41), math.inf), "rho must be finite and >= 0, got inf"),
+    # a zero density gave a zero mass
+    (0.0, "rho is zero everywhere"),
+    (np.zeros((5, 1, 41), dtype=int), "rho is zero everywhere"),
+    # True read as 1, and "x" raised a bare "complex() arg is a malformed string"
+    (True, "rho is not a number: True"),
+    ("x", "rho is not a number: 'x'"),
+    ([3255.0], "rho is not a number: [3255.0]"),
+    (np.full((5, 5, 41), 3255.0 + 0j), "rho is not a number: array"),
+    (np.full((5, 5), 3255.0), "rho of shape (5, 5) does not broadcast to the grid (5, 5, 41)"),
+    (np.full((2, 5, 5, 41), 3255.0),
+     "rho of shape (2, 5, 5, 41) does not broadcast to the grid (5, 5, 41)"),
+], ids=["negative", "negative-cell", "nan", "inf", "zero", "zero-array", "bool", "str", "list",
+        "complex", "wrong-shape", "extra-axis"])
+def test_effective_mass_rejects_a_density_by_name(rho, message):
+    _, w = coupling_input_fields(piezo=True)
+    with pytest.raises(ParameterError) as info:
+        coupling.effective_mass(w, w, rho)
+    assert str(info.value).startswith(message)
+
+
+def test_effective_mass_takes_vacuum_cells():
+    # a density of 0 in some cells, as in vacuum, weighs them out
+    _, w = coupling_input_fields(piezo=True)
+    rho = np.where(np.arange(41) < 20, 3255.0, 0.0)
+    intensity = np.sum(np.abs(w.components) ** 2, axis=0)
+    expected = float(coupling.trapezoid_3d(rho * intensity, w.grid))
+    assert coupling.effective_mass(w, w, rho) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("polarization, message", [
+    # True filled all three components, as a numpy mask
+    (True, "polarization must be an integer, got True"),
+    (1.0, "polarization must be an integer, got 1.0"),
+    # -1 meant z, and 3 raised a bare IndexError
+    (-1, "polarization must be in 0..2, got -1"),
+    (3, "polarization must be in 0..2, got 3"),
+], ids=["bool", "float", "negative", "three"])
+def test_analytic_modes_reject_a_polarization_that_is_no_axis(polarization, message):
+    grid = box_grid(5)
+    for build in (lambda: coupling.plane_wave(grid, coupling.MECH, 1.0, 1.0, (0, 0, 0),
+                                              polarization),
+                  lambda: coupling.gaussian_sheet(grid, coupling.MECH, 1.0, 1.0, polarization,
+                                                  2, 0.5e-6, 0.2e-6)):
+        with pytest.raises(ParameterError) as info:
+            build()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("axis, width, message", [
+    (True, 0.2e-6, "axis must be an integer, got True"),
+    (-1, 0.2e-6, "axis must be in 0..2, got -1"),
+    (3, 0.2e-6, "axis must be in 0..2, got 3"),
+    # 0.0 divided by zero: a RuntimeWarning, then "mode field contains non-finite values"
+    (2, 0.0, "width must be a finite number > 0, got 0.0"),
+    (2, -0.2e-6, "width must be a finite number > 0, got -2e-07"),
+    (2, math.nan, "width must be a finite number > 0, got nan"),
+    (2, math.inf, "width must be a finite number > 0, got inf"),
+    (2, True, "width is not a number: True"),
+], ids=["bool-axis", "negative-axis", "axis-three", "zero-width", "negative-width", "nan-width",
+        "inf-width", "bool-width"])
+def test_gaussian_sheet_rejects_its_axis_and_width_by_name(axis, width, message):
+    with pytest.raises(ParameterError) as info:
+        coupling.gaussian_sheet(box_grid(5), coupling.MECH, 1.0, 1.0, 0, axis, 0.5e-6, width)
+    assert str(info.value) == message
+
+
+def test_analytic_modes_take_numpy_integer_axes():
+    grid = box_grid(5)
+    sheet = coupling.gaussian_sheet(grid, coupling.MECH, 1.0, 1.0, np.int64(1), np.uint8(2),
+                                    0.5e-6, 0.2e-6)
+    wave = coupling.plane_wave(grid, coupling.MECH, 1.0, 1.0, (0, 0, 0), np.int32(1))
+    assert not sheet.components[[0, 2]].any() and sheet.components[1].all()
+    assert not wave.components[[0, 2]].any() and wave.components[1].all()
 
 
 # --- piezoelectric coupling ----------------------------------------------------------
@@ -1404,6 +1511,24 @@ def test_rate_with_unknown_entries_peak_memory_stays_below_its_two_fields(rate):
 def test_h_element_rejects_row_index_out_of_range(i):
     with pytest.raises(ParameterError, match=f"tensor index i must be in 1..3, got {i}"):
         simple_material().h_element(i, 1, 3)
+
+
+@pytest.mark.parametrize("component, message", [
+    # (True, 1, 1) read h_111
+    ((True, 1, 1), "tensor index i must be an integer, got True"),
+    # (1.0, 1, 1) ended in a bare IndexError in piezo_coupling
+    ((1.0, 1, 1), "tensor index i must be an integer, got 1.0"),
+    ((1, 1, 1.0), "tensor indices must be integers, got (1, 1.0)"),
+], ids=["bool-i", "float-i", "float-k"])
+def test_tensor_indices_must_be_integers(component, message):
+    e, w = coupling_input_fields(piezo=True)
+    mat = simple_material()
+    for call in (lambda: mat.h_element(*component),
+                 lambda: coupling.piezo_coupling(e, w, mat, component)):
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert str(info.value) == message
+    assert mat.h_element(np.int64(3), 3, np.int8(3)) == mat.h_element(3, 3, 3)
 
 
 def _tensor_file(tmp_path, text):
