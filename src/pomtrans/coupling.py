@@ -286,7 +286,8 @@ def em_mode_volume(e: ModeField, eta_eff: float) -> float:
     return _decided("em mode volume", math.ldexp(fraction, exponent - cells), {"cells": cells})
 
 
-#: the ``eta_eff`` that asks :func:`_volume` for a mechanical volume: no caller's argument is it
+#: the ``eta_eff`` that asks :func:`_volume` for a mechanical volume, cached under None: no
+#: caller's argument is it, and no ``eta_eff`` that passes the checks is None
 _MECHANICAL = object()
 
 
@@ -307,21 +308,21 @@ def _volume(f: ModeField, eta_eff=_MECHANICAL) -> tuple:
         require_number(eta_eff, "eta_eff")
         if not 0 < eta_eff < math.inf:
             raise ParameterError(f"eta_eff must be a finite number > 0, got {eta_eff}")
-        eta_eff = float(eta_eff)
+    key = None if eta_eff is _MECHANICAL else float(eta_eff)
     volumes = f.__dict__.setdefault("_volumes", {})
-    if eta_eff not in volumes:
-        if eta_eff is _MECHANICAL:
+    if key not in volumes:
+        if key is None:
             total, exponent = _intensity_integral(f)
             square = _intensity_integral(f, lambda intensity: (intensity / total)**2)[0]
             value, intensity = 1.0 / square, total
         else:
-            eta = math.ldexp(eta_eff, -_exponent(eta_eff))
+            eta = math.ldexp(key, -_exponent(key))
             (total, square), exponent = _intensity_integral(
                 f, lambda intensity: np.stack([eta * intensity, (eta * intensity)**2]))
             value, intensity = total**2 / square, total / eta
         fraction, k = math.frexp(value)
-        volumes[eta_eff] = fraction, k + exponent, math.ldexp(intensity, -k)
-    return volumes[eta_eff]
+        volumes[key] = fraction, k + exponent, math.ldexp(intensity, -k)
+    return volumes[key]
 
 
 def _root(value: float, exponent: int) -> tuple:
