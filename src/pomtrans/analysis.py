@@ -169,14 +169,17 @@ def efficiency_spectrum(p: TransducerParams, omega_grid) -> SpectrumResult:
     three-point quadratic interpolation; the 50% crossings are found by linear
     interpolation independently on each side, so asymmetric peaks are handled.
 
-    Raises :class:`GridError` when the grid is not strictly increasing, does
-    not span the peak, or resolves the 50% band with fewer than 8 points.
+    Raises :class:`GridError` when the grid is not finite or not strictly
+    increasing, does not span the peak, or resolves the 50% band with fewer
+    than 8 points.
     The broad-peak flag is set when the 50% band hits a grid boundary or the
     top of the peak is flat to 1e-6 relative over more than 10% of the band.
     """
     w = np.asarray(omega_grid, dtype=float)
     if w.ndim != 1 or len(w) < 3:
         raise GridError("omega grid must be a 1-D array with at least 3 points")
+    if not np.all(np.isfinite(w)):
+        raise GridError("omega grid must be finite")
     if np.any(w[1:] <= w[:-1]):
         raise GridError("omega grid must be strictly increasing")
 

@@ -14,9 +14,9 @@ sums stencil terms of weight 4/d at most in all (the edge stencil (-3/2, 2,
 -1/2)/d; central differences of equal samples are exact), so it is off by
 about 4 eps max|w|/d, against max|w|/(N d) over N points: 4 eps N, 9e-12 at
 N = 10^4 (eps 2.2e-16).  Every walk reads a field rescaled by :meth:`ModeField._slab`; every
-mode volume is read by :func:`_volume`, whose cache keeps it undecided, as a fraction and a
-power of two; and a rate, mode volume or effective mass is rejected only when it is no finite
-normal float (:func:`_decided`).
+mode volume is read by :func:`_volume`, whose cache keeps it undecided, as its value on the
+walk's unit cells and their power of two; and a rate, mode volume or effective mass is rejected
+only when it is no finite normal float (:func:`_decided`).
 
 Unit conventions follow the materials literature this feeds on: the
 piezoelectric tensor ``h`` is stored in its stress-voltage Voigt form, the
@@ -44,12 +44,10 @@ from .sweep import CSV_BLOCK_ROWS, csv_blocks
 
 # --- Voigt notation ---------------------------------------------------------
 
-_PAIR_OF_VOIGT = {1: (1, 1), 2: (2, 2), 3: (3, 3), 4: (2, 3), 5: (1, 3), 6: (1, 2)}
-#: both orders of each symmetric 1-based index pair -> Voigt index
-_VOIGT_OF_PAIR = {pair: v for v, (i, j) in _PAIR_OF_VOIGT.items() for pair in ((i, j), (j, i))}
-#: 0-based Voigt column of each 0-based symmetric index pair
-_VOIGT_OF_INDICES = np.array(
-    [[_VOIGT_OF_PAIR[(i, j)] - 1 for j in (1, 2, 3)] for i in (1, 2, 3)])
+#: 0-based index pair (a, b) of each Voigt index 1..6, in Voigt order
+_VOIGT_PAIRS = [(0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)]
+#: 0-based Voigt column of each 0-based symmetric index pair, in both orders
+_VOIGT_OF_INDICES = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
 
 
 def _is_index(value) -> bool:
@@ -62,17 +60,16 @@ def _require_index(value, what: str, first: int = 0) -> None:
     if not _is_index(value):
         raise ParameterError(f"{what} must be an integer, got {shown(value)}")
     if not first <= value <= first + 2:
-        raise ParameterError(f"{what} must be in {first}..{first + 2}, got {value}")
+        raise ParameterError(f"{what} must be in {first}..{first + 2}, got {shown(int(value))}")
 
 
 def voigt_index(i: int, j: int) -> int:
     """Map a symmetric tensor index pair (1-based) to its Voigt index 1..6."""
     if not (_is_index(i) and _is_index(j)):
         raise ParameterError(f"tensor indices must be integers, got ({shown(i)}, {shown(j)})")
-    try:
-        return _VOIGT_OF_PAIR[(i, j)]
-    except KeyError:
-        raise ParameterError(f"tensor indices must be in 1..3, got ({i}, {j})") from None
+    if not (1 <= i <= 3 and 1 <= j <= 3):
+        raise ParameterError(f"tensor indices must be in 1..3, got {shown((int(i), int(j)))}")
+    return int(_VOIGT_OF_INDICES[i - 1, j - 1]) + 1
 
 
 def rank3_from_voigt(m: np.ndarray) -> np.ndarray:
@@ -270,8 +267,8 @@ def mech_mode_volume(w: ModeField) -> float:
     walked twice, slab by slab: for the total intensity, then for the square of
     the normalized density.
     """
-    (fraction, exponent, _), cells = _volume(w), _unit_cells(w.grid)[1]
-    return _decided("mech mode volume", math.ldexp(fraction, exponent - cells), {"cells": cells})
+    value, cells, _ = _volume(w, MECH)
+    return _decided("mech mode volume", value, {"cells": cells})
 
 
 def em_mode_volume(e: ModeField, eta_eff: float) -> float:
@@ -279,49 +276,42 @@ def em_mode_volume(e: ModeField, eta_eff: float) -> float:
 
     (integral of eta_eff |E|^2)^2 / integral of (eta_eff |E|^2)^2, at the
     scalar effective inverse relative permittivity ``eta_eff``, a finite number
-    > 0 whose power of two cancels.  Both integrals are taken in one walk of the
-    grid, slab by slab.
+    > 0.  A scalar ``eta_eff`` cancels: its power of two exactly, so the volume
+    equals :func:`mech_mode_volume` of the same components, and at every
+    ``eta_eff`` the volumes agree to roundoff.  Both integrals are taken in one
+    walk of the grid, slab by slab.
     """
-    (fraction, exponent, _), cells = _volume(e, eta_eff), _unit_cells(e.grid)[1]
-    return _decided("em mode volume", math.ldexp(fraction, exponent - cells), {"cells": cells})
+    value, cells, _ = _volume(e, EM, eta_eff)
+    return _decided("em mode volume", value, {"cells": cells})
 
 
-#: the ``eta_eff`` that asks :func:`_volume` for a mechanical volume, cached under None: no
-#: caller's argument is it, and no ``eta_eff`` that passes the checks is None
-_MECHANICAL = object()
+def _volume(f: ModeField, kind: str, eta_eff=None) -> tuple:
+    """``(value, cells, intensity)``: the mode volume of ``f`` is ``value`` 2^``cells``, ``value``
+    its volume on the :func:`_unit_cells` of exponent ``cells``, and its integral of
+    sum_i |f_i|^2 is ``intensity`` 2^(``cells`` + 2 ``_power``), walked once per field (per
+    ``eta_eff`` of an EM field) into the one cache.
 
-
-def _volume(f: ModeField, eta_eff=_MECHANICAL) -> tuple:
-    """``(fraction, exponent, intensity)``: the mode volume of ``f`` is ``fraction`` in [0.5, 1)
-    times 2^exponent and its integral of sum_i |f_i|^2 is ``intensity`` 2^(exponent + 2
-    ``_power``), walked once per field (per ``eta_eff`` of an EM field) into the one cache.
-
-    Without ``eta_eff`` ``f`` must be mechanical, else electromagnetic with ``eta_eff`` a
-    finite number > 0: checked on each call, so no key equal to a cached one (True to 1.0)
-    gets past them."""
-    if eta_eff is _MECHANICAL:
-        if f.kind != MECH:
-            raise ParameterError("expected a mechanical displacement field")
-    else:
-        if f.kind != EM:
-            raise ParameterError("expected an electromagnetic field")
+    ``f`` must be of ``kind``, and an ``EM`` field's ``eta_eff`` a finite number > 0: checked on
+    each call, so no key equal to a cached one (True to 1.0) gets past them."""
+    if f.kind != kind:
+        raise ParameterError("expected a mechanical displacement field" if kind == MECH
+                             else "expected an electromagnetic field")
+    if kind == EM:
         require_number(eta_eff, "eta_eff")
         if not 0 < eta_eff < math.inf:
             raise ParameterError(f"eta_eff must be a finite number > 0, got {eta_eff}")
-    key = None if eta_eff is _MECHANICAL else float(eta_eff)
+    key = None if kind == MECH else float(eta_eff)
     volumes = f.__dict__.setdefault("_volumes", {})
     if key not in volumes:
         if key is None:
-            total, exponent = _intensity_integral(f)
+            total, cells = _intensity_integral(f)
             square = _intensity_integral(f, lambda intensity: (intensity / total)**2)[0]
-            value, intensity = 1.0 / square, total
+            volumes[key] = 1.0 / square, cells, total
         else:
             eta = math.ldexp(key, -_exponent(key))
-            (total, square), exponent = _intensity_integral(
+            (total, square), cells = _intensity_integral(
                 f, lambda intensity: np.stack([eta * intensity, (eta * intensity)**2]))
-            value, intensity = total**2 / square, total / eta
-        fraction, k = math.frexp(value)
-        volumes[key] = fraction, k + exponent, math.ldexp(intensity, -k)
+            volumes[key] = total**2 / square, cells, total / eta
     return volumes[key]
 
 
@@ -333,20 +323,20 @@ def _root(value: float, exponent: int) -> tuple:
 
 
 def _scaled_to_volume(f: ModeField, volume: tuple) -> ModeField:
-    """``f`` times sqrt(V / integral of sum_i |f_i|^2), from its :func:`_volume` ``volume``
-    undecided: the volume's power of two cancels, so no volume need be a float."""
-    fraction, _, intensity = volume
-    return f.scaled(math.ldexp(*_root(fraction / intensity, -2 * f._power)))
+    """``f`` times sqrt(V / integral of sum_i |f_i|^2), from its :func:`_volume` record
+    ``volume``: both share the cells' power of two, which cancels, so no volume need be a float."""
+    value, _, intensity = volume
+    return f.scaled(math.ldexp(*_root(value / intensity, -2 * f._power)))
 
 
 def normalize_mech(w: ModeField) -> ModeField:
     """Rescale so the integrated intensity equals the effective mode volume."""
-    return _scaled_to_volume(w, _volume(w))
+    return _scaled_to_volume(w, _volume(w, MECH))
 
 
 def normalize_em(e: ModeField, eta_eff: float) -> ModeField:
     """Rescale so integral of eta_eff |E|^2 equals eta_eff times the mode volume."""
-    return _scaled_to_volume(e, _volume(e, eta_eff))
+    return _scaled_to_volume(e, _volume(e, EM, eta_eff))
 
 
 def effective_mass(w_m: ModeField, w_n: ModeField, rho) -> complex:
@@ -503,13 +493,13 @@ def require_matching(e: ModeField, w: ModeField):
 
 def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> tuple:
     """``(mantissa, exponent)`` of i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho)),
-    each value split by ``frexp``, each volume as :func:`_volume` keeps it, and each root taken by
-    :func:`_root`: no term overflows."""
-    (ve, kve, _), (vm, kvm, _) = _volume(e, mat.eta_eff), _volume(w)
-    (f_em, k_em), (f_mech, k_mech), (eta, keta), (rho, krho) = map(
-        math.frexp, (e.frequency, w.frequency, mat.eta_eff, mat.rho))
+    each value split by ``frexp``, a volume's with its :func:`_volume` cells added, and each root
+    taken by :func:`_root`: no term overflows."""
+    (ve, ce, _), (vm, cm, _) = _volume(e, EM, mat.eta_eff), _volume(w, MECH)
+    (f_em, k_em), (f_mech, k_mech), (eta, keta), (rho, krho), (ve, kve), (vm, kvm) = map(
+        math.frexp, (e.frequency, w.frequency, mat.eta_eff, mat.rho, ve, vm))
     ratio, kr = _root(f_em / f_mech, k_em - k_mech)
-    volumes, kv = _root(ve * vm, kve + kvm)
+    volumes, kv = _root(ve * vm, kve + ce + kvm + cm)
     density, kd = _root(eta * rho, keta + krho)
     return 1j * ratio / (4 * volumes) / density, kr - kv - kd
 
@@ -524,8 +514,6 @@ def overlap_integral(e: ModeField, gradients: np.ndarray, j: int, k: int,
 # The rates and the mode volumes walk the grid in x-slabs, so beside the two fields
 # they hold only a few slab-sized arrays, never a full-grid gradient or intensity.
 
-#: 0-based index pair (a, b) of each Voigt index 1..6, in Voigt order
-_VOIGT_PAIRS = [(i - 1, j - 1) for _, (i, j) in sorted(_PAIR_OF_VOIGT.items())]
 #: roundoff's largest share of an unknown Voigt entry's overlap bound (see the module docstring)
 _UNKNOWN_RTOL = 1e-10
 #: a tensor is rescaled only by the power of two of its largest entry above this one, so that
@@ -715,11 +703,11 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     (generally complex) overlap sum, the :func:`_contraction` of ``p``, is returned.
     """
     total, parts = _contraction(e, w, mat, "p")
-    (ve, kve, _), (vm, kvm, _) = _volume(e, mat.eta_eff), _volume(w)
-    (rho, kr), (eps0, ke0), (eta, ket), (om, kom), (hbar, kh) = map(
-        math.frexp, (mat.rho, EPSILON_0, mat.eta_eff, w.frequency, HBAR))
+    (ve, ce, _), (vm, cm, _) = _volume(e, EM, mat.eta_eff), _volume(w, MECH)
+    (rho, kr), (eps0, ke0), (eta, ket), (om, kom), (hbar, kh), (ve, kve), (vm, kvm) = map(
+        math.frexp, (mat.rho, EPSILON_0, mat.eta_eff, w.frequency, HBAR, ve, vm))
     denominator = 32 * rho * vm * eps0**2 * eta**2 * ve**2 * om
-    prefactor, p = _root(hbar / denominator, kh - (kr + kvm + 2 * ke0 + 2 * ket + 2 * kve + kom))
+    prefactor, p = _root(hbar / denominator, kh - (kr + kvm + cm + 2 * (ke0 + ket + kve + ce) + kom))
     return _decided("optomechanical coupling rate", prefactor * abs(total),
                     {**parts, "prefactor": p})
 

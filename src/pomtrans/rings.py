@@ -112,12 +112,14 @@ def transmission_spectrum(rp: RingPair, omega_grid) -> np.ndarray:
     the split-resonance critical frequencies as the bus coupling goes to zero.
     Setting J = 0 recovers the single-ring comb.
 
-    Raises :class:`GridError` when the grid is not 1-D with at least 2 points
-    or not strictly increasing.
+    Raises :class:`GridError` when the grid is not 1-D with at least 2 points,
+    not finite or not strictly increasing.
     """
     w = np.asarray(omega_grid, dtype=float)
     if w.ndim != 1 or len(w) < 2:
         raise GridError("omega grid must be a 1-D array with at least 2 points")
+    if not np.all(np.isfinite(w)):
+        raise GridError("omega grid must be finite")
     if np.any(w[1:] <= w[:-1]):
         raise GridError("omega grid must be strictly increasing")
     phase = np.exp(1j * w * rp.T)

@@ -271,6 +271,16 @@ def test_efficiency_spectrum_rejects_a_grid_of_bad_shape(nominal_params, grid):
         analysis.efficiency_spectrum(nominal_params, grid)
 
 
+@pytest.mark.parametrize("value, at", [(math.nan, 50), (math.inf, -1), (-math.inf, 0)],
+                         ids=["nan", "inf", "-inf"])
+def test_efficiency_spectrum_rejects_a_non_finite_grid(nominal_params, value, at):
+    # the grid passed the increasing check, and its efficiency was blamed on the rates
+    grid = nominal_params.omega_m + TWO_PI * np.linspace(-40e6, 40e6, 101)
+    grid[at] = value
+    with pytest.raises(GridError, match="^omega grid must be finite$"):
+        analysis.efficiency_spectrum(nominal_params, grid)
+
+
 def test_efficiency_spectrum_boundary_sets_broad_flag(nominal_params):
     p = nominal_params
     # window much narrower than the bandwidth: the 50% band hits the edges

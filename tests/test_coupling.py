@@ -305,6 +305,36 @@ def test_em_volume_checks_eta_eff_when_its_volume_is_cached():
             assert str(info.value) == message
 
 
+def test_a_cached_volume_is_read_without_a_walk_or_a_grid(monkeypatch):
+    # each public volume call rebuilt the walk's unit cells only to name their power of two
+    e, w = coupling_input_fields(piezo=True)
+    first = coupling.mech_mode_volume(w), coupling.em_mode_volume(e, 0.37)
+    calls = []
+    for name in ("_intensity_integral", "_unit_cells"):
+        monkeypatch.setattr(coupling, name, lambda *args, _name=name: calls.append(_name))
+    assert (coupling.mech_mode_volume(w), coupling.em_mode_volume(e, 0.37)) == first
+    assert calls == []
+
+
+def test_a_scalar_eta_eff_cancels_from_the_em_volume():
+    # a power of two cancels exactly and any other eta_eff to roundoff, so the EM volume is the
+    # mechanical volume of the same components
+    rng = np.random.default_rng(50)
+    grid = coupling.Grid3D((0.0, 0.0, 0.0), (1e-8, 2e-8, 3e-8), (9, 7, 11))
+    fields = [(f.grid, f.components) for piezo in (False, True)
+              for f in coupling_input_fields(piezo)]
+    fields += [(grid, rng.normal(size=(3, *grid.shape)) + 1j * rng.normal(size=(3, *grid.shape)))
+               for _ in range(20)]
+    for field_grid, comps in fields:
+        e = coupling.ModeField(field_grid, comps, coupling.EM, 1.0)
+        volume = coupling.em_mode_volume(e, 1.0)
+        assert coupling.em_mode_volume(e, 0.25) == coupling.em_mode_volume(e, 2.0**-40) == volume
+        for eta_eff in (1 / 9.5, 0.37, 3.0, 1e-300, 1e300):
+            assert coupling.em_mode_volume(e, eta_eff) == pytest.approx(volume, rel=1e-12, abs=0)
+        assert volume == pytest.approx(coupling.mech_mode_volume(
+            coupling.ModeField(field_grid, comps, coupling.MECH, 1.0)), rel=1e-12, abs=0)
+
+
 def _whole_grid_volumes(f, eta_eff):
     """The mode volumes from whole-grid intensities and trapezoid_3d, the slab walk's oracle."""
     intensity = np.sum(np.abs(f.components) ** 2, axis=0)
@@ -458,7 +488,9 @@ def test_effective_mass_takes_vacuum_cells():
     # -1 meant z, and 3 raised a bare IndexError
     (-1, "polarization must be in 0..2, got -1"),
     (3, "polarization must be in 0..2, got 3"),
-], ids=["bool", "float", "negative", "three"])
+    # str() of an int past Python's 4300-digit limit raised a bare ValueError
+    (10**5000, "polarization must be in 0..2, got <int of 16610 bits>"),
+], ids=["bool", "float", "negative", "three", "huge"])
 def test_analytic_modes_reject_a_polarization_that_is_no_axis(polarization, message):
     grid = box_grid(5)
     for build in (lambda: coupling.plane_wave(grid, coupling.MECH, 1.0, 1.0, (0, 0, 0),
@@ -474,14 +506,15 @@ def test_analytic_modes_reject_a_polarization_that_is_no_axis(polarization, mess
     (True, 0.2e-6, "axis must be an integer, got True"),
     (-1, 0.2e-6, "axis must be in 0..2, got -1"),
     (3, 0.2e-6, "axis must be in 0..2, got 3"),
+    (10**5000, 0.2e-6, "axis must be in 0..2, got <int of 16610 bits>"),
     # 0.0 divided by zero: a RuntimeWarning, then "mode field contains non-finite values"
     (2, 0.0, "width must be a finite number > 0, got 0.0"),
     (2, -0.2e-6, "width must be a finite number > 0, got -2e-07"),
     (2, math.nan, "width must be a finite number > 0, got nan"),
     (2, math.inf, "width must be a finite number > 0, got inf"),
     (2, True, "width is not a number: True"),
-], ids=["bool-axis", "negative-axis", "axis-three", "zero-width", "negative-width", "nan-width",
-        "inf-width", "bool-width"])
+], ids=["bool-axis", "negative-axis", "axis-three", "huge-axis", "zero-width", "negative-width",
+        "nan-width", "inf-width", "bool-width"])
 def test_gaussian_sheet_rejects_its_axis_and_width_by_name(axis, width, message):
     with pytest.raises(ParameterError) as info:
         coupling.gaussian_sheet(box_grid(5), coupling.MECH, 1.0, 1.0, 0, axis, 0.5e-6, width)
@@ -1519,7 +1552,10 @@ def test_h_element_rejects_row_index_out_of_range(i):
     # (1.0, 1, 1) ended in a bare IndexError in piezo_coupling
     ((1.0, 1, 1), "tensor index i must be an integer, got 1.0"),
     ((1, 1, 1.0), "tensor indices must be integers, got (1, 1.0)"),
-], ids=["bool-i", "float-i", "float-k"])
+    # str() of an int past Python's 4300-digit limit raised a bare ValueError
+    ((10**5000, 1, 1), "tensor index i must be in 1..3, got <int of 16610 bits>"),
+    ((1, 1, -10**5000), "tensor indices must be in 1..3, got (1, <int of 16610 bits>)"),
+], ids=["bool-i", "float-i", "float-k", "huge-i", "huge-negative-k"])
 def test_tensor_indices_must_be_integers(component, message):
     e, w = coupling_input_fields(piezo=True)
     mat = simple_material()

@@ -125,6 +125,10 @@ def test_transmission_periodicity():
     (np.array([1.0]), "omega grid must be a 1-D array with at least 2 points"),
     (np.array([1.0, 1.0, 2.0]), "omega grid must be strictly increasing"),
     (np.array([2.0, 1.0]), "omega grid must be strictly increasing"),
+    # each passed the increasing check, and the spectrum was NaN with RuntimeWarnings
+    (np.array([1.0, math.nan, 2.0]), "omega grid must be finite"),
+    (np.array([1.0, math.inf]), "omega grid must be finite"),
+    (np.array([-math.inf, 1.0]), "omega grid must be finite"),
 ])
 def test_transmission_spectrum_rejects_a_bad_grid(grid, message):
     with pytest.raises(GridError, match=f"^{message}$"):
