@@ -276,10 +276,10 @@ def em_mode_volume(e: ModeField, eta_eff: float) -> float:
 
     (integral of eta_eff |E|^2)^2 / integral of (eta_eff |E|^2)^2, at the
     scalar effective inverse relative permittivity ``eta_eff``, a finite number
-    > 0.  A scalar ``eta_eff`` cancels: its power of two exactly, so the volume
-    equals :func:`mech_mode_volume` of the same components, and at every
-    ``eta_eff`` the volumes agree to roundoff.  Both integrals are taken in one
-    walk of the grid, slab by slab.
+    > 0.  A scalar ``eta_eff`` cancels: its power of two exactly and any other
+    factor to roundoff, so the volume is :func:`mech_mode_volume` of the same
+    components to roundoff.  Both integrals are taken in one walk of the grid,
+    slab by slab.
     """
     value, cells, _ = _volume(e, EM, eta_eff)
     return _decided("em mode volume", value, {"cells": cells})
@@ -495,9 +495,9 @@ def _piezo_prefactor(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> tupl
     """``(mantissa, exponent)`` of i sqrt(omega_em/omega_mech) / (4 sqrt(V_em V_mech eta_eff rho)),
     each value split by ``frexp``, a volume's with its :func:`_volume` cells added, and each root
     taken by :func:`_root`: no term overflows."""
-    (ve, ce, _), (vm, cm, _) = _volume(e, EM, mat.eta_eff), _volume(w, MECH)
+    (v_em, ce, _), (v_mech, cm, _) = _volume(e, EM, mat.eta_eff), _volume(w, MECH)
     (f_em, k_em), (f_mech, k_mech), (eta, keta), (rho, krho), (ve, kve), (vm, kvm) = map(
-        math.frexp, (e.frequency, w.frequency, mat.eta_eff, mat.rho, ve, vm))
+        math.frexp, (e.frequency, w.frequency, mat.eta_eff, mat.rho, v_em, v_mech))
     ratio, kr = _root(f_em / f_mech, k_em - k_mech)
     volumes, kv = _root(ve * vm, kve + ce + kvm + cm)
     density, kd = _root(eta * rho, keta + krho)
@@ -703,9 +703,9 @@ def optomech_coupling(e: ModeField, w: ModeField, mat: MaterialTensorSet) -> flo
     (generally complex) overlap sum, the :func:`_contraction` of ``p``, is returned.
     """
     total, parts = _contraction(e, w, mat, "p")
-    (ve, ce, _), (vm, cm, _) = _volume(e, EM, mat.eta_eff), _volume(w, MECH)
+    (v_em, ce, _), (v_mech, cm, _) = _volume(e, EM, mat.eta_eff), _volume(w, MECH)
     (rho, kr), (eps0, ke0), (eta, ket), (om, kom), (hbar, kh), (ve, kve), (vm, kvm) = map(
-        math.frexp, (mat.rho, EPSILON_0, mat.eta_eff, w.frequency, HBAR, ve, vm))
+        math.frexp, (mat.rho, EPSILON_0, mat.eta_eff, w.frequency, HBAR, v_em, v_mech))
     denominator = 32 * rho * vm * eps0**2 * eta**2 * ve**2 * om
     prefactor, p = _root(hbar / denominator, kh - (kr + kvm + cm + 2 * (ke0 + ket + kve + ce) + kom))
     return _decided("optomechanical coupling rate", prefactor * abs(total),
